@@ -17,13 +17,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import isfinite
 from pathlib import Path
 
 import numpy as np
 
-from .interference import circuit_probability, closed_form_probability
+from .interference import SweepSpec, _cross_coefficient, closed_form_probability, sweep
 from .protocol import OUTCOME_ORDER, ProtocolConfig, post_select, sample_outcomes, success_probability
 from .qcore import ConfigurationError
 from .tempop import eigencheck_purified
@@ -58,14 +58,22 @@ def _as_number(value, name: str) -> float:
     return value
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    keys = [k for k, _ in pairs]
+    repeated = sorted({k for k in keys if keys.count(k) > 1})
+    if repeated:
+        raise ConfigurationError(f"config repeats keys {repeated}")
+    return dict(pairs)
+
+
 def load_config(path: str | Path) -> RunConfig:
-    """Parse a flat JSON config with exactly the RunConfig fields."""
+    """Parse a flat JSON config with exactly the RunConfig fields, each once."""
     try:
         raw = Path(path).read_text()
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     try:
-        doc = json.loads(raw)
+        doc = json.loads(raw, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -111,6 +119,8 @@ def _emit(report: dict) -> None:
 
 
 def cmd_protocol(args: argparse.Namespace) -> int:
+    if args.seed is not None and args.seed < 0:
+        raise ConfigurationError("--seed must be nonnegative")
     cfg = load_config(args.config).to_protocol_config()
     results = {o: post_select(cfg, o) for o in OUTCOME_ORDER}
     phi_plus = results[OUTCOME_ORDER[0]].state.amps
@@ -145,14 +155,13 @@ def cmd_interference(args: argparse.Namespace) -> int:
         raise ConfigurationError("--phi-steps must be at least 2")
     cfg = load_config(args.config).to_protocol_config()
     grid = np.linspace(0.0, 2.0 * np.pi, args.phi_steps)
-    rows = []
-    for phi in grid:
-        point = replace(cfg, phi=float(phi))
-        if args.convention is None:
-            prob = circuit_probability(point)
-        else:
-            prob = closed_form_probability(point, args.convention)
-        rows.append((float(phi), prob))
+    if args.convention is None:
+        rows = sweep(SweepSpec(cfg, grid))
+    else:
+        closed_form_probability(cfg, args.convention)  # refuses configs outside the pinned regime
+        factor = 2.0 if args.convention == "corrected" else 1.0
+        probs = 0.5 * (1.0 + factor * _cross_coefficient(cfg) * np.cos(grid))
+        rows = zip(grid.tolist(), probs.tolist())
     lines = ["phi,probability"]
     lines += [f"{phi:.9g},{prob:.9g}" for phi, prob in rows]
     Path(args.out).write_text("\n".join(lines) + "\n")
@@ -164,6 +173,8 @@ def cmd_eigencheck(args: argparse.Namespace) -> int:
         raise ConfigurationError("--dim must be at least 2")
     if not isfinite(args.beta) or args.beta < 0.0:
         raise ConfigurationError("--beta must be finite and nonnegative")
+    if args.assert_tol is not None and not isfinite(args.assert_tol):
+        raise ConfigurationError("--assert-tol must be finite")
     rng = np.random.default_rng(_EIGENCHECK_ENERGY_SEED)
     energies = rng.uniform(-5.0, 5.0, args.dim)
     spec = ThermalSpec(args.beta, QuditHamiltonian(tuple(energies)))
@@ -178,7 +189,7 @@ def cmd_eigencheck(args: argparse.Namespace) -> int:
             "residual": analytic.residual,
         },
     }
-    residuals = [analytic.residual]
+    checks = [("analytic", analytic)]
     if args.fd_step is not None:
         fd = eigencheck_purified(spec, fd_step=args.fd_step)
         report["finite_difference"] = {
@@ -187,11 +198,15 @@ def cmd_eigencheck(args: argparse.Namespace) -> int:
             "expected": fd.expected,
             "residual": fd.residual,
         }
-        residuals.append(fd.residual)
+        checks.append(("finite-difference", fd))
     _emit(report)
-    if args.assert_tol is not None and max(residuals) > args.assert_tol:
-        print(f"error: residual {max(residuals):.3e} exceeds {args.assert_tol:.3e}", file=sys.stderr)
-        return 2
+    if args.assert_tol is not None:
+        for name, check in checks:
+            deviations = (("residual", check.residual), ("|rayleigh - expected|", abs(check.rayleigh - check.expected)))
+            for what, value in deviations:
+                if not value <= args.assert_tol:  # written so that NaN fails too
+                    print(f"error: {name} {what} {value:.3e} exceeds {args.assert_tol:.3e}", file=sys.stderr)
+                    return 2
     return 0
 
 

@@ -7,22 +7,28 @@ A in |0>.  For the state (a|00> + b e^(i*phi)|11>)/N this evaluates to
     P(phi) = 1/2 * (1 + 2ab/N^2 * cos(phi)),
 
 so the fringe visibility is 2ab/N^2 with a = sqrt(p0 f0), b = sqrt(p1 f1).
-:func:`circuit_probability` simulates the circuit and is the module's ground
-truth; :func:`closed_form_probability` evaluates the closed form, either with
-the operational factor 2 in the cross term ("corrected") or without it
-("paper", kept for comparison because the two differ by exactly that factor).
+:func:`circuit_probability` simulates the circuit for one configuration and
+is the module's ground truth; :func:`sweep` runs the same simulation batched
+over a whole grid; :func:`closed_form_probability` evaluates the closed form,
+either with the operational factor 2 in the cross term ("corrected") or
+without it ("paper", kept for comparison because the two differ by exactly
+that factor).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
 from . import qcore
-from .protocol import BellOutcome, ProtocolConfig, post_select
+from .protocol import BellOutcome, ProtocolConfig, _underflow_error, post_select
 from .qcore import ConfigurationError
-from .thermal import ThermalSpec
+from .thermal import _shifted_gibbs
+
+# CNOT with A as control: flat index 2a + b of the (A, B) pair goes to 2a + (a XOR b)
+_CNOT_ORDER = [0, 1, 3, 2]
 
 
 @dataclass(frozen=True)
@@ -37,11 +43,16 @@ class SweepSpec:
         phis = tuple(float(x) for x in self.phi_points)
         if not phis:
             raise ConfigurationError("phi_points must be nonempty")
+        if not all(isfinite(x) for x in phis):
+            raise ConfigurationError("phi_points must be finite")
         object.__setattr__(self, "phi_points", phis)
         if self.beta_b_values is not None:
             betas = tuple(float(b) for b in self.beta_b_values)
-            if any(b <= 0.0 for b in betas):
-                raise ConfigurationError("beta_b sweep values must be positive")
+            if not all(isfinite(b) and b > 0.0 for b in betas):
+                raise ConfigurationError("beta_b sweep values must be positive and finite")
+            weights, _ = _shifted_gibbs(np.array(betas)[:, None], self.cfg.spec_b.hamiltonian.energies)
+            if (weights <= 0.0).any():
+                raise _underflow_error("spec_b")
             object.__setattr__(self, "beta_b_values", betas)
 
 
@@ -86,21 +97,56 @@ def closed_form_probability(cfg: ProtocolConfig, convention: str = "corrected") 
     raise ConfigurationError(f"convention must be 'paper' or 'corrected', got {convention!r}")
 
 
+def _qubit_weights(beta, energies) -> tuple[np.ndarray, np.ndarray]:
+    weights, _ = _shifted_gibbs(np.asarray(beta, dtype=float)[..., None], energies)
+    return weights[..., 0], weights[..., 1]
+
+
+def _readout_probability(beta_a, energies_a, beta_b, energies_b, phi) -> np.ndarray:
+    """P(A = 0) after the read-out circuit, for every point of a broadcast grid.
+
+    The same simulation as :func:`circuit_probability`, batched: ``beta_a``,
+    ``beta_b`` and ``phi`` broadcast together, and ``energies_a`` and
+    ``energies_b`` carry the two qubit levels on their last axis.  The phi+
+    post-selected amplitudes are formed exactly as in
+    :func:`~thermosim.protocol.post_select`, then CNOT permutes them, the
+    partial trace over B is a batched matmul, and the Hadamard reads A out.
+    Inputs are assumed valid: every Gibbs weight positive, phi finite.
+    """
+    p0, p1 = _qubit_weights(beta_a, energies_a)
+    f0, f1 = _qubit_weights(beta_b, energies_b)
+    phase = np.exp(1j * np.asarray(phi, dtype=float))
+    # square roots are taken per weight so extreme weight products survive
+    first, second = np.sqrt(p0) * np.sqrt(f0), np.sqrt(p1) * np.sqrt(f1)
+    norm = np.hypot(first, second)
+    shape = np.broadcast_shapes(norm.shape, phase.shape)
+    amps = np.zeros(shape + (4,), dtype=np.complex128)
+    amps[..., 0] = first / norm
+    amps[..., 3] = phase * second / norm
+    psi = amps[..., _CNOT_ORDER].reshape(shape + (2, 2))  # psi[..., a, b]
+    rho_a = psi @ psi.conj().swapaxes(-1, -2)
+    h = qcore.HADAMARD.entries
+    prob = (h @ rho_a @ h.conj().T)[..., 0, 0].real
+    return np.clip(prob, 0.0, 1.0)  # roundoff guard
+
+
 def sweep(spec: SweepSpec) -> list[tuple]:
     """Fringe probabilities over the grid, computed by circuit simulation.
 
     Rows are (phi, probability), or (phi, beta_b, probability) when a beta_B
     axis is present; the outer loop runs over beta_B, the inner over phi, and
-    rows are emitted in that deterministic order.
+    rows are emitted in that deterministic order.  The whole grid is one call
+    of the batched circuit simulation.
     """
-    rows: list[tuple] = []
+    a, b = spec.cfg.spec_a, spec.cfg.spec_b
+    betas = b.beta if spec.beta_b_values is None else np.array(spec.beta_b_values)[:, None]
+    probs = _readout_probability(
+        a.beta, a.hamiltonian.energies, betas, b.hamiltonian.energies, np.array(spec.phi_points)
+    )
     if spec.beta_b_values is None:
-        for phi in spec.phi_points:
-            rows.append((phi, circuit_probability(replace(spec.cfg, phi=phi))))
-        return rows
-    for beta_b in spec.beta_b_values:
-        spec_b = ThermalSpec(beta_b, spec.cfg.spec_b.hamiltonian)
-        for phi in spec.phi_points:
-            cfg = ProtocolConfig(spec.cfg.spec_a, spec_b, phi)
-            rows.append((phi, beta_b, circuit_probability(cfg)))
-    return rows
+        return list(zip(spec.phi_points, probs.tolist()))
+    return [
+        (phi, beta_b, prob)
+        for beta_b, row in zip(spec.beta_b_values, probs.tolist())
+        for phi, prob in zip(spec.phi_points, row)
+    ]

@@ -54,6 +54,13 @@ def bell_state(outcome: BellOutcome) -> StateVector:
     return _BELL_VECTORS[outcome]
 
 
+def _underflow_error(name: str) -> ConfigurationError:
+    """The rejection of a qubit spec whose smallest Gibbs weight is 0.0."""
+    return ConfigurationError(
+        f"{name} has a Gibbs weight that underflows to zero; reduce beta or the energy gap"
+    )
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Two qubit thermal specs plus the purification phase of the A side."""
@@ -67,10 +74,7 @@ class ProtocolConfig:
             if spec.hamiltonian.dim != 2:
                 raise ConfigurationError(f"{name} must describe a qubit")
             if min(gibbs_weights(spec).weights) <= 0.0:
-                raise ConfigurationError(
-                    f"{name} has a Gibbs weight that underflows to zero; "
-                    "reduce beta or the energy gap"
-                )
+                raise _underflow_error(name)
         phi = float(self.phi)
         if not isfinite(phi):
             raise ConfigurationError("phi must be finite")

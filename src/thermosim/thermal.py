@@ -66,17 +66,25 @@ class GibbsWeights:
         object.__setattr__(self, "weights", w)
 
 
-def gibbs_weights(spec: ThermalSpec) -> GibbsWeights:
-    """Occupation probabilities e^(-beta*E_n)/Z and the partition function Z.
+def _shifted_gibbs(beta, energies) -> tuple[np.ndarray, np.ndarray]:
+    """Weights e^(-beta*E_n)/Z over the last axis of ``energies``, and Z.
 
-    Exponentials are shifted by the minimum energy before normalization so
-    the weights stay well defined for beta*E up to several hundred.
+    ``beta`` broadcasts against ``energies``, so a batch of betas carries a
+    trailing length-1 axis.  Exponentials are shifted by the minimum energy
+    before normalization so the weights stay well defined for beta*E up to
+    several hundred; beyond about 745 the smallest weights round to 0.0.
     """
-    e = np.asarray(spec.hamiltonian.energies, dtype=float)
-    shifted = np.exp(-spec.beta * (e - e.min()))
-    total = shifted.sum()
-    z = float(np.exp(-spec.beta * e.min()) * total)
-    return GibbsWeights(tuple(shifted / total), z)
+    e = np.asarray(energies, dtype=float)
+    e_min = e.min(axis=-1, keepdims=True)
+    shifted = np.exp(-beta * (e - e_min))
+    total = shifted.sum(axis=-1, keepdims=True)
+    return shifted / total, (np.exp(-beta * e_min) * total)[..., 0]
+
+
+def gibbs_weights(spec: ThermalSpec) -> GibbsWeights:
+    """Occupation probabilities e^(-beta*E_n)/Z and the partition function Z."""
+    weights, z = _shifted_gibbs(spec.beta, spec.hamiltonian.energies)
+    return GibbsWeights(tuple(weights), float(z))
 
 
 def thermal_density(spec: ThermalSpec) -> DensityMatrix:

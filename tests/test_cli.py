@@ -1,10 +1,12 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from thermosim import EigenReport, circuit_probability, closed_form_probability
 from thermosim.cli import load_config, main
 from thermosim.qcore import ConfigurationError
 
@@ -47,6 +49,7 @@ def test_load_config_round_trip(ref_config_path):
         '{"beta_a":"one","beta_b":1.0,"energies_a":[5.0,0.0],"energies_b":[0.0,1.0],"phi":0.0}',
         '{"beta_a":true,"beta_b":1.0,"energies_a":[5.0,0.0],"energies_b":[0.0,1.0],"phi":0.0}',
         '{"beta_a":1e400,"beta_b":1.0,"energies_a":[5.0,0.0],"energies_b":[0.0,1.0],"phi":0.0}',
+        '{"beta_a":1.0,"beta_b":1.0,"energies_a":[5.0,0.0],"energies_b":[0.0,1.0],"phi":0.0,"beta_a":2.0}',
     ],
 )
 def test_load_config_rejects_malformed_documents(tmp_path, payload):
@@ -84,6 +87,13 @@ def test_protocol_missing_config_exits_one(capsys, tmp_path):
     code, out, err = run_cli(capsys, ["protocol", "--config", str(tmp_path / "nope.json")])
     assert code == 1
     assert out == ""  # no partial report
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_protocol_negative_seed_exits_one(capsys, ref_config_path):
+    code, out, err = run_cli(capsys, ["protocol", "--config", ref_config_path, "--samples", "10", "--seed", "-1"])
+    assert code == 1
+    assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
 
 
@@ -178,6 +188,21 @@ def test_interference_paper_convention(capsys, ref_config_path, tmp_path):
     assert float(first_row.split(",")[1]) == pytest.approx(REF_CIRCUIT_P0, abs=1e-8)
 
 
+@pytest.mark.parametrize("convention", [None, "paper", "corrected"])
+def test_interference_csv_matches_per_point_oracle(capsys, ref_config_path, tmp_path, convention):
+    out_path = tmp_path / "fine.csv"
+    argv = ["interference", "--config", ref_config_path, "--phi-steps", "10001", "--out", str(out_path)]
+    code, _, _ = run_cli(capsys, argv + ([] if convention is None else ["--convention", convention]))
+    assert code == 0
+    cfg = load_config(ref_config_path).to_protocol_config()
+    lines = ["phi,probability"]
+    for phi in np.linspace(0.0, 2.0 * np.pi, 10001):
+        point = replace(cfg, phi=float(phi))
+        prob = circuit_probability(point) if convention is None else closed_form_probability(point, convention)
+        lines.append(f"{float(phi):.9g},{prob:.9g}")
+    assert out_path.read_text() == "\n".join(lines) + "\n"
+
+
 def test_interference_rejects_small_grid(capsys, ref_config_path, tmp_path):
     code, out, err = run_cli(
         capsys,
@@ -248,6 +273,36 @@ def test_eigencheck_invalid_dim_exits_one(capsys):
     code, _, err = run_cli(capsys, ["eigencheck", "--dim", "1", "--beta", "1.0"])
     assert code == 1
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_eigencheck_nonfinite_tolerance_exits_one(capsys, tol):
+    code, out, err = run_cli(capsys, ["eigencheck", "--dim", "8", "--beta", "0.7", "--assert-tol", tol])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_eigencheck_gate_compares_rayleigh_with_expected(capsys):
+    # the step underflows the finite difference: a zero image has residual 0
+    # but Rayleigh quotient 0, far from beta^2/16
+    code, out, err = run_cli(
+        capsys,
+        ["eigencheck", "--dim", "8", "--beta", "0.7", "--fd-step", "1e-300", "--assert-tol", "1e-6"],
+    )
+    assert code == 2
+    fd = json.loads(out)["finite_difference"]
+    assert fd["rayleigh"] == 0.0 and fd["expected"] == pytest.approx(0.030625)
+    assert err.startswith("error:") and "rayleigh" in err
+
+
+@pytest.mark.parametrize("field", ["rayleigh", "residual"])
+def test_eigencheck_gate_fails_on_nan(capsys, monkeypatch, field):
+    values = {"rayleigh": 0.25, "residual": 0.0, "expected": 0.25, field: float("nan")}
+    monkeypatch.setattr("thermosim.cli.eigencheck_purified", lambda spec, fd_step=None: EigenReport(**values))
+    code, _, err = run_cli(capsys, ["eigencheck", "--dim", "2", "--beta", "2.0", "--assert-tol", "1e-6"])
+    assert code == 2
+    assert err.startswith("error:") and "nan" in err
 
 
 def test_eigencheck_energies_are_deterministic(capsys):

@@ -1,13 +1,21 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermosim import (
     ConfigurationError,
+    ProtocolConfig,
+    QuditHamiltonian,
     SweepSpec,
+    ThermalSpec,
     circuit_probability,
     closed_form_probability,
     sweep,
 )
+from thermosim.interference import _readout_probability
 from thermosim.qcore import EQ_TOL
 
 from helpers import (
@@ -139,5 +147,52 @@ def test_sweep_visibility_falls_once_products_cross():
 def test_sweep_spec_validation():
     with pytest.raises(ConfigurationError):
         SweepSpec(reference_config(), ())
-    with pytest.raises(ConfigurationError):
-        SweepSpec(reference_config(), (0.0,), beta_b_values=(1.0, 0.0))
+    for phis in ((0.0, float("nan")), (float("inf"),)):
+        with pytest.raises(ConfigurationError, match="finite"):
+            SweepSpec(reference_config(), phis)
+    for betas in ((1.0, 0.0), (float("nan"),), (float("inf"),)):
+        with pytest.raises(ConfigurationError):
+            SweepSpec(reference_config(), (0.0,), beta_b_values=betas)
+    # the reference B gap is 1, so e^(-1000) underflows to 0.0
+    with pytest.raises(ConfigurationError, match="spec_b has a Gibbs weight that underflows"):
+        SweepSpec(reference_config(), (0.0,), beta_b_values=(1.0, 1000.0))
+
+
+def test_sweep_empty_beta_axis_has_no_rows():
+    assert sweep(SweepSpec(reference_config(), (0.0, 1.0), beta_b_values=())) == []
+
+
+# beta*gap log-uniform in [1e-3, 700], short of the ~745 underflow edge
+_BETA_GAP = st.floats(math.log(1e-3), math.log(700.0)).map(math.exp)
+# two levels a gap apart, at a random offset and in either order
+_LEVELS = st.tuples(st.floats(-5.0, 5.0), st.floats(0.1, 6.0), st.booleans()).map(
+    lambda t: (t[0] + t[1], t[0]) if t[2] else (t[0], t[0] + t[1])
+)
+
+
+def _gap(levels):
+    return abs(levels[1] - levels[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    levels_a=_LEVELS,
+    levels_b=_LEVELS,
+    beta_gap_a=_BETA_GAP,
+    beta_gaps_b=st.lists(_BETA_GAP, min_size=1, max_size=3),
+    phis=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=6),
+)
+def test_kernel_matches_scalar_circuit(levels_a, levels_b, beta_gap_a, beta_gaps_b, phis):
+    beta_a = beta_gap_a / _gap(levels_a)
+    betas_b = [x / _gap(levels_b) for x in beta_gaps_b]
+    # a partition function (unused here) overflows once beta*|E_min| passes ~709
+    with np.errstate(over="ignore"):
+        grid = _readout_probability(beta_a, levels_a, np.array(betas_b)[:, None], levels_b, np.array(phis))
+        assert grid.shape == (len(betas_b), len(phis))
+        spec_a = ThermalSpec(beta_a, QuditHamiltonian(levels_a))
+        for row, beta_b in zip(grid, betas_b):
+            spec_b = ThermalSpec(beta_b, QuditHamiltonian(levels_b))
+            for got, phi in zip(row, phis):
+                want = circuit_probability(ProtocolConfig(spec_a, spec_b, phi))
+                assert abs(got - want) <= 1e-12
+                assert f"{got:.9g}" == f"{want:.9g}"
