@@ -52,6 +52,6 @@ from .tempop import (
     residual_superposition,
     superposition_state,
 )
-from .cli import RunConfig, load_config
+from .cli import load_config
 
 __version__ = "0.1.0"

@@ -17,13 +17,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from math import isfinite
 from pathlib import Path
 
 import numpy as np
 
-from .interference import SweepSpec, _cross_coefficient, closed_form_probability, sweep
+from .interference import SweepSpec, _closed_form, sweep
 from .protocol import OUTCOME_ORDER, ProtocolConfig, post_select, sample_outcomes, success_probability
 from .qcore import ConfigurationError
 from .tempop import eigencheck_purified
@@ -31,22 +30,6 @@ from .thermal import QuditHamiltonian, ThermalSpec
 
 _EIGENCHECK_ENERGY_SEED = 987654321  # fixed so repeated runs see the same levels
 _CONFIG_FIELDS = ("beta_a", "beta_b", "energies_a", "energies_b", "phi")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    beta_a: float
-    beta_b: float
-    energies_a: tuple[float, float]
-    energies_b: tuple[float, float]
-    phi: float
-
-    def to_protocol_config(self) -> ProtocolConfig:
-        return ProtocolConfig(
-            ThermalSpec(self.beta_a, QuditHamiltonian(self.energies_a)),
-            ThermalSpec(self.beta_b, QuditHamiltonian(self.energies_b)),
-            self.phi,
-        )
 
 
 def _as_number(value, name: str) -> float:
@@ -66,8 +49,8 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return dict(pairs)
 
 
-def load_config(path: str | Path) -> RunConfig:
-    """Parse a flat JSON config with exactly the RunConfig fields, each once."""
+def load_config(path: str | Path) -> ProtocolConfig:
+    """Parse a flat JSON config with exactly the ``_CONFIG_FIELDS``, each once."""
     try:
         raw = Path(path).read_text()
     except OSError as exc:
@@ -84,18 +67,18 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigurationError(
             f"config keys mismatch: unknown {unknown or 'none'}, missing {missing or 'none'}"
         )
-    energies = {}
+    fields = {}
     for name in ("energies_a", "energies_b"):
         values = doc[name]
         if not isinstance(values, list) or len(values) != 2:
             raise ConfigurationError(f"config field {name!r} must be a list of 2 numbers")
-        energies[name] = tuple(_as_number(v, name) for v in values)
-    return RunConfig(
-        beta_a=_as_number(doc["beta_a"], "beta_a"),
-        beta_b=_as_number(doc["beta_b"], "beta_b"),
-        energies_a=energies["energies_a"],
-        energies_b=energies["energies_b"],
-        phi=_as_number(doc["phi"], "phi"),
+        fields[name] = tuple(_as_number(v, name) for v in values)
+    for name in ("beta_a", "beta_b", "phi"):
+        fields[name] = _as_number(doc[name], name)
+    return ProtocolConfig(
+        ThermalSpec(fields["beta_a"], QuditHamiltonian(fields["energies_a"])),
+        ThermalSpec(fields["beta_b"], QuditHamiltonian(fields["energies_b"])),
+        fields["phi"],
     )
 
 
@@ -121,7 +104,7 @@ def _emit(report: dict) -> None:
 def cmd_protocol(args: argparse.Namespace) -> int:
     if args.seed is not None and args.seed < 0:
         raise ConfigurationError("--seed must be nonnegative")
-    cfg = load_config(args.config).to_protocol_config()
+    cfg = load_config(args.config)
     results = {o: post_select(cfg, o) for o in OUTCOME_ORDER}
     phi_plus = results[OUTCOME_ORDER[0]].state.amps
     report = {
@@ -153,15 +136,12 @@ def cmd_protocol(args: argparse.Namespace) -> int:
 def cmd_interference(args: argparse.Namespace) -> int:
     if args.phi_steps < 2:
         raise ConfigurationError("--phi-steps must be at least 2")
-    cfg = load_config(args.config).to_protocol_config()
+    cfg = load_config(args.config)
     grid = np.linspace(0.0, 2.0 * np.pi, args.phi_steps)
     if args.convention is None:
         rows = sweep(SweepSpec(cfg, grid))
     else:
-        closed_form_probability(cfg, args.convention)  # refuses configs outside the pinned regime
-        factor = 2.0 if args.convention == "corrected" else 1.0
-        probs = 0.5 * (1.0 + factor * _cross_coefficient(cfg) * np.cos(grid))
-        rows = zip(grid.tolist(), probs.tolist())
+        rows = zip(grid.tolist(), _closed_form(cfg, args.convention, grid).tolist())
     lines = ["phi,probability"]
     lines += [f"{phi:.9g},{prob:.9g}" for phi, prob in rows]
     Path(args.out).write_text("\n".join(lines) + "\n")

@@ -85,16 +85,19 @@ def closed_form_probability(cfg: ProtocolConfig, convention: str = "corrected") 
     directly.  The "corrected" convention carries the factor 2 produced by
     the circuit; "paper" omits it.
     """
+    return _closed_form(cfg, convention, cfg.phi)
+
+
+def _closed_form(cfg: ProtocolConfig, convention: str, phi):
+    """The closed form of :func:`closed_form_probability` at each phase in ``phi``."""
     if cfg.spec_a.hamiltonian.energies[1] != 0.0 or cfg.spec_b.hamiltonian.energies[0] != 0.0:
         raise ConfigurationError(
             "closed form requires the pinned levels E1 = 0 and E0' = 0"
         )
-    coeff = _cross_coefficient(cfg)
-    if convention == "corrected":
-        return 0.5 * (1.0 + 2.0 * coeff * np.cos(cfg.phi))
-    if convention == "paper":
-        return 0.5 * (1.0 + coeff * np.cos(cfg.phi))
-    raise ConfigurationError(f"convention must be 'paper' or 'corrected', got {convention!r}")
+    factors = {"corrected": 2.0, "paper": 1.0}
+    if convention not in factors:
+        raise ConfigurationError(f"convention must be 'paper' or 'corrected', got {convention!r}")
+    return 0.5 * (1.0 + factors[convention] * _cross_coefficient(cfg) * np.cos(phi))
 
 
 def _qubit_weights(beta, energies) -> tuple[np.ndarray, np.ndarray]:

@@ -35,13 +35,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
 from .protocol import BellOutcome, ProtocolConfig
-from .qcore import EQ_TOL, ConfigurationError, StateVector
-from .thermal import ThermalSpec, gibbs_weights
+from .qcore import EQ_TOL, ConfigurationError, StateVector, _check_dims
+from .thermal import ThermalSpec
 
 
 @dataclass(frozen=True)
@@ -72,10 +72,6 @@ class Constant:
 
 
 AmplitudeFamily = Union[ExpLinear, Constant]
-
-
-def _central_difference(family: AmplitudeFamily, energy: float, h: float) -> complex:
-    return (family.amplitude(energy + h) - family.amplitude(energy - h)) / (2.0 * h)
 
 
 @dataclass(frozen=True)
@@ -122,6 +118,7 @@ class FactoredBipartiteState:
 
     The evaluated vector must be unit norm; ``frozen_norm`` (when present) is
     the constant Z such that amplitudes carry an overall factor 1/sqrt(Z).
+    Kets are distinct, so each term is exactly one entry of the dense vector.
     """
 
     terms: tuple[FactoredTerm, ...]
@@ -133,8 +130,9 @@ class FactoredBipartiteState:
             raise ConfigurationError("a factored state needs at least one term")
         if len({(t.left_var, t.right_var) for t in terms}) != len(terms):
             raise ConfigurationError("terms must carry distinct derivative-slot pairs")
-        if len({(t.left_basis, t.right_basis) for t in terms}) != len(terms):
-            raise ConfigurationError("terms must carry distinct basis kets")
+        kets = {(t.left_basis, t.right_basis) for t in terms}
+        if len(kets) != len(terms) or min(min(ket) for ket in kets) < 0:
+            raise ConfigurationError("terms must carry distinct, nonnegative basis kets")
         for side in ("left", "right"):
             points: dict[int, float] = {}
             for t in terms:
@@ -152,7 +150,8 @@ class FactoredBipartiteState:
                 raise ConfigurationError("frozen normalization must be finite and positive")
             object.__setattr__(self, "frozen_norm", z)
         object.__setattr__(self, "terms", terms)
-        if abs(self.amplitude_vector().norm() - 1.0) > EQ_TOL:
+        _check_dims(self.dims)  # the dense view must be a valid state
+        if not abs(np.linalg.norm(_term_values(self)) - 1.0) <= EQ_TOL:  # NaN fails too
             raise ConfigurationError("evaluated state must be unit norm")
 
     @property
@@ -163,12 +162,54 @@ class FactoredBipartiteState:
         )
 
     def amplitude_vector(self) -> StateVector:
-        arr = np.zeros(self.dims, dtype=np.complex128)
-        for t in self.terms:
-            arr[t.left_basis, t.right_basis] += t.amplitude()
-        if self.frozen_norm is not None:
-            arr /= np.sqrt(self.frozen_norm)
-        return StateVector(self.dims, arr.reshape(-1))
+        return _dense(self, _term_values(self))
+
+
+def _term_values(
+    state: FactoredBipartiteState, *, respond: bool = False, fd_step: float | None = None
+) -> np.ndarray:
+    """Per-term amplitudes w*L(x)*R(y), or with ``respond`` operator images, over sqrt(Z).
+
+    A term responds with w*L'(x)*R'(y) when both of its sides carry the same
+    derivative slot, and with 0 otherwise; with ``fd_step`` each derivative is
+    a central difference instead of the family's closed form.
+    """
+    h = fd_step
+    if not respond:
+        factor = lambda fam, e: fam.amplitude(e)
+    elif h is None:
+        factor = lambda fam, e: fam.derivative(e)
+    elif h > 0.0:
+        factor = lambda fam, e: (fam.amplitude(e + h) - fam.amplitude(e - h)) / (2.0 * h)
+    else:
+        raise ConfigurationError("finite-difference step must be positive")
+    values = [
+        t.weight * factor(t.left, t.left_energy) * factor(t.right, t.right_energy)
+        if not respond or t.left_var == t.right_var
+        else 0j  # no derivative slot differentiates both sides of this term
+        for t in state.terms
+    ]
+    arr = np.array(values, dtype=np.complex128)
+    if state.frozen_norm is not None:
+        arr /= np.sqrt(state.frozen_norm)
+    return arr
+
+
+def _dense(state: FactoredBipartiteState, values: np.ndarray) -> StateVector:
+    """Per-term values scattered onto their kets of the dense ``dims`` array."""
+    arr = np.zeros(state.dims, dtype=np.complex128)
+    arr[[t.left_basis for t in state.terms], [t.right_basis for t in state.terms]] = values
+    return StateVector(state.dims, arr.reshape(-1))
+
+
+def _normalized(terms: Iterable[FactoredTerm]) -> FactoredBipartiteState:
+    """State over ``terms`` whose frozen normalization is Z = sum_t |w_t L_t(x_t) R_t(y_t)|^2."""
+    terms = tuple(terms)
+    with np.errstate(over="ignore"):  # an overflowing Z is refused below
+        z = float(np.sum(np.abs([t.amplitude() for t in terms]) ** 2))
+    if not (isfinite(z) and z > 0.0):
+        raise ConfigurationError("normalization overflows or vanishes; reduce beta or energies")
+    return FactoredBipartiteState(terms, frozen_norm=z)
 
 
 @dataclass(frozen=True)
@@ -180,9 +221,7 @@ class EigenReport:
     expected: float | None = None
 
 
-def apply_inverse_temp_squared(
-    state: FactoredBipartiteState, *, fd_step: float | None = None
-) -> StateVector:
+def apply_inverse_temp_squared(state: FactoredBipartiteState, *, fd_step: float | None = None) -> StateVector:
     """Image of the state under the squared-inverse-temperature operator.
 
     Analytic mode uses the closed-form family derivatives; with ``fd_step``
@@ -190,22 +229,7 @@ def apply_inverse_temp_squared(
     returned vector is an operator image and is generally not normalized (it
     is zero whenever every responding term contains a constant factor).
     """
-    if fd_step is not None and not (fd_step > 0.0):
-        raise ConfigurationError("finite-difference step must be positive")
-    arr = np.zeros(state.dims, dtype=np.complex128)
-    for t in state.terms:
-        if t.left_var != t.right_var:
-            continue  # no derivative slot differentiates both sides of this term
-        if fd_step is None:
-            d_left = t.left.derivative(t.left_energy)
-            d_right = t.right.derivative(t.right_energy)
-        else:
-            d_left = _central_difference(t.left, t.left_energy, fd_step)
-            d_right = _central_difference(t.right, t.right_energy, fd_step)
-        arr[t.left_basis, t.right_basis] += t.weight * d_left * d_right
-    if state.frozen_norm is not None:
-        arr /= np.sqrt(state.frozen_norm)
-    return StateVector(state.dims, arr.reshape(-1))
+    return _dense(state, _term_values(state, respond=True, fd_step=fd_step))
 
 
 def purified_thermal_state(spec: ThermalSpec) -> FactoredBipartiteState:
@@ -214,15 +238,11 @@ def purified_thermal_state(spec: ThermalSpec) -> FactoredBipartiteState:
     Term n is e^(-beta*E_n/4) x e^(-beta*E_n/4) |n>|n> with a frozen 1/sqrt(Z)
     prefactor; only this even split makes the state an exact eigenvector.
     """
-    z = gibbs_weights(spec).partition
-    if not isfinite(z):
-        raise ConfigurationError("partition function overflows; reduce beta or energies")
     coeff = -spec.beta / 4.0
-    terms = tuple(
+    return _normalized(
         FactoredTerm.diagonal(n, ExpLinear(coeff), ExpLinear(coeff), energy)
         for n, energy in enumerate(spec.hamiltonian.energies)
     )
-    return FactoredBipartiteState(terms, frozen_norm=z)
 
 
 def product_state(
@@ -238,22 +258,16 @@ def product_state(
     """
     if len(left) != len(energies) or len(right) != len(energies):
         raise ConfigurationError("need one family per energy on each side")
-    a = np.array([fam.amplitude(e) for fam, e in zip(left, energies)])
-    b = np.array([fam.amplitude(e) for fam, e in zip(right, energies)])
-    norm_sq = float((np.linalg.norm(a) * np.linalg.norm(b)) ** 2)
-    terms = tuple(
+    return _normalized(
         FactoredTerm(n, m, n, m, left[n], right[m], float(energies[n]), float(energies[m]))
         for n in range(len(energies))
         for m in range(len(energies))
     )
-    return FactoredBipartiteState(terms, frozen_norm=norm_sq)
 
 
-def _eigen_report(
-    state: FactoredBipartiteState, fd_step: float | None, expected: float | None
-) -> EigenReport:
-    psi = state.amplitude_vector().amps
-    image = apply_inverse_temp_squared(state, fd_step=fd_step).amps
+def _eigen_report(state: FactoredBipartiteState, fd_step: float | None, expected: float | None) -> EigenReport:
+    psi = _term_values(state)
+    image = _term_values(state, respond=True, fd_step=fd_step)
     rayleigh = float(np.vdot(psi, image).real)
     residual = float(np.linalg.norm(image - rayleigh * psi))
     return EigenReport(rayleigh, residual, expected)
@@ -261,8 +275,7 @@ def _eigen_report(
 
 def eigencheck_purified(spec: ThermalSpec, *, fd_step: float | None = None) -> EigenReport:
     """Verify that the purified Gibbs state has eigenvalue beta^2/16."""
-    state = purified_thermal_state(spec)
-    return _eigen_report(state, fd_step, expected=spec.beta**2 / 16.0)
+    return _eigen_report(purified_thermal_state(spec), fd_step, expected=spec.beta**2 / 16.0)
 
 
 def superposition_state(
@@ -289,27 +302,15 @@ def superposition_state(
     eb = cfg.spec_b.hamiltonian.energies
     pin = convention == "chosen_zero_levels"
     if pin and (ea[1] != 0.0 or eb[0] != 0.0):
-        raise ConfigurationError(
-            "chosen_zero_levels applies only when E1 = 0 and E0' = 0"
-        )
-    (p0, p1), (f0, f1) = cfg.weights()
-    branch_norm_sq = p0 * f0 + p1 * f1 if outcome is BellOutcome.PHI_PLUS else p0 * f1 + p1 * f0
-    frozen = branch_norm_sq * gibbs_weights(cfg.spec_a).partition * gibbs_weights(cfg.spec_b).partition
-    if not isfinite(frozen):
-        raise ConfigurationError("partition functions overflow; reduce beta or energies")
+        raise ConfigurationError("chosen_zero_levels applies only when E1 = 0 and E0' = 0")
     terms = []
     for slot, (ia, ib) in enumerate(pairing):
-        left: AmplitudeFamily = ExpLinear(-cfg.spec_a.beta / 2.0)
-        right: AmplitudeFamily = ExpLinear(-cfg.spec_b.beta / 2.0)
-        if pin and ia == 1:
-            left = Constant(1.0)  # value e^0 of the pinned level
-        if pin and ib == 0:
-            right = Constant(1.0)
+        # a pinned level is the constant e^0
+        left = Constant(1.0) if pin and ia == 1 else ExpLinear(-cfg.spec_a.beta / 2.0)
+        right = Constant(1.0) if pin and ib == 0 else ExpLinear(-cfg.spec_b.beta / 2.0)
         weight = np.exp(1j * cfg.phi) if ia == 1 else 1.0 + 0j
-        terms.append(
-            FactoredTerm(slot, slot, ia, ib, left, right, ea[ia], eb[ib], weight)
-        )
-    return FactoredBipartiteState(tuple(terms), frozen_norm=frozen)
+        terms.append(FactoredTerm(slot, slot, ia, ib, left, right, ea[ia], eb[ib], weight))
+    return _normalized(terms)
 
 
 def residual_superposition(
@@ -322,7 +323,5 @@ def residual_superposition(
     "chosen_zero_levels" no analytic value is claimed.
     """
     state = superposition_state(cfg, outcome, convention)
-    expected = None
-    if convention == "full_dependence":
-        expected = cfg.spec_a.beta * cfg.spec_b.beta / 4.0
+    expected = cfg.spec_a.beta * cfg.spec_b.beta / 4.0 if convention == "full_dependence" else None
     return _eigen_report(state, None, expected)

@@ -8,7 +8,7 @@ is the infinite-temperature limit; ``beta = inf`` is rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
+from math import exp, inf, isfinite
 
 import numpy as np
 
@@ -53,7 +53,8 @@ class GibbsWeights:
     Weights are mathematically strictly positive, but the smallest ones can
     round to 0.0 once beta times the energy spread exceeds about 745; callers
     that require strict positivity (the post-selection protocol) check it
-    themselves.
+    themselves.  ``partition`` is inf once -beta*E_min passes about 709 (or
+    0.0 once beta*E_min passes about 745) while the weights stay valid.
     """
 
     weights: tuple[float, ...]
@@ -67,7 +68,7 @@ class GibbsWeights:
 
 
 def _shifted_gibbs(beta, energies) -> tuple[np.ndarray, np.ndarray]:
-    """Weights e^(-beta*E_n)/Z over the last axis of ``energies``, and Z.
+    """Weights e^(-beta*E_n)/Z over the last axis of ``energies``, and Z * e^(beta*E_min).
 
     ``beta`` broadcasts against ``energies``, so a batch of betas carries a
     trailing length-1 axis.  Exponentials are shifted by the minimum energy
@@ -75,16 +76,19 @@ def _shifted_gibbs(beta, energies) -> tuple[np.ndarray, np.ndarray]:
     several hundred; beyond about 745 the smallest weights round to 0.0.
     """
     e = np.asarray(energies, dtype=float)
-    e_min = e.min(axis=-1, keepdims=True)
-    shifted = np.exp(-beta * (e - e_min))
+    shifted = np.exp(-beta * (e - e.min(axis=-1, keepdims=True)))
     total = shifted.sum(axis=-1, keepdims=True)
-    return shifted / total, (np.exp(-beta * e_min) * total)[..., 0]
+    return shifted / total, total[..., 0]
 
 
 def gibbs_weights(spec: ThermalSpec) -> GibbsWeights:
     """Occupation probabilities e^(-beta*E_n)/Z and the partition function Z."""
-    weights, z = _shifted_gibbs(spec.beta, spec.hamiltonian.energies)
-    return GibbsWeights(tuple(weights), float(z))
+    weights, total = _shifted_gibbs(spec.beta, spec.hamiltonian.energies)
+    try:
+        z = exp(-spec.beta * min(spec.hamiltonian.energies)) * float(total)
+    except OverflowError:  # Z alone overflows past -beta*E_min of about 709; the weights are fine
+        z = inf
+    return GibbsWeights(tuple(weights), z)
 
 
 def thermal_density(spec: ThermalSpec) -> DensityMatrix:

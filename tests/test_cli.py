@@ -32,9 +32,8 @@ def run_cli(capsys, argv):
 
 def test_load_config_round_trip(ref_config_path):
     cfg = load_config(ref_config_path)
-    assert cfg.beta_a == 1.0
-    assert cfg.energies_a == (5.0, 0.0)
-    cfg.to_protocol_config()
+    assert cfg.spec_a.beta == 1.0
+    assert cfg.spec_a.hamiltonian.energies == (5.0, 0.0)
 
 
 @pytest.mark.parametrize(
@@ -194,7 +193,7 @@ def test_interference_csv_matches_per_point_oracle(capsys, ref_config_path, tmp_
     argv = ["interference", "--config", ref_config_path, "--phi-steps", "10001", "--out", str(out_path)]
     code, _, _ = run_cli(capsys, argv + ([] if convention is None else ["--convention", convention]))
     assert code == 0
-    cfg = load_config(ref_config_path).to_protocol_config()
+    cfg = load_config(ref_config_path)
     lines = ["phi,probability"]
     for phi in np.linspace(0.0, 2.0 * np.pi, 10001):
         point = replace(cfg, phi=float(phi))
@@ -319,6 +318,31 @@ def test_bad_usage_exits_one(capsys):
     assert code == 1
     code, _, _ = run_cli(capsys, ["unknown-command"])
     assert code == 1
+
+
+def _run_module(argv):
+    return subprocess.run([sys.executable, "-m", "thermosim", *argv], capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("command", ["protocol", "interference"])
+def test_overflowing_partition_function_is_silent(tmp_path, command):
+    # beta_a * |E_min| = 1000 overflows Z_A to inf; the weights are still fine
+    path = tmp_path / "cold.json"
+    path.write_text('{"beta_a":200.0,"beta_b":1.0,"energies_a":[-5.0,-4.5],"energies_b":[0.0,1.0],"phi":0.3}')
+    argv = [command, "--config", str(path)]
+    if command == "interference":
+        argv += ["--phi-steps", "5", "--out", str(tmp_path / "cold.csv")]
+    proc = _run_module(argv)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+
+
+def test_eigencheck_overflowing_normalization_exits_one():
+    # -beta * E_min is about 984 here, so the purified state's Z overflows
+    proc = _run_module(["eigencheck", "--dim", "4", "--beta", "300"])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
 
 
 def test_module_entry_point(ref_config_path):

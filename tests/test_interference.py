@@ -185,14 +185,12 @@ def _gap(levels):
 def test_kernel_matches_scalar_circuit(levels_a, levels_b, beta_gap_a, beta_gaps_b, phis):
     beta_a = beta_gap_a / _gap(levels_a)
     betas_b = [x / _gap(levels_b) for x in beta_gaps_b]
-    # a partition function (unused here) overflows once beta*|E_min| passes ~709
-    with np.errstate(over="ignore"):
-        grid = _readout_probability(beta_a, levels_a, np.array(betas_b)[:, None], levels_b, np.array(phis))
-        assert grid.shape == (len(betas_b), len(phis))
-        spec_a = ThermalSpec(beta_a, QuditHamiltonian(levels_a))
-        for row, beta_b in zip(grid, betas_b):
-            spec_b = ThermalSpec(beta_b, QuditHamiltonian(levels_b))
-            for got, phi in zip(row, phis):
-                want = circuit_probability(ProtocolConfig(spec_a, spec_b, phi))
-                assert abs(got - want) <= 1e-12
-                assert f"{got:.9g}" == f"{want:.9g}"
+    grid = _readout_probability(beta_a, levels_a, np.array(betas_b)[:, None], levels_b, np.array(phis))
+    assert grid.shape == (len(betas_b), len(phis))
+    spec_a = ThermalSpec(beta_a, QuditHamiltonian(levels_a))
+    for row, beta_b in zip(grid, betas_b):
+        spec_b = ThermalSpec(beta_b, QuditHamiltonian(levels_b))
+        for got, phi in zip(row, phis):
+            want = circuit_probability(ProtocolConfig(spec_a, spec_b, phi))
+            assert abs(got - want) <= 1e-12
+            assert f"{got:.9g}" == f"{want:.9g}"

@@ -17,6 +17,7 @@ from thermosim import (
     purified_thermal_state,
     residual_superposition,
     superposition_state,
+    tempop,
 )
 from thermosim.qcore import EQ_TOL, FD_TOL
 
@@ -301,3 +302,83 @@ def test_superposition_state_error_paths():
     out_of_regime = replace(cfg, spec_a=ThermalSpec(1.0, QuditHamiltonian((5.0, 0.3))))
     with pytest.raises(ConfigurationError):
         superposition_state(out_of_regime, BellOutcome.PHI_PLUS, "chosen_zero_levels")
+
+
+# --- term-space reports against their dense counterparts --------------------
+
+def _assert_report_matches_dense(report, state, fd_step=None):
+    psi = state.amplitude_vector().amps
+    image = apply_inverse_temp_squared(state, fd_step=fd_step).amps
+    rayleigh = float(np.vdot(psi, image).real)
+    residual = float(np.linalg.norm(image - rayleigh * psi))
+    tol = 1e-12 * max(1.0, abs(rayleigh))
+    assert abs(report.rayleigh - rayleigh) <= tol
+    assert abs(report.residual - residual) <= tol
+
+
+@pytest.mark.parametrize("fd_step", [None, 1e-5])
+def test_purified_reports_match_dense(fd_step):
+    rng = np.random.default_rng(151)
+    for d in (2, 3, 8, 64):
+        for _ in range(5):
+            spec = random_thermal_spec(rng, beta_max=20.0, dims=(d, d))
+            report = eigencheck_purified(spec, fd_step=fd_step)
+            _assert_report_matches_dense(report, purified_thermal_state(spec), fd_step)
+
+
+def test_product_state_report_matches_dense():
+    # the off-diagonal terms of a product state do not respond
+    rng = np.random.default_rng(157)
+    for _ in range(10):
+        d = int(rng.integers(2, 6))
+        left = [ExpLinear(float(c)) for c in rng.uniform(-1.0, 1.0, d)]
+        right = [ExpLinear(float(c)) for c in rng.uniform(-1.0, 1.0, d)]
+        state = product_state(left, right, rng.uniform(-1.5, 1.5, d))
+        _assert_report_matches_dense(tempop._eigen_report(state, None, None), state)
+
+
+@pytest.mark.parametrize("outcome", [BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS])
+@pytest.mark.parametrize("convention", ["full_dependence", "chosen_zero_levels"])
+def test_superposition_reports_match_dense(outcome, convention):
+    rng = np.random.default_rng(163)
+    for _ in range(10):
+        cfg = random_in_regime_config(rng)
+        report = residual_superposition(cfg, outcome, convention)
+        _assert_report_matches_dense(report, superposition_state(cfg, outcome, convention))
+
+
+def test_eigen_path_builds_no_dense_array(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense array built on the eigen path")
+
+    monkeypatch.setattr(FactoredBipartiteState, "amplitude_vector", refuse)
+    monkeypatch.setattr(tempop, "apply_inverse_temp_squared", refuse)
+    spec = _spec(1.0, tuple(np.random.default_rng(167).uniform(-5.0, 5.0, 4096)))
+    for fd_step in (None, 1e-5):
+        report = eigencheck_purified(spec, fd_step=fd_step)
+        assert abs(report.rayleigh - 1.0 / 16.0) <= FD_TOL
+    cfg = reference_config(phi=0.4)
+    for outcome in (BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS):
+        for convention in ("full_dependence", "chosen_zero_levels"):
+            residual_superposition(cfg, outcome, convention)
+
+
+def test_purified_state_at_the_overflow_edge():
+    # Z = e^(-beta*E_min) * (1 + ...) is finite at -beta*E_min = 700 and
+    # overflows at 720
+    state = purified_thermal_state(_spec(700.0, (-1.0, 0.5)))
+    assert abs(state.amplitude_vector().norm() - 1.0) <= EQ_TOL
+    with pytest.raises(ConfigurationError):
+        purified_thermal_state(_spec(720.0, (-1.0, 0.5)))
+
+
+def test_factored_state_rejects_degenerate_kets_and_values():
+    one = Constant(1.0)
+    with pytest.raises(ConfigurationError):  # a 1 x 1 dense view is no bipartite state
+        FactoredBipartiteState((FactoredTerm.diagonal(0, one, one, 0.0),))
+    with pytest.raises(ConfigurationError):
+        FactoredBipartiteState((FactoredTerm(0, 0, -1, 0, one, one, 0.0, 0.0),
+                                FactoredTerm(1, 1, 1, 1, one, one, 0.0, 0.0)), frozen_norm=2.0)
+    with pytest.raises(ConfigurationError):  # a NaN amplitude fails the unit-norm check
+        FactoredBipartiteState((FactoredTerm.diagonal(0, one, one, 0.0, weight=complex("nan")),
+                                FactoredTerm.diagonal(1, one, one, 0.0)))
