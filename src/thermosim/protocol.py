@@ -34,6 +34,10 @@ class BellOutcome(enum.Enum):
     PSI_MINUS = "psi_minus"
 
 
+# draws per chunk of the sampler: its memory stays bounded for any sample count,
+# and a chunk's uniforms and bin indices (1 MiB) stay in cache
+SAMPLE_CHUNK = 1 << 16
+
 # fixed ordering used by the inverse-CDF sampler, for cross-run determinism
 OUTCOME_ORDER = (
     BellOutcome.PHI_PLUS,
@@ -155,6 +159,9 @@ def sample_outcomes(cfg: ProtocolConfig, n: int, seed: int) -> dict[BellOutcome,
 
     Uses inverse-CDF sampling over the fixed outcome ordering with a seeded
     generator, so identical (cfg, n, seed) always produce identical counts.
+    The uniforms are drawn ``SAMPLE_CHUNK`` at a time; consecutive draws of
+    one generator continue a single stream, so the counts equal those of one
+    draw of all ``n`` uniforms.
     """
     if n < 1:
         raise ConfigurationError("sample count must be at least 1")
@@ -162,6 +169,8 @@ def sample_outcomes(cfg: ProtocolConfig, n: int, seed: int) -> dict[BellOutcome,
     cdf = np.cumsum(probs)
     cdf[-1] = 1.0  # guard the final bin against rounding in the cumsum
     rng = np.random.default_rng(seed)
-    draws = np.searchsorted(cdf, rng.random(n), side="right")
-    counts = np.bincount(draws, minlength=len(OUTCOME_ORDER))
+    counts = np.zeros(len(OUTCOME_ORDER), dtype=np.int64)
+    for start in range(0, n, SAMPLE_CHUNK):
+        draws = np.searchsorted(cdf, rng.random(min(SAMPLE_CHUNK, n - start)), side="right")
+        counts += np.bincount(draws, minlength=len(OUTCOME_ORDER))
     return {o: int(c) for o, c in zip(OUTCOME_ORDER, counts)}

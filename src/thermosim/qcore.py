@@ -27,8 +27,8 @@ class ConfigurationError(ValueError):
 
 
 def _check_dims(dims: Iterable[int]) -> tuple[int, ...]:
-    out = tuple(int(d) for d in dims)
-    if not out or any(d < 2 for d in out):
+    out = tuple(map(int, dims))
+    if not out or min(out) < 2:
         raise ConfigurationError(f"subsystem dims must all be >= 2, got {out}")
     return out
 
@@ -69,28 +69,53 @@ class StateVector:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite matrix over subsystems."""
+    """Hermitian, unit-trace, positive-semidefinite matrix over subsystems.
+
+    The constructor proves all three properties, positivity through a full
+    ``eigvalsh`` (O(d^3)).  The matrices the library derives itself, from
+    ``thermal_density`` and from the partial trace of a ``StateVector``, are
+    Hermitian and positive by construction and skip those two proofs.
+    """
 
     dims: tuple[int, ...]
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        dims = _check_dims(self.dims)
-        mat = np.array(self.entries, dtype=np.complex128)
-        d = prod(dims)
-        if mat.shape != (d, d):
-            raise ConfigurationError(f"expected a {d}x{d} matrix for dims {dims}")
-        if not np.all(np.isfinite(mat)):
-            raise ConfigurationError("density matrix entries must be finite")
+        _store_unit_trace(self, self.dims, np.array(self.entries, dtype=np.complex128))
+        mat = self.entries
         if np.max(np.abs(mat - mat.conj().T)) > EQ_TOL:
             raise ConfigurationError("density matrix must be Hermitian")
-        if abs(np.trace(mat).real - 1.0) > EQ_TOL:
-            raise ConfigurationError("density matrix must have unit trace")
         if np.linalg.eigvalsh(mat).min() < -PSD_TOL:
             raise ConfigurationError("density matrix must be positive semidefinite")
-        mat.setflags(write=False)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "entries", mat)
+
+
+def _store_unit_trace(rho: DensityMatrix, dims: Iterable[int], mat: np.ndarray) -> None:
+    """Check the shape, finiteness and unit trace of ``mat``, then freeze it into ``rho``."""
+    dims = _check_dims(dims)
+    d = prod(dims)
+    if mat.shape != (d, d):
+        raise ConfigurationError(f"expected a {d}x{d} matrix for dims {dims}")
+    if not np.all(np.isfinite(mat)):
+        raise ConfigurationError("density matrix entries must be finite")
+    if not abs(np.trace(mat).real - 1.0) <= EQ_TOL:  # NaN fails too
+        raise ConfigurationError("density matrix must have unit trace")
+    mat.setflags(write=False)
+    object.__setattr__(rho, "dims", dims)
+    object.__setattr__(rho, "entries", mat)
+
+
+def _derived_density(dims: Iterable[int], entries: np.ndarray) -> DensityMatrix:
+    """Density matrix over a fresh matrix the library built Hermitian and PSD.
+
+    Only for a real diagonal of Gibbs weights and a Gram matrix psi psi^dagger,
+    which are Hermitian and positive semidefinite by construction: the shape,
+    finiteness and unit-trace checks still run, the Hermitian check and the
+    ``eigvalsh`` of the public constructor do not.  ``entries`` is taken over
+    without a copy when it is already complex.
+    """
+    rho = object.__new__(DensityMatrix)
+    _store_unit_trace(rho, dims, np.asarray(entries, dtype=np.complex128))
+    return rho
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,16 +176,19 @@ def partial_trace(state: StateVector | DensityMatrix, keep: Iterable[int]) -> De
     if isinstance(state, StateVector):
         psi = state.amps.reshape(dims)
         psi = np.transpose(psi, kept + traced).reshape(prod(kept_dims), -1)
-        rho = psi @ psi.conj().T
-    elif isinstance(state, DensityMatrix):
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused as not finite
+            gram = psi @ psi.conj().T
+        return _derived_density(kept_dims, gram)
+    if isinstance(state, DensityMatrix):
+        # a partial sum of a matrix Hermitian only within EQ_TOL can drift
+        # past it, so this result is checked in full
         arr = state.entries.reshape(dims + dims)
         row = list(range(n))
         col = [i if i in traced else i + n for i in range(n)]
         out = kept + [i + n for i in kept]
         rho = np.einsum(arr, row + col, out).reshape(prod(kept_dims), prod(kept_dims))
-    else:
-        raise ConfigurationError(f"cannot trace object of type {type(state).__name__}")
-    return DensityMatrix(kept_dims, rho)
+        return DensityMatrix(kept_dims, rho)
+    raise ConfigurationError(f"cannot trace object of type {type(state).__name__}")
 
 
 def fidelity_pure(a: StateVector, b: StateVector) -> float:

@@ -6,7 +6,9 @@ States handled here are finite sums of two-sided product terms,
 
 where L_t and R_t are closed-form amplitude families (exponential-linear or
 constant) evaluated at per-side energy arguments, w_t is a constant complex
-weight, and Z is an optional frozen normalization constant.
+weight, and Z is an optional frozen normalization constant.  Both families
+have the form value * e^(coeff*E + offset), so a state's terms are evaluated
+as arrays, both sides with one array exponential.
 
 The operator is sum_k (i d/dE_k) x (-i d/dE_k): derivative slot k
 differentiates the left factor keyed to k and the right factor keyed to k.
@@ -33,9 +35,10 @@ quotients and residuals are convention outcomes, nothing more.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import isfinite
-from typing import Iterable, Sequence, Union
+from dataclasses import dataclass, field
+from math import isfinite, sqrt
+from operator import attrgetter
+from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -50,6 +53,7 @@ class ExpLinear:
 
     coeff: float
     offset: float = 0.0
+    value = 1.0  # as value * e^(coeff*E + offset), the form both families share
 
     def amplitude(self, energy: float) -> complex:
         return complex(np.exp(self.coeff * energy + self.offset))
@@ -63,6 +67,8 @@ class Constant:
     """Energy-independent amplitude; the derivative vanishes."""
 
     value: complex
+    coeff = 0.0  # as value * e^(coeff*E + offset), the form both families share
+    offset = 0.0
 
     def amplitude(self, energy: float) -> complex:
         return complex(self.value)
@@ -112,6 +118,57 @@ class FactoredTerm:
         return self.weight * self.left.amplitude(self.left_energy) * self.right.amplitude(self.right_energy)
 
 
+_TERM_FIELDS = attrgetter(
+    "left_var", "right_var", "left_basis", "right_basis",
+    "weight", "left.value", "right.value",
+    "left.coeff", "right.coeff", "left.offset", "right.offset", "left_energy", "right_energy",
+)
+
+
+class _Columns(NamedTuple):
+    """A term list as arrays, the family arrays with one row per side (left, right).
+
+    ``var`` and ``basis`` hold the left and right slot and ket tuples for the
+    set-based validation.  Each family is taken apart into its common form
+    value * e^(coeff*E + offset); ``amplitude`` is that form at the term's
+    energy and ``product`` the term's w*L(x)*R(y), both evaluated once.
+    """
+
+    var: tuple[tuple[int, ...], tuple[int, ...]]
+    basis: tuple[tuple[int, ...], tuple[int, ...]]
+    weight: np.ndarray
+    value: np.ndarray
+    coeff: np.ndarray
+    offset: np.ndarray
+    energy: np.ndarray
+    amplitude: np.ndarray
+    product: np.ndarray
+
+    @classmethod
+    def of(cls, terms: Sequence[FactoredTerm]) -> "_Columns":
+        fields = tuple(zip(*map(_TERM_FIELDS, terms)))
+        complex_rows = np.array(sum(fields[4:7], ()), dtype=np.complex128).reshape(3, -1)
+        float_rows = np.array(sum(fields[7:], ()), dtype=float).reshape(3, 2, -1)
+        weight, value = complex_rows[0], complex_rows[1:]
+        coeff, offset, energy = float_rows[0], float_rows[1], float_rows[2]
+        amplitude = value * np.exp(coeff * energy + offset)
+        product = weight * amplitude[0] * amplitude[1]
+        return cls(fields[0:2], fields[2:4], weight, value, coeff, offset, energy, amplitude, product)
+
+    def image(self, h: float | None) -> np.ndarray:
+        """Per-term operator images w*L'(x)*R'(y), 0 where the two sides carry different slots.
+
+        Each derivative is the closed form coeff * amplitude or, with ``h``, a
+        central difference; a constant family's derivative is 0 either way.
+        """
+        if h is None:
+            slopes = self.coeff * self.amplitude
+        else:
+            exp = lambda energy: np.exp(self.coeff * energy + self.offset)
+            slopes = self.value * ((exp(self.energy + h) - exp(self.energy - h)) / (2.0 * h))
+        return np.where(np.equal(*self.var), self.weight * slopes[0] * slopes[1], 0j)
+
+
 @dataclass(frozen=True, eq=False)
 class FactoredBipartiteState:
     """Term list plus an optional frozen normalization divisor.
@@ -123,21 +180,22 @@ class FactoredBipartiteState:
 
     terms: tuple[FactoredTerm, ...]
     frozen_norm: float | None = None
+    _columns: _Columns = field(init=False, repr=False)
+    _amplitudes: np.ndarray = field(init=False, repr=False)  # per term, over sqrt(Z)
 
     def __post_init__(self) -> None:
         terms = tuple(self.terms)
         if not terms:
             raise ConfigurationError("a factored state needs at least one term")
-        if len({(t.left_var, t.right_var) for t in terms}) != len(terms):
+        # _normalized hands over the columns it evaluated for Z
+        columns = vars(self).get("_columns") or _Columns.of(terms)
+        if len(set(zip(*columns.var))) != len(terms):
             raise ConfigurationError("terms must carry distinct derivative-slot pairs")
-        kets = {(t.left_basis, t.right_basis) for t in terms}
-        if len(kets) != len(terms) or min(min(ket) for ket in kets) < 0:
+        if len(set(zip(*columns.basis))) != len(terms) or min(min(b) for b in columns.basis) < 0:
             raise ConfigurationError("terms must carry distinct, nonnegative basis kets")
-        for side in ("left", "right"):
+        for side, variables, energies in zip(("left", "right"), columns.var, columns.energy.tolist()):
             points: dict[int, float] = {}
-            for t in terms:
-                var = getattr(t, f"{side}_var")
-                energy = float(getattr(t, f"{side}_energy"))
+            for var, energy in zip(variables, energies):
                 if not isfinite(energy):
                     raise ConfigurationError("term energies must be finite")
                 if points.setdefault(var, energy) != energy:
@@ -150,66 +208,57 @@ class FactoredBipartiteState:
                 raise ConfigurationError("frozen normalization must be finite and positive")
             object.__setattr__(self, "frozen_norm", z)
         object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_columns", columns)
         _check_dims(self.dims)  # the dense view must be a valid state
-        if not abs(np.linalg.norm(_term_values(self)) - 1.0) <= EQ_TOL:  # NaN fails too
+        amplitudes = _over_sqrt_z(columns.product, self.frozen_norm)
+        if not abs(sqrt(np.vdot(amplitudes, amplitudes).real) - 1.0) <= EQ_TOL:  # NaN fails too
             raise ConfigurationError("evaluated state must be unit norm")
+        amplitudes.setflags(write=False)
+        object.__setattr__(self, "_amplitudes", amplitudes)
 
     @property
     def dims(self) -> tuple[int, int]:
-        return (
-            max(t.left_basis for t in self.terms) + 1,
-            max(t.right_basis for t in self.terms) + 1,
-        )
+        left, right = self._columns.basis
+        return max(left) + 1, max(right) + 1
 
     def amplitude_vector(self) -> StateVector:
-        return _dense(self, _term_values(self))
+        return _dense(self, self._amplitudes)
 
 
-def _term_values(
-    state: FactoredBipartiteState, *, respond: bool = False, fd_step: float | None = None
-) -> np.ndarray:
-    """Per-term amplitudes w*L(x)*R(y), or with ``respond`` operator images, over sqrt(Z).
+def _over_sqrt_z(values: np.ndarray, frozen_norm: float | None) -> np.ndarray:
+    return values if frozen_norm is None else values / sqrt(frozen_norm)
 
-    A term responds with w*L'(x)*R'(y) when both of its sides carry the same
-    derivative slot, and with 0 otherwise; with ``fd_step`` each derivative is
-    a central difference instead of the family's closed form.
-    """
-    h = fd_step
-    if not respond:
-        factor = lambda fam, e: fam.amplitude(e)
-    elif h is None:
-        factor = lambda fam, e: fam.derivative(e)
-    elif h > 0.0:
-        factor = lambda fam, e: (fam.amplitude(e + h) - fam.amplitude(e - h)) / (2.0 * h)
-    else:
+
+def _image(state: FactoredBipartiteState, fd_step: float | None) -> np.ndarray:
+    """Per-term operator images w*L'(x)*R'(y) over sqrt(Z), 0 where a term does not respond."""
+    if fd_step is not None and not fd_step > 0.0:
         raise ConfigurationError("finite-difference step must be positive")
-    values = [
-        t.weight * factor(t.left, t.left_energy) * factor(t.right, t.right_energy)
-        if not respond or t.left_var == t.right_var
-        else 0j  # no derivative slot differentiates both sides of this term
-        for t in state.terms
-    ]
-    arr = np.array(values, dtype=np.complex128)
-    if state.frozen_norm is not None:
-        arr /= np.sqrt(state.frozen_norm)
-    return arr
+    return _over_sqrt_z(state._columns.image(fd_step), state.frozen_norm)
 
 
 def _dense(state: FactoredBipartiteState, values: np.ndarray) -> StateVector:
     """Per-term values scattered onto their kets of the dense ``dims`` array."""
     arr = np.zeros(state.dims, dtype=np.complex128)
-    arr[[t.left_basis for t in state.terms], [t.right_basis for t in state.terms]] = values
+    arr[state._columns.basis] = values
     return StateVector(state.dims, arr.reshape(-1))
 
 
 def _normalized(terms: Iterable[FactoredTerm]) -> FactoredBipartiteState:
     """State over ``terms`` whose frozen normalization is Z = sum_t |w_t L_t(x_t) R_t(y_t)|^2."""
     terms = tuple(terms)
-    with np.errstate(over="ignore"):  # an overflowing Z is refused below
-        z = float(np.sum(np.abs([t.amplitude() for t in terms]) ** 2))
+    if not terms:
+        return FactoredBipartiteState(terms)  # refused there
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing Z is refused below
+        columns = _Columns.of(terms)
+        z = float((np.abs(columns.product) ** 2).sum())
     if not (isfinite(z) and z > 0.0):
         raise ConfigurationError("normalization overflows or vanishes; reduce beta or energies")
-    return FactoredBipartiteState(terms, frozen_norm=z)
+    # the terms are read into columns once: __post_init__ takes these over
+    # and still runs every check of the public constructor
+    state = object.__new__(FactoredBipartiteState)
+    object.__setattr__(state, "_columns", columns)
+    state.__init__(terms, frozen_norm=z)
+    return state
 
 
 @dataclass(frozen=True)
@@ -229,7 +278,7 @@ def apply_inverse_temp_squared(state: FactoredBipartiteState, *, fd_step: float 
     returned vector is an operator image and is generally not normalized (it
     is zero whenever every responding term contains a constant factor).
     """
-    return _dense(state, _term_values(state, respond=True, fd_step=fd_step))
+    return _dense(state, _image(state, fd_step))
 
 
 def purified_thermal_state(spec: ThermalSpec) -> FactoredBipartiteState:
@@ -238,9 +287,9 @@ def purified_thermal_state(spec: ThermalSpec) -> FactoredBipartiteState:
     Term n is e^(-beta*E_n/4) x e^(-beta*E_n/4) |n>|n> with a frozen 1/sqrt(Z)
     prefactor; only this even split makes the state an exact eigenvector.
     """
-    coeff = -spec.beta / 4.0
+    family = ExpLinear(-spec.beta / 4.0)
     return _normalized(
-        FactoredTerm.diagonal(n, ExpLinear(coeff), ExpLinear(coeff), energy)
+        FactoredTerm.diagonal(n, family, family, energy)
         for n, energy in enumerate(spec.hamiltonian.energies)
     )
 
@@ -266,8 +315,8 @@ def product_state(
 
 
 def _eigen_report(state: FactoredBipartiteState, fd_step: float | None, expected: float | None) -> EigenReport:
-    psi = _term_values(state)
-    image = _term_values(state, respond=True, fd_step=fd_step)
+    psi = state._amplitudes
+    image = _image(state, fd_step)
     rayleigh = float(np.vdot(psi, image).real)
     residual = float(np.linalg.norm(image - rayleigh * psi))
     return EigenReport(rayleigh, residual, expected)
@@ -303,11 +352,12 @@ def superposition_state(
     pin = convention == "chosen_zero_levels"
     if pin and (ea[1] != 0.0 or eb[0] != 0.0):
         raise ConfigurationError("chosen_zero_levels applies only when E1 = 0 and E0' = 0")
+    one, exp_a, exp_b = Constant(1.0), ExpLinear(-cfg.spec_a.beta / 2.0), ExpLinear(-cfg.spec_b.beta / 2.0)
     terms = []
     for slot, (ia, ib) in enumerate(pairing):
         # a pinned level is the constant e^0
-        left = Constant(1.0) if pin and ia == 1 else ExpLinear(-cfg.spec_a.beta / 2.0)
-        right = Constant(1.0) if pin and ib == 0 else ExpLinear(-cfg.spec_b.beta / 2.0)
+        left = one if pin and ia == 1 else exp_a
+        right = one if pin and ib == 0 else exp_b
         weight = np.exp(1j * cfg.phi) if ia == 1 else 1.0 + 0j
         terms.append(FactoredTerm(slot, slot, ia, ib, left, right, ea[ia], eb[ib], weight))
     return _normalized(terms)

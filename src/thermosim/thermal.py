@@ -8,11 +8,11 @@ is the infinite-temperature limit; ``beta = inf`` is rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, inf, isfinite
+from math import exp, fsum, inf, isfinite
 
 import numpy as np
 
-from .qcore import ConfigurationError, DensityMatrix, StateVector
+from .qcore import ConfigurationError, DensityMatrix, StateVector, _derived_density
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ class GibbsWeights:
 
     def __post_init__(self) -> None:
         w = tuple(float(x) for x in self.weights)
-        if any(x < 0.0 for x in w) or abs(sum(w) - 1.0) > 1e-12:
+        if any(x < 0.0 for x in w) or not abs(fsum(w) - 1.0) <= 1e-12:  # NaN fails too
             raise ConfigurationError("weights must be nonnegative and sum to 1")
         object.__setattr__(self, "weights", w)
 
@@ -92,8 +92,13 @@ def gibbs_weights(spec: ThermalSpec) -> GibbsWeights:
 
 
 def thermal_density(spec: ThermalSpec) -> DensityMatrix:
-    """Gibbs state, diagonal in the energy eigenbasis."""
-    return DensityMatrix((spec.hamiltonian.dim,), np.diag(gibbs_weights(spec).weights))
+    """Gibbs state, diagonal in the energy eigenbasis.
+
+    A real diagonal of weights that ``GibbsWeights`` has checked nonnegative
+    is positive semidefinite by construction, so it skips the eigvalsh.
+    """
+    weights = np.array(gibbs_weights(spec).weights, dtype=np.complex128)
+    return _derived_density((spec.hamiltonian.dim,), np.diag(weights))
 
 
 def purify(spec: ThermalSpec, phase: float = 0.0) -> StateVector:

@@ -8,6 +8,7 @@ explicit circuit unitaries) and are frozen here as expected values.
 import numpy as np
 
 from thermosim import ProtocolConfig, QuditHamiltonian, ThermalSpec
+from thermosim.qcore import EQ_TOL, PSD_TOL
 
 # reference parameter set: beta_A = beta_B = 1, E = (5, 0), E' = (0, 1)
 REF_WEIGHTS_A = (0.006692850924284856, 0.9933071490757153)
@@ -83,3 +84,11 @@ def random_unitary(rng, dim):
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r)
     return q * (diag / np.abs(diag))
+
+
+def assert_valid_density(rho):
+    """The Hermitian, positivity and unit-trace checks of the public DensityMatrix."""
+    mat = rho.entries
+    assert np.max(np.abs(mat - mat.conj().T)) <= EQ_TOL
+    assert np.linalg.eigvalsh(mat).min() >= -PSD_TOL
+    assert abs(np.trace(mat).real - 1.0) <= EQ_TOL

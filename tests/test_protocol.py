@@ -20,6 +20,7 @@ from thermosim import (
     success_probability,
     thermal_density,
 )
+from thermosim import protocol
 from thermosim.qcore import EQ_TOL
 
 from helpers import (
@@ -189,6 +190,21 @@ def test_sampling_is_deterministic_per_seed():
     second = sample_outcomes(cfg, 5000, seed=77)
     assert first == second
     assert sample_outcomes(cfg, 5000, seed=78) != first
+
+
+def _one_draw_counts(cfg, n, seed):
+    """The sampler's counts from one draw of all n uniforms."""
+    cdf = np.cumsum([post_select(cfg, o).probability for o in OUTCOME_ORDER])
+    cdf[-1] = 1.0
+    draws = np.searchsorted(cdf, np.random.default_rng(seed).random(n), side="right")
+    return np.bincount(draws, minlength=len(OUTCOME_ORDER)).tolist()
+
+
+@pytest.mark.parametrize("chunks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 17)])
+def test_chunked_sampling_equals_one_draw(chunks, extra):
+    n = chunks * protocol.SAMPLE_CHUNK + extra
+    counts = sample_outcomes(reference_config(0.4), n, seed=29)
+    assert [counts[o] for o in OUTCOME_ORDER] == _one_draw_counts(reference_config(0.4), n, 29)
 
 
 def test_sampling_rejects_empty_draw():

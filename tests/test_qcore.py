@@ -1,5 +1,9 @@
+from math import prod
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermosim import (
     CNOT,
@@ -18,7 +22,7 @@ from thermosim import (
 )
 from thermosim.qcore import EQ_TOL
 
-from helpers import random_state_amps, random_unitary
+from helpers import assert_valid_density, random_state_amps, random_unitary
 
 
 # --- types and validation ------------------------------------------------
@@ -51,6 +55,8 @@ def test_density_matrix_validation():
         DensityMatrix((2,), [[0.9, 0.0], [0.0, 0.9]])  # trace != 1
     with pytest.raises(ConfigurationError):
         DensityMatrix((2,), [[1.5, 0.0], [0.0, -0.5]])  # negative eigenvalue
+    with pytest.raises(ConfigurationError):
+        DensityMatrix((2,), [[np.nan, 0.0], [0.0, 1.0]])
 
 
 def test_operator_shape_validation():
@@ -118,6 +124,27 @@ def test_partial_trace_of_random_pure_state_is_valid_density():
         rho = partial_trace(state, keep={1})
         assert abs(np.trace(rho.entries).real - 1.0) < EQ_TOL
         assert np.linalg.eigvalsh(rho.entries).min() > -1e-10
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dims=st.lists(st.integers(2, 4), min_size=2, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_partial_trace_of_states_passes_the_skipped_checks(dims, seed, data):
+    # the Gram matrix skips the Hermitian check and eigvalsh; both must still hold
+    keep = data.draw(st.sets(st.integers(0, len(dims) - 1), min_size=1, max_size=len(dims) - 1))
+    state = StateVector(tuple(dims), random_state_amps(np.random.default_rng(seed), prod(dims)))
+    assert_valid_density(partial_trace(state, keep))
+
+
+def test_partial_trace_refuses_non_unit_and_overflowing_states():
+    with pytest.raises(ConfigurationError, match="unit trace"):
+        partial_trace(StateVector((2, 2), [0.8, 0.0, 0.0, 0.8]), keep={0})
+    huge = StateVector((2, 2), [1e200, 0.0, 0.0, 1e200j])  # its Gram matrix overflows
+    with pytest.raises(ConfigurationError, match="finite"):
+        partial_trace(huge, keep={0})
 
 
 @pytest.mark.parametrize("keep", [set(), {0, 1}, {5}, {-1}])

@@ -347,6 +347,48 @@ def test_superposition_reports_match_dense(outcome, convention):
         _assert_report_matches_dense(report, superposition_state(cfg, outcome, convention))
 
 
+def _scalar_views(state, fd_step=None):
+    """Dense psi and operator image from the families' scalar methods, term by term."""
+    def slope(family, energy):
+        if fd_step is None:
+            return family.derivative(energy)
+        return (family.amplitude(energy + fd_step) - family.amplitude(energy - fd_step)) / (2.0 * fd_step)
+
+    psi = np.zeros(state.dims, dtype=complex)
+    image = np.zeros(state.dims, dtype=complex)
+    for t in state.terms:
+        psi[t.left_basis, t.right_basis] = t.amplitude()
+        if t.left_var == t.right_var:
+            image[t.left_basis, t.right_basis] = (
+                t.weight * slope(t.left, t.left_energy) * slope(t.right, t.right_energy)
+            )
+    if state.frozen_norm is not None:
+        psi /= np.sqrt(state.frozen_norm)
+        image /= np.sqrt(state.frozen_norm)
+    return psi.reshape(-1), image.reshape(-1)
+
+
+def test_array_evaluation_equals_the_scalar_families():
+    # the families are evaluated over term arrays; the arithmetic is the
+    # scalar methods' own, so the values must agree bit for bit
+    rng = np.random.default_rng(173)
+    states = [purified_thermal_state(random_thermal_spec(rng, beta_max=20.0, dims=(2, 64))) for _ in range(8)]
+    for _ in range(8):
+        d = int(rng.integers(2, 6))
+        left = [ExpLinear(float(c), float(o)) for c, o in rng.uniform(-1.0, 1.0, (d, 2))]
+        right = [Constant(complex(*rng.normal(size=2))) if n % 2 else ExpLinear(float(rng.uniform(-1, 1)))
+                 for n in range(d)]
+        states.append(product_state(left, right, rng.uniform(-1.5, 1.5, d)))
+    for outcome in (BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS):
+        for convention in ("full_dependence", "chosen_zero_levels"):
+            states.append(superposition_state(random_in_regime_config(rng), outcome, convention))
+    for state in states:
+        for fd_step in (None, 1e-5):
+            psi, image = _scalar_views(state, fd_step)
+            assert np.array_equal(state.amplitude_vector().amps, psi)
+            assert np.array_equal(apply_inverse_temp_squared(state, fd_step=fd_step).amps, image)
+
+
 def test_eigen_path_builds_no_dense_array(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("dense array built on the eigen path")

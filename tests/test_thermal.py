@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermosim import (
     ConfigurationError,
+    DensityMatrix,
     QuditHamiltonian,
     ThermalSpec,
     gibbs_weights,
@@ -10,6 +13,7 @@ from thermosim import (
     purify,
     thermal_density,
 )
+from thermosim import qcore
 from thermosim.qcore import EQ_TOL
 
 from helpers import (
@@ -17,6 +21,7 @@ from helpers import (
     REF_PARTITION_B,
     REF_WEIGHTS_A,
     REF_WEIGHTS_B,
+    assert_valid_density,
     random_thermal_spec,
 )
 
@@ -94,6 +99,52 @@ def test_thermal_density_examples():
         np.eye(3) / 3,
         atol=EQ_TOL,
     )
+
+
+def test_weights_of_many_levels_pass_the_sum_check():
+    # a left-to-right float sum of these 10^5 weights misses 1 by about 2e-12
+    energies = tuple(np.random.default_rng(19).uniform(-5.0, 5.0, 100_000))
+    gw = gibbs_weights(ThermalSpec(0.0, QuditHamiltonian(energies)))
+    assert len(gw.weights) == 100_000
+    assert gw.partition == pytest.approx(100_000.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(2, 64), beta_gap=st.floats(0.0, 745.0), seed=st.integers(0, 2**32 - 1))
+def test_thermal_density_passes_the_skipped_checks(d, beta_gap, seed):
+    # levels span [0, 1], so beta * gap reaches the underflow edge at about 745
+    levels = np.concatenate(([0.0, 1.0], np.random.default_rng(seed).uniform(0.0, 1.0, d - 2)))
+    assert_valid_density(thermal_density(ThermalSpec(beta_gap, QuditHamiltonian(tuple(levels)))))
+
+
+class _EigvalshCalled(Exception):
+    pass
+
+
+def test_derived_density_matrices_skip_eigvalsh(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise _EigvalshCalled
+
+    monkeypatch.setattr(qcore.np.linalg, "eigvalsh", refuse)
+    spec = ThermalSpec(0.8, QuditHamiltonian(tuple(np.random.default_rng(3).uniform(-5.0, 5.0, 512))))
+    rho = thermal_density(spec)
+    back = partial_trace(purify(spec), keep={1})
+    assert rho.dims == back.dims == (512,)
+    with pytest.raises(_EigvalshCalled):  # the public constructor still proves positivity
+        DensityMatrix((512,), rho.entries)
+
+
+def test_derived_density_entries_are_the_unvalidated_expressions():
+    # the derived path changes only the checks: the entries are exactly the
+    # diagonal of the weights and the Gram matrix of the transposed purification
+    rng = np.random.default_rng([7, 2])
+    levels = [tuple(float(e) for e in rng.uniform(-5.0, 5.0, 1024)) for _ in range(8)]
+    for energies, beta in zip(levels, rng.uniform(0.2, 2.0, 8)):
+        spec = ThermalSpec(float(beta), QuditHamiltonian(energies))
+        assert np.array_equal(thermal_density(spec).entries, np.diag(gibbs_weights(spec).weights))
+        state = purify(spec)
+        psi = np.transpose(state.amps.reshape(1024, 1024), [1, 0]).reshape(1024, -1)
+        assert np.array_equal(partial_trace(state, keep={1}).entries, psi @ psi.conj().T)
 
 
 def test_purify_infinite_temperature_is_bell_state():
