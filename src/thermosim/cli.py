@@ -23,13 +23,16 @@ from pathlib import Path
 import numpy as np
 
 from .interference import SweepSpec, _closed_form, sweep
-from .protocol import OUTCOME_ORDER, ProtocolConfig, post_select, sample_outcomes, success_probability
+from .protocol import MAX_SAMPLES, OUTCOME_ORDER, ProtocolConfig, post_select, sample_outcomes, success_probability
 from .qcore import ConfigurationError
 from .tempop import eigencheck_purified
 from .thermal import QuditHamiltonian, ThermalSpec
 
 _EIGENCHECK_ENERGY_SEED = 987654321  # fixed so repeated runs see the same levels
 _CONFIG_FIELDS = ("beta_a", "beta_b", "energies_a", "energies_b", "phi")
+# the largest --phi-steps and --dim: at 10^6 an interference run peaks at about
+# 420 MB and an eigencheck at about 700 MB, so larger sizes are refused up front
+MAX_POINTS = 10**6
 
 
 def _as_number(value, name: str) -> float:
@@ -104,6 +107,8 @@ def _emit(report: dict) -> None:
 def cmd_protocol(args: argparse.Namespace) -> int:
     if args.seed is not None and args.seed < 0:
         raise ConfigurationError("--seed must be nonnegative")
+    if args.samples is not None and not 1 <= args.samples <= MAX_SAMPLES:
+        raise ConfigurationError(f"--samples must be between 1 and {MAX_SAMPLES}")
     cfg = load_config(args.config)
     results = {o: post_select(cfg, o) for o in OUTCOME_ORDER}
     phi_plus = results[OUTCOME_ORDER[0]].state.amps
@@ -120,8 +125,6 @@ def cmd_protocol(args: argparse.Namespace) -> int:
         },
     }
     if args.samples is not None:
-        if args.samples < 1:
-            raise ConfigurationError("--samples must be at least 1")
         seed = args.seed if args.seed is not None else 0
         counts = sample_outcomes(cfg, args.samples, seed)
         report["samples"] = {
@@ -134,8 +137,8 @@ def cmd_protocol(args: argparse.Namespace) -> int:
 
 
 def cmd_interference(args: argparse.Namespace) -> int:
-    if args.phi_steps < 2:
-        raise ConfigurationError("--phi-steps must be at least 2")
+    if not 2 <= args.phi_steps <= MAX_POINTS:
+        raise ConfigurationError(f"--phi-steps must be between 2 and {MAX_POINTS}")
     cfg = load_config(args.config)
     grid = np.linspace(0.0, 2.0 * np.pi, args.phi_steps)
     if args.convention is None:
@@ -149,8 +152,8 @@ def cmd_interference(args: argparse.Namespace) -> int:
 
 
 def cmd_eigencheck(args: argparse.Namespace) -> int:
-    if args.dim < 2:
-        raise ConfigurationError("--dim must be at least 2")
+    if not 2 <= args.dim <= MAX_POINTS:
+        raise ConfigurationError(f"--dim must be between 2 and {MAX_POINTS}")
     if not isfinite(args.beta) or args.beta < 0.0:
         raise ConfigurationError("--beta must be finite and nonnegative")
     if args.assert_tol is not None and not isfinite(args.assert_tol):

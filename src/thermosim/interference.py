@@ -17,15 +17,14 @@ that factor).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import isfinite
 
 import numpy as np
 
 from . import qcore
-from .protocol import BellOutcome, ProtocolConfig, _underflow_error, post_select
+from .protocol import BellOutcome, ProtocolConfig, _branch, _positive_qubit_weights, post_select, success_probability
 from .qcore import ConfigurationError
-from .thermal import _shifted_gibbs
 
 # CNOT with A as control: flat index 2a + b of the (A, B) pair goes to 2a + (a XOR b)
 _CNOT_ORDER = [0, 1, 3, 2]
@@ -38,6 +37,7 @@ class SweepSpec:
     cfg: ProtocolConfig
     phi_points: tuple[float, ...]
     beta_b_values: tuple[float, ...] | None = None
+    _weights_b: tuple = field(init=False, repr=False, compare=False)  # B weights on the beta_B axis
 
     def __post_init__(self) -> None:
         phis = tuple(float(x) for x in self.phi_points)
@@ -46,14 +46,14 @@ class SweepSpec:
         if not all(isfinite(x) for x in phis):
             raise ConfigurationError("phi_points must be finite")
         object.__setattr__(self, "phi_points", phis)
+        weights_b = self.cfg.weights()[1]
         if self.beta_b_values is not None:
             betas = tuple(float(b) for b in self.beta_b_values)
             if not all(isfinite(b) and b > 0.0 for b in betas):
                 raise ConfigurationError("beta_b sweep values must be positive and finite")
-            weights, _ = _shifted_gibbs(np.array(betas)[:, None], self.cfg.spec_b.hamiltonian.energies)
-            if (weights <= 0.0).any():
-                raise _underflow_error("spec_b")
+            weights_b = _positive_qubit_weights("spec_b", np.array(betas)[:, None], self.cfg.spec_b.hamiltonian.energies)
             object.__setattr__(self, "beta_b_values", betas)
+        object.__setattr__(self, "_weights_b", weights_b)
 
 
 def circuit_probability(cfg: ProtocolConfig) -> float:
@@ -73,8 +73,7 @@ def circuit_probability(cfg: ProtocolConfig) -> float:
 
 def _cross_coefficient(cfg: ProtocolConfig) -> float:
     (p0, p1), (f0, f1) = cfg.weights()
-    n_sq = p0 * f0 + p1 * f1
-    return np.sqrt(p0 * f0) * np.sqrt(p1 * f1) / n_sq
+    return np.sqrt(p0 * f0) * np.sqrt(p1 * f1) / success_probability(cfg, "phi")
 
 
 def closed_form_probability(cfg: ProtocolConfig, convention: str = "corrected") -> float:
@@ -100,32 +99,21 @@ def _closed_form(cfg: ProtocolConfig, convention: str, phi):
     return 0.5 * (1.0 + factors[convention] * _cross_coefficient(cfg) * np.cos(phi))
 
 
-def _qubit_weights(beta, energies) -> tuple[np.ndarray, np.ndarray]:
-    weights, _ = _shifted_gibbs(np.asarray(beta, dtype=float)[..., None], energies)
-    return weights[..., 0], weights[..., 1]
-
-
-def _readout_probability(beta_a, energies_a, beta_b, energies_b, phi) -> np.ndarray:
+def _readout_probability(p, f, phi) -> np.ndarray:
     """P(A = 0) after the read-out circuit, for every point of a broadcast grid.
 
-    The same simulation as :func:`circuit_probability`, batched: ``beta_a``,
-    ``beta_b`` and ``phi`` broadcast together, and ``energies_a`` and
-    ``energies_b`` carry the two qubit levels on their last axis.  The phi+
-    post-selected amplitudes are formed exactly as in
-    :func:`~thermosim.protocol.post_select`, then CNOT permutes them, the
-    partial trace over B is a batched matmul, and the Hadamard reads A out.
-    Inputs are assumed valid: every Gibbs weight positive, phi finite.
+    The same simulation as :func:`circuit_probability`, batched: the A and B
+    weight pairs ``p`` = (p0, p1) and ``f`` = (f0, f1) and the phases ``phi``
+    broadcast together.  The phi+ post-selected amplitudes come from the
+    protocol's branch kernel, then CNOT permutes them, the partial trace over
+    B is a batched matmul, and the Hadamard reads A out.  Inputs are assumed
+    valid: every weight positive, phi finite.
     """
-    p0, p1 = _qubit_weights(beta_a, energies_a)
-    f0, f1 = _qubit_weights(beta_b, energies_b)
-    phase = np.exp(1j * np.asarray(phi, dtype=float))
-    # square roots are taken per weight so extreme weight products survive
-    first, second = np.sqrt(p0) * np.sqrt(f0), np.sqrt(p1) * np.sqrt(f1)
-    norm = np.hypot(first, second)
-    shape = np.broadcast_shapes(norm.shape, phase.shape)
+    _, first, second = _branch(p, f, np.exp(1j * np.asarray(phi, dtype=float)))
+    shape = np.shape(second)  # the phase broadcasts it over the whole grid
     amps = np.zeros(shape + (4,), dtype=np.complex128)
-    amps[..., 0] = first / norm
-    amps[..., 3] = phase * second / norm
+    amps[..., 0] = first
+    amps[..., 3] = second
     psi = amps[..., _CNOT_ORDER].reshape(shape + (2, 2))  # psi[..., a, b]
     rho_a = psi @ psi.conj().swapaxes(-1, -2)
     h = qcore.HADAMARD.entries
@@ -141,11 +129,7 @@ def sweep(spec: SweepSpec) -> list[tuple]:
     rows are emitted in that deterministic order.  The whole grid is one call
     of the batched circuit simulation.
     """
-    a, b = spec.cfg.spec_a, spec.cfg.spec_b
-    betas = b.beta if spec.beta_b_values is None else np.array(spec.beta_b_values)[:, None]
-    probs = _readout_probability(
-        a.beta, a.hamiltonian.energies, betas, b.hamiltonian.energies, np.array(spec.phi_points)
-    )
+    probs = _readout_probability(spec.cfg.weights()[0], spec._weights_b, np.array(spec.phi_points))
     if spec.beta_b_values is None:
         return list(zip(spec.phi_points, probs.tolist()))
     return [

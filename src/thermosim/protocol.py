@@ -17,14 +17,14 @@ The joint four-qubit register is ordered (A', A, B', B).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import isfinite
 
 import numpy as np
 
 from . import qcore
 from .qcore import ConfigurationError, StateVector
-from .thermal import ThermalSpec, gibbs_weights, purify
+from .thermal import ThermalSpec, _shifted_gibbs, purify
 
 
 class BellOutcome(enum.Enum):
@@ -34,11 +34,10 @@ class BellOutcome(enum.Enum):
     PSI_MINUS = "psi_minus"
 
 
-# draws per chunk of the sampler: its memory stays bounded for any sample count,
-# and a chunk's uniforms and bin indices (1 MiB) stay in cache
-SAMPLE_CHUNK = 1 << 16
+# the largest sample count: the multinomial draw counts in 64-bit integers
+MAX_SAMPLES = 2**63 - 1
 
-# fixed ordering used by the inverse-CDF sampler, for cross-run determinism
+# fixed ordering of the outcomes in reports and in the sampler's draw, for cross-run determinism
 OUTCOME_ORDER = (
     BellOutcome.PHI_PLUS,
     BellOutcome.PHI_MINUS,
@@ -58,11 +57,16 @@ def bell_state(outcome: BellOutcome) -> StateVector:
     return _BELL_VECTORS[outcome]
 
 
-def _underflow_error(name: str) -> ConfigurationError:
-    """The rejection of a qubit spec whose smallest Gibbs weight is 0.0."""
-    return ConfigurationError(
-        f"{name} has a Gibbs weight that underflows to zero; reduce beta or the energy gap"
-    )
+def _positive_qubit_weights(name: str, beta, energies) -> tuple[np.ndarray, np.ndarray]:
+    """Gibbs weights (w0, w1) of a qubit at every ``beta`` of a float or an array.
+
+    Refuses the spec called ``name`` when a weight underflows to 0.0, which
+    the post-selection and the read-out divide by.
+    """
+    weights, _ = _shifted_gibbs(np.asarray(beta, dtype=float)[..., None], energies)
+    if not (weights > 0.0).all():
+        raise ConfigurationError(f"{name} has a Gibbs weight that underflows to zero; reduce beta or the energy gap")
+    return weights[..., 0], weights[..., 1]
 
 
 @dataclass(frozen=True)
@@ -72,21 +76,48 @@ class ProtocolConfig:
     spec_a: ThermalSpec
     spec_b: ThermalSpec
     phi: float = 0.0
+    _weights: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        weights = []
         for name, spec in (("spec_a", self.spec_a), ("spec_b", self.spec_b)):
             if spec.hamiltonian.dim != 2:
                 raise ConfigurationError(f"{name} must describe a qubit")
-            if min(gibbs_weights(spec).weights) <= 0.0:
-                raise _underflow_error(name)
+            w0, w1 = _positive_qubit_weights(name, spec.beta, spec.hamiltonian.energies)
+            weights.append((float(w0), float(w1)))
         phi = float(self.phi)
         if not isfinite(phi):
             raise ConfigurationError("phi must be finite")
         object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "_weights", tuple(weights))
 
     def weights(self) -> tuple[tuple[float, float], tuple[float, float]]:
         """Gibbs weights (p, f) of the A and B qubits."""
-        return gibbs_weights(self.spec_a).weights, gibbs_weights(self.spec_b).weights
+        return self._weights
+
+
+def _branch(p, f, phase):
+    """Probability and unit-norm amplitudes of the phi branch, over broadcast arrays.
+
+    ``p`` = (p0, p1) and ``f`` = (f0, f1) are the A and B weights and
+    ``phase`` is e^(i*phi).  Returns the branch probability p0 f0 + p1 f1,
+    which phi+ and phi- split evenly, and the amplitudes of |00> and of |11>
+    in phi+ (phi- negates the second).  The psi branch is the phi branch of
+    the reversed B weights, on |01> and |10>.
+    """
+    (p0, p1), (f0, f1) = p, f
+    # square roots are taken per weight so extreme weight products survive
+    first, second = np.sqrt(p0) * np.sqrt(f0), np.sqrt(p1) * np.sqrt(f1)
+    norm = np.hypot(first, second)
+    return p0 * f0 + p1 * f1, first / norm, phase * second / norm
+
+
+def _config_branch(cfg: ProtocolConfig, branch: str):
+    """:func:`_branch` of ``cfg`` for the "phi" or the "psi" pair of outcomes."""
+    p, (f0, f1) = cfg.weights()
+    if branch not in ("phi", "psi"):
+        raise ConfigurationError(f"branch must be 'phi' or 'psi', got {branch!r}")
+    return _branch(p, (f0, f1) if branch == "phi" else (f1, f0), np.exp(1j * cfg.phi))
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,21 +134,12 @@ def joint_state(cfg: ProtocolConfig) -> StateVector:
 
 def post_select(cfg: ProtocolConfig, outcome: BellOutcome) -> PostSelectionResult:
     """Analytic outcome probability and normalized post-selected AB state."""
-    (p0, p1), (f0, f1) = cfg.weights()
-    phase = np.exp(1j * cfg.phi)
+    phi_pair = outcome in (BellOutcome.PHI_PLUS, BellOutcome.PHI_MINUS)
+    branch_probability, first, second = _config_branch(cfg, "phi" if phi_pair else "psi")
     sign = 1.0 if outcome in (BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS) else -1.0
-    # square roots are taken per weight so extreme weight products survive
-    if outcome in (BellOutcome.PHI_PLUS, BellOutcome.PHI_MINUS):
-        slots, branch_norm_sq = (0, 3), p0 * f0 + p1 * f1
-        first, second = np.sqrt(p0) * np.sqrt(f0), np.sqrt(p1) * np.sqrt(f1)
-    else:
-        slots, branch_norm_sq = (1, 2), p0 * f1 + p1 * f0
-        first, second = np.sqrt(p0) * np.sqrt(f1), np.sqrt(p1) * np.sqrt(f0)
-    norm = np.hypot(first, second)
     amps = np.zeros(4, dtype=np.complex128)
-    amps[slots[0]] = first / norm
-    amps[slots[1]] = sign * phase * second / norm
-    return PostSelectionResult(outcome, 0.5 * branch_norm_sq, StateVector((2, 2), amps))
+    amps[[0, 3] if phi_pair else [1, 2]] = first, sign * second
+    return PostSelectionResult(outcome, 0.5 * branch_probability, StateVector((2, 2), amps))
 
 
 def post_select_oracle(cfg: ProtocolConfig, outcome: BellOutcome) -> PostSelectionResult:
@@ -146,31 +168,18 @@ def success_probability(cfg: ProtocolConfig, branch: str) -> float:
     ``branch`` is "phi" (outcomes phi+/-, success probability p0 f0 + p1 f1)
     or "psi" (outcomes psi+/-, probability p0 f1 + p1 f0).
     """
-    (p0, p1), (f0, f1) = cfg.weights()
-    if branch == "phi":
-        return p0 * f0 + p1 * f1
-    if branch == "psi":
-        return p0 * f1 + p1 * f0
-    raise ConfigurationError(f"branch must be 'phi' or 'psi', got {branch!r}")
+    return _config_branch(cfg, branch)[0]
 
 
 def sample_outcomes(cfg: ProtocolConfig, n: int, seed: int) -> dict[BellOutcome, int]:
     """Draw ``n`` Bell outcomes from the analytic distribution.
 
-    Uses inverse-CDF sampling over the fixed outcome ordering with a seeded
-    generator, so identical (cfg, n, seed) always produce identical counts.
-    The uniforms are drawn ``SAMPLE_CHUNK`` at a time; consecutive draws of
-    one generator continue a single stream, so the counts equal those of one
-    draw of all ``n`` uniforms.
+    One multinomial draw over the fixed outcome ordering with a seeded
+    generator, so identical (cfg, n, seed) always produce identical counts;
+    its cost does not grow with ``n``, which may be up to ``MAX_SAMPLES``.
     """
-    if n < 1:
-        raise ConfigurationError("sample count must be at least 1")
-    probs = np.array([post_select(cfg, o).probability for o in OUTCOME_ORDER])
-    cdf = np.cumsum(probs)
-    cdf[-1] = 1.0  # guard the final bin against rounding in the cumsum
-    rng = np.random.default_rng(seed)
-    counts = np.zeros(len(OUTCOME_ORDER), dtype=np.int64)
-    for start in range(0, n, SAMPLE_CHUNK):
-        draws = np.searchsorted(cdf, rng.random(min(SAMPLE_CHUNK, n - start)), side="right")
-        counts += np.bincount(draws, minlength=len(OUTCOME_ORDER))
+    if not 1 <= n <= MAX_SAMPLES:
+        raise ConfigurationError(f"sample count must be between 1 and {MAX_SAMPLES}")
+    phi, psi = (0.5 * success_probability(cfg, branch) for branch in ("phi", "psi"))
+    counts = np.random.default_rng(seed).multinomial(n, [phi, phi, psi, psi])
     return {o: int(c) for o, c in zip(OUTCOME_ORDER, counts)}

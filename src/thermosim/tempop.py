@@ -4,11 +4,11 @@ States handled here are finite sums of two-sided product terms,
 
     |psi> = (1/sqrt(Z)) * sum_t  w_t * L_t(x_t) * R_t(y_t) |l_t> |r_t>,
 
-where L_t and R_t are closed-form amplitude families (exponential-linear or
-constant) evaluated at per-side energy arguments, w_t is a constant complex
-weight, and Z is an optional frozen normalization constant.  Both families
-have the form value * e^(coeff*E + offset), so a state's terms are evaluated
-as arrays, both sides with one array exponential.
+where L_t and R_t are closed-form amplitude families value * e^(coeff*E + offset)
+(a constant has coeff = 0) evaluated at per-side energy arguments, w_t is a
+constant complex weight, and Z is an optional frozen normalization constant.
+A state's terms are evaluated as arrays, both sides with one array
+exponential.
 
 The operator is sum_k (i d/dE_k) x (-i d/dE_k): derivative slot k
 differentiates the left factor keyed to k and the right factor keyed to k.
@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import isfinite, sqrt
 from operator import attrgetter
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,35 +49,25 @@ from .thermal import ThermalSpec
 
 @dataclass(frozen=True)
 class ExpLinear:
-    """Amplitude family e^(coeff*E + offset); the derivative is coeff times the value."""
+    """Amplitude family value * e^(coeff*E + offset); the derivative is coeff times the amplitude."""
 
     coeff: float
     offset: float = 0.0
-    value = 1.0  # as value * e^(coeff*E + offset), the form both families share
+    value: complex = 1.0
 
     def amplitude(self, energy: float) -> complex:
-        return complex(np.exp(self.coeff * energy + self.offset))
+        return complex(self.value * np.exp(self.coeff * energy + self.offset))
 
     def derivative(self, energy: float) -> complex:
         return self.coeff * self.amplitude(energy)
 
 
-@dataclass(frozen=True)
-class Constant:
-    """Energy-independent amplitude; the derivative vanishes."""
-
-    value: complex
-    coeff = 0.0  # as value * e^(coeff*E + offset), the form both families share
-    offset = 0.0
-
-    def amplitude(self, energy: float) -> complex:
-        return complex(self.value)
-
-    def derivative(self, energy: float) -> complex:
-        return 0j
+def Constant(value: complex) -> ExpLinear:
+    """Energy-independent amplitude ``value``: the family with coeff = 0, whose derivative vanishes."""
+    return ExpLinear(0.0, value=value)
 
 
-AmplitudeFamily = Union[ExpLinear, Constant]
+AmplitudeFamily = ExpLinear
 
 
 @dataclass(frozen=True)
@@ -129,9 +119,11 @@ class _Columns(NamedTuple):
     """A term list as arrays, the family arrays with one row per side (left, right).
 
     ``var`` and ``basis`` hold the left and right slot and ket tuples for the
-    set-based validation.  Each family is taken apart into its common form
+    set-based validation.  Each family is taken apart into its form
     value * e^(coeff*E + offset); ``amplitude`` is that form at the term's
     energy and ``product`` the term's w*L(x)*R(y), both evaluated once.
+    Values that overflow are left as inf or NaN, for the callers' finiteness
+    and unit-norm checks to refuse.
     """
 
     var: tuple[tuple[int, ...], tuple[int, ...]]
@@ -151,8 +143,9 @@ class _Columns(NamedTuple):
         float_rows = np.array(sum(fields[7:], ()), dtype=float).reshape(3, 2, -1)
         weight, value = complex_rows[0], complex_rows[1:]
         coeff, offset, energy = float_rows[0], float_rows[1], float_rows[2]
-        amplitude = value * np.exp(coeff * energy + offset)
-        product = weight * amplitude[0] * amplitude[1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            amplitude = value * np.exp(coeff * energy + offset)
+            product = weight * amplitude[0] * amplitude[1]
         return cls(fields[0:2], fields[2:4], weight, value, coeff, offset, energy, amplitude, product)
 
     def image(self, h: float | None) -> np.ndarray:
@@ -161,12 +154,13 @@ class _Columns(NamedTuple):
         Each derivative is the closed form coeff * amplitude or, with ``h``, a
         central difference; a constant family's derivative is 0 either way.
         """
-        if h is None:
-            slopes = self.coeff * self.amplitude
-        else:
-            exp = lambda energy: np.exp(self.coeff * energy + self.offset)
-            slopes = self.value * ((exp(self.energy + h) - exp(self.energy - h)) / (2.0 * h))
-        return np.where(np.equal(*self.var), self.weight * slopes[0] * slopes[1], 0j)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if h is None:
+                slopes = self.coeff * self.amplitude
+            else:
+                exp = lambda energy: np.exp(self.coeff * energy + self.offset)
+                slopes = self.value * ((exp(self.energy + h) - exp(self.energy - h)) / (2.0 * h))
+            return np.where(np.equal(*self.var), self.weight * slopes[0] * slopes[1], 0j)
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,8 +225,8 @@ def _over_sqrt_z(values: np.ndarray, frozen_norm: float | None) -> np.ndarray:
 
 def _image(state: FactoredBipartiteState, fd_step: float | None) -> np.ndarray:
     """Per-term operator images w*L'(x)*R'(y) over sqrt(Z), 0 where a term does not respond."""
-    if fd_step is not None and not fd_step > 0.0:
-        raise ConfigurationError("finite-difference step must be positive")
+    if fd_step is not None and not (isfinite(fd_step) and fd_step > 0.0):
+        raise ConfigurationError("finite-difference step must be finite and positive")
     return _over_sqrt_z(state._columns.image(fd_step), state.frozen_norm)
 
 
@@ -248,8 +242,8 @@ def _normalized(terms: Iterable[FactoredTerm]) -> FactoredBipartiteState:
     terms = tuple(terms)
     if not terms:
         return FactoredBipartiteState(terms)  # refused there
+    columns = _Columns.of(terms)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing Z is refused below
-        columns = _Columns.of(terms)
         z = float((np.abs(columns.product) ** 2).sum())
     if not (isfinite(z) and z > 0.0):
         raise ConfigurationError("normalization overflows or vanishes; reduce beta or energies")

@@ -229,6 +229,32 @@ def test_interference_unwritable_output(capsys, ref_config_path, tmp_path):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["interference", "--phi-steps", "1000001", "--out", "x.csv"],
+        ["interference", "--phi-steps", "100000000000", "--out", "x.csv"],
+        ["eigencheck", "--dim", "1000001", "--beta", "1.0"],
+        ["protocol", "--samples", "9223372036854775808"],
+    ],
+)
+def test_sizes_beyond_the_limits_exit_one(capsys, ref_config_path, tmp_path, argv):
+    if argv[0] != "eigencheck":
+        argv = [argv[0], "--config", ref_config_path, *argv[1:]]
+    argv = [str(tmp_path / a) if a == "x.csv" else a for a in argv]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert out == "" and not (tmp_path / "x.csv").exists()
+    assert err.startswith("error:") and err.count("\n") == 1 and "between" in err
+
+
+def test_protocol_samples_up_to_the_limit(capsys, ref_config_path):
+    argv = ["protocol", "--config", ref_config_path, "--samples", "9223372036854775807", "--seed", "3"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert sum(json.loads(out)["samples"]["counts"].values()) == 2**63 - 1
+
+
 # --- eigencheck command ----------------------------------------------------
 
 def test_eigencheck_report(capsys):
@@ -321,7 +347,10 @@ def test_bad_usage_exits_one(capsys):
 
 
 def _run_module(argv):
-    return subprocess.run([sys.executable, "-m", "thermosim", *argv], capture_output=True, text=True)
+    # a stray numpy warning fails the child as it fails an in-process test
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "thermosim", *argv], capture_output=True, text=True
+    )
 
 
 @pytest.mark.parametrize("command", ["protocol", "interference"])
@@ -345,9 +374,17 @@ def test_eigencheck_overflowing_normalization_exits_one():
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
 
 
+def test_eigencheck_overflowing_finite_difference_exits_two():
+    # e^(E + h) overflows at this step: one error line, no numpy warning first
+    proc = _run_module(["eigencheck", "--dim", "4", "--beta", "1", "--fd-step", "1e300", "--assert-tol", "1e-6"])
+    assert proc.returncode == 2
+    assert np.isnan(json.loads(proc.stdout)["finite_difference"]["residual"])
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+
 def test_module_entry_point(ref_config_path):
     proc = subprocess.run(
-        [sys.executable, "-m", "thermosim", "protocol", "--config", ref_config_path],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "thermosim", "protocol", "--config", ref_config_path],
         capture_output=True,
         text=True,
     )

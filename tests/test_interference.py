@@ -16,6 +16,7 @@ from thermosim import (
     sweep,
 )
 from thermosim.interference import _readout_probability
+from thermosim.protocol import _positive_qubit_weights
 from thermosim.qcore import EQ_TOL
 
 from helpers import (
@@ -185,7 +186,9 @@ def _gap(levels):
 def test_kernel_matches_scalar_circuit(levels_a, levels_b, beta_gap_a, beta_gaps_b, phis):
     beta_a = beta_gap_a / _gap(levels_a)
     betas_b = [x / _gap(levels_b) for x in beta_gaps_b]
-    grid = _readout_probability(beta_a, levels_a, np.array(betas_b)[:, None], levels_b, np.array(phis))
+    weights_a = _positive_qubit_weights("spec_a", beta_a, levels_a)
+    weights_b = _positive_qubit_weights("spec_b", np.array(betas_b)[:, None], levels_b)
+    grid = _readout_probability(weights_a, weights_b, np.array(phis))
     assert grid.shape == (len(betas_b), len(phis))
     spec_a = ThermalSpec(beta_a, QuditHamiltonian(levels_a))
     for row, beta_b in zip(grid, betas_b):

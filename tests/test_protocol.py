@@ -1,5 +1,10 @@
+import math
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermosim import (
     SIGMA_Z,
@@ -20,7 +25,7 @@ from thermosim import (
     success_probability,
     thermal_density,
 )
-from thermosim import protocol
+from thermosim import interference, protocol, thermal
 from thermosim.qcore import EQ_TOL
 
 from helpers import (
@@ -192,21 +197,81 @@ def test_sampling_is_deterministic_per_seed():
     assert sample_outcomes(cfg, 5000, seed=78) != first
 
 
-def _one_draw_counts(cfg, n, seed):
-    """The sampler's counts from one draw of all n uniforms."""
-    cdf = np.cumsum([post_select(cfg, o).probability for o in OUTCOME_ORDER])
-    cdf[-1] = 1.0
-    draws = np.searchsorted(cdf, np.random.default_rng(seed).random(n), side="right")
-    return np.bincount(draws, minlength=len(OUTCOME_ORDER)).tolist()
-
-
-@pytest.mark.parametrize("chunks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 17)])
-def test_chunked_sampling_equals_one_draw(chunks, extra):
-    n = chunks * protocol.SAMPLE_CHUNK + extra
-    counts = sample_outcomes(reference_config(0.4), n, seed=29)
-    assert [counts[o] for o in OUTCOME_ORDER] == _one_draw_counts(reference_config(0.4), n, 29)
+def test_sampling_is_one_multinomial_draw():
+    cfg = reference_config(0.4)
+    probs = [post_select(cfg, o).probability for o in OUTCOME_ORDER]
+    for n in (1, 5000, 100_001):
+        counts = [sample_outcomes(cfg, n, seed=29)[o] for o in OUTCOME_ORDER]
+        assert counts == np.random.default_rng(29).multinomial(n, probs).tolist()
+        assert sum(counts) == n
+    start = time.perf_counter()
+    assert sum(sample_outcomes(cfg, 10**12, seed=29).values()) == 10**12
+    assert time.perf_counter() - start < 1.0  # the cost does not grow with n
+    assert sum(sample_outcomes(cfg, protocol.MAX_SAMPLES, seed=29).values()) == protocol.MAX_SAMPLES
+    with pytest.raises(ConfigurationError):
+        sample_outcomes(cfg, protocol.MAX_SAMPLES + 1, seed=29)
 
 
 def test_sampling_rejects_empty_draw():
     with pytest.raises(ConfigurationError):
         sample_outcomes(reference_config(), 0, seed=1)
+
+
+# beta times the level gap, log-uniform up to 700, below the ~745 underflow edge
+_BETA_GAP = st.floats(math.log(1e-3), math.log(700.0)).map(math.exp)
+_QUBIT = st.tuples(st.floats(-5.0, 5.0), st.floats(0.1, 6.0), st.booleans(), _BETA_GAP)
+
+
+def _qubit_spec(draw):
+    offset, gap, descending, beta_gap = draw
+    levels = (offset + gap, offset) if descending else (offset, offset + gap)
+    return ThermalSpec(beta_gap / gap, QuditHamiltonian(levels))
+
+
+@settings(max_examples=80, deadline=None)
+@given(a=_QUBIT, b=_QUBIT, phi=st.floats(allow_nan=False, allow_infinity=False))
+def test_post_select_reads_the_branch_kernel(a, b, phi):
+    cfg = ProtocolConfig(_qubit_spec(a), _qubit_spec(b), phi)
+    p, (f0, f1) = cfg.weights()
+    phase = np.exp(1j * phi)
+    branches = {"phi": protocol._branch(p, (f0, f1), phase), "psi": protocol._branch(p, (f1, f0), phase)}
+    slots = {"phi": [0, 3], "psi": [1, 2]}
+    for outcome in OUTCOME_ORDER:
+        name, sign = outcome.value.split("_")
+        branch_probability, first, second = branches[name]
+        result = post_select(cfg, outcome)
+        assert result.probability == 0.5 * branch_probability
+        expected = np.zeros(4, dtype=complex)
+        expected[slots[name]] = first, second if sign == "plus" else -second
+        assert np.array_equal(result.state.amps, expected)
+        slow = post_select_oracle(cfg, outcome)
+        assert abs(result.probability - slow.probability) <= 1e-12
+        assert np.abs(result.state.amps - slow.state.amps).max() <= 1e-12
+    for name in ("phi", "psi"):
+        pair = [post_select(cfg, o).probability for o in OUTCOME_ORDER if o.value.startswith(name)]
+        assert success_probability(cfg, name) == branches[name][0] == sum(pair)
+
+
+def test_config_computes_its_weights_once(monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (thermal, protocol, interference):
+        for name in ("gibbs_weights", "_shifted_gibbs"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    cfg = reference_config(0.4)
+    assert calls
+    calls.clear()
+    for outcome in OUTCOME_ORDER:
+        post_select(cfg, outcome)
+    success_probability(cfg, "phi")
+    success_probability(cfg, "psi")
+    sample_outcomes(cfg, 1000, seed=3)
+    interference.closed_form_probability(cfg)
+    assert calls == []

@@ -78,6 +78,16 @@ def test_factored_state_rejects_inconsistent_shared_variable():
         FactoredBipartiteState((a, b), frozen_norm=2.0)
 
 
+def test_factored_state_refuses_an_overflowing_family():
+    # e^1000 overflows; the unit-norm check refuses it, with no numpy RuntimeWarning
+    terms = (
+        FactoredTerm.diagonal(0, ExpLinear(1000.0), ExpLinear(1.0), 1.0),
+        FactoredTerm.diagonal(1, ExpLinear(1.0), ExpLinear(1.0), 0.0),
+    )
+    with pytest.raises(ConfigurationError, match="unit norm"):
+        FactoredBipartiteState(terms, frozen_norm=2.0)
+
+
 def test_factored_state_rejects_bad_frozen_norm():
     term = FactoredTerm.diagonal(0, Constant(1.0), Constant(1.0), 0.0)
     other = FactoredTerm.diagonal(1, Constant(1.0), Constant(1.0), 0.0)
@@ -118,9 +128,18 @@ def test_finite_difference_matches_analytic_per_component():
 
 def test_fd_step_must_be_positive():
     state = purified_thermal_state(_spec(1.0, (0.0, 1.0)))
-    for bad in (0.0, -1e-5):
+    for bad in (0.0, -1e-5, float("inf"), float("nan")):
         with pytest.raises(ConfigurationError):
             apply_inverse_temp_squared(state, fd_step=bad)
+        with pytest.raises(ConfigurationError):
+            eigencheck_purified(_spec(1.0, (0.0, 1.0)), fd_step=bad)
+
+
+def test_overflowing_finite_difference_reports_nan():
+    # e^(E + h) overflows: the report carries NaN for the gate to refuse,
+    # and no numpy RuntimeWarning escapes
+    report = eigencheck_purified(_spec(1.0, (-2.0, -3.0, 0.5)), fd_step=1e300)
+    assert np.isnan(report.rayleigh) and np.isnan(report.residual)
 
 
 # --- eigencheck ---------------------------------------------------------------
