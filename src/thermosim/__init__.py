@@ -7,12 +7,10 @@ from .qcore import (
     EQ_TOL,
     FD_TOL,
     HADAMARD,
-    IDENTITY_2,
     PHI_MINUS,
     PHI_PLUS,
     PSI_MINUS,
     PSI_PLUS,
-    SIGMA_X,
     SIGMA_Z,
     ConfigurationError,
     DensityMatrix,
@@ -39,7 +37,6 @@ from .protocol import (
 )
 from .interference import SweepSpec, circuit_probability, closed_form_probability, sweep
 from .tempop import (
-    AmplitudeFamily,
     Constant,
     EigenReport,
     ExpLinear,

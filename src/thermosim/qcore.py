@@ -225,8 +225,6 @@ def apply(op: Operator, state: StateVector, targets: Sequence[int]) -> StateVect
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
-IDENTITY_2 = Operator((2,), np.eye(2))
-SIGMA_X = Operator((2,), [[0.0, 1.0], [1.0, 0.0]])
 SIGMA_Z = Operator((2,), [[1.0, 0.0], [0.0, -1.0]])
 HADAMARD = Operator((2,), np.array([[1.0, 1.0], [1.0, -1.0]]) * _INV_SQRT2)
 # control is the first target subsystem

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import isfinite, sqrt
-from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -67,9 +66,6 @@ def Constant(value: complex) -> ExpLinear:
     return ExpLinear(0.0, value=value)
 
 
-AmplitudeFamily = ExpLinear
-
-
 @dataclass(frozen=True)
 class FactoredTerm:
     """One product term w * L(x) * R(y) |left_basis>|right_basis>.
@@ -83,8 +79,8 @@ class FactoredTerm:
     right_var: int
     left_basis: int
     right_basis: int
-    left: AmplitudeFamily
-    right: AmplitudeFamily
+    left: ExpLinear
+    right: ExpLinear
     left_energy: float
     right_energy: float
     weight: complex = 1.0 + 0j
@@ -93,8 +89,8 @@ class FactoredTerm:
     def diagonal(
         cls,
         index: int,
-        left: AmplitudeFamily,
-        right: AmplitudeFamily,
+        left: ExpLinear,
+        right: ExpLinear,
         left_energy: float,
         right_energy: float | None = None,
         weight: complex = 1.0 + 0j,
@@ -108,45 +104,44 @@ class FactoredTerm:
         return self.weight * self.left.amplitude(self.left_energy) * self.right.amplitude(self.right_energy)
 
 
-_TERM_FIELDS = attrgetter(
-    "left_var", "right_var", "left_basis", "right_basis",
-    "weight", "left.value", "right.value",
-    "left.coeff", "right.coeff", "left.offset", "right.offset", "left_energy", "right_energy",
-)
-
-
 class _Columns(NamedTuple):
-    """A term list as arrays, the family arrays with one row per side (left, right).
+    """A factored state as term arrays, the per-side arrays with one row per side (left, right).
 
-    ``var`` and ``basis`` hold the left and right slot and ket tuples for the
-    set-based validation.  Each family is taken apart into its form
-    value * e^(coeff*E + offset); ``amplitude`` is that form at the term's
-    energy and ``product`` the term's w*L(x)*R(y), both evaluated once.
-    Values that overflow are left as inf or NaN, for the callers' finiteness
-    and unit-norm checks to refuse.
+    ``var``, ``basis`` and ``energy`` are (2, n) slots, kets and evaluation
+    points; ``weight`` broadcasts against (n,) and the family form
+    value * e^(coeff*E + offset) against (2, n).  ``amplitude`` (each family at
+    its energy) and ``product`` (each term's w*L(x)*R(y)) are evaluated once;
+    overflows are left as inf or NaN, for the unit-norm check to refuse.
     """
 
-    var: tuple[tuple[int, ...], tuple[int, ...]]
-    basis: tuple[tuple[int, ...], tuple[int, ...]]
-    weight: np.ndarray
-    value: np.ndarray
-    coeff: np.ndarray
-    offset: np.ndarray
+    var: np.ndarray
+    basis: np.ndarray
+    weight: np.ndarray | complex
+    value: np.ndarray | complex
+    coeff: np.ndarray | float
+    offset: np.ndarray | float
     energy: np.ndarray
     amplitude: np.ndarray
     product: np.ndarray
 
     @classmethod
-    def of(cls, terms: Sequence[FactoredTerm]) -> "_Columns":
-        fields = tuple(zip(*map(_TERM_FIELDS, terms)))
-        complex_rows = np.array(sum(fields[4:7], ()), dtype=np.complex128).reshape(3, -1)
-        float_rows = np.array(sum(fields[7:], ()), dtype=float).reshape(3, 2, -1)
-        weight, value = complex_rows[0], complex_rows[1:]
-        coeff, offset, energy = float_rows[0], float_rows[1], float_rows[2]
+    def evaluated(cls, var, basis, energy, *, weight, value, coeff, offset) -> "_Columns":
         with np.errstate(over="ignore", invalid="ignore"):
             amplitude = value * np.exp(coeff * energy + offset)
             product = weight * amplitude[0] * amplitude[1]
-        return cls(fields[0:2], fields[2:4], weight, value, coeff, offset, energy, amplitude, product)
+        return cls(var, basis, weight, value, coeff, offset, energy, amplitude, product)
+
+    @classmethod
+    def of(cls, terms: Sequence[FactoredTerm]) -> "_Columns":
+        """Columns of term objects from outside the library."""
+        fields = list(zip(*(
+            (t.left_var, t.right_var, t.left_basis, t.right_basis, t.left_energy, t.right_energy, t.left.coeff,
+             t.right.coeff, t.left.offset, t.right.offset, t.left.value, t.right.value, t.weight) for t in terms
+        )))
+        var, basis = np.array(fields[:4]).reshape(2, 2, -1)
+        energy, coeff, offset = np.array(fields[4:10], dtype=float).reshape(3, 2, -1)
+        complex_rows = np.array(fields[10:], dtype=np.complex128).reshape(3, -1)
+        return cls.evaluated(var, basis, energy, weight=complex_rows[2], value=complex_rows[:2], coeff=coeff, offset=offset)
 
     def image(self, h: float | None) -> np.ndarray:
         """Per-term operator images w*L'(x)*R'(y), 0 where the two sides carry different slots.
@@ -163,47 +158,54 @@ class _Columns(NamedTuple):
             return np.where(np.equal(*self.var), self.weight * slopes[0] * slopes[1], 0j)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class FactoredBipartiteState:
-    """Term list plus an optional frozen normalization divisor.
+    """Term arrays plus an optional frozen normalization divisor.
 
     The evaluated vector must be unit norm; ``frozen_norm`` (when present) is
     the constant Z such that amplitudes carry an overall factor 1/sqrt(Z).
     Kets are distinct, so each term is exactly one entry of the dense vector.
+    The constructor converts ``FactoredTerm``s once and checks their structure
+    (distinct slot pairs and kets, one energy per slot); this module's builders
+    pass ``_Columns`` that hold it by construction.  Every state then passes
+    the numerical checks of ``__post_init__``.
     """
 
-    terms: tuple[FactoredTerm, ...]
-    frozen_norm: float | None = None
-    _columns: _Columns = field(init=False, repr=False)
-    _amplitudes: np.ndarray = field(init=False, repr=False)  # per term, over sqrt(Z)
+    frozen_norm: float | None
+    dims: tuple[int, int]
+    _columns: _Columns = field(repr=False)
+    _amplitudes: np.ndarray = field(repr=False)  # per term, over sqrt(Z)
+
+    def __init__(self, terms: Iterable[FactoredTerm] | _Columns, frozen_norm: float | None = None) -> None:
+        columns = terms
+        if not isinstance(columns, _Columns):
+            columns = _Columns.of(tuple(terms))
+            var, basis, n = columns.var.tolist(), columns.basis.tolist(), columns.energy.shape[1]
+            if len(set(zip(*var))) != n:
+                raise ConfigurationError("terms must carry distinct derivative-slot pairs")
+            if len(set(zip(*basis))) != n or (columns.basis < 0).any():
+                raise ConfigurationError("terms must carry distinct, nonnegative basis kets")
+            for side, slots, energies in zip(("left", "right"), var, columns.energy.tolist()):
+                points: dict[int, float] = {}
+                for slot, energy in zip(slots, energies):  # non-finite energies are refused below
+                    if isfinite(energy) and points.setdefault(slot, energy) != energy:
+                        raise ConfigurationError(f"{side} variable {slot} is evaluated at two different energies")
+        object.__setattr__(self, "_columns", columns)
+        object.__setattr__(self, "frozen_norm", frozen_norm)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        terms = tuple(self.terms)
-        if not terms:
+        columns = self._columns
+        if not columns.product.size:
             raise ConfigurationError("a factored state needs at least one term")
-        # _normalized hands over the columns it evaluated for Z
-        columns = vars(self).get("_columns") or _Columns.of(terms)
-        if len(set(zip(*columns.var))) != len(terms):
-            raise ConfigurationError("terms must carry distinct derivative-slot pairs")
-        if len(set(zip(*columns.basis))) != len(terms) or min(min(b) for b in columns.basis) < 0:
-            raise ConfigurationError("terms must carry distinct, nonnegative basis kets")
-        for side, variables, energies in zip(("left", "right"), columns.var, columns.energy.tolist()):
-            points: dict[int, float] = {}
-            for var, energy in zip(variables, energies):
-                if not isfinite(energy):
-                    raise ConfigurationError("term energies must be finite")
-                if points.setdefault(var, energy) != energy:
-                    raise ConfigurationError(
-                        f"{side} variable {var} is evaluated at two different energies"
-                    )
+        if not np.isfinite(columns.energy).all():
+            raise ConfigurationError("term energies must be finite")
         if self.frozen_norm is not None:
             z = float(self.frozen_norm)
             if not isfinite(z) or z <= 0.0:
                 raise ConfigurationError("frozen normalization must be finite and positive")
             object.__setattr__(self, "frozen_norm", z)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_columns", columns)
-        _check_dims(self.dims)  # the dense view must be a valid state
+        object.__setattr__(self, "dims", _check_dims(columns.basis.max(axis=1) + 1))  # a valid dense view
         amplitudes = _over_sqrt_z(columns.product, self.frozen_norm)
         if not abs(sqrt(np.vdot(amplitudes, amplitudes).real) - 1.0) <= EQ_TOL:  # NaN fails too
             raise ConfigurationError("evaluated state must be unit norm")
@@ -211,9 +213,14 @@ class FactoredBipartiteState:
         object.__setattr__(self, "_amplitudes", amplitudes)
 
     @property
-    def dims(self) -> tuple[int, int]:
-        left, right = self._columns.basis
-        return max(left) + 1, max(right) + 1
+    def terms(self) -> tuple[FactoredTerm, ...]:
+        """The state's terms, built from the columns on each access."""
+        c = self._columns
+        shape = c.energy.shape
+        weight = np.broadcast_to(c.weight, shape[1:]).tolist()
+        value, coeff, offset = (np.broadcast_to(x, shape).tolist() for x in (c.value, c.coeff, c.offset))
+        left, right = ([ExpLinear(*f) for f in zip(*side)] for side in zip(coeff, offset, value))
+        return tuple(map(FactoredTerm, *c.var.tolist(), *c.basis.tolist(), left, right, *c.energy.tolist(), weight))
 
     def amplitude_vector(self) -> StateVector:
         return _dense(self, self._amplitudes)
@@ -233,26 +240,17 @@ def _image(state: FactoredBipartiteState, fd_step: float | None) -> np.ndarray:
 def _dense(state: FactoredBipartiteState, values: np.ndarray) -> StateVector:
     """Per-term values scattered onto their kets of the dense ``dims`` array."""
     arr = np.zeros(state.dims, dtype=np.complex128)
-    arr[state._columns.basis] = values
+    arr[tuple(state._columns.basis)] = values
     return StateVector(state.dims, arr.reshape(-1))
 
 
-def _normalized(terms: Iterable[FactoredTerm]) -> FactoredBipartiteState:
-    """State over ``terms`` whose frozen normalization is Z = sum_t |w_t L_t(x_t) R_t(y_t)|^2."""
-    terms = tuple(terms)
-    if not terms:
-        return FactoredBipartiteState(terms)  # refused there
-    columns = _Columns.of(terms)
+def _normalized(columns: _Columns) -> FactoredBipartiteState:
+    """State over ``columns`` whose frozen normalization is Z = sum_t |w_t L_t(x_t) R_t(y_t)|^2."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing Z is refused below
         z = float((np.abs(columns.product) ** 2).sum())
-    if not (isfinite(z) and z > 0.0):
+    if columns.product.size and not (isfinite(z) and z > 0.0):  # no term at all is refused there
         raise ConfigurationError("normalization overflows or vanishes; reduce beta or energies")
-    # the terms are read into columns once: __post_init__ takes these over
-    # and still runs every check of the public constructor
-    state = object.__new__(FactoredBipartiteState)
-    object.__setattr__(state, "_columns", columns)
-    state.__init__(terms, frozen_norm=z)
-    return state
+    return FactoredBipartiteState(columns, frozen_norm=z)
 
 
 @dataclass(frozen=True)
@@ -281,16 +279,17 @@ def purified_thermal_state(spec: ThermalSpec) -> FactoredBipartiteState:
     Term n is e^(-beta*E_n/4) x e^(-beta*E_n/4) |n>|n> with a frozen 1/sqrt(Z)
     prefactor; only this even split makes the state an exact eigenvector.
     """
-    family = ExpLinear(-spec.beta / 4.0)
-    return _normalized(
-        FactoredTerm.diagonal(n, family, family, energy)
-        for n, energy in enumerate(spec.hamiltonian.energies)
-    )
+    energy = np.array(spec.hamiltonian.energies)
+    slots = np.broadcast_to(np.arange(energy.size), (2, energy.size))
+    return _normalized(_Columns.evaluated(
+        slots, slots, np.broadcast_to(energy, slots.shape),
+        weight=1.0 + 0j, value=1.0 + 0j, coeff=-spec.beta / 4.0, offset=0.0,
+    ))
 
 
 def product_state(
-    left: Sequence[AmplitudeFamily],
-    right: Sequence[AmplitudeFamily],
+    left: Sequence[ExpLinear],
+    right: Sequence[ExpLinear],
     energies: Sequence[float],
 ) -> FactoredBipartiteState:
     """Product |a> x |b> with a_n = left[n](E_n) and b_m = right[m](E_m).
@@ -301,11 +300,13 @@ def product_state(
     """
     if len(left) != len(energies) or len(right) != len(energies):
         raise ConfigurationError("need one family per energy on each side")
-    return _normalized(
-        FactoredTerm(n, m, n, m, left[n], right[m], float(energies[n]), float(energies[m]))
-        for n in range(len(energies))
-        for m in range(len(energies))
-    )
+    kets = np.indices((len(energies),) * 2).reshape(2, -1)  # term (n, m) in row-major order
+    per_term = lambda name, dtype: np.take_along_axis(  # the left family of level n, the right one of level m
+        np.array([[getattr(f, name) for f in side] for side in (left, right)], dtype=dtype), kets, axis=1)
+    return _normalized(_Columns.evaluated(
+        kets, kets, np.array(energies, dtype=float)[kets], weight=1.0 + 0j,
+        value=per_term("value", np.complex128), coeff=per_term("coeff", float), offset=per_term("offset", float),
+    ))
 
 
 def _eigen_report(state: FactoredBipartiteState, fd_step: float | None, expected: float | None) -> EigenReport:
@@ -332,9 +333,9 @@ def superposition_state(
     A level n is paired with the B level 1 - n.
     """
     if outcome is BellOutcome.PHI_PLUS:
-        pairing = ((0, 0), (1, 1))
+        kets_b = (0, 1)
     elif outcome is BellOutcome.PSI_PLUS:
-        pairing = ((0, 1), (1, 0))
+        kets_b = (1, 0)
     else:
         raise ConfigurationError(f"unsupported outcome {outcome} for residual analysis")
     if convention not in ("full_dependence", "chosen_zero_levels"):
@@ -346,15 +347,13 @@ def superposition_state(
     pin = convention == "chosen_zero_levels"
     if pin and (ea[1] != 0.0 or eb[0] != 0.0):
         raise ConfigurationError("chosen_zero_levels applies only when E1 = 0 and E0' = 0")
-    one, exp_a, exp_b = Constant(1.0), ExpLinear(-cfg.spec_a.beta / 2.0), ExpLinear(-cfg.spec_b.beta / 2.0)
-    terms = []
-    for slot, (ia, ib) in enumerate(pairing):
-        # a pinned level is the constant e^0
-        left = one if pin and ia == 1 else exp_a
-        right = one if pin and ib == 0 else exp_b
-        weight = np.exp(1j * cfg.phi) if ia == 1 else 1.0 + 0j
-        terms.append(FactoredTerm(slot, slot, ia, ib, left, right, ea[ia], eb[ib], weight))
-    return _normalized(terms)
+    a, b = -cfg.spec_a.beta / 2.0, -cfg.spec_b.beta / 2.0
+    # term n sits on |n>|kets_b[n]> under slot n; a pinned level is the constant e^0 (coeff 0)
+    return _normalized(_Columns.evaluated(
+        np.array(((0, 1), (0, 1))), np.array(((0, 1), kets_b)), np.array((ea, [eb[k] for k in kets_b])),
+        weight=np.array((1.0, np.exp(1j * cfg.phi))), value=1.0 + 0j, offset=0.0,
+        coeff=np.array(((a, 0.0 if pin else a), [0.0 if pin and k == 0 else b for k in kets_b])),
+    ))
 
 
 def residual_superposition(

@@ -1,0 +1,80 @@
+"""Golden-output gate: sha256 digests of report bytes recorded from a known-good build.
+
+Any changed digit in the eigencheck JSON or in a residual report fails the
+gate.  A deliberate change of these outputs updates the digests below and
+says so in CHANGES.md.
+"""
+
+import hashlib
+from itertools import product
+
+import pytest
+
+from thermosim import BellOutcome, ProtocolConfig, QuditHamiltonian, ThermalSpec, residual_superposition
+from thermosim.cli import main
+
+from helpers import reference_config
+
+EIGENCHECK_DIGESTS = {
+    # (dim, beta): sha256 of ``thermosim eigencheck --dim D --beta B --fd-step 1e-5`` stdout
+    (2, "0"): "b083b5d87df298584b74447f4135b6fd48d13a2fa9fb6aa26e3317dc80b737cb",
+    (2, "0.7"): "e7479cb53109165c32e318613515f7e06d6595853927cd7c9d6840707f853258",
+    (2, "2"): "843affd29d659ffea7124258c1a49fad8a9466f09593a29cc1d447a9a69d3856",
+    (2, "13"): "aadc610e30329411af1e90bdaf6e64aaa306be6e1745f7d780a1c4f1221b357d",
+    (3, "0"): "ab2d5a2673d278f386e9493c23018f6b1831e5ceb26a3d6380b6372beb07dc2a",
+    (3, "0.7"): "413192a21c2502c00004f2351eff72fe820902a15651b848aa2fee8219d5edb6",
+    (3, "2"): "c78dd47c77f2e70dd4a626337cfde505294e3a4d3f559aa21b18ed2eff827d70",
+    (3, "13"): "4ff9e308dd5ebd52abbf7e5a86ec4268b7d08d7a5ebd6db71f1bd3a30eb1e617",
+    (8, "0"): "ea695b31067fe8e60d0463308f7bb47f5d06c2ea4083b3b1320166d2af64a305",
+    (8, "0.7"): "46b81785f852a63ae4353c27e15f06360892e07f269ca1fea23c0e3aed82b221",
+    (8, "2"): "f90fe6d3715896057be2bc9233d345062769bad2229c4f725562d83c17f69af9",
+    (8, "13"): "834ded19623ec41804c82d72c5ed8a6caa22985e4f9e82895c94f5bb4f075efc",
+    (64, "0"): "10625cbf50f4c6c76b929c90f4166b5f0133bc39f04e491ff21c6227e7310286",
+    (64, "0.7"): "c63854f0a009a0f4d41e38143be46cf77d784df8d193558908611f789ea7b5ea",
+    (64, "2"): "01662fe7b8a5a0d9cdad9c04f7b06dcc5bcfcb482a7bc9ebeedfa51d6b21e6f0",
+    (64, "13"): "efceb098b98ee00cf80f0f33615af1d44ffef475b966fa3a0b3d61a6b7cfacc4",
+    (512, "0"): "f7430afbd558e38f02517a4b51eac46278cad1824ecea4a586f54434f975e998",
+    (512, "0.7"): "ee507a9b6ef117e34b5ac465376dfb13615599db67b91ec1f40fa71dd7e1ad5e",
+    (512, "2"): "e9e77237441eecd16d0753b39f5b59bdb78a4a642ff31ef2dcf5aa8456644d59",
+    (512, "13"): "3f290faf1aa43277ad12611917348f492e36be96bdd1b03caee65eef404fc49f",
+}
+
+RESIDUAL_DIGESTS = {
+    # config name: sha256 of float.hex of the four residual_superposition reports
+    "asymmetric": "06a9f3b3657d592999e35ccd4115238dd1c61ee08d7de0efd4ffad82066361a5",
+    "reference_phi_0.4": "00592378787365c04536b747ed7fab691c8954f2c59ce15337873d7db3d41dd4",
+}
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("dim, beta", list(product((2, 3, 8, 64, 512), ("0", "0.7", "2", "13"))))
+def test_eigencheck_stdout_is_unchanged(capsys, dim, beta):
+    assert main(["eigencheck", "--dim", str(dim), "--beta", beta, "--fd-step", "1e-5"]) == 0
+    assert _digest(capsys.readouterr().out) == EIGENCHECK_DIGESTS[dim, beta]
+
+
+_CONFIGS = {
+    "reference_phi_0.4": reference_config(phi=0.4),
+    "asymmetric": ProtocolConfig(
+        ThermalSpec(2.3, QuditHamiltonian((1.7, 0.0))),
+        ThermalSpec(0.6, QuditHamiltonian((0.0, -2.1))),
+        2.0,
+    ),
+}
+
+
+def _hex(value):
+    return "None" if value is None else float.hex(value)
+
+
+@pytest.mark.parametrize("name", sorted(_CONFIGS))
+def test_residual_reports_are_unchanged(name):
+    lines = []
+    for outcome in (BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS):
+        for convention in ("full_dependence", "chosen_zero_levels"):
+            report = residual_superposition(_CONFIGS[name], outcome, convention)
+            lines.append(" ".join(map(_hex, (report.rayleigh, report.residual, report.expected))))
+    assert _digest("\n".join(lines)) == RESIDUAL_DIGESTS[name]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermosim import (
     BellOutcome,
@@ -15,6 +17,7 @@ from thermosim import (
     fidelity_pure,
     product_state,
     purified_thermal_state,
+    purify,
     residual_superposition,
     superposition_state,
     tempop,
@@ -443,3 +446,84 @@ def test_factored_state_rejects_degenerate_kets_and_values():
     with pytest.raises(ConfigurationError):  # a NaN amplitude fails the unit-norm check
         FactoredBipartiteState((FactoredTerm.diagonal(0, one, one, 0.0, weight=complex("nan")),
                                 FactoredTerm.diagonal(1, one, one, 0.0)))
+
+
+def test_factored_state_messages_for_missing_terms_and_nonfinite_energies():
+    with pytest.raises(ConfigurationError, match="at least one term"):
+        FactoredBipartiteState(())
+    with pytest.raises(ConfigurationError, match="at least one term"):
+        product_state([], [], [])
+    one = Constant(1.0)
+    # a NaN on a shared slot is a non-finite energy, not a second evaluation point
+    terms = (FactoredTerm(0, 0, 0, 0, one, one, float("nan"), 0.0), FactoredTerm(0, 1, 1, 1, one, one, 0.0, 0.0))
+    with pytest.raises(ConfigurationError, match="finite"):
+        FactoredBipartiteState(terms, frozen_norm=2.0)
+
+
+def test_builders_create_no_term_objects(monkeypatch):
+    # the builders evaluate their term arrays straight from the energies;
+    # term objects exist only at the public constructor and in ``.terms``
+    def refuse(*args, **kwargs):
+        raise AssertionError("term object built on the eigen path")
+
+    monkeypatch.setattr(tempop, "FactoredTerm", refuse)
+    monkeypatch.setattr(tempop, "ExpLinear", refuse)
+    spec = _spec(1.0, tuple(np.random.default_rng(167).uniform(-5.0, 5.0, 4096)))
+    for fd_step in (None, 1e-5):
+        assert abs(eigencheck_purified(spec, fd_step=fd_step).rayleigh - 1.0 / 16.0) <= FD_TOL
+    cfg = reference_config(phi=0.4)
+    for outcome in (BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS):
+        for convention in ("full_dependence", "chosen_zero_levels"):
+            assert residual_superposition(cfg, outcome, convention).residual >= 0.0
+
+
+# --- validate once: built states pass the public constructor's checks --------
+
+def _assert_public_round_trip(state):
+    """``state`` fed back through the public constructor: every check passes and every value is bit-equal."""
+    terms = state.terms
+    assert all(isinstance(t, FactoredTerm) for t in terms)
+    again = FactoredBipartiteState(terms, state.frozen_norm)
+    assert again.dims == state.dims and again.frozen_norm == state.frozen_norm
+    assert np.array_equal(again.amplitude_vector().amps, state.amplitude_vector().amps)
+    for fd_step in (None, 1e-5):
+        assert np.array_equal(
+            apply_inverse_temp_squared(again, fd_step=fd_step).amps,
+            apply_inverse_temp_squared(state, fd_step=fd_step).amps,
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(2, 64), beta_gap=st.floats(0.0, 700.0), seed=st.integers(0, 2**32 - 1))
+def test_purified_state_round_trips(d, beta_gap, seed):
+    # levels span [-1, 0], so -beta * E_min reaches the overflow edge of Z at about 700
+    levels = np.concatenate(([-1.0, 0.0], np.random.default_rng(seed).uniform(-1.0, 0.0, d - 2)))
+    spec = _spec(beta_gap, tuple(levels))
+    state = purified_thermal_state(spec)
+    _assert_public_round_trip(state)
+    assert np.max(np.abs(state.amplitude_vector().amps - purify(spec).amps)) <= EQ_TOL
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+def test_product_state_round_trips(d, seed):
+    rng = np.random.default_rng(seed)
+
+    def family():
+        if rng.random() < 0.5:
+            return Constant(complex(*rng.normal(size=2)))
+        return ExpLinear(float(rng.uniform(-1.0, 1.0)), float(rng.uniform(-1.0, 1.0)))
+
+    left, right = [family() for _ in range(d)], [family() for _ in range(d)]
+    _assert_public_round_trip(product_state(left, right, rng.uniform(-1.5, 1.5, d)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    outcome=st.sampled_from((BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS)),
+    convention=st.sampled_from(("full_dependence", "chosen_zero_levels")),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_superposition_state_round_trips(outcome, convention, seed):
+    cfg = random_in_regime_config(np.random.default_rng(seed))
+    _assert_public_round_trip(superposition_state(cfg, outcome, convention))
