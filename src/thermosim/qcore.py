@@ -72,9 +72,13 @@ class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix over subsystems.
 
     The constructor proves all three properties, positivity through a full
-    ``eigvalsh`` (O(d^3)).  The matrices the library derives itself, from
-    ``thermal_density`` and from the partial trace of a ``StateVector``, are
-    Hermitian and positive by construction and skip those two proofs.
+    ``eigvalsh`` (O(d^3)).  The matrices the library derives itself skip those
+    two proofs, because they are Hermitian and positive by construction: the
+    diagonal of ``thermal_density``, and the partial trace of a
+    ``StateVector``, which is a diagonal of squared magnitudes when each basis
+    state of the traced subsystems carries at most one nonzero amplitude, and
+    the Gram matrix of the reshaped amplitudes otherwise.  ``entries`` is always a
+    dense d x d array.
     """
 
     dims: tuple[int, ...]
@@ -107,8 +111,10 @@ def _store_unit_trace(rho: DensityMatrix, dims: Iterable[int], mat: np.ndarray) 
 def _derived_density(dims: Iterable[int], entries: np.ndarray) -> DensityMatrix:
     """Density matrix over a fresh matrix the library built Hermitian and PSD.
 
-    Only for a real diagonal of Gibbs weights and a Gram matrix psi psi^dagger,
-    which are Hermitian and positive semidefinite by construction: the shape,
+    Only for the two reductions of a state, both Hermitian and positive
+    semidefinite by construction: a diagonal matrix with a real nonnegative
+    diagonal (Gibbs weights, or the squared magnitudes summed by
+    ``_reduced_matrix``) and a Gram matrix psi psi^dagger.  The shape,
     finiteness and unit-trace checks still run, the Hermitian check and the
     ``eigvalsh`` of the public constructor do not.  ``entries`` is taken over
     without a copy when it is already complex.
@@ -148,7 +154,10 @@ class Operator:
 def basis_state(dims: Iterable[int], index: int) -> StateVector:
     """Computational basis state with a single unit amplitude at ``index``."""
     dims = _check_dims(dims)
-    amps = np.zeros(prod(dims), dtype=np.complex128)
+    d = prod(dims)
+    if not 0 <= index < d:
+        raise ConfigurationError(f"basis index must be in 0..{d - 1}, got {index}")
+    amps = np.zeros(d, dtype=np.complex128)
     amps[index] = 1.0
     return StateVector(dims, amps)
 
@@ -177,8 +186,8 @@ def partial_trace(state: StateVector | DensityMatrix, keep: Iterable[int]) -> De
         psi = state.amps.reshape(dims)
         psi = np.transpose(psi, kept + traced).reshape(prod(kept_dims), -1)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused as not finite
-            gram = psi @ psi.conj().T
-        return _derived_density(kept_dims, gram)
+            reduced = _reduced_matrix(psi)
+        return _derived_density(kept_dims, reduced)
     if isinstance(state, DensityMatrix):
         # a partial sum of a matrix Hermitian only within EQ_TOL can drift
         # past it, so this result is checked in full
@@ -189,6 +198,29 @@ def partial_trace(state: StateVector | DensityMatrix, keep: Iterable[int]) -> De
         rho = np.einsum(arr, row + col, out).reshape(prod(kept_dims), prod(kept_dims))
         return DensityMatrix(kept_dims, rho)
     raise ConfigurationError(f"cannot trace object of type {type(state).__name__}")
+
+
+def _reduced_matrix(psi: np.ndarray) -> np.ndarray:
+    """psi psi^dagger of a (kept, traced) amplitude matrix, in O(size) when it is diagonal.
+
+    When every column holds at most one nonzero amplitude (purifications,
+    product states, Bell branches) no two rows share a traced basis state, so
+    the result is diagonal: each row's sum of re^2 + im^2.  Any other state
+    takes the dense Gram product.
+    """
+    rows, cols = np.nonzero(psi != 0)
+    if cols.size and np.bincount(cols).max() > 1:
+        return _gram(psi)
+    vals = psi[rows, cols]
+    k = psi.shape[0]
+    out = np.zeros((k, k), dtype=np.complex128)
+    np.fill_diagonal(out, np.bincount(rows, weights=vals.real**2 + vals.imag**2, minlength=k))
+    return out
+
+
+def _gram(psi: np.ndarray) -> np.ndarray:
+    """Dense psi psi^dagger: the general route, and the reference for the diagonal one."""
+    return psi @ psi.conj().T
 
 
 def fidelity_pure(a: StateVector, b: StateVector) -> float:

@@ -111,6 +111,8 @@ def purify(spec: ThermalSpec, phase: float = 0.0) -> StateVector:
     """
     d = spec.hamiltonian.dim
     phase = float(phase)
+    if not isfinite(phase):
+        raise ConfigurationError("phase must be finite")
     if phase != 0.0 and d != 2:
         raise ConfigurationError("a purification phase is only supported for qubits")
     roots = np.sqrt(gibbs_weights(spec).weights).astype(np.complex128)

@@ -1,16 +1,26 @@
 """Golden-output gate: sha256 digests of report bytes recorded from a known-good build.
 
-Any changed digit in the eigencheck JSON or in a residual report fails the
-gate.  A deliberate change of these outputs updates the digests below and
+Any changed digit in the eigencheck JSON, in a residual report or in the
+large-d reduced density matrices fails the gate.  A deliberate change of these outputs updates the digests below and
 says so in CHANGES.md.
 """
 
 import hashlib
 from itertools import product
 
+import numpy as np
 import pytest
 
-from thermosim import BellOutcome, ProtocolConfig, QuditHamiltonian, ThermalSpec, residual_superposition
+from thermosim import (
+    BellOutcome,
+    ProtocolConfig,
+    QuditHamiltonian,
+    ThermalSpec,
+    partial_trace,
+    purify,
+    residual_superposition,
+    thermal_density,
+)
 from thermosim.cli import main
 
 from helpers import reference_config
@@ -43,6 +53,13 @@ RESIDUAL_DIGESTS = {
     # config name: sha256 of float.hex of the four residual_superposition reports
     "asymmetric": "06a9f3b3657d592999e35ccd4115238dd1c61ee08d7de0efd4ffad82066361a5",
     "reference_phi_0.4": "00592378787365c04536b747ed7fab691c8954f2c59ce15337873d7db3d41dd4",
+}
+
+DENSITY_DIGESTS = {
+    # sha256 of the concatenated ``entries.tobytes()`` over eight 1024-level sets
+    # (rng [7, 2]), so signed zeros count too; recorded from the Gram-matrix trace
+    "thermal_density": "de689f47e1f347c4b1290b26d19a9960fd3cd6f1da6261011bccf9eb6d462d78",
+    "purify round trip": "8b5a47094155ca8f219189fe26b57362990cb304b4dc3bdabdb86c098ff6fecf",
 }
 
 
@@ -78,3 +95,14 @@ def test_residual_reports_are_unchanged(name):
             report = residual_superposition(_CONFIGS[name], outcome, convention)
             lines.append(" ".join(map(_hex, (report.rayleigh, report.residual, report.expected))))
     assert _digest("\n".join(lines)) == RESIDUAL_DIGESTS[name]
+
+
+def test_large_d_density_bytes_are_unchanged():
+    rng = np.random.default_rng([7, 2])
+    levels = [tuple(float(e) for e in rng.uniform(-5.0, 5.0, 1024)) for _ in range(8)]
+    digests = {name: hashlib.sha256() for name in DENSITY_DIGESTS}
+    for energies, beta in zip(levels, rng.uniform(0.2, 2.0, 8)):
+        spec = ThermalSpec(float(beta), QuditHamiltonian(energies))
+        digests["thermal_density"].update(thermal_density(spec).entries.tobytes())
+        digests["purify round trip"].update(partial_trace(purify(spec), keep={1}).entries.tobytes())
+    assert {name: h.hexdigest() for name, h in digests.items()} == DENSITY_DIGESTS

@@ -1,4 +1,5 @@
 from math import prod
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,12 +18,17 @@ from thermosim import (
     apply,
     basis_state,
     fidelity_pure,
+    QuditHamiltonian,
+    ThermalSpec,
+    circuit_probability,
     partial_trace,
+    purify,
     tensor_product,
 )
+from thermosim import qcore
 from thermosim.qcore import EQ_TOL
 
-from helpers import assert_valid_density, random_state_amps, random_unitary
+from helpers import assert_valid_density, random_state_amps, random_unitary, reference_config
 
 
 # --- types and validation ------------------------------------------------
@@ -62,6 +68,12 @@ def test_density_matrix_validation():
 def test_operator_shape_validation():
     with pytest.raises(ConfigurationError):
         Operator((2, 2), np.eye(2))
+
+
+@pytest.mark.parametrize("index", [-1, 4, 7])
+def test_basis_state_rejects_index_out_of_range(index):
+    with pytest.raises(ConfigurationError, match="basis index"):
+        basis_state((2, 2), index)
 
 
 # --- tensor product ------------------------------------------------------
@@ -142,9 +154,87 @@ def test_partial_trace_of_states_passes_the_skipped_checks(dims, seed, data):
 def test_partial_trace_refuses_non_unit_and_overflowing_states():
     with pytest.raises(ConfigurationError, match="unit trace"):
         partial_trace(StateVector((2, 2), [0.8, 0.0, 0.0, 0.8]), keep={0})
-    huge = StateVector((2, 2), [1e200, 0.0, 0.0, 1e200j])  # its Gram matrix overflows
+    huge = StateVector((2, 2), [1e200, 0.0, 0.0, 1e200j])  # its squared magnitudes overflow
     with pytest.raises(ConfigurationError, match="finite"):
         partial_trace(huge, keep={0})
+    shared = StateVector((2, 2), [1e200, 1e200, 0.0, 0.0])  # so does its Gram matrix
+    with pytest.raises(ConfigurationError, match="finite"):
+        partial_trace(shared, keep={1})
+
+
+@st.composite
+def _sparse_column_states(draw):
+    """(dims, keep, psi, collide, purification): psi is the (kept, traced) amplitude matrix.
+
+    Each traced column holds at most one nonzero, except one column holding
+    two when ``collide``; ``purification`` means real amplitudes and at most
+    one nonzero per row too.  Magnitudes span 1e-150 to 1e150.
+    """
+    dims = draw(st.lists(st.integers(2, 4), min_size=2, max_size=4))
+    keep = sorted(draw(st.sets(st.integers(0, len(dims) - 1), min_size=1, max_size=len(dims) - 1)))
+    k = prod(dims[i] for i in keep)
+    t = prod(dims) // k
+    real, unique, collide = draw(st.booleans()), draw(st.booleans()), draw(st.booleans())
+    if unique:
+        rows = draw(st.permutations(range(max(k, t))))[:t]
+        rows = [r if r < k else None for r in rows]
+    else:
+        rows = draw(st.lists(st.one_of(st.none(), st.integers(0, k - 1)), min_size=t, max_size=t))
+    cells = [(r, j) for j, r in enumerate(rows) if r is not None]
+    if collide:
+        j = draw(st.integers(0, t - 1))
+        first, second = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
+        cells = [c for c in cells if c[1] != j] + [(first, j), (second, j)]
+    if not cells:
+        cells = [(draw(st.integers(0, k - 1)), draw(st.integers(0, t - 1)))]
+    psi = np.zeros((k, t), dtype=np.complex128)
+    for r, j in cells:
+        magnitude = 10.0 ** draw(st.floats(-150.0, 150.0))
+        phase = draw(st.sampled_from([1.0, -1.0])) if real else np.exp(1j * draw(st.floats(0.0, 2 * np.pi)))
+        psi[r, j] = magnitude * phase
+    return tuple(dims), keep, psi, collide, real and unique and not collide
+
+
+def _assert_route_matches_gram(got, psi, exact):
+    want = psi @ psi.conj().T
+    if exact:
+        assert got.tobytes() == want.tobytes()
+    else:  # each entry within EQ_TOL of the scale |want_ii * want_jj|^(1/2) that bounds it
+        scale = np.sqrt(np.abs(np.diagonal(want)))
+        assert np.all(np.abs(got - want) <= EQ_TOL * np.outer(scale, scale))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_sparse_column_states())
+def test_diagonal_partial_trace_matches_the_gram_matrix(case):
+    dims, keep, psi, collide, purification = case
+    with mock.patch.object(qcore, "_gram", wraps=qcore._gram) as gram:
+        # the fallback is the Gram product itself, so it matches bit for bit
+        _assert_route_matches_gram(qcore._reduced_matrix(psi), psi, purification or collide)
+        assert gram.called == collide
+        # the same amplitudes, unit norm, laid out in subsystem order and traced
+        traced = [i for i in range(len(dims)) if i not in keep]
+        unit = psi / np.linalg.norm(psi)
+        full = unit.reshape(tuple(dims[i] for i in keep + traced)).transpose(np.argsort(keep + traced))
+        rho = partial_trace(StateVector(dims, full.reshape(-1)), keep)
+        _assert_route_matches_gram(rho.entries, unit, purification)
+        assert gram.call_count == 2 * collide
+
+
+class _GramCalled(Exception):
+    pass
+
+
+def test_partial_trace_takes_the_gram_product_only_for_shared_columns(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise _GramCalled
+
+    monkeypatch.setattr(qcore, "_gram", refuse)
+    spec = ThermalSpec(0.8, QuditHamiltonian(tuple(np.random.default_rng(5).uniform(-5.0, 5.0, 2048))))
+    assert partial_trace(purify(spec), keep={1}).dims == (2048,)
+    assert partial_trace(PHI_PLUS, keep={0}).dims == (2,)
+    with pytest.raises(_GramCalled):  # after the CNOT a traced column holds two amplitudes
+        circuit_probability(reference_config(phi=0.4))
 
 
 @pytest.mark.parametrize("keep", [set(), {0, 1}, {5}, {-1}])

@@ -173,6 +173,12 @@ def test_purify_phase_requires_qubit():
         purify(spec, phase=0.1)
 
 
+@pytest.mark.parametrize("phase", [np.inf, -np.inf, np.nan])
+def test_purify_refuses_nonfinite_phase(phase):
+    with pytest.raises(ConfigurationError, match="phase must be finite"):
+        purify(ThermalSpec(1.0, QuditHamiltonian((0.0, 1.0))), phase=phase)
+
+
 def test_purification_round_trip_randomized():
     rng = np.random.default_rng(43)
     for _ in range(60):
