@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .interference import SweepSpec, _closed_form, sweep
-from .protocol import MAX_SAMPLES, OUTCOME_ORDER, ProtocolConfig, post_select, sample_outcomes, success_probability
+from .protocol import OUTCOME_ORDER, ProtocolConfig, post_select, sample_outcomes, success_probability
 from .qcore import ConfigurationError
 from .tempop import eigencheck_purified
 from .thermal import QuditHamiltonian, ThermalSpec
@@ -107,8 +107,6 @@ def _emit(report: dict) -> None:
 def cmd_protocol(args: argparse.Namespace) -> int:
     if args.seed is not None and args.seed < 0:
         raise ConfigurationError("--seed must be nonnegative")
-    if args.samples is not None and not 1 <= args.samples <= MAX_SAMPLES:
-        raise ConfigurationError(f"--samples must be between 1 and {MAX_SAMPLES}")
     cfg = load_config(args.config)
     results = {o: post_select(cfg, o) for o in OUTCOME_ORDER}
     phi_plus = results[OUTCOME_ORDER[0]].state.amps
@@ -154,8 +152,6 @@ def cmd_interference(args: argparse.Namespace) -> int:
 def cmd_eigencheck(args: argparse.Namespace) -> int:
     if not 2 <= args.dim <= MAX_POINTS:
         raise ConfigurationError(f"--dim must be between 2 and {MAX_POINTS}")
-    if not isfinite(args.beta) or args.beta < 0.0:
-        raise ConfigurationError("--beta must be finite and nonnegative")
     if args.assert_tol is not None and not isfinite(args.assert_tol):
         raise ConfigurationError("--assert-tol must be finite")
     rng = np.random.default_rng(_EIGENCHECK_ENERGY_SEED)

@@ -23,7 +23,7 @@ from math import isfinite
 import numpy as np
 
 from . import qcore
-from .qcore import ConfigurationError, StateVector
+from .qcore import ConfigurationError, Operator, StateVector, _built
 from .thermal import ThermalSpec, _shifted_gibbs, purify
 
 
@@ -139,7 +139,7 @@ def post_select(cfg: ProtocolConfig, outcome: BellOutcome) -> PostSelectionResul
     sign = 1.0 if outcome in (BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS) else -1.0
     amps = np.zeros(4, dtype=np.complex128)
     amps[[0, 3] if phi_pair else [1, 2]] = first, sign * second
-    return PostSelectionResult(outcome, 0.5 * branch_probability, StateVector((2, 2), amps))
+    return PostSelectionResult(outcome, 0.5 * branch_probability, _built(StateVector, (2, 2), amps))
 
 
 def post_select_oracle(cfg: ProtocolConfig, outcome: BellOutcome) -> PostSelectionResult:
@@ -152,14 +152,14 @@ def post_select_oracle(cfg: ProtocolConfig, outcome: BellOutcome) -> PostSelecti
     """
     joint = joint_state(cfg)
     bell = bell_state(outcome)
-    projector = qcore.Operator((2, 2), np.outer(bell.amps, bell.amps.conj()))
+    projector = _built(Operator, (2, 2), np.outer(bell.amps, bell.amps.conj()))
     projected = qcore.apply(projector, joint, targets=(0, 2))
     probability = projected.norm() ** 2
     # contracting <bell| over (A', B') removes the measured product factor
     tensor = joint.amps.reshape(2, 2, 2, 2)
     chi = np.einsum("ij,iajb->ab", bell.amps.reshape(2, 2).conj(), tensor).reshape(-1)
     chi = chi / np.linalg.norm(chi)
-    return PostSelectionResult(outcome, float(probability), StateVector((2, 2), chi))
+    return PostSelectionResult(outcome, float(probability), _built(StateVector, (2, 2), chi))
 
 
 def success_probability(cfg: ProtocolConfig, branch: str) -> float:
@@ -180,6 +180,8 @@ def sample_outcomes(cfg: ProtocolConfig, n: int, seed: int) -> dict[BellOutcome,
     """
     if not 1 <= n <= MAX_SAMPLES:
         raise ConfigurationError(f"sample count must be between 1 and {MAX_SAMPLES}")
+    if seed < 0:
+        raise ConfigurationError("seed must be nonnegative")
     phi, psi = (0.5 * success_probability(cfg, branch) for branch in ("phi", "psi"))
     counts = np.random.default_rng(seed).multinomial(n, [phi, phi, psi, psi])
     return {o: int(c) for o, c in zip(OUTCOME_ORDER, counts)}

@@ -7,6 +7,10 @@ four-qubit register the flat index of |abcd> is 8a + 4b + 2c + d.
 
 All values are immutable after construction and all operations are pure
 functions, so everything here is safe for unsynchronized concurrent use.
+
+Each value class checks and freezes its array in one ``_store``: a public
+constructor copies its input into it, and ``_built`` takes over, without a
+copy, a fresh array that the library built itself.
 """
 
 from __future__ import annotations
@@ -33,6 +37,13 @@ def _check_dims(dims: Iterable[int]) -> tuple[int, ...]:
     return out
 
 
+def _built(cls, dims: Iterable[int], array: np.ndarray):
+    """A ``cls`` value that takes over, without a copy, a fresh complex array no caller holds."""
+    value = object.__new__(cls)
+    value._store(dims, array)
+    return value
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Dense complex amplitude vector over a tensor product of subsystems.
@@ -47,12 +58,12 @@ class StateVector:
     amps: np.ndarray
 
     def __post_init__(self) -> None:
-        dims = _check_dims(self.dims)
-        amps = np.array(self.amps, dtype=np.complex128).reshape(-1)
+        self._store(self.dims, np.array(self.amps, dtype=np.complex128).reshape(-1))
+
+    def _store(self, dims: Iterable[int], amps: np.ndarray) -> None:
+        dims = _check_dims(dims)
         if amps.size != prod(dims):
-            raise ConfigurationError(
-                f"amplitude count {amps.size} does not match dims {dims}"
-            )
+            raise ConfigurationError(f"amplitude count {amps.size} does not match dims {dims}")
         if not np.all(np.isfinite(amps)):
             raise ConfigurationError("state amplitudes must be finite")
         amps.setflags(write=False)
@@ -71,57 +82,37 @@ class StateVector:
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix over subsystems.
 
-    The constructor proves all three properties, positivity through a full
-    ``eigvalsh`` (O(d^3)).  The matrices the library derives itself skip those
-    two proofs, because they are Hermitian and positive by construction: the
-    diagonal of ``thermal_density``, and the partial trace of a
-    ``StateVector``, which is a diagonal of squared magnitudes when each basis
-    state of the traced subsystems carries at most one nonzero amplitude, and
-    the Gram matrix of the reshaped amplitudes otherwise.  ``entries`` is always a
-    dense d x d array.
+    The public constructor proves all three, positivity through a full
+    ``eigvalsh`` (O(d^3)).  The matrices the library builds through ``_built``
+    are Hermitian and positive by construction and skip those two proofs: the
+    diagonal of ``thermal_density``, and the partial trace of a ``StateVector``
+    (a diagonal of squared magnitudes, or the Gram matrix psi psi^dagger).
+    ``entries`` is always a dense d x d array.
     """
 
     dims: tuple[int, ...]
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        _store_unit_trace(self, self.dims, np.array(self.entries, dtype=np.complex128))
+        self._store(self.dims, np.array(self.entries, dtype=np.complex128))
         mat = self.entries
         if np.max(np.abs(mat - mat.conj().T)) > EQ_TOL:
             raise ConfigurationError("density matrix must be Hermitian")
         if np.linalg.eigvalsh(mat).min() < -PSD_TOL:
             raise ConfigurationError("density matrix must be positive semidefinite")
 
-
-def _store_unit_trace(rho: DensityMatrix, dims: Iterable[int], mat: np.ndarray) -> None:
-    """Check the shape, finiteness and unit trace of ``mat``, then freeze it into ``rho``."""
-    dims = _check_dims(dims)
-    d = prod(dims)
-    if mat.shape != (d, d):
-        raise ConfigurationError(f"expected a {d}x{d} matrix for dims {dims}")
-    if not np.all(np.isfinite(mat)):
-        raise ConfigurationError("density matrix entries must be finite")
-    if not abs(np.trace(mat).real - 1.0) <= EQ_TOL:  # NaN fails too
-        raise ConfigurationError("density matrix must have unit trace")
-    mat.setflags(write=False)
-    object.__setattr__(rho, "dims", dims)
-    object.__setattr__(rho, "entries", mat)
-
-
-def _derived_density(dims: Iterable[int], entries: np.ndarray) -> DensityMatrix:
-    """Density matrix over a fresh matrix the library built Hermitian and PSD.
-
-    Only for the two reductions of a state, both Hermitian and positive
-    semidefinite by construction: a diagonal matrix with a real nonnegative
-    diagonal (Gibbs weights, or the squared magnitudes summed by
-    ``_reduced_matrix``) and a Gram matrix psi psi^dagger.  The shape,
-    finiteness and unit-trace checks still run, the Hermitian check and the
-    ``eigvalsh`` of the public constructor do not.  ``entries`` is taken over
-    without a copy when it is already complex.
-    """
-    rho = object.__new__(DensityMatrix)
-    _store_unit_trace(rho, dims, np.asarray(entries, dtype=np.complex128))
-    return rho
+    def _store(self, dims: Iterable[int], mat: np.ndarray) -> None:
+        dims = _check_dims(dims)
+        d = prod(dims)
+        if mat.shape != (d, d):
+            raise ConfigurationError(f"expected a {d}x{d} matrix for dims {dims}")
+        if not np.all(np.isfinite(mat)):
+            raise ConfigurationError("density matrix entries must be finite")
+        if not abs(np.trace(mat).real - 1.0) <= EQ_TOL:  # NaN fails too
+            raise ConfigurationError("density matrix must have unit trace")
+        mat.setflags(write=False)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "entries", mat)
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,8 +123,10 @@ class Operator:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        dims = _check_dims(self.dims)
-        mat = np.array(self.entries, dtype=np.complex128)
+        self._store(self.dims, np.array(self.entries, dtype=np.complex128))
+
+    def _store(self, dims: Iterable[int], mat: np.ndarray) -> None:
+        dims = _check_dims(dims)
         d = prod(dims)
         if mat.shape != (d, d):
             raise ConfigurationError(f"expected a {d}x{d} matrix for dims {dims}")
@@ -148,7 +141,7 @@ class Operator:
         return self.entries.shape[0]
 
     def adjoint(self) -> "Operator":
-        return Operator(self.dims, self.entries.conj().T)
+        return _built(Operator, self.dims, self.entries.conj().T)
 
 
 def basis_state(dims: Iterable[int], index: int) -> StateVector:
@@ -159,12 +152,12 @@ def basis_state(dims: Iterable[int], index: int) -> StateVector:
         raise ConfigurationError(f"basis index must be in 0..{d - 1}, got {index}")
     amps = np.zeros(d, dtype=np.complex128)
     amps[index] = 1.0
-    return StateVector(dims, amps)
+    return _built(StateVector, dims, amps)
 
 
 def tensor_product(a: StateVector, b: StateVector) -> StateVector:
     """Composite state of two registers; output dims are a's followed by b's."""
-    return StateVector(a.dims + b.dims, np.kron(a.amps, b.amps))
+    return _built(StateVector, a.dims + b.dims, np.kron(a.amps, b.amps))
 
 
 def partial_trace(state: StateVector | DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
@@ -187,7 +180,7 @@ def partial_trace(state: StateVector | DensityMatrix, keep: Iterable[int]) -> De
         psi = np.transpose(psi, kept + traced).reshape(prod(kept_dims), -1)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused as not finite
             reduced = _reduced_matrix(psi)
-        return _derived_density(kept_dims, reduced)
+        return _built(DensityMatrix, kept_dims, reduced)
     if isinstance(state, DensityMatrix):
         # a partial sum of a matrix Hermitian only within EQ_TOL can drift
         # past it, so this result is checked in full
@@ -208,7 +201,9 @@ def _reduced_matrix(psi: np.ndarray) -> np.ndarray:
     the result is diagonal: each row's sum of re^2 + im^2.  Any other state
     takes the dense Gram product.
     """
-    rows, cols = np.nonzero(psi != 0)
+    # alive until ``out`` is allocated, so this mask and a dropped input free one heap block
+    nonzero = psi != 0
+    rows, cols = np.nonzero(nonzero)
     if cols.size and np.bincount(cols).max() > 1:
         return _gram(psi)
     vals = psi[rows, cols]
@@ -252,7 +247,7 @@ def apply(op: Operator, state: StateVector, targets: Sequence[int]) -> StateVect
     moved_shape = psi.shape
     psi = op.entries @ psi.reshape(d, -1)
     psi = np.moveaxis(psi.reshape(moved_shape), range(len(targets)), targets)
-    return StateVector(state.dims, psi.reshape(-1))
+    return _built(StateVector, state.dims, psi.reshape(-1))
 
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)

@@ -42,7 +42,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .protocol import BellOutcome, ProtocolConfig
-from .qcore import EQ_TOL, ConfigurationError, StateVector, _check_dims
+from .qcore import EQ_TOL, ConfigurationError, StateVector, _built, _check_dims
 from .thermal import ThermalSpec
 
 
@@ -241,7 +241,7 @@ def _dense(state: FactoredBipartiteState, values: np.ndarray) -> StateVector:
     """Per-term values scattered onto their kets of the dense ``dims`` array."""
     arr = np.zeros(state.dims, dtype=np.complex128)
     arr[tuple(state._columns.basis)] = values
-    return StateVector(state.dims, arr.reshape(-1))
+    return _built(StateVector, state.dims, arr.reshape(-1))
 
 
 def _normalized(columns: _Columns) -> FactoredBipartiteState:
@@ -319,7 +319,11 @@ def _eigen_report(state: FactoredBipartiteState, fd_step: float | None, expected
 
 def eigencheck_purified(spec: ThermalSpec, *, fd_step: float | None = None) -> EigenReport:
     """Verify that the purified Gibbs state has eigenvalue beta^2/16."""
-    return _eigen_report(purified_thermal_state(spec), fd_step, expected=spec.beta**2 / 16.0)
+    try:
+        expected = spec.beta**2 / 16.0
+    except OverflowError:  # once beta passes about 1.3e154
+        raise ConfigurationError("beta^2/16 overflows; reduce beta") from None
+    return _eigen_report(purified_thermal_state(spec), fd_step, expected)
 
 
 def superposition_state(

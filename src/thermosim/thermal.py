@@ -12,7 +12,7 @@ from math import exp, fsum, inf, isfinite
 
 import numpy as np
 
-from .qcore import ConfigurationError, DensityMatrix, StateVector, _derived_density
+from .qcore import ConfigurationError, DensityMatrix, StateVector, _built
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ def thermal_density(spec: ThermalSpec) -> DensityMatrix:
     is positive semidefinite by construction, so it skips the eigvalsh.
     """
     weights = np.array(gibbs_weights(spec).weights, dtype=np.complex128)
-    return _derived_density((spec.hamiltonian.dim,), np.diag(weights))
+    return _built(DensityMatrix, (spec.hamiltonian.dim,), np.diag(weights))
 
 
 def purify(spec: ThermalSpec, phase: float = 0.0) -> StateVector:
@@ -118,6 +118,4 @@ def purify(spec: ThermalSpec, phase: float = 0.0) -> StateVector:
     roots = np.sqrt(gibbs_weights(spec).weights).astype(np.complex128)
     if d == 2:
         roots[1] *= np.exp(1j * phase)
-    amps = np.zeros(d * d, dtype=np.complex128)
-    amps[np.arange(d) * (d + 1)] = roots
-    return StateVector((d, d), amps)
+    return _built(StateVector, (d, d), np.diag(roots).reshape(-1))

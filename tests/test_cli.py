@@ -300,6 +300,14 @@ def test_eigencheck_invalid_dim_exits_one(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("beta", ["-1", "nan", "inf"])
+def test_eigencheck_invalid_beta_exits_one(capsys, beta):
+    code, out, err = run_cli(capsys, ["eigencheck", "--dim", "8", "--beta", beta])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "beta" in err
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf"])
 def test_eigencheck_nonfinite_tolerance_exits_one(capsys, tol):
     code, out, err = run_cli(capsys, ["eigencheck", "--dim", "8", "--beta", "0.7", "--assert-tol", tol])

@@ -217,6 +217,11 @@ def test_sampling_rejects_empty_draw():
         sample_outcomes(reference_config(), 0, seed=1)
 
 
+def test_sampling_rejects_negative_seed():
+    with pytest.raises(ConfigurationError, match="seed must be nonnegative"):
+        sample_outcomes(reference_config(), 10, seed=-1)
+
+
 # beta times the level gap, log-uniform up to 700, below the ~745 underflow edge
 _BETA_GAP = st.floats(math.log(1e-3), math.log(700.0)).map(math.exp)
 _QUBIT = st.tuples(st.floats(-5.0, 5.0), st.floats(0.1, 6.0), st.booleans(), _BETA_GAP)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermosim import (
+    BellOutcome,
     CNOT,
     HADAMARD,
     SIGMA_Z,
@@ -22,8 +23,12 @@ from thermosim import (
     ThermalSpec,
     circuit_probability,
     partial_trace,
+    post_select,
+    post_select_oracle,
+    purified_thermal_state,
     purify,
     tensor_product,
+    thermal_density,
 )
 from thermosim import qcore
 from thermosim.qcore import EQ_TOL
@@ -48,10 +53,60 @@ def test_state_vector_rejects_trivial_dims():
         StateVector((1, 4), [1, 0, 0, 0])
 
 
+def _library_built_values():
+    """One value from every library route that builds its array itself."""
+    spec = ThermalSpec(0.8, QuditHamiltonian((0.0, 1.0, 2.5)))
+    cfg = reference_config(0.3)
+    state = tensor_product(basis_state((2,), 1), purify(ThermalSpec(1.0, QuditHamiltonian((5.0, 0.0)))))
+    return {
+        "purify": purify(spec),
+        "thermal_density": thermal_density(spec),
+        "partial_trace": partial_trace(purify(spec), keep={1}),
+        "basis_state": basis_state((2, 3), 4),
+        "tensor_product": state,
+        "apply": apply(CNOT, state, targets=(0, 2)),
+        "adjoint": HADAMARD.adjoint(),
+        "post_select": post_select(cfg, BellOutcome.PSI_MINUS).state,
+        "post_select_oracle": post_select_oracle(cfg, BellOutcome.PHI_PLUS).state,
+        "amplitude_vector": purified_thermal_state(spec).amplitude_vector(),
+        "circuit_probability": circuit_probability(cfg),
+    }
+
+
+def test_library_routes_skip_the_public_constructors(monkeypatch):
+    # the public constructors copy their input; the library takes over the
+    # arrays it built through qcore._built instead
+    def refuse(self):
+        raise AssertionError(f"public {type(self).__name__} constructor called")
+
+    for cls in (StateVector, DensityMatrix, Operator):
+        monkeypatch.setattr(cls, "__post_init__", refuse)
+    values = _library_built_values()
+    assert values["purify"].dims == (3, 3) and values["partial_trace"].dims == (3,)
+    with pytest.raises(AssertionError, match="public StateVector"):
+        StateVector((2,), [1.0, 0.0])
+
+
 def test_state_vector_amplitudes_are_immutable():
     state = basis_state((2,), 0)
     with pytest.raises(ValueError):
         state.amps[0] = 0.5
+    # public constructors copy: the caller's array stays theirs and writeable
+    for cls, dims, array, field in (
+        (StateVector, (2, 2), np.array([1.0, 0.0, 0.0, 0.0], dtype=np.complex128), "amps"),
+        (DensityMatrix, (2,), np.diag([0.25, 0.75]).astype(np.complex128), "entries"),
+        (Operator, (2,), np.eye(2, dtype=np.complex128), "entries"),
+    ):
+        value = cls(dims, array)
+        before = getattr(value, field).copy()
+        array[0] = 7.0
+        assert array.flags.writeable
+        assert np.array_equal(getattr(value, field), before)
+        assert not getattr(value, field).flags.writeable
+    for name, value in _library_built_values().items():
+        if name != "circuit_probability":
+            array = value.entries if isinstance(value, (DensityMatrix, Operator)) else value.amps
+            assert not array.flags.writeable, name
 
 
 def test_density_matrix_validation():

@@ -145,6 +145,13 @@ def test_overflowing_finite_difference_reports_nan():
     assert np.isnan(report.rayleigh) and np.isnan(report.residual)
 
 
+@pytest.mark.parametrize("fd_step", [None, 1e-5])
+def test_eigencheck_refuses_an_overflowing_expected_value(fd_step):
+    # the state is fine, but beta^2 overflows a float once beta passes about 1.3e154
+    with pytest.raises(ConfigurationError, match=r"beta\^2/16 overflows; reduce beta"):
+        eigencheck_purified(_spec(1e200, (0.0, 0.0)), fd_step=fd_step)
+
+
 # --- eigencheck ---------------------------------------------------------------
 
 def test_eigencheck_reference_cases():
