@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from math import isfinite
+from numbers import Integral
 
 import numpy as np
 
@@ -178,6 +179,9 @@ def sample_outcomes(cfg: ProtocolConfig, n: int, seed: int) -> dict[BellOutcome,
     generator, so identical (cfg, n, seed) always produce identical counts;
     its cost does not grow with ``n``, which may be up to ``MAX_SAMPLES``.
     """
+    for name, x in (("sample count", n), ("seed", seed)):
+        if not isinstance(x, Integral):  # numpy's multinomial would truncate 10.5 samples to 10
+            raise ConfigurationError(f"{name} must be an integer, got {x!r}")
     if not 1 <= n <= MAX_SAMPLES:
         raise ConfigurationError(f"sample count must be between 1 and {MAX_SAMPLES}")
     if seed < 0:

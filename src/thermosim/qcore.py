@@ -37,10 +37,14 @@ def _check_dims(dims: Iterable[int]) -> tuple[int, ...]:
     return out
 
 
-def _built(cls, dims: Iterable[int], array: np.ndarray):
-    """A ``cls`` value that takes over, without a copy, a fresh complex array no caller holds."""
+def _built(cls, *fields):
+    """A ``cls`` value checked by its ``_store(*fields)`` alone, skipping the public constructor.
+
+    ``fields`` are fresh arrays no caller holds, taken over without a copy,
+    that hold the public constructor's further proofs by construction.
+    """
     value = object.__new__(cls)
-    value._store(dims, array)
+    value._store(*fields)
     return value
 
 

@@ -7,8 +7,11 @@ States handled here are finite sums of two-sided product terms,
 where L_t and R_t are closed-form amplitude families value * e^(coeff*E + offset)
 (a constant has coeff = 0) evaluated at per-side energy arguments, w_t is a
 constant complex weight, and Z is an optional frozen normalization constant.
-A state's terms are evaluated as arrays, both sides with one array
-exponential.
+A state holds its terms as arrays and evaluates them once, both sides with
+one array exponential.  The public constructor proves a state's structure
+and unit norm; the builders here hold both by construction (Z is the norm
+they divide by) and reach the state through ``qcore._built``, which skips
+those proofs.
 
 The operator is sum_k (i d/dE_k) x (-i d/dE_k): derivative slot k
 differentiates the left factor keyed to k and the right factor keyed to k.
@@ -35,9 +38,10 @@ quotients and residuals are convention outcomes, nothing more.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isfinite, sqrt
-from typing import Iterable, NamedTuple, Sequence
+from numbers import Integral
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -104,153 +108,124 @@ class FactoredTerm:
         return self.weight * self.left.amplitude(self.left_energy) * self.right.amplitude(self.right_energy)
 
 
-class _Columns(NamedTuple):
-    """A factored state as term arrays, the per-side arrays with one row per side (left, right).
-
-    ``var``, ``basis`` and ``energy`` are (2, n) slots, kets and evaluation
-    points; ``weight`` broadcasts against (n,) and the family form
-    value * e^(coeff*E + offset) against (2, n).  ``amplitude`` (each family at
-    its energy) and ``product`` (each term's w*L(x)*R(y)) are evaluated once;
-    overflows are left as inf or NaN, for the unit-norm check to refuse.
-    """
-
-    var: np.ndarray
-    basis: np.ndarray
-    weight: np.ndarray | complex
-    value: np.ndarray | complex
-    coeff: np.ndarray | float
-    offset: np.ndarray | float
-    energy: np.ndarray
-    amplitude: np.ndarray
-    product: np.ndarray
-
-    @classmethod
-    def evaluated(cls, var, basis, energy, *, weight, value, coeff, offset) -> "_Columns":
-        with np.errstate(over="ignore", invalid="ignore"):
-            amplitude = value * np.exp(coeff * energy + offset)
-            product = weight * amplitude[0] * amplitude[1]
-        return cls(var, basis, weight, value, coeff, offset, energy, amplitude, product)
-
-    @classmethod
-    def of(cls, terms: Sequence[FactoredTerm]) -> "_Columns":
-        """Columns of term objects from outside the library."""
-        fields = list(zip(*(
-            (t.left_var, t.right_var, t.left_basis, t.right_basis, t.left_energy, t.right_energy, t.left.coeff,
-             t.right.coeff, t.left.offset, t.right.offset, t.left.value, t.right.value, t.weight) for t in terms
-        )))
-        var, basis = np.array(fields[:4]).reshape(2, 2, -1)
-        energy, coeff, offset = np.array(fields[4:10], dtype=float).reshape(3, 2, -1)
-        complex_rows = np.array(fields[10:], dtype=np.complex128).reshape(3, -1)
-        return cls.evaluated(var, basis, energy, weight=complex_rows[2], value=complex_rows[:2], coeff=coeff, offset=offset)
-
-    def image(self, h: float | None) -> np.ndarray:
-        """Per-term operator images w*L'(x)*R'(y), 0 where the two sides carry different slots.
-
-        Each derivative is the closed form coeff * amplitude or, with ``h``, a
-        central difference; a constant family's derivative is 0 either way.
-        """
-        with np.errstate(over="ignore", invalid="ignore"):
-            if h is None:
-                slopes = self.coeff * self.amplitude
-            else:
-                exp = lambda energy: np.exp(self.coeff * energy + self.offset)
-                slopes = self.value * ((exp(self.energy + h) - exp(self.energy - h)) / (2.0 * h))
-            return np.where(np.equal(*self.var), self.weight * slopes[0] * slopes[1], 0j)
+def _evaluated(energy, weight, value, coeff, offset) -> tuple[np.ndarray, np.ndarray]:
+    """Each family at its energy (one array exponential) and each term's w*L(x)*R(y); overflows stay inf or NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        amplitude = value * np.exp(coeff * energy + offset)
+        return amplitude, weight * amplitude[0] * amplitude[1]
 
 
 @dataclass(frozen=True, eq=False, init=False)
 class FactoredBipartiteState:
     """Term arrays plus an optional frozen normalization divisor.
 
-    The evaluated vector must be unit norm; ``frozen_norm`` (when present) is
-    the constant Z such that amplitudes carry an overall factor 1/sqrt(Z).
-    Kets are distinct, so each term is exactly one entry of the dense vector.
-    The constructor converts ``FactoredTerm``s once and checks their structure
-    (distinct slot pairs and kets, one energy per slot); this module's builders
-    pass ``_Columns`` that hold it by construction.  Every state then passes
-    the numerical checks of ``__post_init__``.
+    The terms are held as arrays with one row per side (left, right): (2, n)
+    slots, kets and energies, a weight that broadcasts against (n,) and the
+    family form value * e^(coeff*E + offset) against (2, n).  The evaluated
+    vector is unit norm; ``frozen_norm`` (when present) is the constant Z such
+    that amplitudes carry an overall factor 1/sqrt(Z).  Kets are distinct, so
+    each term is exactly one entry of the dense vector.  ``_store`` holds the
+    checks every state needs; the public constructor converts
+    ``FactoredTerm``s once, proves their structure (integer, distinct slot
+    pairs and kets, one energy per slot), calls ``_store`` and proves unit norm.
     """
 
     frozen_norm: float | None
     dims: tuple[int, int]
-    _columns: _Columns = field(repr=False)
-    _amplitudes: np.ndarray = field(repr=False)  # per term, over sqrt(Z)
 
-    def __init__(self, terms: Iterable[FactoredTerm] | _Columns, frozen_norm: float | None = None) -> None:
-        columns = terms
-        if not isinstance(columns, _Columns):
-            columns = _Columns.of(tuple(terms))
-            var, basis, n = columns.var.tolist(), columns.basis.tolist(), columns.energy.shape[1]
-            if len(set(zip(*var))) != n:
-                raise ConfigurationError("terms must carry distinct derivative-slot pairs")
-            if len(set(zip(*basis))) != n or (columns.basis < 0).any():
-                raise ConfigurationError("terms must carry distinct, nonnegative basis kets")
-            for side, slots, energies in zip(("left", "right"), var, columns.energy.tolist()):
-                points: dict[int, float] = {}
-                for slot, energy in zip(slots, energies):  # non-finite energies are refused below
-                    if isfinite(energy) and points.setdefault(slot, energy) != energy:
-                        raise ConfigurationError(f"{side} variable {slot} is evaluated at two different energies")
-        object.__setattr__(self, "_columns", columns)
-        object.__setattr__(self, "frozen_norm", frozen_norm)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        columns = self._columns
-        if not columns.product.size:
-            raise ConfigurationError("a factored state needs at least one term")
-        if not np.isfinite(columns.energy).all():
-            raise ConfigurationError("term energies must be finite")
-        if self.frozen_norm is not None:
-            z = float(self.frozen_norm)
-            if not isfinite(z) or z <= 0.0:
-                raise ConfigurationError("frozen normalization must be finite and positive")
-            object.__setattr__(self, "frozen_norm", z)
-        object.__setattr__(self, "dims", _check_dims(columns.basis.max(axis=1) + 1))  # a valid dense view
-        amplitudes = _over_sqrt_z(columns.product, self.frozen_norm)
-        if not abs(sqrt(np.vdot(amplitudes, amplitudes).real) - 1.0) <= EQ_TOL:  # NaN fails too
+    def __init__(self, terms: Iterable[FactoredTerm], frozen_norm: float | None = None) -> None:
+        fields = list(zip(*(
+            (t.left_var, t.right_var, t.left_basis, t.right_basis, t.left_energy, t.right_energy, t.left.coeff,
+             t.right.coeff, t.left.offset, t.right.offset, t.left.value, t.right.value, t.weight) for t in terms
+        )))
+        if not all(isinstance(k, Integral) for row in fields[:4] for k in row):  # a float, 1.0 too, is no ket
+            raise ConfigurationError("derivative slots and basis kets must be integers")
+        var, basis = np.array(fields[:4], dtype=np.int64).reshape(2, 2, -1)
+        energy, coeff, offset = np.array(fields[4:10], dtype=float).reshape(3, 2, -1)
+        complex_rows = np.array(fields[10:], dtype=np.complex128).reshape(3, -1)
+        value, weight = complex_rows[:2], complex_rows[2]
+        n = energy.shape[1]
+        if len(set(zip(*var.tolist()))) != n:
+            raise ConfigurationError("terms must carry distinct derivative-slot pairs")
+        if len(set(zip(*basis.tolist()))) != n or (basis < 0).any():
+            raise ConfigurationError("terms must carry distinct, nonnegative basis kets")
+        for side, side_slots, energies in zip(("left", "right"), var.tolist(), energy.tolist()):
+            points: dict[int, float] = {}
+            for slot, point in zip(side_slots, energies):  # non-finite energies are refused by _store
+                if isfinite(point) and points.setdefault(slot, point) != point:
+                    raise ConfigurationError(f"{side} variable {slot} is evaluated at two different energies")
+        amplitude, product = _evaluated(energy, weight, value, coeff, offset)
+        self._store(var, basis, energy, weight, value, coeff, offset, amplitude, product, frozen_norm)
+        if not abs(sqrt(np.vdot(self._amplitudes, self._amplitudes).real) - 1.0) <= EQ_TOL:  # NaN fails too
             raise ConfigurationError("evaluated state must be unit norm")
+
+    def _store(self, var, basis, energy, weight, value, coeff, offset, amplitude, product, frozen_norm) -> None:
+        if not product.size:
+            raise ConfigurationError("a factored state needs at least one term")
+        if not np.isfinite(energy).all():
+            raise ConfigurationError("term energies must be finite")
+        if frozen_norm is not None:
+            frozen_norm = float(frozen_norm)
+            if not isfinite(frozen_norm) or frozen_norm <= 0.0:
+                raise ConfigurationError("frozen normalization must be finite and positive")
+        amplitudes = _over_sqrt_z(product, frozen_norm)  # per term, over sqrt(Z)
         amplitudes.setflags(write=False)
-        object.__setattr__(self, "_amplitudes", amplitudes)
+        vars(self).update(
+            frozen_norm=frozen_norm, dims=_check_dims(basis.max(axis=1) + 1), _var=var, _basis=basis,
+            _energy=energy, _weight=weight, _value=value, _coeff=coeff, _offset=offset, _amplitude=amplitude,
+            _amplitudes=amplitudes,
+        )
 
     @property
     def terms(self) -> tuple[FactoredTerm, ...]:
-        """The state's terms, built from the columns on each access."""
-        c = self._columns
-        shape = c.energy.shape
-        weight = np.broadcast_to(c.weight, shape[1:]).tolist()
-        value, coeff, offset = (np.broadcast_to(x, shape).tolist() for x in (c.value, c.coeff, c.offset))
+        """The state's terms, built from its arrays on each access."""
+        shape = self._energy.shape
+        weight = np.broadcast_to(self._weight, shape[1:]).tolist()
+        value, coeff, offset = (np.broadcast_to(x, shape).tolist() for x in (self._value, self._coeff, self._offset))
         left, right = ([ExpLinear(*f) for f in zip(*side)] for side in zip(coeff, offset, value))
-        return tuple(map(FactoredTerm, *c.var.tolist(), *c.basis.tolist(), left, right, *c.energy.tolist(), weight))
+        return tuple(map(FactoredTerm, *self._var.tolist(), *self._basis.tolist(), left, right,
+                         *self._energy.tolist(), weight))
 
     def amplitude_vector(self) -> StateVector:
         return _dense(self, self._amplitudes)
+
+    def _responses(self, h: float | None) -> np.ndarray:
+        """Per-term operator images w*L'(x)*R'(y) over sqrt(Z), 0 where the two sides carry different slots.
+
+        Each derivative is the closed form coeff * amplitude or, with ``h``, a
+        central difference; a constant family's derivative is 0 either way.
+        """
+        if h is not None and not (isfinite(h) and h > 0.0):
+            raise ConfigurationError("finite-difference step must be finite and positive")
+        with np.errstate(over="ignore", invalid="ignore"):
+            if h is None:
+                slopes = self._coeff * self._amplitude
+            else:
+                exp = lambda energy: np.exp(self._coeff * energy + self._offset)
+                slopes = self._value * ((exp(self._energy + h) - exp(self._energy - h)) / (2.0 * h))
+            images = np.where(np.equal(*self._var), self._weight * slopes[0] * slopes[1], 0j)
+        return _over_sqrt_z(images, self.frozen_norm)
 
 
 def _over_sqrt_z(values: np.ndarray, frozen_norm: float | None) -> np.ndarray:
     return values if frozen_norm is None else values / sqrt(frozen_norm)
 
 
-def _image(state: FactoredBipartiteState, fd_step: float | None) -> np.ndarray:
-    """Per-term operator images w*L'(x)*R'(y) over sqrt(Z), 0 where a term does not respond."""
-    if fd_step is not None and not (isfinite(fd_step) and fd_step > 0.0):
-        raise ConfigurationError("finite-difference step must be finite and positive")
-    return _over_sqrt_z(state._columns.image(fd_step), state.frozen_norm)
-
-
 def _dense(state: FactoredBipartiteState, values: np.ndarray) -> StateVector:
     """Per-term values scattered onto their kets of the dense ``dims`` array."""
     arr = np.zeros(state.dims, dtype=np.complex128)
-    arr[tuple(state._columns.basis)] = values
+    arr[tuple(state._basis)] = values
     return _built(StateVector, state.dims, arr.reshape(-1))
 
 
-def _normalized(columns: _Columns) -> FactoredBipartiteState:
-    """State over ``columns`` whose frozen normalization is Z = sum_t |w_t L_t(x_t) R_t(y_t)|^2."""
+def _normalized(var, basis, energy, *, weight, value, coeff, offset) -> FactoredBipartiteState:
+    """State over term arrays whose frozen normalization is Z = sum_t |w_t L_t(x_t) R_t(y_t)|^2."""
+    amplitude, product = _evaluated(energy, weight, value, coeff, offset)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing Z is refused below
-        z = float((np.abs(columns.product) ** 2).sum())
-    if columns.product.size and not (isfinite(z) and z > 0.0):  # no term at all is refused there
+        z = float((np.abs(product) ** 2).sum())
+    if product.size and not (isfinite(z) and z > 0.0):  # no term at all is refused by _store
         raise ConfigurationError("normalization overflows or vanishes; reduce beta or energies")
-    return FactoredBipartiteState(columns, frozen_norm=z)
+    return _built(FactoredBipartiteState, var, basis, energy, weight, value, coeff, offset, amplitude, product, z)
 
 
 @dataclass(frozen=True)
@@ -270,7 +245,7 @@ def apply_inverse_temp_squared(state: FactoredBipartiteState, *, fd_step: float 
     returned vector is an operator image and is generally not normalized (it
     is zero whenever every responding term contains a constant factor).
     """
-    return _dense(state, _image(state, fd_step))
+    return _dense(state, state._responses(fd_step))
 
 
 def purified_thermal_state(spec: ThermalSpec) -> FactoredBipartiteState:
@@ -281,10 +256,10 @@ def purified_thermal_state(spec: ThermalSpec) -> FactoredBipartiteState:
     """
     energy = np.array(spec.hamiltonian.energies)
     slots = np.broadcast_to(np.arange(energy.size), (2, energy.size))
-    return _normalized(_Columns.evaluated(
+    return _normalized(
         slots, slots, np.broadcast_to(energy, slots.shape),
         weight=1.0 + 0j, value=1.0 + 0j, coeff=-spec.beta / 4.0, offset=0.0,
-    ))
+    )
 
 
 def product_state(
@@ -303,15 +278,15 @@ def product_state(
     kets = np.indices((len(energies),) * 2).reshape(2, -1)  # term (n, m) in row-major order
     per_term = lambda name, dtype: np.take_along_axis(  # the left family of level n, the right one of level m
         np.array([[getattr(f, name) for f in side] for side in (left, right)], dtype=dtype), kets, axis=1)
-    return _normalized(_Columns.evaluated(
+    return _normalized(
         kets, kets, np.array(energies, dtype=float)[kets], weight=1.0 + 0j,
         value=per_term("value", np.complex128), coeff=per_term("coeff", float), offset=per_term("offset", float),
-    ))
+    )
 
 
 def _eigen_report(state: FactoredBipartiteState, fd_step: float | None, expected: float | None) -> EigenReport:
     psi = state._amplitudes
-    image = _image(state, fd_step)
+    image = state._responses(fd_step)
     rayleigh = float(np.vdot(psi, image).real)
     residual = float(np.linalg.norm(image - rayleigh * psi))
     return EigenReport(rayleigh, residual, expected)
@@ -353,11 +328,11 @@ def superposition_state(
         raise ConfigurationError("chosen_zero_levels applies only when E1 = 0 and E0' = 0")
     a, b = -cfg.spec_a.beta / 2.0, -cfg.spec_b.beta / 2.0
     # term n sits on |n>|kets_b[n]> under slot n; a pinned level is the constant e^0 (coeff 0)
-    return _normalized(_Columns.evaluated(
+    return _normalized(
         np.array(((0, 1), (0, 1))), np.array(((0, 1), kets_b)), np.array((ea, [eb[k] for k in kets_b])),
         weight=np.array((1.0, np.exp(1j * cfg.phi))), value=1.0 + 0j, offset=0.0,
         coeff=np.array(((a, 0.0 if pin else a), [0.0 if pin and k == 0 else b for k in kets_b])),
-    ))
+    )
 
 
 def residual_superposition(

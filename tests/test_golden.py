@@ -1,7 +1,8 @@
 """Golden-output gate: sha256 digests of report bytes recorded from a known-good build.
 
-Any changed digit in the eigencheck JSON, in a residual report or in the
-large-d reduced density matrices fails the gate.  A deliberate change of these outputs updates the digests below and
+Any changed digit in the eigencheck JSON, in a residual report, in the
+large-d reduced density matrices or in the dense views of a factored state
+fails the gate.  A deliberate change of these outputs updates the digests below and
 says so in CHANGES.md.
 """
 
@@ -13,12 +14,18 @@ import pytest
 
 from thermosim import (
     BellOutcome,
+    Constant,
+    ExpLinear,
     ProtocolConfig,
     QuditHamiltonian,
     ThermalSpec,
+    apply_inverse_temp_squared,
     partial_trace,
+    product_state,
+    purified_thermal_state,
     purify,
     residual_superposition,
+    superposition_state,
     thermal_density,
 )
 from thermosim.cli import main
@@ -60,6 +67,20 @@ DENSITY_DIGESTS = {
     # (rng [7, 2]), so signed zeros count too; recorded from the Gram-matrix trace
     "thermal_density": "de689f47e1f347c4b1290b26d19a9960fd3cd6f1da6261011bccf9eb6d462d78",
     "purify round trip": "8b5a47094155ca8f219189fe26b57362990cb304b4dc3bdabdb86c098ff6fecf",
+}
+
+DENSE_VIEW_DIGESTS = {
+    # sha256 of ``amplitude_vector().amps.tobytes()`` followed by the bytes of
+    # ``apply_inverse_temp_squared(state, fd_step=h).amps`` for h = None, 1e-5
+    "purified d=2": "5b9db0be1385e6a8a7be8cdb61ea661683bbc45238981b478217feaa0d3257e3",
+    "purified d=64": "583499a44fe53520d58cd08c4d07e59c6599e6ac3e41e637422721467b571e24",
+    "purified d=1024": "9aa5e51b6af216e47836f5d0307e89aad36854385ef35a67dd45b1bd39130cee",
+    "product d=3": "0789c331b230220cb8909c103f71443f2151b163f3fd77dcfa993b632b5a713f",
+    "product d=4": "145c873b821e00c65e674417e627b0eb86a9cd5266a2420cb83fc3eed8108756",
+    "PHI_PLUS full_dependence": "340f571b42b2fc4df2c1dd6fd64e4860e81a80cff85c8844449a01f70ddde4bb",
+    "PHI_PLUS chosen_zero_levels": "1be405c37b26100ca97f1162396e4be38cc0fda0c5cbe9c6bc14aa0fb3925ae8",
+    "PSI_PLUS full_dependence": "d025d28bb01c3e163fde8a45abf574d7fff1983caee7fa988ca4ae9597bb83df",
+    "PSI_PLUS chosen_zero_levels": "00a495f9c3b9951fb4610d21d932090e332ee3c23f70091d9fa8fb732eb6ce5f",
 }
 
 
@@ -106,3 +127,38 @@ def test_large_d_density_bytes_are_unchanged():
         digests["thermal_density"].update(thermal_density(spec).entries.tobytes())
         digests["purify round trip"].update(partial_trace(purify(spec), keep={1}).entries.tobytes())
     assert {name: h.hexdigest() for name, h in digests.items()} == DENSITY_DIGESTS
+
+
+def _dense_view_states():
+    """The states whose dense views the gate hashes, in a fixed order."""
+    rng = np.random.default_rng([7, 3])
+    states = {}
+    for d in (2, 64, 1024):
+        energies = tuple(float(e) for e in rng.uniform(-5.0, 5.0, d))
+        spec = ThermalSpec(float(rng.uniform(0.2, 2.0)), QuditHamiltonian(energies))
+        states[f"purified d={d}"] = purified_thermal_state(spec)
+    states["product d=3"] = product_state(
+        [ExpLinear(-0.4, 0.3), Constant(0.5 - 0.2j), ExpLinear(0.7, value=1j)],
+        [Constant(1.1), ExpLinear(-1.2, -0.5), ExpLinear(0.25)],
+        (0.9, -1.3, 0.4),
+    )
+    states["product d=4"] = product_state(
+        [ExpLinear(0.6), Constant(-0.3j), Constant(0.8), ExpLinear(-0.9, 0.1, 0.5 + 0.5j)],
+        [ExpLinear(-0.2, 0.4), ExpLinear(1.1), Constant(0.6 + 0.1j), Constant(-1.0)],
+        (-0.7, 0.2, 1.5, -1.9),
+    )
+    cfg = _CONFIGS["asymmetric"]
+    for outcome in (BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS):
+        for convention in ("full_dependence", "chosen_zero_levels"):
+            states[f"{outcome.name} {convention}"] = superposition_state(cfg, outcome, convention)
+    return states
+
+
+def test_dense_views_are_unchanged():
+    digests = {}
+    for name, state in _dense_view_states().items():
+        h = hashlib.sha256(state.amplitude_vector().amps.tobytes())
+        for fd_step in (None, 1e-5):
+            h.update(apply_inverse_temp_squared(state, fd_step=fd_step).amps.tobytes())
+        digests[name] = h.hexdigest()
+    assert digests == DENSE_VIEW_DIGESTS

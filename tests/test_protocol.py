@@ -21,6 +21,7 @@ from thermosim import (
     partial_trace,
     post_select,
     post_select_oracle,
+    purify,
     sample_outcomes,
     success_probability,
     thermal_density,
@@ -222,6 +223,19 @@ def test_sampling_rejects_negative_seed():
         sample_outcomes(reference_config(), 10, seed=-1)
 
 
+@pytest.mark.parametrize("n, seed", [(10.5, 1), (10.0, 1), (10, 1.5), (10, "3"), ("10", 1)])
+def test_sampling_rejects_non_integral_count_and_seed(n, seed):
+    # 10.5 used to pass the range check and numpy drew 10 samples
+    with pytest.raises(ConfigurationError, match="must be an integer"):
+        sample_outcomes(reference_config(), n, seed=seed)
+
+
+def test_sampling_accepts_numpy_integers():
+    counts = sample_outcomes(reference_config(), np.int64(5), seed=np.uint32(3))
+    assert counts == sample_outcomes(reference_config(), 5, seed=3)
+    assert sum(counts.values()) == 5
+
+
 # beta times the level gap, log-uniform up to 700, below the ~745 underflow edge
 _BETA_GAP = st.floats(math.log(1e-3), math.log(700.0)).map(math.exp)
 _QUBIT = st.tuples(st.floats(-5.0, 5.0), st.floats(0.1, 6.0), st.booleans(), _BETA_GAP)
@@ -280,3 +294,15 @@ def test_config_computes_its_weights_once(monkeypatch):
     sample_outcomes(cfg, 1000, seed=3)
     interference.closed_form_probability(cfg)
     assert calls == []
+
+
+@settings(max_examples=80, deadline=None)
+@given(a=_QUBIT, b=_QUBIT, phi=st.floats(0.0, 2 * math.pi))
+def test_every_route_is_finite_and_sums_to_one(a, b, phi):
+    cfg = ProtocolConfig(_qubit_spec(a), _qubit_spec(b), phi)
+    probabilities = [post_select(cfg, o).probability for o in OUTCOME_ORDER]
+    assert all(math.isfinite(p) for p in probabilities)
+    assert abs(sum(probabilities) - 1.0) <= EQ_TOL
+    assert abs(success_probability(cfg, "phi") + success_probability(cfg, "psi") - 1.0) <= EQ_TOL
+    for spec in (cfg.spec_a, cfg.spec_b):
+        assert abs(purify(spec).norm() - 1.0) <= EQ_TOL

@@ -455,6 +455,21 @@ def test_factored_state_rejects_degenerate_kets_and_values():
                                 FactoredTerm.diagonal(1, one, one, 0.0)))
 
 
+@pytest.mark.parametrize("bad", [1.5, 1.0])
+def test_factored_state_refuses_non_integer_kets_and_slots(bad):
+    # 1.5 used to build a (2, 2) state whose dense view raised a raw IndexError
+    one = Constant(1.0)
+    with pytest.raises(ConfigurationError, match="must be integers"):
+        FactoredBipartiteState((FactoredTerm.diagonal(0, one, one, 0.0),
+                                FactoredTerm(1, 1, 1, bad, one, one, 0.0, 0.0)), frozen_norm=2.0)
+    with pytest.raises(ConfigurationError, match="must be integers"):
+        FactoredBipartiteState((FactoredTerm.diagonal(0, one, one, 0.0),
+                                FactoredTerm(bad, 1, 1, 1, one, one, 0.0, 0.0)), frozen_norm=2.0)
+    state = FactoredBipartiteState((FactoredTerm.diagonal(0, one, one, 0.0),
+                                    FactoredTerm(np.int64(1), 1, np.uint64(1), 1, one, one, 0.0, 0.0)), frozen_norm=2.0)
+    assert state.dims == (2, 2)
+
+
 def test_factored_state_messages_for_missing_terms_and_nonfinite_energies():
     with pytest.raises(ConfigurationError, match="at least one term"):
         FactoredBipartiteState(())
@@ -482,6 +497,27 @@ def test_builders_create_no_term_objects(monkeypatch):
     for outcome in (BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS):
         for convention in ("full_dependence", "chosen_zero_levels"):
             assert residual_superposition(cfg, outcome, convention).residual >= 0.0
+
+
+def test_builders_skip_the_public_constructor(monkeypatch):
+    # the builders hold the structure and unit norm by construction and reach
+    # the state through qcore._built, past the public constructor's proofs
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("public FactoredBipartiteState constructor called")
+
+    monkeypatch.setattr(FactoredBipartiteState, "__init__", refuse)
+    spec = _spec(1.3, (0.5, -1.0, 2.0))
+    for fd_step in (None, 1e-5):
+        assert abs(eigencheck_purified(spec, fd_step=fd_step).rayleigh - 1.3**2 / 16.0) <= FD_TOL
+    cfg = reference_config(phi=0.4)
+    for outcome in (BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS):
+        for convention in ("full_dependence", "chosen_zero_levels"):
+            assert residual_superposition(cfg, outcome, convention).residual >= 0.0
+    state = product_state([ExpLinear(0.4), Constant(0.5j)], [Constant(1.0), ExpLinear(-0.7)], (0.3, -0.8))
+    assert abs(state.amplitude_vector().norm() - 1.0) <= EQ_TOL
+    assert apply_inverse_temp_squared(state).dims == (2, 2)
+    with pytest.raises(AssertionError, match="public FactoredBipartiteState"):
+        FactoredBipartiteState(state.terms, state.frozen_norm)
 
 
 # --- validate once: built states pass the public constructor's checks --------
