@@ -91,14 +91,17 @@ class DensityMatrix:
     are Hermitian and positive by construction and skip those two proofs: the
     diagonal of ``thermal_density``, and the partial trace of a ``StateVector``
     (a diagonal of squared magnitudes, or the Gram matrix psi psi^dagger).
-    ``entries`` is always a dense d x d array.
+    A diagonal reaches ``_built`` as its d values, checked finite and of unit
+    sum in O(d) before they are spread into ``entries`` once.  ``entries`` is
+    always a dense, read-only d x d array.
     """
 
     dims: tuple[int, ...]
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        self._store(self.dims, np.array(self.entries, dtype=np.complex128))
+        # ndmin=2 keeps a 1-D input out of the diagonal form, which is only for _built
+        self._store(self.dims, np.array(self.entries, dtype=np.complex128, ndmin=2))
         mat = self.entries
         if np.max(np.abs(mat - mat.conj().T)) > EQ_TOL:
             raise ConfigurationError("density matrix must be Hermitian")
@@ -106,14 +109,18 @@ class DensityMatrix:
             raise ConfigurationError("density matrix must be positive semidefinite")
 
     def _store(self, dims: Iterable[int], mat: np.ndarray) -> None:
+        """Checks and freezes a (d, d) matrix, or the (d,) diagonal of a diagonal one."""
         dims = _check_dims(dims)
         d = prod(dims)
-        if mat.shape != (d, d):
+        if mat.shape != (d, d) and mat.shape != (d,):
             raise ConfigurationError(f"expected a {d}x{d} matrix for dims {dims}")
-        if not np.all(np.isfinite(mat)):
+        if not np.isfinite(mat).all():
             raise ConfigurationError("density matrix entries must be finite")
-        if not abs(np.trace(mat).real - 1.0) <= EQ_TOL:  # NaN fails too
+        diagonal = mat if mat.ndim == 1 else np.diagonal(mat)
+        if not abs(diagonal.sum().real - 1.0) <= EQ_TOL:  # NaN fails too
             raise ConfigurationError("density matrix must have unit trace")
+        if mat.ndim == 1:
+            mat = np.diag(mat)
         mat.setflags(write=False)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "entries", mat)
@@ -180,10 +187,10 @@ def partial_trace(state: StateVector | DensityMatrix, keep: Iterable[int]) -> De
     traced = [i for i in range(n) if i not in kept]
     kept_dims = tuple(dims[i] for i in kept)
     if isinstance(state, StateVector):
-        psi = state.amps.reshape(dims)
-        psi = np.transpose(psi, kept + traced).reshape(prod(kept_dims), -1)
+        # alive until the result is allocated, so these flags and a dropped input free one heap block
+        nonzero_parts = state.amps.view(np.float64) != 0
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused as not finite
-            reduced = _reduced_matrix(psi)
+            reduced = _reduced_matrix(state.amps, nonzero_parts, dims, kept, traced)
         return _built(DensityMatrix, kept_dims, reduced)
     if isinstance(state, DensityMatrix):
         # a partial sum of a matrix Hermitian only within EQ_TOL can drift
@@ -197,24 +204,35 @@ def partial_trace(state: StateVector | DensityMatrix, keep: Iterable[int]) -> De
     raise ConfigurationError(f"cannot trace object of type {type(state).__name__}")
 
 
-def _reduced_matrix(psi: np.ndarray) -> np.ndarray:
-    """psi psi^dagger of a (kept, traced) amplitude matrix, in O(size) when it is diagonal.
+def _reduced_matrix(
+    amps: np.ndarray, nonzero_parts: np.ndarray, dims: tuple[int, ...], kept: list[int], traced: list[int]
+) -> np.ndarray:
+    """psi psi^dagger of contiguous amplitudes over ``dims``, as its (k,) diagonal when it is diagonal.
 
-    When every column holds at most one nonzero amplitude (purifications,
-    product states, Bell branches) no two rows share a traced basis state, so
-    the result is diagonal: each row's sum of re^2 + im^2.  Any other state
-    takes the dense Gram product.
+    psi is the (kept, traced) amplitude matrix and ``nonzero_parts`` the flags
+    ``amps.view(np.float64) != 0``.  When every column holds at most one
+    nonzero amplitude (purifications, product states, Bell branches) no two
+    rows share a traced basis state, so the result is diagonal: each row's
+    sum of re^2 + im^2, added in column order.  Any other state takes the
+    dense Gram product.
     """
-    # alive until ``out`` is allocated, so this mask and a dropped input free one heap block
-    nonzero = psi != 0
-    rows, cols = np.nonzero(nonzero)
+    # the two part flags of an amplitude read as one uint16
+    at = np.nonzero(nonzero_parts.view(np.uint16) != 0)[0]
+    vals, digits = amps[at], np.unravel_index(at, dims)
+    rows, cols = (_ravel(digits, dims, axes) for axes in (kept, traced))
+    k = prod(dims[i] for i in kept)
     if cols.size and np.bincount(cols).max() > 1:
-        return _gram(psi)
-    vals = psi[rows, cols]
-    k = psi.shape[0]
-    out = np.zeros((k, k), dtype=np.complex128)
-    np.fill_diagonal(out, np.bincount(rows, weights=vals.real**2 + vals.imag**2, minlength=k))
-    return out
+        return _gram(np.transpose(amps.reshape(dims), kept + traced).reshape(k, -1))
+    # a kept row's amplitudes lie in column order in memory too, so each sum is the dense route's
+    return np.bincount(rows, weights=vals.real**2 + vals.imag**2, minlength=k).astype(np.complex128)
+
+
+def _ravel(digits: tuple[np.ndarray, ...], dims: tuple[int, ...], axes: list[int]) -> np.ndarray:
+    """Flat index over the subsystems ``axes``, in their order, from per-subsystem digits."""
+    flat = digits[axes[0]]
+    for i in axes[1:]:
+        flat = flat * dims[i] + digits[i]
+    return flat
 
 
 def _gram(psi: np.ndarray) -> np.ndarray:

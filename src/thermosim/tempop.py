@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite, sqrt
-from numbers import Integral
+from numbers import Complex, Integral, Real
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -57,12 +57,6 @@ class ExpLinear:
     coeff: float
     offset: float = 0.0
     value: complex = 1.0
-
-    def amplitude(self, energy: float) -> complex:
-        return complex(self.value * np.exp(self.coeff * energy + self.offset))
-
-    def derivative(self, energy: float) -> complex:
-        return self.coeff * self.amplitude(energy)
 
 
 def Constant(value: complex) -> ExpLinear:
@@ -104,8 +98,12 @@ class FactoredTerm:
             right_energy = left_energy
         return cls(index, index, index, index, left, right, left_energy, right_energy, weight)
 
-    def amplitude(self) -> complex:
-        return self.weight * self.left.amplitude(self.left_energy) * self.right.amplitude(self.right_energy)
+
+# (name, type) of each row of term fields after the four integer ones
+_NUMERIC_ROWS = (
+    2 * [("energy", Real)] + 2 * [("coefficient", Real)] + 2 * [("offset", Real)] + 2 * [("value", Complex)]
+    + [("weight", Complex)]
+)
 
 
 def _evaluated(energy, weight, value, coeff, offset) -> tuple[np.ndarray, np.ndarray]:
@@ -127,7 +125,8 @@ class FactoredBipartiteState:
     each term is exactly one entry of the dense vector.  ``_store`` holds the
     checks every state needs; the public constructor converts
     ``FactoredTerm``s once, proves their structure (integer, distinct slot
-    pairs and kets, one energy per slot), calls ``_store`` and proves unit norm.
+    pairs and kets, numeric family fields, one energy per slot), calls
+    ``_store`` and proves unit norm.
     """
 
     frozen_norm: float | None
@@ -140,6 +139,10 @@ class FactoredBipartiteState:
         )))
         if not all(isinstance(k, Integral) for row in fields[:4] for k in row):  # a float, 1.0 too, is no ket
             raise ConfigurationError("derivative slots and basis kets must be integers")
+        for (name, kind), row in zip(_NUMERIC_ROWS, fields[4:]):
+            bad = [x for x in row if not isinstance(x, kind)]  # numpy would parse "1.5" and fail raw on "x"
+            if bad:
+                raise ConfigurationError(f"term {name} must be a {kind.__name__.lower()} number, got {bad[0]!r}")
         var, basis = np.array(fields[:4], dtype=np.int64).reshape(2, 2, -1)
         energy, coeff, offset = np.array(fields[4:10], dtype=float).reshape(3, 2, -1)
         complex_rows = np.array(fields[10:], dtype=np.complex128).reshape(3, -1)
@@ -194,9 +197,17 @@ class FactoredBipartiteState:
 
         Each derivative is the closed form coeff * amplitude or, with ``h``, a
         central difference; a constant family's derivative is 0 either way.
+        A step below 1e-8 * max(1, max|E|) is refused: E + h would resolve
+        the step to fewer than about eight digits, or not at all.
         """
-        if h is not None and not (isfinite(h) and h > 0.0):
-            raise ConfigurationError("finite-difference step must be finite and positive")
+        if h is not None:
+            if not (isfinite(h) and h > 0.0):
+                raise ConfigurationError("finite-difference step must be finite and positive")
+            floor = 1e-8 * max(1.0, float(np.abs(self._energy).max()))
+            if h < floor:
+                raise ConfigurationError(
+                    f"finite-difference step {h:g} is below {floor:g} and cannot resolve the energies"
+                )
         with np.errstate(over="ignore", invalid="ignore"):
             if h is None:
                 slopes = self._coeff * self._amplitude

@@ -95,10 +95,12 @@ def thermal_density(spec: ThermalSpec) -> DensityMatrix:
     """Gibbs state, diagonal in the energy eigenbasis.
 
     A real diagonal of weights that ``GibbsWeights`` has checked nonnegative
-    is positive semidefinite by construction, so it skips the eigvalsh.
+    is positive semidefinite by construction, so it skips the eigvalsh.  The
+    d weights themselves are handed over and checked, finite and of unit sum,
+    in O(d); ``entries`` is still the dense d x d matrix.
     """
     weights = np.array(gibbs_weights(spec).weights, dtype=np.complex128)
-    return _built(DensityMatrix, (spec.hamiltonian.dim,), np.diag(weights))
+    return _built(DensityMatrix, (spec.hamiltonian.dim,), weights)
 
 
 def purify(spec: ThermalSpec, phase: float = 0.0) -> StateVector:

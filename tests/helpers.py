@@ -7,7 +7,7 @@ explicit circuit unitaries) and are frozen here as expected values.
 
 import numpy as np
 
-from thermosim import ProtocolConfig, QuditHamiltonian, ThermalSpec
+from thermosim import Operator, ProtocolConfig, QuditHamiltonian, ThermalSpec
 from thermosim.qcore import EQ_TOL, PSD_TOL
 
 # reference parameter set: beta_A = beta_B = 1, E = (5, 0), E' = (0, 1)
@@ -92,3 +92,25 @@ def assert_valid_density(rho):
     assert np.max(np.abs(mat - mat.conj().T)) <= EQ_TOL
     assert np.linalg.eigvalsh(mat).min() >= -PSD_TOL
     assert abs(np.trace(mat).real - 1.0) <= EQ_TOL
+
+
+def adjoint(op):
+    """The conjugate transpose of ``op``, through the public constructor."""
+    return Operator(op.dims, op.entries.conj().T)
+
+
+# per-term oracle for tempop: each family and term evaluated one scalar at a time
+
+def family_amplitude(family, energy):
+    """value * e^(coeff*E + offset) of one ``ExpLinear`` family."""
+    return complex(family.value * np.exp(family.coeff * energy + family.offset))
+
+
+def family_derivative(family, energy):
+    """d/dE of ``family_amplitude``: coeff times the amplitude."""
+    return family.coeff * family_amplitude(family, energy)
+
+
+def term_amplitude(term):
+    """w * L(x) * R(y) of one ``FactoredTerm``."""
+    return term.weight * family_amplitude(term.left, term.left_energy) * family_amplitude(term.right, term.right_energy)

@@ -316,17 +316,26 @@ def test_eigencheck_nonfinite_tolerance_exits_one(capsys, tol):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-def test_eigencheck_gate_compares_rayleigh_with_expected(capsys):
-    # the step underflows the finite difference: a zero image has residual 0
-    # but Rayleigh quotient 0, far from beta^2/16
+def test_eigencheck_gate_compares_rayleigh_with_expected(capsys, monkeypatch):
+    # a zero image has residual 0 but Rayleigh quotient 0, far from beta^2/16
+    values = {"rayleigh": 0.0, "residual": 0.0, "expected": 0.030625}
+    monkeypatch.setattr("thermosim.cli.eigencheck_purified", lambda spec, fd_step=None: EigenReport(**values))
     code, out, err = run_cli(
         capsys,
-        ["eigencheck", "--dim", "8", "--beta", "0.7", "--fd-step", "1e-300", "--assert-tol", "1e-6"],
+        ["eigencheck", "--dim", "8", "--beta", "0.7", "--fd-step", "1e-5", "--assert-tol", "1e-6"],
     )
     assert code == 2
     fd = json.loads(out)["finite_difference"]
     assert fd["rayleigh"] == 0.0 and fd["expected"] == pytest.approx(0.030625)
     assert err.startswith("error:") and "rayleigh" in err
+
+
+def test_eigencheck_unresolvable_fd_step_exits_one(capsys):
+    # E + h rounds back to E: the finite difference would read a zero image, eigenvalue 0
+    code, out, err = run_cli(capsys, ["eigencheck", "--dim", "4", "--beta", "1", "--fd-step", "1e-300"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "finite-difference step" in err
 
 
 @pytest.mark.parametrize("field", ["rayleigh", "residual"])

@@ -33,7 +33,7 @@ from thermosim import (
 from thermosim import qcore
 from thermosim.qcore import EQ_TOL
 
-from helpers import assert_valid_density, random_state_amps, random_unitary, reference_config
+from helpers import adjoint, assert_valid_density, random_state_amps, random_unitary, reference_config
 
 
 # --- types and validation ------------------------------------------------
@@ -65,7 +65,6 @@ def _library_built_values():
         "basis_state": basis_state((2, 3), 4),
         "tensor_product": state,
         "apply": apply(CNOT, state, targets=(0, 2)),
-        "adjoint": HADAMARD.adjoint(),
         "post_select": post_select(cfg, BellOutcome.PSI_MINUS).state,
         "post_select_oracle": post_select_oracle(cfg, BellOutcome.PHI_PLUS).state,
         "amplitude_vector": purified_thermal_state(spec).amplitude_vector(),
@@ -263,17 +262,46 @@ def _assert_route_matches_gram(got, psi, exact):
 @given(case=_sparse_column_states())
 def test_diagonal_partial_trace_matches_the_gram_matrix(case):
     dims, keep, psi, collide, purification = case
+    traced = [i for i in range(len(dims)) if i not in keep]
+
+    def flat(matrix):  # the (kept, traced) matrix as contiguous amplitudes in subsystem order
+        full = matrix.reshape(tuple(dims[i] for i in keep + traced)).transpose(np.argsort(keep + traced))
+        return np.ascontiguousarray(full).reshape(-1)
+
     with mock.patch.object(qcore, "_gram", wraps=qcore._gram) as gram:
         # the fallback is the Gram product itself, so it matches bit for bit
-        _assert_route_matches_gram(qcore._reduced_matrix(psi), psi, purification or collide)
+        amps = flat(psi)
+        got = qcore._reduced_matrix(amps, amps.view(np.float64) != 0, dims, keep, traced)
+        assert (got.ndim == 2) == collide  # the diagonal route returns the (k,) diagonal
+        _assert_route_matches_gram(got if collide else np.diag(got), psi, purification or collide)
         assert gram.called == collide
-        # the same amplitudes, unit norm, laid out in subsystem order and traced
-        traced = [i for i in range(len(dims)) if i not in keep]
+        # the same amplitudes, unit norm, traced through the public route
         unit = psi / np.linalg.norm(psi)
-        full = unit.reshape(tuple(dims[i] for i in keep + traced)).transpose(np.argsort(keep + traced))
-        rho = partial_trace(StateVector(dims, full.reshape(-1)), keep)
+        rho = partial_trace(StateVector(dims, flat(unit)), keep)
         _assert_route_matches_gram(rho.entries, unit, purification)
         assert gram.call_count == 2 * collide
+
+
+def test_public_density_matrix_refuses_a_diagonal():
+    # only the library's own diagonals reach _store as d values
+    with pytest.raises(ConfigurationError, match="expected a 2x2 matrix for dims"):
+        DensityMatrix((2,), [0.5, 0.5])
+
+
+@pytest.mark.parametrize("diagonal, match", [
+    ([np.nan, 1.0], "finite"),
+    ([0.45, 0.45], "unit trace"),
+])
+def test_library_built_diagonal_is_checked(diagonal, match):
+    with pytest.raises(ConfigurationError, match=match):
+        qcore._built(DensityMatrix, (2,), np.array(diagonal, dtype=np.complex128))
+
+
+def test_library_built_diagonal_is_a_dense_read_only_matrix():
+    rho = qcore._built(DensityMatrix, (3,), np.array([0.25, 0.5, 0.25], dtype=np.complex128))
+    assert rho.entries.shape == (3, 3) and rho.entries.dtype == np.complex128
+    assert np.array_equal(rho.entries, np.diag([0.25, 0.5, 0.25]))
+    assert not rho.entries.flags.writeable
 
 
 class _GramCalled(Exception):
@@ -360,7 +388,7 @@ def test_unitaries_preserve_norm_and_invert():
         u = Operator((2, 2), random_unitary(rng, 4))
         moved = apply(u, state, targets=(2, 0))
         assert abs(moved.norm() - 1.0) < EQ_TOL
-        back = apply(u.adjoint(), moved, targets=(2, 0))
+        back = apply(adjoint(u), moved, targets=(2, 0))
         assert fidelity_pure(back, state) > 1 - EQ_TOL
 
 

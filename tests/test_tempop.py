@@ -24,7 +24,14 @@ from thermosim import (
 )
 from thermosim.qcore import EQ_TOL, FD_TOL
 
-from helpers import reference_config, random_in_regime_config, random_thermal_spec
+from helpers import (
+    family_amplitude,
+    family_derivative,
+    random_in_regime_config,
+    random_thermal_spec,
+    reference_config,
+    term_amplitude,
+)
 
 
 def _spec(beta, energies):
@@ -36,13 +43,13 @@ def _spec(beta, energies):
 def test_exp_linear_derivative_identity():
     fam = ExpLinear(coeff=-0.35, offset=0.2)
     for energy in (-2.0, 0.0, 1.7):
-        assert fam.derivative(energy) == pytest.approx(-0.35 * fam.amplitude(energy), rel=1e-14)
+        assert family_derivative(fam, energy) == pytest.approx(-0.35 * family_amplitude(fam, energy), rel=1e-14)
 
 
 def test_constant_family():
     fam = Constant(0.5 - 0.25j)
-    assert fam.amplitude(3.0) == 0.5 - 0.25j
-    assert fam.derivative(3.0) == 0
+    assert family_amplitude(fam, 3.0) == 0.5 - 0.25j
+    assert family_derivative(fam, 3.0) == 0
 
 
 # --- state construction and validation -------------------------------------
@@ -138,6 +145,18 @@ def test_fd_step_must_be_positive():
             eigencheck_purified(_spec(1.0, (0.0, 1.0)), fd_step=bad)
 
 
+def test_fd_step_must_resolve_the_energies():
+    # below 1e-8 * max(1, max|E|) the central difference cannot resolve the step
+    state = purified_thermal_state(_spec(1.0, (0.0, -200.0)))
+    for bad in (1e-300, 1e-9, 1.9e-6):
+        with pytest.raises(ConfigurationError, match="cannot resolve the energies"):
+            apply_inverse_temp_squared(state, fd_step=bad)
+    apply_inverse_temp_squared(state, fd_step=2e-6)
+    with pytest.raises(ConfigurationError, match="below 1e-08"):  # energies below 1 keep the floor at 1e-8
+        eigencheck_purified(_spec(1.0, (0.0, 0.5)), fd_step=9e-9)
+    assert eigencheck_purified(_spec(1.0, (0.0, 0.5)), fd_step=1e-8).expected == 1.0 / 16.0
+
+
 def test_overflowing_finite_difference_reports_nan():
     # e^(E + h) overflows: the report carries NaN for the gate to refuse,
     # and no numpy RuntimeWarning escapes
@@ -215,7 +234,7 @@ def test_operator_is_symmetric_on_shared_structures():
                                       float(energies[n]), weight=w)
                 for n, w in enumerate(weights)
             )
-            norm_sq = sum(abs(t.amplitude()) ** 2 for t in terms)
+            norm_sq = sum(abs(term_amplitude(t)) ** 2 for t in terms)
             return FactoredBipartiteState(terms, frozen_norm=norm_sq)
 
         first = build(rng.normal(size=d) + 1j * rng.normal(size=d))
@@ -377,16 +396,17 @@ def test_superposition_reports_match_dense(outcome, convention):
 
 
 def _scalar_views(state, fd_step=None):
-    """Dense psi and operator image from the families' scalar methods, term by term."""
+    """Dense psi and operator image from the per-term scalar oracle, term by term."""
     def slope(family, energy):
         if fd_step is None:
-            return family.derivative(energy)
-        return (family.amplitude(energy + fd_step) - family.amplitude(energy - fd_step)) / (2.0 * fd_step)
+            return family_derivative(family, energy)
+        above, below = family_amplitude(family, energy + fd_step), family_amplitude(family, energy - fd_step)
+        return (above - below) / (2.0 * fd_step)
 
     psi = np.zeros(state.dims, dtype=complex)
     image = np.zeros(state.dims, dtype=complex)
     for t in state.terms:
-        psi[t.left_basis, t.right_basis] = t.amplitude()
+        psi[t.left_basis, t.right_basis] = term_amplitude(t)
         if t.left_var == t.right_var:
             image[t.left_basis, t.right_basis] = (
                 t.weight * slope(t.left, t.left_energy) * slope(t.right, t.right_energy)
@@ -399,7 +419,7 @@ def _scalar_views(state, fd_step=None):
 
 def test_array_evaluation_equals_the_scalar_families():
     # the families are evaluated over term arrays; the arithmetic is the
-    # scalar methods' own, so the values must agree bit for bit
+    # scalar oracle's own, so the values must agree bit for bit
     rng = np.random.default_rng(173)
     states = [purified_thermal_state(random_thermal_spec(rng, beta_max=20.0, dims=(2, 64))) for _ in range(8)]
     for _ in range(8):
@@ -468,6 +488,19 @@ def test_factored_state_refuses_non_integer_kets_and_slots(bad):
     state = FactoredBipartiteState((FactoredTerm.diagonal(0, one, one, 0.0),
                                     FactoredTerm(np.int64(1), 1, np.uint64(1), 1, one, one, 0.0, 0.0)), frozen_norm=2.0)
     assert state.dims == (2, 2)
+
+
+@pytest.mark.parametrize("field, term", [
+    ("energy", FactoredTerm(0, 0, 0, 0, ExpLinear(0.0), ExpLinear(0.0), "x", 0.0)),
+    ("coefficient", FactoredTerm(0, 0, 0, 0, ExpLinear(0.0), ExpLinear("x"), 0.0, 0.0)),
+    ("offset", FactoredTerm(0, 0, 0, 0, ExpLinear(0.0, "0.5"), ExpLinear(0.0), 0.0, 0.0)),
+    ("value", FactoredTerm(0, 0, 0, 0, ExpLinear(0.0), ExpLinear(0.0, value=None), 0.0, 0.0)),
+    ("weight", FactoredTerm(0, 0, 0, 0, ExpLinear(0.0), ExpLinear(0.0), 0.0, 0.0, "1")),
+])
+def test_factored_state_refuses_non_numeric_fields(field, term):
+    # numpy would raise its raw ValueError on "x" and parse "0.5" as a number
+    with pytest.raises(ConfigurationError, match=f"term {field} must be a"):
+        FactoredBipartiteState([term, FactoredTerm(1, 1, 1, 1, Constant(1.0), Constant(1.0), 0.0, 0.0)])
 
 
 def test_factored_state_messages_for_missing_terms_and_nonfinite_energies():
