@@ -151,9 +151,6 @@ class Operator:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def adjoint(self) -> "Operator":
-        return _built(Operator, self.dims, self.entries.conj().T)
-
 
 def basis_state(dims: Iterable[int], index: int) -> StateVector:
     """Computational basis state with a single unit amplitude at ``index``."""
@@ -185,14 +182,11 @@ def partial_trace(state: StateVector | DensityMatrix, keep: Iterable[int]) -> De
             f"keep must be a nonempty proper subset of subsystem indices 0..{n - 1}, got {kept}"
         )
     traced = [i for i in range(n) if i not in kept]
-    kept_dims = tuple(dims[i] for i in kept)
     if isinstance(state, StateVector):
-        # alive until the result is allocated, so these flags and a dropped input free one heap block
-        nonzero_parts = state.amps.view(np.float64) != 0
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused as not finite
-            reduced = _reduced_matrix(state.amps, nonzero_parts, dims, kept, traced)
-        return _built(DensityMatrix, kept_dims, reduced)
+            return _reduced_density(state.amps, dims, kept, traced)
     if isinstance(state, DensityMatrix):
+        kept_dims = tuple(dims[i] for i in kept)
         # a partial sum of a matrix Hermitian only within EQ_TOL can drift
         # past it, so this result is checked in full
         arr = state.entries.reshape(dims + dims)
@@ -204,27 +198,29 @@ def partial_trace(state: StateVector | DensityMatrix, keep: Iterable[int]) -> De
     raise ConfigurationError(f"cannot trace object of type {type(state).__name__}")
 
 
-def _reduced_matrix(
-    amps: np.ndarray, nonzero_parts: np.ndarray, dims: tuple[int, ...], kept: list[int], traced: list[int]
-) -> np.ndarray:
-    """psi psi^dagger of contiguous amplitudes over ``dims``, as its (k,) diagonal when it is diagonal.
+def _reduced_density(amps: np.ndarray, dims: tuple[int, ...], kept: list[int], traced: list[int]) -> DensityMatrix:
+    """psi psi^dagger of contiguous amplitudes over ``dims``, built from its (k,) diagonal when it is diagonal.
 
-    psi is the (kept, traced) amplitude matrix and ``nonzero_parts`` the flags
-    ``amps.view(np.float64) != 0``.  When every column holds at most one
-    nonzero amplitude (purifications, product states, Bell branches) no two
-    rows share a traced basis state, so the result is diagonal: each row's
-    sum of re^2 + im^2, added in column order.  Any other state takes the
-    dense Gram product.
+    psi is the (kept, traced) amplitude matrix.  When every column holds at
+    most one nonzero amplitude (purifications, product states, Bell
+    branches) no two rows share a traced basis state, so the result is
+    diagonal: each row's sum of re^2 + im^2, added in column order.  Any
+    other state takes the dense Gram product.
     """
-    # the two part flags of an amplitude read as one uint16
-    at = np.nonzero(nonzero_parts.view(np.uint16) != 0)[0]
+    kept_dims = tuple(dims[i] for i in kept)
+    k = prod(kept_dims)
+    # held until the result is built: freed before, they leave a heap hole
+    # that the large dense arrays that come next do not fit
+    flags = amps.view(np.float64) != 0
+    # the two part flags of an amplitude read as one uint16; np.nonzero is fastest on bool
+    at = np.nonzero(flags.view(np.uint16) != 0)[0]
     vals, digits = amps[at], np.unravel_index(at, dims)
     rows, cols = (_ravel(digits, dims, axes) for axes in (kept, traced))
-    k = prod(dims[i] for i in kept)
     if cols.size and np.bincount(cols).max() > 1:
-        return _gram(np.transpose(amps.reshape(dims), kept + traced).reshape(k, -1))
+        return _built(DensityMatrix, kept_dims, _gram(np.transpose(amps.reshape(dims), kept + traced).reshape(k, -1)))
     # a kept row's amplitudes lie in column order in memory too, so each sum is the dense route's
-    return np.bincount(rows, weights=vals.real**2 + vals.imag**2, minlength=k).astype(np.complex128)
+    diagonal = np.bincount(rows, weights=vals.real**2 + vals.imag**2, minlength=k).astype(np.complex128)
+    return _built(DensityMatrix, kept_dims, diagonal)
 
 
 def _ravel(digits: tuple[np.ndarray, ...], dims: tuple[int, ...], axes: list[int]) -> np.ndarray:

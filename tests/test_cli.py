@@ -317,9 +317,12 @@ def test_eigencheck_nonfinite_tolerance_exits_one(capsys, tol):
 
 
 def test_eigencheck_gate_compares_rayleigh_with_expected(capsys, monkeypatch):
-    # a zero image has residual 0 but Rayleigh quotient 0, far from beta^2/16
-    values = {"rayleigh": 0.0, "residual": 0.0, "expected": 0.030625}
-    monkeypatch.setattr("thermosim.cli.eigencheck_purified", lambda spec, fd_step=None: EigenReport(**values))
+    # the analytic report is right; a zero finite-difference image has
+    # residual 0 but Rayleigh quotient 0, far from beta^2/16
+    def report(spec, fd_step=None):
+        return EigenReport(0.030625 if fd_step is None else 0.0, 0.0, 0.030625)
+
+    monkeypatch.setattr("thermosim.cli.eigencheck_purified", report)
     code, out, err = run_cli(
         capsys,
         ["eigencheck", "--dim", "8", "--beta", "0.7", "--fd-step", "1e-5", "--assert-tol", "1e-6"],
@@ -327,7 +330,7 @@ def test_eigencheck_gate_compares_rayleigh_with_expected(capsys, monkeypatch):
     assert code == 2
     fd = json.loads(out)["finite_difference"]
     assert fd["rayleigh"] == 0.0 and fd["expected"] == pytest.approx(0.030625)
-    assert err.startswith("error:") and "rayleigh" in err
+    assert err.startswith("error: finite-difference") and "rayleigh" in err
 
 
 def test_eigencheck_unresolvable_fd_step_exits_one(capsys):

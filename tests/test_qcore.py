@@ -269,10 +269,12 @@ def test_diagonal_partial_trace_matches_the_gram_matrix(case):
         return np.ascontiguousarray(full).reshape(-1)
 
     with mock.patch.object(qcore, "_gram", wraps=qcore._gram) as gram:
-        # the fallback is the Gram product itself, so it matches bit for bit
-        amps = flat(psi)
-        got = qcore._reduced_matrix(amps, amps.view(np.float64) != 0, dims, keep, traced)
-        assert (got.ndim == 2) == collide  # the diagonal route returns the (k,) diagonal
+        # the array the route hands to _built, before the unit-trace check
+        # that this unnormalized psi would fail; the fallback is the Gram
+        # product itself, so it matches bit for bit
+        with mock.patch.object(qcore, "_built", lambda cls, dims, array: array):
+            got = qcore._reduced_density(flat(psi), dims, keep, traced)
+        assert (got.ndim == 2) == collide  # the diagonal route hands over the (k,) diagonal
         _assert_route_matches_gram(got if collide else np.diag(got), psi, purification or collide)
         assert gram.called == collide
         # the same amplitudes, unit norm, traced through the public route

@@ -41,15 +41,24 @@ def _spec(beta, energies):
 # --- amplitude families ---------------------------------------------------
 
 def test_exp_linear_derivative_identity():
-    fam = ExpLinear(coeff=-0.35, offset=0.2)
-    for energy in (-2.0, 0.0, 1.7):
-        assert family_derivative(fam, energy) == pytest.approx(-0.35 * family_amplitude(fam, energy), rel=1e-14)
+    # d/dE of value * e^(coeff*E + offset) is coeff times the amplitude, so on a
+    # product state the image of a responding term (n, n) is coeff_L * coeff_R * psi
+    left, right = ExpLinear(coeff=-0.35, offset=0.2), ExpLinear(coeff=0.6, offset=-0.1, value=0.5j)
+    state = product_state([left] * 3, [right] * 3, (-2.0, 0.0, 1.7))
+    psi = state.amplitude_vector().amps.reshape(3, 3)
+    for fd_step, rel in ((None, 1e-14), (1e-5, 1e-8)):
+        image = apply_inverse_temp_squared(state, fd_step=fd_step).amps.reshape(3, 3)
+        assert np.diagonal(image) == pytest.approx(-0.35 * 0.6 * np.diagonal(psi), rel=rel)
+        assert not image[~np.eye(3, dtype=bool)].any()
 
 
 def test_constant_family():
     fam = Constant(0.5 - 0.25j)
-    assert family_amplitude(fam, 3.0) == 0.5 - 0.25j
-    assert family_derivative(fam, 3.0) == 0
+    assert fam == ExpLinear(0.0, 0.0, 0.5 - 0.25j)
+    # a term with a constant factor does not respond, in either mode
+    state = product_state([fam] * 2, [ExpLinear(-0.4)] * 2, (0.3, 1.1))
+    for fd_step in (None, 1e-5):
+        assert not apply_inverse_temp_squared(state, fd_step=fd_step).amps.any()
 
 
 # --- state construction and validation -------------------------------------
