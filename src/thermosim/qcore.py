@@ -10,7 +10,12 @@ functions, so everything here is safe for unsynchronized concurrent use.
 
 Each value class checks and freezes its array in one ``_store``: a public
 constructor copies its input into it, and ``_built`` takes over, without a
-copy, a fresh array that the library built itself.
+copy, a fresh array that the library built itself.  Two of those arrays are
+sparse forms checked in O(size): a diagonal ``DensityMatrix`` arrives as its
+d values, and a ``StateVector`` with few nonzeros (a purification) as its
+support, the (k,) amplitudes at strictly increasing flat indices.  The
+diagonal partial trace reads the support directly; ``amps`` is built from it
+only for a caller that reads it.
 """
 
 from __future__ import annotations
@@ -50,12 +55,21 @@ def _built(cls, *fields):
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """Dense complex amplitude vector over a tensor product of subsystems.
+    """Complex amplitude vector over a tensor product of subsystems.
 
     States built by the public constructors of this package (purifications,
     post-selected states, Bell states) are unit norm.  Images under general
     operators (projectors, derivative operators) need not be and may even be
     zero; use :meth:`norm` or :func:`fidelity_pure` to compare.
+
+    ``amps`` is always the dense, read-only complex vector.  A state the
+    library builds with few nonzeros (a purification) reaches ``_built`` in
+    support form instead: its (k,) amplitudes and their strictly increasing
+    flat indices, every other amplitude being zero.  Those are checked in
+    O(k) and kept as ``_support``; ``amps`` is built from them on its first
+    read and then stored, so it is built at most once (two threads reading it
+    first at the same moment may each build an equal copy).  A dense state's
+    ``_support`` is None.
     """
 
     dims: tuple[int, ...]
@@ -64,19 +78,41 @@ class StateVector:
     def __post_init__(self) -> None:
         self._store(self.dims, np.array(self.amps, dtype=np.complex128).reshape(-1))
 
-    def _store(self, dims: Iterable[int], amps: np.ndarray) -> None:
+    def _store(self, dims: Iterable[int], amps: np.ndarray, at: np.ndarray | None = None) -> None:
+        """Checks and freezes d dense amplitudes, or the (k,) amplitudes ``amps`` at the flat indices ``at``."""
         dims = _check_dims(dims)
-        if amps.size != prod(dims):
+        d = prod(dims)
+        if at is None and amps.size != d:
             raise ConfigurationError(f"amplitude count {amps.size} does not match dims {dims}")
         if not np.all(np.isfinite(amps)):
             raise ConfigurationError("state amplitudes must be finite")
+        if at is not None:
+            if at.shape != amps.shape or at.ndim != 1:
+                raise ConfigurationError(f"support of {at.shape} indices for {amps.shape} amplitudes")
+            if at.size and (at[0] < 0 or at[-1] >= d or (at[1:] <= at[:-1]).any()):
+                raise ConfigurationError(f"support indices must be strictly increasing in 0..{d - 1}")
+            at.setflags(write=False)
         amps.setflags(write=False)
         object.__setattr__(self, "dims", dims)
+        if at is None:
+            object.__setattr__(self, "amps", amps)
+        object.__setattr__(self, "_support", None if at is None else (amps, at))
+
+    def __getattr__(self, name: str):
+        # reached only while a support-form state has no ``amps`` yet
+        support = self.__dict__.get("_support")
+        if name != "amps" or support is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        values, at = support
+        amps = np.zeros(prod(self.dims), dtype=np.complex128)
+        amps[at] = values
+        amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
+        return amps
 
     @property
     def dim(self) -> int:
-        return self.amps.size
+        return prod(self.dims)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
@@ -184,7 +220,7 @@ def partial_trace(state: StateVector | DensityMatrix, keep: Iterable[int]) -> De
     traced = [i for i in range(n) if i not in kept]
     if isinstance(state, StateVector):
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused as not finite
-            return _reduced_density(state.amps, dims, kept, traced)
+            return _reduced_density(state, kept, traced)
     if isinstance(state, DensityMatrix):
         kept_dims = tuple(dims[i] for i in kept)
         # a partial sum of a matrix Hermitian only within EQ_TOL can drift
@@ -198,26 +234,34 @@ def partial_trace(state: StateVector | DensityMatrix, keep: Iterable[int]) -> De
     raise ConfigurationError(f"cannot trace object of type {type(state).__name__}")
 
 
-def _reduced_density(amps: np.ndarray, dims: tuple[int, ...], kept: list[int], traced: list[int]) -> DensityMatrix:
-    """psi psi^dagger of contiguous amplitudes over ``dims``, built from its (k,) diagonal when it is diagonal.
+def _reduced_density(state: StateVector, kept: list[int], traced: list[int]) -> DensityMatrix:
+    """psi psi^dagger of ``state``, built from its (k,) diagonal when it is diagonal.
 
-    psi is the (kept, traced) amplitude matrix.  When every column holds at
-    most one nonzero amplitude (purifications, product states, Bell
-    branches) no two rows share a traced basis state, so the result is
-    diagonal: each row's sum of re^2 + im^2, added in column order.  Any
-    other state takes the dense Gram product.
+    psi is the (kept, traced) amplitude matrix.  The nonzero amplitudes are
+    the state's stored support, or, for a dense state, one contiguous scan.
+    When every traced column holds at most one of them (purifications,
+    product states, Bell branches) no two rows share a traced basis state,
+    so the result is diagonal: each row's sum of re^2 + im^2, added in
+    column order.  Any other state takes the dense Gram product.
     """
+    dims = state.dims
     kept_dims = tuple(dims[i] for i in kept)
     k = prod(kept_dims)
-    # held until the result is built: freed before, they leave a heap hole
-    # that the large dense arrays that come next do not fit
-    flags = amps.view(np.float64) != 0
-    # the two part flags of an amplitude read as one uint16; np.nonzero is fastest on bool
-    at = np.nonzero(flags.view(np.uint16) != 0)[0]
-    vals, digits = amps[at], np.unravel_index(at, dims)
+    if state._support is None:
+        amps = state.amps
+        # held until the result is built: freed before, they leave a heap hole
+        # that the large dense arrays that come next do not fit
+        flags = amps.view(np.float64) != 0
+        # the two part flags of an amplitude read as one uint16; np.nonzero is fastest on bool
+        at = np.nonzero(flags.view(np.uint16) != 0)[0]
+        vals = amps[at]
+    else:
+        vals, at = state._support
+    digits = np.unravel_index(at, dims)
     rows, cols = (_ravel(digits, dims, axes) for axes in (kept, traced))
     if cols.size and np.bincount(cols).max() > 1:
-        return _built(DensityMatrix, kept_dims, _gram(np.transpose(amps.reshape(dims), kept + traced).reshape(k, -1)))
+        psi = np.transpose(state.amps.reshape(dims), kept + traced).reshape(k, -1)
+        return _built(DensityMatrix, kept_dims, _gram(psi))
     # a kept row's amplitudes lie in column order in memory too, so each sum is the dense route's
     diagonal = np.bincount(rows, weights=vals.real**2 + vals.imag**2, minlength=k).astype(np.complex128)
     return _built(DensityMatrix, kept_dims, diagonal)

@@ -168,6 +168,8 @@ class FactoredBipartiteState:
         if not np.isfinite(energy).all():
             raise ConfigurationError("term energies must be finite")
         if frozen_norm is not None:
+            if not isinstance(frozen_norm, Real):  # float() would parse "2" and fail raw on "x"
+                raise ConfigurationError(f"frozen normalization must be a real number, got {frozen_norm!r}")
             frozen_norm = float(frozen_norm)
             if not isfinite(frozen_norm) or frozen_norm <= 0.0:
                 raise ConfigurationError("frozen normalization must be finite and positive")

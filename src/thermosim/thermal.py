@@ -94,13 +94,13 @@ def gibbs_weights(spec: ThermalSpec) -> GibbsWeights:
 def thermal_density(spec: ThermalSpec) -> DensityMatrix:
     """Gibbs state, diagonal in the energy eigenbasis.
 
-    A real diagonal of weights that ``GibbsWeights`` has checked nonnegative
-    is positive semidefinite by construction, so it skips the eigvalsh.  The
-    d weights themselves are handed over and checked, finite and of unit sum,
-    in O(d); ``entries`` is still the dense d x d matrix.
+    A real diagonal of nonnegative weights is positive semidefinite by
+    construction, so it skips the eigvalsh.  The d weights themselves are
+    handed over and checked, finite and of unit sum, in O(d); ``entries`` is
+    still the dense d x d matrix.
     """
-    weights = np.array(gibbs_weights(spec).weights, dtype=np.complex128)
-    return _built(DensityMatrix, (spec.hamiltonian.dim,), weights)
+    weights, _ = _shifted_gibbs(spec.beta, spec.hamiltonian.energies)
+    return _built(DensityMatrix, (spec.hamiltonian.dim,), weights.astype(np.complex128))
 
 
 def purify(spec: ThermalSpec, phase: float = 0.0) -> StateVector:
@@ -110,6 +110,10 @@ def purify(spec: ThermalSpec, phase: float = 0.0) -> StateVector:
     so tracing out subsystem 0 recovers ``thermal_density(spec)``.  For
     qubits a relative phase e^(i*phase) may be attached to the n=1 branch;
     for higher dimensions the phase must be 0.
+
+    The state is built in support form: its d amplitudes sqrt(p_n) at the
+    flat indices n*(d+1), checked in O(d).  Its dense d^2 ``amps`` is built
+    only when read; the partial trace does not read it.
     """
     d = spec.hamiltonian.dim
     phase = float(phase)
@@ -117,7 +121,8 @@ def purify(spec: ThermalSpec, phase: float = 0.0) -> StateVector:
         raise ConfigurationError("phase must be finite")
     if phase != 0.0 and d != 2:
         raise ConfigurationError("a purification phase is only supported for qubits")
-    roots = np.sqrt(gibbs_weights(spec).weights).astype(np.complex128)
+    weights, _ = _shifted_gibbs(spec.beta, spec.hamiltonian.energies)
+    roots = np.sqrt(weights).astype(np.complex128)
     if d == 2:
         roots[1] *= np.exp(1j * phase)
-    return _built(StateVector, (d, d), np.diag(roots).reshape(-1))
+    return _built(StateVector, (d, d), roots, np.arange(d) * (d + 1))

@@ -1,8 +1,8 @@
 """Golden-output gate: sha256 digests of report bytes recorded from a known-good build.
 
 Any changed digit in the eigencheck JSON, in a residual report, in the
-large-d reduced density matrices or in the dense views of a factored state
-fails the gate.  A deliberate change of these outputs updates the digests below and
+large-d reduced density matrices, in the dense amplitudes of a purification
+or in the dense views of a factored state fails the gate.  A deliberate change of these outputs updates the digests below and
 says so in CHANGES.md.
 """
 
@@ -83,6 +83,13 @@ DENSE_VIEW_DIGESTS = {
     "PSI_PLUS chosen_zero_levels": "00a495f9c3b9951fb4610d21d932090e332ee3c23f70091d9fa8fb732eb6ce5f",
 }
 
+PURIFY_DIGESTS = {
+    # sha256 of ``purify(spec, phase).amps.tobytes()`` over levels from rng [7, 4]
+    (2, 0.7): "bd0302a7ef5f66087d293d3d3cdf38495fea34e09ec44938819a707f4637106f",
+    (64, 0.0): "af53f68cf61ce00bf23443f5c617ce4b60ab156b5b8292953c1ef9c9d13cad68",
+    (1024, 0.0): "61e88e2a458abe19cf296198c861b5127ee24483f9e548a59a5555e346e60219",
+}
+
 
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -127,6 +134,16 @@ def test_large_d_density_bytes_are_unchanged():
         digests["thermal_density"].update(thermal_density(spec).entries.tobytes())
         digests["purify round trip"].update(partial_trace(purify(spec), keep={1}).entries.tobytes())
     assert {name: h.hexdigest() for name, h in digests.items()} == DENSITY_DIGESTS
+
+
+def test_purification_amplitudes_are_unchanged():
+    rng = np.random.default_rng([7, 4])
+    digests = {}
+    for d, phase in PURIFY_DIGESTS:
+        energies = tuple(float(e) for e in rng.uniform(-5.0, 5.0, d))
+        spec = ThermalSpec(float(rng.uniform(0.2, 2.0)), QuditHamiltonian(energies))
+        digests[d, phase] = hashlib.sha256(purify(spec, phase).amps.tobytes()).hexdigest()
+    assert digests == PURIFY_DIGESTS
 
 
 def _dense_view_states():

@@ -1,3 +1,4 @@
+from itertools import combinations
 from math import prod
 from unittest import mock
 
@@ -273,7 +274,7 @@ def test_diagonal_partial_trace_matches_the_gram_matrix(case):
         # that this unnormalized psi would fail; the fallback is the Gram
         # product itself, so it matches bit for bit
         with mock.patch.object(qcore, "_built", lambda cls, dims, array: array):
-            got = qcore._reduced_density(flat(psi), dims, keep, traced)
+            got = qcore._reduced_density(StateVector(dims, flat(psi)), keep, traced)
         assert (got.ndim == 2) == collide  # the diagonal route hands over the (k,) diagonal
         _assert_route_matches_gram(got if collide else np.diag(got), psi, purification or collide)
         assert gram.called == collide
@@ -304,6 +305,73 @@ def test_library_built_diagonal_is_a_dense_read_only_matrix():
     assert rho.entries.shape == (3, 3) and rho.entries.dtype == np.complex128
     assert np.array_equal(rho.entries, np.diag([0.25, 0.5, 0.25]))
     assert not rho.entries.flags.writeable
+
+
+@pytest.mark.parametrize("values, at, match", [
+    ([np.nan, 1.0], [0, 3], "finite"),
+    ([0.6, 0.8], [0, 4], "support indices"),
+    ([0.6, 0.8], [-1, 3], "support indices"),
+    ([0.6, 0.8], [2, 2], "support indices"),
+    ([0.6, 0.8], [3, 0], "support indices"),
+    ([0.6, 0.8], [0, 1, 3], "support of"),
+])
+def test_library_built_support_is_checked(values, at, match):
+    with pytest.raises(ConfigurationError, match=match):
+        qcore._built(StateVector, (2, 2), np.array(values, dtype=np.complex128), np.array(at))
+
+
+@st.composite
+def _support_states(draw):
+    """Unit-norm amplitudes with exact +0.0 zeros, over dims holding at least two qubits."""
+    dims = draw(st.permutations([2, 2] + draw(st.lists(st.sampled_from([2, 3]), max_size=2))))
+    d = prod(dims)
+    parts = st.floats(1e-3, 1.0) | st.floats(-1.0, -1e-3)  # no zero but those of the mask
+    re, im = (np.array(draw(st.lists(parts, min_size=d, max_size=d))) for _ in range(2))
+    real, mask = draw(st.booleans()), np.array(draw(st.lists(st.booleans(), min_size=d, max_size=d)))
+    amps = np.where(mask, re + (0.0 if real else 1j) * im, 0.0).astype(np.complex128)
+    if not np.any(amps):
+        amps[draw(st.integers(0, d - 1))] = 1.0
+    return tuple(dims), amps / np.linalg.norm(amps)
+
+
+def _support_form(dims, amps):
+    at = np.flatnonzero(amps)
+    return qcore._built(StateVector, dims, amps[at], at)
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=_support_states())
+def test_support_form_matches_the_dense_form(case):
+    dims, amps = case
+    n = len(dims)
+    qubits = [i for i, d in enumerate(dims) if d == 2]
+    other = StateVector((3,), [0.6, 0.0, 0.8j])
+    dense, sparse = StateVector(dims, amps), _support_form(dims, amps)
+    for r in range(1, n):
+        for keep in combinations(range(n), r):
+            # a fresh support-form state each time, so the trace runs before any densify
+            got = partial_trace(_support_form(dims, amps), keep)
+            assert got.entries.tobytes() == partial_trace(dense, keep).entries.tobytes(), keep
+    assert sparse.dim == dense.dim and sparse.norm() == dense.norm()
+    for a, b in ((sparse, other), (other, sparse)):
+        pair = tensor_product(a, b).amps
+        assert pair.tobytes() == tensor_product(*(dense if v is sparse else v for v in (a, b))).amps.tobytes()
+    targets = qubits[:2][::-1]
+    assert apply(CNOT, sparse, targets).amps.tobytes() == apply(CNOT, dense, targets).amps.tobytes()
+    assert sparse.amps.tobytes() == dense.amps.tobytes()
+    assert not sparse.amps.flags.writeable and sparse.amps is sparse.amps  # built once
+
+
+def test_purification_trace_reads_only_the_support():
+    d = 4096
+    energies = np.random.default_rng(11).uniform(-5.0, 5.0, d)
+    spec = ThermalSpec(0.8, QuditHamiltonian(tuple(float(e) for e in energies)))
+    state = purify(spec)
+    rho = partial_trace(state, keep={1})
+    assert "amps" not in vars(state)  # the d^2 purification was never built
+    shifted = np.exp(-0.8 * (energies - energies.min()))
+    np.testing.assert_allclose(np.diagonal(rho.entries), shifted / shifted.sum(), rtol=0.0, atol=EQ_TOL)
+    assert np.count_nonzero(rho.entries) == np.count_nonzero(np.diagonal(rho.entries)) == d
 
 
 class _GramCalled(Exception):

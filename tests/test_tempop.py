@@ -114,6 +114,18 @@ def test_factored_state_rejects_bad_frozen_norm():
         FactoredBipartiteState((term, other), frozen_norm=-2.0)
 
 
+@pytest.mark.parametrize("norm", ["x", "2"])
+def test_factored_state_refuses_a_non_real_frozen_norm(norm):
+    # with two unit-weight terms, frozen_norm=2 builds a unit-norm state
+    terms = (
+        FactoredTerm.diagonal(0, Constant(1.0), Constant(1.0), 0.0),
+        FactoredTerm.diagonal(1, Constant(1.0), Constant(1.0), 0.0),
+    )
+    FactoredBipartiteState(terms, frozen_norm=2)
+    with pytest.raises(ConfigurationError, match="frozen normalization must be a real number"):
+        FactoredBipartiteState(terms, frozen_norm=norm)
+
+
 # --- operator action --------------------------------------------------------
 
 def test_purified_state_is_eigenvector():

@@ -13,7 +13,7 @@ from thermosim import (
     purify,
     thermal_density,
 )
-from thermosim import qcore
+from thermosim import qcore, thermal
 from thermosim.qcore import EQ_TOL
 
 from helpers import (
@@ -145,6 +145,16 @@ def test_derived_density_entries_are_the_unvalidated_expressions():
         state = purify(spec)
         psi = np.transpose(state.amps.reshape(1024, 1024), [1, 0]).reshape(1024, -1)
         assert np.array_equal(partial_trace(state, keep={1}).entries, psi @ psi.conj().T)
+
+
+def test_builders_skip_the_weights_report(monkeypatch):
+    # gibbs_weights is the public report; the builders take the same weights as an array
+    def refuse(spec):
+        raise AssertionError("gibbs_weights called")
+
+    monkeypatch.setattr(thermal, "gibbs_weights", refuse)
+    spec = ThermalSpec(0.8, QuditHamiltonian((0.0, 1.0, 2.5)))
+    assert thermal_density(spec).dims == (3,) and purify(spec).dims == (3, 3)
 
 
 def test_purify_infinite_temperature_is_bell_state():
