@@ -99,7 +99,7 @@ class StateVector:
         object.__setattr__(self, "_support", None if at is None else (amps, at))
 
     def __getattr__(self, name: str):
-        # reached only while a support-form state has no ``amps`` yet
+        # reached when normal lookup fails: a missing name, or the amps of a support-form state not yet read
         support = self.__dict__.get("_support")
         if name != "amps" or support is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
