@@ -2,8 +2,8 @@
 
 Any changed digit in the eigencheck JSON, in a residual report, in the
 large-d reduced density matrices, in the dense amplitudes of a purification
-or in the dense views of a factored state fails the gate.  A deliberate change of these outputs updates the digests below and
-says so in CHANGES.md.
+or in the dense views of a factored state fails the gate.  A deliberate
+change of these outputs updates the digests below and says so in CHANGES.md.
 """
 
 import hashlib
