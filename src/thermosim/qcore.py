@@ -5,8 +5,12 @@ ordered lexicographically with the FIRST subsystem as the most significant
 digit.  For dims (2, 2) the amplitude order is |00>, |01>, |10>, |11>; for a
 four-qubit register the flat index of |abcd> is 8a + 4b + 2c + d.
 
-All values are immutable after construction and all operations are pure
-functions, so everything here is safe for unsynchronized concurrent use.
+All operations are pure functions and every value is immutable after
+construction, with one exception: a support-form ``StateVector`` (below)
+builds its dense ``amps`` once, on the first read, and stores it.  Everything
+here is safe for unsynchronized concurrent use, except that two threads
+reading such a state's ``amps`` first at the same moment may each get an
+equal but distinct array.
 
 Each value class checks and freezes its array in one ``_store``: a public
 constructor copies its input into it, and ``_built`` takes over, without a

@@ -363,7 +363,7 @@ def test_support_form_matches_the_dense_form(case):
 
 
 def test_purification_trace_reads_only_the_support():
-    d = 4096
+    d = 64
     energies = np.random.default_rng(11).uniform(-5.0, 5.0, d)
     spec = ThermalSpec(0.8, QuditHamiltonian(tuple(float(e) for e in energies)))
     state = purify(spec)

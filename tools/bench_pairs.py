@@ -12,8 +12,9 @@ files or the working tree.  Per workload, pair i runs
 ``perfbench/run.py --workload W --seed S+i --seconds T --trace 0`` on both
 sides, one run at a time, parent first on even i and change first on odd i.
 One traced run per side (``--trace 1``) follows on seed S+N.  The bounds, the
-direction of each metric and the default run length come from the parent's
-``BENCHMARK.json``.
+direction of each metric and the run length T (``run_seconds``) come from the
+parent's ``BENCHMARK.json``.  Each run extracts both trees afresh, replacing
+any earlier copy, so an interrupted extraction is never benchmarked.
 
     python3 tools/bench_pairs.py --check BENCH_11.json
 
@@ -26,6 +27,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import shutil
 import subprocess
 import sys
 import tarfile
@@ -96,10 +98,10 @@ def extract(rev: str, scratch: Path, side: str) -> tuple[str, Path]:
     commit = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", f"{rev}^{{commit}}"],
                             capture_output=True, text=True, check=True).stdout.strip()
     tree = scratch / f"{side}-{commit[:12]}"
-    if not tree.exists():
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", commit], capture_output=True, check=True).stdout
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(tree, filter="data")
+    shutil.rmtree(tree, ignore_errors=True)
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", commit], capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(tree, filter="data")
     return commit, tree
 
 
@@ -127,7 +129,7 @@ def bench(args: argparse.Namespace) -> dict:
     scratch.mkdir(parents=True, exist_ok=True)
     sides = {side: extract(rev, scratch, side) for side, rev in (("parent", args.parent), ("change", args.change))}
     spec = json.loads((sides["parent"][1] / "BENCHMARK.json").read_text())
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     command = f"python3 perfbench/run.py --workload <W> --seed <S> --seconds {seconds:g} --trace 0"
     out = {
         "claim": args.claim,
@@ -178,7 +180,6 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
     parser.add_argument("--scratch", help="directory for the two extracted trees")
     parser.add_argument("--workload", action="append", default=[], metavar="NAME:FIRST_SEED")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, help="run length (default: run_seconds of BENCHMARK.json)")
     parser.add_argument("--claim", help="the claimed gain, or omit for none")
     parser.add_argument("--out", help="BENCH file to write")
     args = parser.parse_args(argv)
