@@ -31,7 +31,7 @@ from .thermal import QuditHamiltonian, ThermalSpec
 _EIGENCHECK_ENERGY_SEED = 987654321  # fixed so repeated runs see the same levels
 _CONFIG_FIELDS = ("beta_a", "beta_b", "energies_a", "energies_b", "phi")
 # the largest --phi-steps and --dim: at 10^6 an interference run peaks at about
-# 420 MB and an eigencheck at about 270 MB, so larger sizes are refused up front
+# 320 MB and an eigencheck at about 270 MB, so larger sizes are refused up front
 MAX_POINTS = 10**6
 
 

@@ -30,21 +30,26 @@ from .qcore import ConfigurationError
 _CNOT_ORDER = [0, 1, 3, 2]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepSpec:
-    """Grid of phase values, optionally crossed with a beta_B axis."""
+    """Grid of phase values, optionally crossed with a beta_B axis.
+
+    ``phi_points`` is stored as a read-only float64 copy of the caller's
+    points.  Specs compare by identity.
+    """
 
     cfg: ProtocolConfig
-    phi_points: tuple[float, ...]
+    phi_points: np.ndarray
     beta_b_values: tuple[float, ...] | None = None
-    _weights_b: tuple = field(init=False, repr=False, compare=False)  # B weights on the beta_B axis
+    _weights_b: tuple = field(init=False, repr=False)  # B weights on the beta_B axis
 
     def __post_init__(self) -> None:
-        phis = tuple(float(x) for x in self.phi_points)
-        if not phis:
-            raise ConfigurationError("phi_points must be nonempty")
-        if not all(isfinite(x) for x in phis):
+        phis = np.array(self.phi_points, dtype=float)
+        if phis.ndim != 1 or not phis.size:
+            raise ConfigurationError("phi_points must be a nonempty 1-D sequence of numbers")
+        if not np.isfinite(phis).all():
             raise ConfigurationError("phi_points must be finite")
+        phis.flags.writeable = False
         object.__setattr__(self, "phi_points", phis)
         weights_b = self.cfg.weights()[1]
         if self.beta_b_values is not None:
@@ -106,8 +111,9 @@ def _readout_probability(p, f, phi) -> np.ndarray:
     weight pairs ``p`` = (p0, p1) and ``f`` = (f0, f1) and the phases ``phi``
     broadcast together.  The phi+ post-selected amplitudes come from the
     protocol's branch kernel, then CNOT permutes them, the partial trace over
-    B is a batched matmul, and the Hadamard reads A out.  Inputs are assumed
-    valid: every weight positive, phi finite.
+    B contracts psi[a, b] conj(psi[c, b]) over b at every grid point, and row
+    0 of the Hadamard reads A out, also as one contraction.  Inputs are
+    assumed valid: every weight positive, phi finite.
     """
     _, first, second = _branch(p, f, np.exp(1j * np.asarray(phi, dtype=float)))
     shape = np.shape(second)  # the phase broadcasts it over the whole grid
@@ -115,9 +121,9 @@ def _readout_probability(p, f, phi) -> np.ndarray:
     amps[..., 0] = first
     amps[..., 3] = second
     psi = amps[..., _CNOT_ORDER].reshape(shape + (2, 2))  # psi[..., a, b]
-    rho_a = psi @ psi.conj().swapaxes(-1, -2)
-    h = qcore.HADAMARD.entries
-    prob = (h @ rho_a @ h.conj().T)[..., 0, 0].real
+    rho_a = np.einsum("...ab,...cb->...ac", psi, psi.conj())
+    h0 = qcore.HADAMARD.entries[0]
+    prob = np.einsum("a,...ac,c->...", h0, rho_a, h0.conj()).real
     return np.clip(prob, 0.0, 1.0)  # roundoff guard
 
 
@@ -125,15 +131,16 @@ def sweep(spec: SweepSpec) -> list[tuple]:
     """Fringe probabilities over the grid, computed by circuit simulation.
 
     Rows are (phi, probability), or (phi, beta_b, probability) when a beta_B
-    axis is present; the outer loop runs over beta_B, the inner over phi, and
-    rows are emitted in that deterministic order.  The whole grid is one call
-    of the batched circuit simulation.
+    axis is present, each a Python float; the outer loop runs over beta_B,
+    the inner over phi, and rows are emitted in that deterministic order.
+    The whole grid is one call of the batched circuit simulation.
     """
-    probs = _readout_probability(spec.cfg.weights()[0], spec._weights_b, np.array(spec.phi_points))
+    probs = _readout_probability(spec.cfg.weights()[0], spec._weights_b, spec.phi_points)
+    phis = spec.phi_points.tolist()
     if spec.beta_b_values is None:
-        return list(zip(spec.phi_points, probs.tolist()))
+        return list(zip(phis, probs.tolist()))
     return [
         (phi, beta_b, prob)
         for beta_b, row in zip(spec.beta_b_values, probs.tolist())
-        for phi, prob in zip(spec.phi_points, row)
+        for phi, prob in zip(phis, row)
     ]

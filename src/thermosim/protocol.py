@@ -58,6 +58,9 @@ def bell_state(outcome: BellOutcome) -> StateVector:
     return _BELL_VECTORS[outcome]
 
 
+_UNDERFLOW = "{} has a Gibbs weight that underflows to zero; reduce beta or the energy gap"
+
+
 def _positive_qubit_weights(name: str, beta, energies) -> tuple[np.ndarray, np.ndarray]:
     """Gibbs weights (w0, w1) of a qubit at every ``beta`` of a float or an array.
 
@@ -66,7 +69,7 @@ def _positive_qubit_weights(name: str, beta, energies) -> tuple[np.ndarray, np.n
     """
     weights, _ = _shifted_gibbs(np.asarray(beta, dtype=float)[..., None], energies)
     if not (weights > 0.0).all():
-        raise ConfigurationError(f"{name} has a Gibbs weight that underflows to zero; reduce beta or the energy gap")
+        raise ConfigurationError(_UNDERFLOW.format(name))
     return weights[..., 0], weights[..., 1]
 
 
@@ -80,17 +83,21 @@ class ProtocolConfig:
     _weights: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        weights = []
-        for name, spec in (("spec_a", self.spec_a), ("spec_b", self.spec_b)):
+        names, specs = ("spec_a", "spec_b"), (self.spec_a, self.spec_b)
+        for name, spec in zip(names, specs):
             if spec.hamiltonian.dim != 2:
                 raise ConfigurationError(f"{name} must describe a qubit")
-            w0, w1 = _positive_qubit_weights(name, spec.beta, spec.hamiltonian.energies)
-            weights.append((float(w0), float(w1)))
+        # one Gibbs call for both qubits: betas (2, 1) against energies (2, 2), the same arithmetic per row
+        weights, _ = _shifted_gibbs(np.array([[s.beta] for s in specs]), np.array([s.hamiltonian.energies for s in specs]))
+        weights = tuple(map(tuple, weights.tolist()))
+        for name, (w0, w1) in zip(names, weights):
+            if not (w0 > 0.0 and w1 > 0.0):
+                raise ConfigurationError(_UNDERFLOW.format(name))
         phi = float(self.phi)
         if not isfinite(phi):
             raise ConfigurationError("phi must be finite")
         object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "_weights", tuple(weights))
+        object.__setattr__(self, "_weights", weights)
 
     def weights(self) -> tuple[tuple[float, float], tuple[float, float]]:
         """Gibbs weights (p, f) of the A and B qubits."""

@@ -27,6 +27,8 @@ class QuditHamiltonian:
             raise ConfigurationError("a Hamiltonian needs at least two levels")
         if not all(isfinite(e) for e in energies):
             raise ConfigurationError("energies must be finite")
+        if not isfinite(max(energies) - min(energies)):  # the Gibbs kernel shifts by the minimum
+            raise ConfigurationError("energy span overflows float64")
         object.__setattr__(self, "energies", energies)
 
     @property
