@@ -124,7 +124,7 @@ def _readout_probability(p, f, phi) -> np.ndarray:
     rho_a = np.einsum("...ab,...cb->...ac", psi, psi.conj())
     h0 = qcore.HADAMARD.entries[0]
     prob = np.einsum("a,...ac,c->...", h0, rho_a, h0.conj()).real
-    return np.clip(prob, 0.0, 1.0)  # roundoff guard
+    return np.minimum(np.maximum(prob, 0.0), 1.0)  # roundoff guard; two ufuncs cost less than np.clip
 
 
 def sweep(spec: SweepSpec) -> list[tuple]:

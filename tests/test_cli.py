@@ -386,6 +386,17 @@ def test_overflowing_partition_function_is_silent(tmp_path, command):
     assert proc.stderr == ""
 
 
+@pytest.mark.parametrize("beta_a", ["0.0", "1.0"])
+def test_overflowing_level_span_exits_one(tmp_path, beta_a):
+    # 1e308 - (-1e308) overflows: one error line, no numpy warning, at any beta
+    path = tmp_path / "span.json"
+    path.write_text(f'{{"beta_a":{beta_a},"beta_b":1.0,"energies_a":[1e308,-1e308],"energies_b":[0.0,1.0],"phi":0.0}}')
+    proc = _run_module(["protocol", "--config", str(path)])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: energy span overflows float64\n"
+
+
 def test_eigencheck_overflowing_normalization_exits_one():
     # -beta * E_min is about 984 here, so the purified state's Z overflows
     proc = _run_module(["eigencheck", "--dim", "4", "--beta", "300"])

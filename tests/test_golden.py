@@ -1,8 +1,9 @@
 """Golden-output gate: sha256 digests of report bytes recorded from a known-good build.
 
-Any changed digit in the eigencheck JSON, in a residual report, in the
-large-d reduced density matrices, in the dense amplitudes of a purification
-or in the dense views of a factored state fails the gate.  A deliberate
+Any changed digit in the eigencheck JSON, in an interference CSV, in a
+residual report, in the large-d reduced density matrices, in the dense
+amplitudes of a purification or in the dense views of a factored state fails
+the gate.  A deliberate
 change of these outputs updates the digests below and says so in CHANGES.md.
 """
 
@@ -91,6 +92,34 @@ PURIFY_DIGESTS = {
 }
 
 
+CSV_CONFIGS = {
+    "reference": '{"beta_a":1.0,"beta_b":1.0,"energies_a":[5.0,0.0],"energies_b":[0.0,1.0],"phi":0.0}',
+    "asymmetric": '{"beta_a":2.3,"beta_b":0.6,"energies_a":[1.7,0.0],"energies_b":[0.0,-2.1],"phi":2.0}',
+    # beta_a*gap = 700: p0 is about e^-700, so the fringe is flat at 1/2 to 9 digits
+    "beta_a*gap=700": '{"beta_a":140.0,"beta_b":1.0,"energies_a":[5.0,0.0],"energies_b":[0.0,1.0],"phi":0.0}',
+    # both sides near the underflow edge: p0 f0 = e^-700 against p1 f1 = e^-699, visibility 0.887
+    "beta*gap=700/699": '{"beta_a":140.0,"beta_b":699.0,"energies_a":[5.0,0.0],"energies_b":[0.0,1.0],"phi":0.0}',
+}
+
+CSV_DIGESTS = {
+    # (config, --phi-steps, --convention): sha256 of the ``thermosim interference`` CSV,
+    # recorded from the stacked-matmul kernel
+    ("reference", 10001, None): "9126fe8d72905f0e75e746c147c7d73c1d407dff912c9f00c2137744346d204a",
+    ("reference", 10001, "paper"): "584f401c3fbd90ea3975e7784c3c9eb37f42892c1279d045924ee817edf50012",
+    ("reference", 10001, "corrected"): "9126fe8d72905f0e75e746c147c7d73c1d407dff912c9f00c2137744346d204a",
+    ("asymmetric", 10001, None): "7832e92bbd1e262cb5889c4f438aa49b92892358bfa50b103275bdb88a509bbd",
+    ("asymmetric", 10001, "paper"): "0505b4ffb9134b89d6df6967a79c6f64f28725d939a3bd14ce4acba35ce738ce",
+    ("asymmetric", 10001, "corrected"): "7832e92bbd1e262cb5889c4f438aa49b92892358bfa50b103275bdb88a509bbd",
+    ("beta_a*gap=700", 10001, None): "93859f3bb1004ac44b64f7b519c6eb63fd527539937f5423529b3e37327691f9",
+    ("beta_a*gap=700", 10001, "paper"): "93859f3bb1004ac44b64f7b519c6eb63fd527539937f5423529b3e37327691f9",
+    ("beta_a*gap=700", 10001, "corrected"): "93859f3bb1004ac44b64f7b519c6eb63fd527539937f5423529b3e37327691f9",
+    ("beta*gap=700/699", 10001, None): "e338f28df9c76c3a7d429e21ea1938e23e0c5ff7ffcac3fe978578c2c42c9fb0",
+    ("beta*gap=700/699", 10001, "paper"): "f190d47ab12c50ea2169b57219a8142c36d35d4df6fff7c30b2749d04ddc94f1",
+    ("beta*gap=700/699", 10001, "corrected"): "e338f28df9c76c3a7d429e21ea1938e23e0c5ff7ffcac3fe978578c2c42c9fb0",
+    ("reference", 10**6, None): "6d50763cb026536199ecab14f1a082828c2d60b7f79fb5c7cb4b8686fb181cd6",
+}
+
+
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -99,6 +128,15 @@ def _digest(text: str) -> str:
 def test_eigencheck_stdout_is_unchanged(capsys, dim, beta):
     assert main(["eigencheck", "--dim", str(dim), "--beta", beta, "--fd-step", "1e-5"]) == 0
     assert _digest(capsys.readouterr().out) == EIGENCHECK_DIGESTS[dim, beta]
+
+
+@pytest.mark.parametrize("name, steps, convention", list(CSV_DIGESTS))
+def test_interference_csv_is_unchanged(tmp_path, name, steps, convention):
+    config, out = tmp_path / "config.json", tmp_path / "fringe.csv"
+    config.write_text(CSV_CONFIGS[name])
+    argv = ["interference", "--config", str(config), "--phi-steps", str(steps), "--out", str(out)]
+    assert main(argv + ([] if convention is None else ["--convention", convention])) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CSV_DIGESTS[name, steps, convention]
 
 
 _CONFIGS = {

@@ -159,6 +159,35 @@ def test_sweep_spec_validation():
         SweepSpec(reference_config(), (0.0,), beta_b_values=(1.0, 1000.0))
 
 
+def test_sweep_spec_keeps_a_read_only_copy_of_the_grid():
+    phis = np.array([0.0, 1.0 / 3.0, np.pi])
+    spec = SweepSpec(reference_config(), phis, beta_b_values=(0.5, 1.0))
+    rows = sweep(spec)
+    phis[:] = 7.0  # the caller's array is not the spec's
+    assert spec.phi_points.tolist() == [0.0, 1.0 / 3.0, np.pi]
+    assert spec.phi_points.dtype == np.float64
+    with pytest.raises(ValueError):
+        spec.phi_points[0] = 1.0
+    assert sweep(spec) == rows
+    assert [phi for phi, _, _ in rows] == [0.0, 1.0 / 3.0, np.pi] * 2
+    assert all(type(x) is float for row in rows for x in row)
+    flat = sweep(SweepSpec(reference_config(), [0.1, 2.0]))
+    assert [phi for phi, _ in flat] == [0.1, 2.0]
+    assert all(type(x) is float for row in flat for x in row)
+
+
+def test_sweep_specs_compare_by_identity():
+    spec = SweepSpec(reference_config(), (0.0, 1.0))
+    assert spec == spec and hash(spec) == hash(spec)
+    assert spec != SweepSpec(reference_config(), (0.0, 1.0))
+
+
+def test_sweep_spec_refuses_a_grid_that_is_not_one_dimensional():
+    for phis in (0.5, [[0.0, 1.0]]):
+        with pytest.raises(ConfigurationError, match="1-D"):
+            SweepSpec(reference_config(), phis)
+
+
 def test_sweep_empty_beta_axis_has_no_rows():
     assert sweep(SweepSpec(reference_config(), (0.0, 1.0), beta_b_values=())) == []
 

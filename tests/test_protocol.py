@@ -54,6 +54,34 @@ def test_config_rejects_underflowing_weights():
         ProtocolConfig(frozen_out, qubit)
 
 
+def test_config_refuses_the_first_underflowing_spec():
+    cold = ThermalSpec(200.0, QuditHamiltonian((5.0, 0.0)))  # beta*gap = 1000
+    warm = ThermalSpec(1.0, QuditHamiltonian((0.0, 1.0)))
+    for a, b, name in ((cold, warm, "spec_a"), (warm, cold, "spec_b"), (cold, cold, "spec_a")):
+        with pytest.raises(ConfigurationError, match=f"^{name} has a Gibbs weight that underflows to zero"):
+            ProtocolConfig(a, b)
+
+
+def test_config_weights_are_one_gibbs_call_with_the_per_spec_bytes(monkeypatch):
+    shapes = []
+
+    def recorded(beta, energies):
+        shapes.append((np.shape(beta), np.shape(energies)))
+        return thermal._shifted_gibbs(beta, energies)
+
+    monkeypatch.setattr(protocol, "_shifted_gibbs", recorded)
+    reference_config()
+    assert shapes == [((2, 1), (2, 2))]
+    monkeypatch.undo()
+    rng = np.random.default_rng(61)
+    for k in range(200):
+        cfg = random_protocol_config(rng, beta_max=0.0 if k % 10 == 0 else 50.0)
+        for spec, pair in zip((cfg.spec_a, cfg.spec_b), cfg.weights()):
+            alone = protocol._positive_qubit_weights("spec", spec.beta, spec.hamiltonian.energies)
+            assert all(type(w) is float for w in pair)
+            assert [w.hex() for w in pair] == [float(w).hex() for w in alone]
+
+
 def test_joint_state_symmetric_case_is_uniform():
     state = joint_state(symmetric_config())
     expected = np.zeros(16)

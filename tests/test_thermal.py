@@ -33,6 +33,17 @@ def test_hamiltonian_validation():
         QuditHamiltonian((0.0, np.nan))
 
 
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_overflowing_level_span_is_refused(beta):
+    # E_max - E_min overflows to inf, which the min-shifted kernel would scale by beta (NaN at beta = 0)
+    for levels in ((1e308, -1e308), (-1.7e308, 0.0, 1.7e308)):
+        with pytest.raises(ConfigurationError, match="^energy span overflows float64$"):
+            ThermalSpec(beta, QuditHamiltonian(levels))
+    # the widest finite span is accepted, with uniform weights at infinite temperature
+    weights = gibbs_weights(ThermalSpec(beta, QuditHamiltonian((8e307, -8e307)))).weights
+    assert weights == ((0.5, 0.5) if beta == 0.0 else (0.0, 1.0))
+
+
 def test_spec_rejects_bad_beta():
     ham = QuditHamiltonian((0.0, 1.0))
     with pytest.raises(ConfigurationError):
