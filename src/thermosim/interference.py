@@ -123,8 +123,9 @@ def _readout_probability(p, f, phi) -> np.ndarray:
     psi = amps[..., _CNOT_ORDER].reshape(shape + (2, 2))  # psi[..., a, b]
     rho_a = np.einsum("...ab,...cb->...ac", psi, psi.conj())
     h0 = qcore.HADAMARD.entries[0]
-    prob = np.einsum("a,...ac,c->...", h0, rho_a, h0.conj()).real
-    return np.minimum(np.maximum(prob, 0.0), 1.0)  # roundoff guard; two ufuncs cost less than np.clip
+    # roundoff guard: two ufuncs, the second in place, cost less than np.clip and allocate as little
+    prob = np.maximum(np.einsum("a,...ac,c->...", h0, rho_a, h0.conj()).real, 0.0)
+    return np.minimum(prob, 1.0, out=prob)
 
 
 def sweep(spec: SweepSpec) -> list[tuple]:
