@@ -110,17 +110,20 @@ def _readout_probability(p, f, phi) -> np.ndarray:
     The same simulation as :func:`circuit_probability`, batched: the A and B
     weight pairs ``p`` = (p0, p1) and ``f`` = (f0, f1) and the phases ``phi``
     broadcast together.  The phi+ post-selected amplitudes come from the
-    protocol's branch kernel, then CNOT permutes them, the partial trace over
-    B contracts psi[a, b] conj(psi[c, b]) over b at every grid point, and row
-    0 of the Hadamard reads A out, also as one contraction.  Inputs are
-    assumed valid: every weight positive, phi finite.
+    protocol's branch kernel and are written straight into the slots the
+    CNOT permutes them to.  The partial trace over B then contracts
+    psi[a, b] conj(psi[c, b]) over b at every grid point, and row 0 of the
+    Hadamard reads A out, also as one contraction.  Inputs are assumed
+    valid: every weight positive, phi finite.
     """
     _, first, second = _branch(p, f, np.exp(1j * np.asarray(phi, dtype=float)))
     shape = np.shape(second)  # the phase broadcasts it over the whole grid
-    amps = np.zeros(shape + (4,), dtype=np.complex128)
-    amps[..., 0] = first
-    amps[..., 3] = second
-    psi = amps[..., _CNOT_ORDER].reshape(shape + (2, 2))  # psi[..., a, b]
+    # grid axes fastest in memory, so that both contractions run along the grid
+    amps = np.zeros(shape + (4,), dtype=np.complex128, order="F")
+    # the CNOT moves amplitude k to _CNOT_ORDER.index(k): |00> and |11> are written straight there
+    amps[..., _CNOT_ORDER.index(0)] = first
+    amps[..., _CNOT_ORDER.index(3)] = second
+    psi = amps.reshape(shape + (2, 2))  # psi[..., a, b], a view of amps
     rho_a = np.einsum("...ab,...cb->...ac", psi, psi.conj())
     h0 = qcore.HADAMARD.entries[0]
     # roundoff guard: two ufuncs, the second in place, cost less than np.clip and allocate as little

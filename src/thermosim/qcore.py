@@ -88,7 +88,7 @@ class StateVector:
         d = prod(dims)
         if at is None and amps.size != d:
             raise ConfigurationError(f"amplitude count {amps.size} does not match dims {dims}")
-        if not np.all(np.isfinite(amps)):
+        if not np.isfinite(amps).all():
             raise ConfigurationError("state amplitudes must be finite")
         if at is not None:
             if at.shape != amps.shape or at.ndim != 1:
@@ -181,7 +181,7 @@ class Operator:
         d = prod(dims)
         if mat.shape != (d, d):
             raise ConfigurationError(f"expected a {d}x{d} matrix for dims {dims}")
-        if not np.all(np.isfinite(mat)):
+        if not np.isfinite(mat).all():
             raise ConfigurationError("operator entries must be finite")
         mat.setflags(write=False)
         object.__setattr__(self, "dims", dims)

@@ -7,11 +7,16 @@ States handled here are finite sums of two-sided product terms,
 where L_t and R_t are closed-form amplitude families value * e^(coeff*E + offset)
 (a constant has coeff = 0) evaluated at per-side energy arguments, w_t is a
 constant complex weight, and Z is an optional frozen normalization constant.
-A state holds its terms as arrays and evaluates them once, both sides with
-one array exponential.  The public constructor proves a state's structure
-and unit norm; the builders here hold both by construction (Z is the norm
-they divide by) and reach the state through ``qcore._built``, which skips
-those proofs.
+A state holds its terms as arrays.  One array kernel, ``_evaluate``, reads
+everything from term arrays under one ``np.errstate``: both sides' families
+with one array exponential, Z, the per-term amplitudes and operator images,
+and the Rayleigh quotient and residual norm.  Each builder forms its term
+arrays in one helper and wraps them in a state through ``qcore._built``,
+which skips the public constructor's proofs of structure and unit norm: the
+builders hold both by construction (Z is the norm they divide by).  The two
+report routes, ``eigencheck_purified`` and ``residual_superposition``, hand
+the same term arrays straight to the kernel; only the builders and the
+public constructor make states.
 
 The operator is sum_k (i d/dE_k) x (-i d/dE_k): derivative slot k
 differentiates the left factor keyed to k and the right factor keyed to k.
@@ -106,11 +111,53 @@ _NUMERIC_ROWS = (
 )
 
 
-def _evaluated(energy, weight, value, coeff, offset) -> tuple[np.ndarray, np.ndarray]:
-    """Each family at its energy (one array exponential) and each term's w*L(x)*R(y); overflows stay inf or NaN."""
+# the frozen_norm of ``_evaluate`` that makes Z the builders' sum_t |w_t L_t(x_t) R_t(y_t)|^2
+_NORMALIZE = object()
+
+
+def _evaluate(var, energy, weight, value, coeff, offset, frozen_norm, h):
+    """Everything read from term arrays: (psi, image, Z, rayleigh, residual).
+
+    One array exponential evaluates both sides' families at their energies.
+    psi holds each term's w*L(x)*R(y) and image its operator response
+    w*L'(x)*R'(y), 0 where the two sides carry different slots, both over
+    sqrt(Z).  ``frozen_norm`` is a state's own Z, None for no divisor, or
+    ``_NORMALIZE`` for the builders' Z, which is refused unless finite and
+    positive.  Each derivative is the closed form coeff * amplitude or, with
+    ``h``, a central difference; a constant family's derivative is 0 either
+    way.  A step below 1e-8 * max(1, max|E|) is refused, after Z: E + h
+    would resolve the step to fewer than about eight digits, or not at all.
+    The Rayleigh quotient is <psi|image> and the residual |image - rayleigh
+    psi| in numpy's complex-vector norm arithmetic.  Overflows stay inf or
+    NaN.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
         amplitude = value * np.exp(coeff * energy + offset)
-        return amplitude, weight * amplitude[0] * amplitude[1]
+        psi = weight * amplitude[0] * amplitude[1]
+        if frozen_norm is _NORMALIZE:
+            frozen_norm = float(np.add.reduce(np.abs(psi) ** 2))
+            if psi.size and not (isfinite(frozen_norm) and frozen_norm > 0.0):  # no term at all is refused by _store
+                raise ConfigurationError("normalization overflows or vanishes; reduce beta or energies")
+        if h is None:
+            slopes = coeff * amplitude
+        else:
+            if not (isfinite(h) and h > 0.0):
+                raise ConfigurationError("finite-difference step must be finite and positive")
+            floor = 1e-8 * max(1.0, float(np.abs(energy).max()))
+            if h < floor:
+                raise ConfigurationError(
+                    f"finite-difference step {h:g} is below {floor:g} and cannot resolve the energies"
+                )
+            exp = lambda at: np.exp(coeff * at + offset)
+            slopes = value * ((exp(energy + h) - exp(energy - h)) / (2.0 * h))
+        image = np.where(np.equal(*var), weight * slopes[0] * slopes[1], 0j)
+        if frozen_norm is not None:
+            root = sqrt(frozen_norm)
+            psi, image = psi / root, image / root
+        rayleigh = float(np.vdot(psi, image).real)
+        r = image - rayleigh * psi
+        residual = sqrt(r.real.dot(r.real) + r.imag.dot(r.imag))
+    return psi, image, frozen_norm, rayleigh, residual
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -118,12 +165,13 @@ class FactoredBipartiteState:
     """Term arrays plus an optional frozen normalization divisor.
 
     The terms are held as arrays with one row per side (left, right): (2, n)
-    slots, kets and energies, a weight that broadcasts against (n,) and the
+    kets, slots and energies, a weight that broadcasts against (n,) and the
     family form value * e^(coeff*E + offset) against (2, n).  The evaluated
     vector is unit norm; ``frozen_norm`` (when present) is the constant Z such
     that amplitudes carry an overall factor 1/sqrt(Z).  Kets are distinct, so
-    each term is exactly one entry of the dense vector.  ``_store`` holds the
-    checks every state needs; the public constructor converts
+    each term is exactly one entry of the dense vector.  The state evaluates
+    its arrays with ``_evaluate`` whenever a value is read.  ``_store`` holds
+    the checks every state needs; the public constructor converts
     ``FactoredTerm``s once, proves their structure (integer, distinct slot
     pairs and kets, numeric family fields, one energy per slot), calls
     ``_store`` and proves unit norm.
@@ -157,13 +205,13 @@ class FactoredBipartiteState:
             for slot, point in zip(side_slots, energies):  # non-finite energies are refused by _store
                 if isfinite(point) and points.setdefault(slot, point) != point:
                     raise ConfigurationError(f"{side} variable {slot} is evaluated at two different energies")
-        amplitude, product = _evaluated(energy, weight, value, coeff, offset)
-        self._store(var, basis, energy, weight, value, coeff, offset, amplitude, product, frozen_norm)
-        if not abs(sqrt(np.vdot(self._amplitudes, self._amplitudes).real) - 1.0) <= EQ_TOL:  # NaN fails too
+        self._store(basis, var, energy, weight, value, coeff, offset, frozen_norm)
+        psi = self._evaluated(None)[0]
+        if not abs(sqrt(np.vdot(psi, psi).real) - 1.0) <= EQ_TOL:  # NaN fails too
             raise ConfigurationError("evaluated state must be unit norm")
 
-    def _store(self, var, basis, energy, weight, value, coeff, offset, amplitude, product, frozen_norm) -> None:
-        if not product.size:
+    def _store(self, basis, var, energy, weight, value, coeff, offset, frozen_norm) -> None:
+        if not energy.size:
             raise ConfigurationError("a factored state needs at least one term")
         if not np.isfinite(energy).all():
             raise ConfigurationError("term energies must be finite")
@@ -173,12 +221,9 @@ class FactoredBipartiteState:
             frozen_norm = float(frozen_norm)
             if not isfinite(frozen_norm) or frozen_norm <= 0.0:
                 raise ConfigurationError("frozen normalization must be finite and positive")
-        amplitudes = _over_sqrt_z(product, frozen_norm)  # per term, over sqrt(Z)
-        amplitudes.setflags(write=False)
         vars(self).update(
-            frozen_norm=frozen_norm, dims=_check_dims(basis.max(axis=1) + 1), _var=var, _basis=basis,
-            _energy=energy, _weight=weight, _value=value, _coeff=coeff, _offset=offset, _amplitude=amplitude,
-            _amplitudes=amplitudes,
+            frozen_norm=frozen_norm, dims=_check_dims(basis.max(axis=1) + 1), _basis=basis, _var=var,
+            _energy=energy, _weight=weight, _value=value, _coeff=coeff, _offset=offset,
         )
 
     @property
@@ -192,36 +237,12 @@ class FactoredBipartiteState:
                          *self._energy.tolist(), weight))
 
     def amplitude_vector(self) -> StateVector:
-        return _dense(self, self._amplitudes)
+        return _dense(self, self._evaluated(None)[0])
 
-    def _responses(self, h: float | None) -> np.ndarray:
-        """Per-term operator images w*L'(x)*R'(y) over sqrt(Z), 0 where the two sides carry different slots.
-
-        Each derivative is the closed form coeff * amplitude or, with ``h``, a
-        central difference; a constant family's derivative is 0 either way.
-        A step below 1e-8 * max(1, max|E|) is refused: E + h would resolve
-        the step to fewer than about eight digits, or not at all.
-        """
-        if h is not None:
-            if not (isfinite(h) and h > 0.0):
-                raise ConfigurationError("finite-difference step must be finite and positive")
-            floor = 1e-8 * max(1.0, float(np.abs(self._energy).max()))
-            if h < floor:
-                raise ConfigurationError(
-                    f"finite-difference step {h:g} is below {floor:g} and cannot resolve the energies"
-                )
-        with np.errstate(over="ignore", invalid="ignore"):
-            if h is None:
-                slopes = self._coeff * self._amplitude
-            else:
-                exp = lambda energy: np.exp(self._coeff * energy + self._offset)
-                slopes = self._value * ((exp(self._energy + h) - exp(self._energy - h)) / (2.0 * h))
-            images = np.where(np.equal(*self._var), self._weight * slopes[0] * slopes[1], 0j)
-        return _over_sqrt_z(images, self.frozen_norm)
-
-
-def _over_sqrt_z(values: np.ndarray, frozen_norm: float | None) -> np.ndarray:
-    return values if frozen_norm is None else values / sqrt(frozen_norm)
+    def _evaluated(self, h: float | None):
+        """``_evaluate`` on the state's own term arrays and frozen normalization."""
+        return _evaluate(self._var, self._energy, self._weight, self._value, self._coeff, self._offset,
+                         self.frozen_norm, h)
 
 
 def _dense(state: FactoredBipartiteState, values: np.ndarray) -> StateVector:
@@ -231,14 +252,10 @@ def _dense(state: FactoredBipartiteState, values: np.ndarray) -> StateVector:
     return _built(StateVector, state.dims, arr.reshape(-1))
 
 
-def _normalized(var, basis, energy, *, weight, value, coeff, offset) -> FactoredBipartiteState:
+def _normalized(basis, var, energy, weight, value, coeff, offset) -> FactoredBipartiteState:
     """State over term arrays whose frozen normalization is Z = sum_t |w_t L_t(x_t) R_t(y_t)|^2."""
-    amplitude, product = _evaluated(energy, weight, value, coeff, offset)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing Z is refused below
-        z = float((np.abs(product) ** 2).sum())
-    if product.size and not (isfinite(z) and z > 0.0):  # no term at all is refused by _store
-        raise ConfigurationError("normalization overflows or vanishes; reduce beta or energies")
-    return _built(FactoredBipartiteState, var, basis, energy, weight, value, coeff, offset, amplitude, product, z)
+    z = _evaluate(var, energy, weight, value, coeff, offset, _NORMALIZE, None)[2]
+    return _built(FactoredBipartiteState, basis, var, energy, weight, value, coeff, offset, z)
 
 
 @dataclass(frozen=True)
@@ -258,7 +275,14 @@ def apply_inverse_temp_squared(state: FactoredBipartiteState, *, fd_step: float 
     returned vector is an operator image and is generally not normalized (it
     is zero whenever every responding term contains a constant factor).
     """
-    return _dense(state, state._responses(fd_step))
+    return _dense(state, state._evaluated(fd_step)[1])
+
+
+def _purified_terms(spec: ThermalSpec) -> tuple:
+    """Term arrays (kets, slots, energies, weight, value, coeff, offset) of ``purified_thermal_state``."""
+    energy = np.array(spec.hamiltonian.energies)
+    slots = np.broadcast_to(np.arange(energy.size), (2, energy.size))
+    return slots, slots, np.broadcast_to(energy, slots.shape), 1.0 + 0j, 1.0 + 0j, -spec.beta / 4.0, 0.0
 
 
 def purified_thermal_state(spec: ThermalSpec) -> FactoredBipartiteState:
@@ -267,12 +291,7 @@ def purified_thermal_state(spec: ThermalSpec) -> FactoredBipartiteState:
     Term n is e^(-beta*E_n/4) x e^(-beta*E_n/4) |n>|n> with a frozen 1/sqrt(Z)
     prefactor; only this even split makes the state an exact eigenvector.
     """
-    energy = np.array(spec.hamiltonian.energies)
-    slots = np.broadcast_to(np.arange(energy.size), (2, energy.size))
-    return _normalized(
-        slots, slots, np.broadcast_to(energy, slots.shape),
-        weight=1.0 + 0j, value=1.0 + 0j, coeff=-spec.beta / 4.0, offset=0.0,
-    )
+    return _normalized(*_purified_terms(spec))
 
 
 def product_state(
@@ -292,17 +311,20 @@ def product_state(
     per_term = lambda name, dtype: np.take_along_axis(  # the left family of level n, the right one of level m
         np.array([[getattr(f, name) for f in side] for side in (left, right)], dtype=dtype), kets, axis=1)
     return _normalized(
-        kets, kets, np.array(energies, dtype=float)[kets], weight=1.0 + 0j,
-        value=per_term("value", np.complex128), coeff=per_term("coeff", float), offset=per_term("offset", float),
+        kets, kets, np.array(energies, dtype=float)[kets], 1.0 + 0j,
+        per_term("value", np.complex128), per_term("coeff", float), per_term("offset", float),
     )
 
 
 def _eigen_report(state: FactoredBipartiteState, fd_step: float | None, expected: float | None) -> EigenReport:
-    psi = state._amplitudes
-    image = state._responses(fd_step)
-    rayleigh = float(np.vdot(psi, image).real)
-    residual = float(np.linalg.norm(image - rayleigh * psi))
-    return EigenReport(rayleigh, residual, expected)
+    """The report of a state, read from its own term arrays."""
+    return EigenReport(*state._evaluated(fd_step)[3:], expected)
+
+
+def _report(terms: tuple, fd_step: float | None, expected: float | None) -> EigenReport:
+    """The report of a builder's term arrays, normalized as the builder would, without making a state."""
+    _, *fields = terms
+    return EigenReport(*_evaluate(*fields, _NORMALIZE, fd_step)[3:], expected)
 
 
 def eigencheck_purified(spec: ThermalSpec, *, fd_step: float | None = None) -> EigenReport:
@@ -311,19 +333,11 @@ def eigencheck_purified(spec: ThermalSpec, *, fd_step: float | None = None) -> E
         expected = spec.beta**2 / 16.0
     except OverflowError:  # once beta passes about 1.3e154
         raise ConfigurationError("beta^2/16 overflows; reduce beta") from None
-    return _eigen_report(purified_thermal_state(spec), fd_step, expected)
+    return _report(_purified_terms(spec), fd_step, expected)
 
 
-def superposition_state(
-    cfg: ProtocolConfig, outcome: BellOutcome, convention: str
-) -> FactoredBipartiteState:
-    """Post-selected AB state rebuilt as a factored bipartite state.
-
-    Term n pairs the A-side Boltzmann factor e^(-beta_A*E/2) with the B-side
-    factor e^(-beta_B*E'/2) under derivative slot n.  For the phi+ outcome
-    the terms sit on |00> and |11>; for psi+ on |01> and |10>, where the
-    A level n is paired with the B level 1 - n.
-    """
+def _superposition_terms(cfg: ProtocolConfig, outcome: BellOutcome, convention: str) -> tuple:
+    """Term arrays (kets, slots, energies, weight, value, coeff, offset) of ``superposition_state``."""
     if outcome is BellOutcome.PHI_PLUS:
         kets_b = (0, 1)
     elif outcome is BellOutcome.PSI_PLUS:
@@ -341,11 +355,24 @@ def superposition_state(
         raise ConfigurationError("chosen_zero_levels applies only when E1 = 0 and E0' = 0")
     a, b = -cfg.spec_a.beta / 2.0, -cfg.spec_b.beta / 2.0
     # term n sits on |n>|kets_b[n]> under slot n; a pinned level is the constant e^0 (coeff 0)
-    return _normalized(
-        np.array(((0, 1), (0, 1))), np.array(((0, 1), kets_b)), np.array((ea, [eb[k] for k in kets_b])),
-        weight=np.array((1.0, np.exp(1j * cfg.phi))), value=1.0 + 0j, offset=0.0,
-        coeff=np.array(((a, 0.0 if pin else a), [0.0 if pin and k == 0 else b for k in kets_b])),
+    return (
+        np.array(((0, 1), kets_b)), np.array(((0, 1), (0, 1))), np.array((ea, [eb[k] for k in kets_b])),
+        np.array((1.0, np.exp(1j * cfg.phi))), 1.0 + 0j,
+        np.array(((a, 0.0 if pin else a), [0.0 if pin and k == 0 else b for k in kets_b])), 0.0,
     )
+
+
+def superposition_state(
+    cfg: ProtocolConfig, outcome: BellOutcome, convention: str
+) -> FactoredBipartiteState:
+    """Post-selected AB state rebuilt as a factored bipartite state.
+
+    Term n pairs the A-side Boltzmann factor e^(-beta_A*E/2) with the B-side
+    factor e^(-beta_B*E'/2) under derivative slot n.  For the phi+ outcome
+    the terms sit on |00> and |11>; for psi+ on |01> and |10>, where the
+    A level n is paired with the B level 1 - n.
+    """
+    return _normalized(*_superposition_terms(cfg, outcome, convention))
 
 
 def residual_superposition(
@@ -355,8 +382,9 @@ def residual_superposition(
 
     Under "full_dependence" every term responds with the same factor
     beta_A*beta_B/4, which is reported as the expected value; under
-    "chosen_zero_levels" no analytic value is claimed.
+    "chosen_zero_levels" no analytic value is claimed.  The report is read
+    from ``superposition_state``'s term arrays; no state is made.
     """
-    state = superposition_state(cfg, outcome, convention)
+    terms = _superposition_terms(cfg, outcome, convention)
     expected = cfg.spec_a.beta * cfg.spec_b.beta / 4.0 if convention == "full_dependence" else None
-    return _eigen_report(state, None, expected)
+    return _report(terms, None, expected)

@@ -78,8 +78,8 @@ def _shifted_gibbs(beta, energies) -> tuple[np.ndarray, np.ndarray]:
     several hundred; beyond about 745 the smallest weights round to 0.0.
     """
     e = np.asarray(energies, dtype=float)
-    shifted = np.exp(-beta * (e - e.min(axis=-1, keepdims=True)))
-    total = shifted.sum(axis=-1, keepdims=True)
+    shifted = np.exp(-beta * (e - np.minimum.reduce(e, axis=-1, keepdims=True)))
+    total = np.add.reduce(shifted, axis=-1, keepdims=True)
     return shifted / total, total[..., 0]
 
 

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 from dataclasses import replace
+from itertools import zip_longest
 
 import numpy as np
 import pytest
@@ -199,7 +200,11 @@ def test_interference_csv_matches_per_point_oracle(capsys, ref_config_path, tmp_
         point = replace(cfg, phi=float(phi))
         prob = circuit_probability(point) if convention is None else closed_form_probability(point, convention)
         lines.append(f"{float(phi):.9g},{prob:.9g}")
-    assert out_path.read_text() == "\n".join(lines) + "\n"
+    # the text is "\n".join(lines) + "\n" exactly when its "\n"-split is lines + [""]; naming the first
+    # differing row keeps a failure fast, where a difflib diff of the two texts ran for minutes
+    got, want = out_path.read_text().split("\n"), lines + [""]
+    row = next((i for i, (g, w) in enumerate(zip_longest(got, want)) if g != w), None)
+    assert row is None, f"row {row} differs: got {got[row:row + 1]}, want {want[row:row + 1]}"
 
 
 def test_interference_rejects_small_grid(capsys, ref_config_path, tmp_path):

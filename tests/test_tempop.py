@@ -10,6 +10,7 @@ from thermosim import (
     ExpLinear,
     FactoredBipartiteState,
     FactoredTerm,
+    ProtocolConfig,
     QuditHamiltonian,
     ThermalSpec,
     apply_inverse_temp_squared,
@@ -572,6 +573,131 @@ def test_builders_skip_the_public_constructor(monkeypatch):
     assert apply_inverse_temp_squared(state).dims == (2, 2)
     with pytest.raises(AssertionError, match="public FactoredBipartiteState"):
         FactoredBipartiteState(state.terms, state.frozen_norm)
+
+
+# --- report routes read the builders' term arrays -----------------------------
+
+def _outcome(route):
+    """The report of ``route()`` as the bits of its fields, or the message of its refusal."""
+    try:
+        report = route()
+    except ConfigurationError as err:
+        return str(err)
+    return tuple(None if x is None else float(x).hex() for x in (report.rayleigh, report.residual, report.expected))
+
+
+def _bell_config(rng):
+    """A qubit config with the pinned zero levels, each beta*|gap| log-uniform up to 700, gaps of either sign."""
+    gap_a, gap_b = rng.choice((-1.0, 1.0), 2) * rng.uniform(0.5, 5.0, 2)
+    beta_a, beta_b = np.exp(rng.uniform(np.log(1e-2), np.log(700.0), 2)) / np.abs((gap_a, gap_b))
+    return ProtocolConfig(_spec(float(beta_a), (float(gap_a), 0.0)), _spec(float(beta_b), (0.0, float(gap_b))),
+                          float(rng.uniform(0.0, 2 * np.pi)))
+
+
+@pytest.mark.parametrize("fd_step", [None, 1e-5])
+def test_eigencheck_reads_the_purified_state_bit_for_bit(fd_step):
+    # -beta*E_min reaches about 800, so some specs are refused by both routes
+    rng = np.random.default_rng(181)
+    outcomes = []
+    for _ in range(200):
+        spec = random_thermal_spec(rng, beta_max=80.0, dims=(2, 64))
+        got = _outcome(lambda: eigencheck_purified(spec, fd_step=fd_step))
+        want = _outcome(lambda: tempop._eigen_report(purified_thermal_state(spec), fd_step, spec.beta**2 / 16.0))
+        assert got == want
+        outcomes.append(got)
+    assert 0 < sum(isinstance(x, str) for x in outcomes) < len(outcomes)
+
+
+@pytest.mark.parametrize("outcome", [BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS])
+@pytest.mark.parametrize("convention", ["full_dependence", "chosen_zero_levels"])
+def test_residual_superposition_reads_the_superposition_state_bit_for_bit(outcome, convention):
+    rng = np.random.default_rng(191)
+    for _ in range(300):
+        cfg = _bell_config(rng)
+        expected = cfg.spec_a.beta * cfg.spec_b.beta / 4.0 if convention == "full_dependence" else None
+        got = _outcome(lambda: residual_superposition(cfg, outcome, convention))
+        want = _outcome(lambda: tempop._eigen_report(superposition_state(cfg, outcome, convention), None, expected))
+        assert got == want
+
+
+def test_report_routes_make_no_state(monkeypatch):
+    stored = []
+    store = FactoredBipartiteState._store
+
+    def counted(self, *fields):
+        stored.append(type(self))
+        store(self, *fields)
+
+    monkeypatch.setattr(FactoredBipartiteState, "_store", counted)
+    spec, cfg = _spec(1.3, (0.5, -1.0, 2.0)), reference_config(phi=0.4)
+    for fd_step in (None, 1e-5):
+        eigencheck_purified(spec, fd_step=fd_step)
+    for outcome in (BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS):
+        for convention in ("full_dependence", "chosen_zero_levels"):
+            residual_superposition(cfg, outcome, convention)
+    assert stored == []
+    purified_thermal_state(spec)
+    superposition_state(cfg, BellOutcome.PSI_PLUS, "chosen_zero_levels")
+    assert stored == [FactoredBipartiteState] * 2
+
+
+_BETA_SQUARED = "beta^2/16 overflows; reduce beta"
+_NORMALIZATION = "normalization overflows or vanishes; reduce beta or energies"
+_STEP = "finite-difference step must be finite and positive"
+_PIN = "chosen_zero_levels applies only when E1 = 0 and E0' = 0"
+
+
+def _refusal(route):
+    with pytest.raises(ConfigurationError) as err:
+        route()
+    return str(err.value)
+
+
+@pytest.mark.filterwarnings("error")
+def test_eigencheck_refusals_keep_their_messages_and_precedence():
+    bad_steps = (0.0, -1e-5, float("inf"), float("nan"), 1e-300)
+    # beta^2/16 first, before the normalization and any fd step
+    for fd_step in (None,) + bad_steps:
+        assert _refusal(lambda: eigencheck_purified(_spec(1e200, (-1.0, 0.5)), fd_step=fd_step)) == _BETA_SQUARED
+    # the normalization overflows at -beta*E_min = 720, before any fd-step check; at 700 it is finite
+    for fd_step in (None,) + bad_steps:
+        spec = _spec(720.0, (-1.0, 0.5))
+        assert _refusal(lambda: eigencheck_purified(spec, fd_step=fd_step)) == _NORMALIZATION
+        assert _refusal(lambda: purified_thermal_state(spec)) == _NORMALIZATION
+    spec = _spec(700.0, (-1.0, 0.5))
+    for fd_step in bad_steps[:4]:
+        assert _refusal(lambda: eigencheck_purified(spec, fd_step=fd_step)) == _STEP
+        assert _refusal(lambda: apply_inverse_temp_squared(purified_thermal_state(spec), fd_step=fd_step)) == _STEP
+    floor = "finite-difference step 1e-300 is below 1e-08 and cannot resolve the energies"
+    assert _refusal(lambda: eigencheck_purified(spec, fd_step=1e-300)) == floor
+    spec = _spec(1.0, (0.0, -200.0))
+    assert _refusal(lambda: eigencheck_purified(spec, fd_step=1e-9)) == (
+        "finite-difference step 1e-09 is below 2e-06 and cannot resolve the energies"
+    )
+
+
+@pytest.mark.filterwarnings("error")
+def test_residual_refusals_keep_their_messages_and_precedence():
+    cfg = reference_config(phi=0.4)
+    unpinned = ProtocolConfig(_spec(1.0, (5.0, 0.3)), cfg.spec_b, 0.4)
+    # the outcome first, then the convention, then the pinned levels
+    for c in (cfg, unpinned):
+        for convention in ("full_dependence", "chosen_zero_levels", "frozen"):
+            assert _refusal(lambda: residual_superposition(c, BellOutcome.PHI_MINUS, convention)) == (
+                f"unsupported outcome {BellOutcome.PHI_MINUS} for residual analysis"
+            )
+        assert _refusal(lambda: residual_superposition(c, BellOutcome.PSI_PLUS, "frozen")) == (
+            "convention must be 'full_dependence' or 'chosen_zero_levels', got 'frozen'"
+        )
+    for outcome in (BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS):
+        assert _refusal(lambda: residual_superposition(unpinned, outcome, "chosen_zero_levels")) == _PIN
+        assert _refusal(lambda: superposition_state(unpinned, outcome, "chosen_zero_levels")) == _PIN
+        residual_superposition(unpinned, outcome, "full_dependence")
+    # psi+ pairs E0 = -5 with E1' = -5, so one term's |w L R|^2 is e^(1000) and Z overflows
+    deep = ProtocolConfig(_spec(100.0, (-5.0, 0.0)), _spec(100.0, (0.0, -5.0)), 0.4)
+    for convention in ("full_dependence", "chosen_zero_levels"):
+        assert _refusal(lambda: residual_superposition(deep, BellOutcome.PSI_PLUS, convention)) == _NORMALIZATION
+        assert _refusal(lambda: superposition_state(deep, BellOutcome.PSI_PLUS, convention)) == _NORMALIZATION
 
 
 # --- validate once: built states pass the public constructor's checks --------
