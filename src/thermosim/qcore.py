@@ -18,8 +18,9 @@ copy, a fresh array that the library built itself.  Two of those arrays are
 sparse forms checked in O(size): a diagonal ``DensityMatrix`` arrives as its
 d values, and a ``StateVector`` with few nonzeros (a purification) as its
 support, the (k,) amplitudes at strictly increasing flat indices.  The
-diagonal partial trace reads the support directly; ``amps`` is built from it
-only for a caller that reads it.
+diagonal partial trace reads the support directly, and a dense state's
+nonzeros through ``np.flatnonzero``; ``amps`` is built from the support only
+for a caller that reads it.
 """
 
 from __future__ import annotations
@@ -242,7 +243,8 @@ def _reduced_density(state: StateVector, kept: list[int], traced: list[int]) -> 
     """psi psi^dagger of ``state``, built from its (k,) diagonal when it is diagonal.
 
     psi is the (kept, traced) amplitude matrix.  The nonzero amplitudes are
-    the state's stored support, or, for a dense state, one contiguous scan.
+    the state's stored support, or, for a dense state, those that
+    ``np.flatnonzero`` finds (a signed zero is zero, a subnormal is not).
     When every traced column holds at most one of them (purifications,
     product states, Bell branches) no two rows share a traced basis state,
     so the result is diagonal: each row's sum of re^2 + im^2, added in
@@ -252,31 +254,20 @@ def _reduced_density(state: StateVector, kept: list[int], traced: list[int]) -> 
     kept_dims = tuple(dims[i] for i in kept)
     k = prod(kept_dims)
     if state._support is None:
-        amps = state.amps
-        # held until the result is built: freed before, they leave a heap hole
-        # that the large dense arrays that come next do not fit
-        flags = amps.view(np.float64) != 0
-        # the two part flags of an amplitude read as one uint16; np.nonzero is fastest on bool
-        at = np.nonzero(flags.view(np.uint16) != 0)[0]
-        vals = amps[at]
+        at = np.flatnonzero(state.amps != 0)  # on the complex array itself it takes about 3x as long
+        vals = state.amps[at]
     else:
         vals, at = state._support
     digits = np.unravel_index(at, dims)
-    rows, cols = (_ravel(digits, dims, axes) for axes in (kept, traced))
+    rows, cols = (
+        np.ravel_multi_index([digits[i] for i in axes], [dims[i] for i in axes]) for axes in (kept, traced)
+    )
     if cols.size and np.bincount(cols).max() > 1:
         psi = np.transpose(state.amps.reshape(dims), kept + traced).reshape(k, -1)
         return _built(DensityMatrix, kept_dims, _gram(psi))
     # a kept row's amplitudes lie in column order in memory too, so each sum is the dense route's
     diagonal = np.bincount(rows, weights=vals.real**2 + vals.imag**2, minlength=k).astype(np.complex128)
     return _built(DensityMatrix, kept_dims, diagonal)
-
-
-def _ravel(digits: tuple[np.ndarray, ...], dims: tuple[int, ...], axes: list[int]) -> np.ndarray:
-    """Flat index over the subsystems ``axes``, in their order, from per-subsystem digits."""
-    flat = digits[axes[0]]
-    for i in axes[1:]:
-        flat = flat * dims[i] + digits[i]
-    return flat
 
 
 def _gram(psi: np.ndarray) -> np.ndarray:

@@ -217,6 +217,17 @@ def test_interference_rejects_small_grid(capsys, ref_config_path, tmp_path):
     assert err.startswith("error:")
 
 
+def test_interference_refusal_after_parsing_leaves_no_file(capsys, tmp_path):
+    # the config parses, then the closed form refuses its levels; nothing may be written
+    config, out_path = tmp_path / "unpinned.json", tmp_path / "paper.csv"
+    config.write_text(REF_CONFIG_JSON.replace('"energies_a":[5.0,0.0]', '"energies_a":[5.0,0.5]'))
+    argv = ["interference", "--config", str(config), "--phi-steps", "3", "--out", str(out_path)]
+    code, out, err = run_cli(capsys, argv + ["--convention", "paper"])
+    assert code == 1
+    assert out == "" and not out_path.exists()
+    assert err == "error: closed form requires the pinned levels E1 = 0 and E0' = 0\n"
+
+
 def test_interference_unwritable_output(capsys, ref_config_path, tmp_path):
     code, _, err = run_cli(
         capsys,

@@ -1,13 +1,16 @@
 """Golden-output gate: sha256 digests of report bytes recorded from a known-good build.
 
-Any changed digit in the eigencheck JSON, in an interference CSV, in a
-residual report, in the large-d reduced density matrices, in the dense
-amplitudes of a purification or in the dense views of a factored state fails
-the gate.  A deliberate
-change of these outputs updates the digests below and says so in CHANGES.md.
+Any changed digit in the eigencheck JSON (up to the 10^6-level limit), in an
+interference CSV, in a residual report, in the large-d reduced density
+matrices, in the dense amplitudes of a purification or in the dense views of
+a factored state fails the gate.  A deliberate change of these outputs
+updates the digests below and says so in CHANGES.md.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from itertools import product
 
 import numpy as np
@@ -29,7 +32,7 @@ from thermosim import (
     superposition_state,
     thermal_density,
 )
-from thermosim.cli import main
+from thermosim.cli import MAX_POINTS, main
 
 from helpers import reference_config
 
@@ -56,6 +59,11 @@ EIGENCHECK_DIGESTS = {
     (512, "2"): "e9e77237441eecd16d0753b39f5b59bdb78a4a642ff31ef2dcf5aa8456644d59",
     (512, "13"): "3f290faf1aa43277ad12611917348f492e36be96bdd1b03caee65eef404fc49f",
 }
+
+# sha256 of ``thermosim eigencheck --dim 1000000 --beta 0.7 --fd-step 1e-5`` stdout with one
+# BLAS thread: at this size the BLAS dot products behind rayleigh and residual split their
+# sums across threads, so the last printed digit of a residual follows the thread count
+EIGENCHECK_AT_THE_LIMIT_DIGEST = "d90b9e76b46b67a87d5fb53a06947014a9177f7b2aa316b767f772e0000d9638"
 
 RESIDUAL_DIGESTS = {
     # config name: sha256 of float.hex of the four residual_superposition reports
@@ -128,6 +136,14 @@ def _digest(text: str) -> str:
 def test_eigencheck_stdout_is_unchanged(capsys, dim, beta):
     assert main(["eigencheck", "--dim", str(dim), "--beta", beta, "--fd-step", "1e-5"]) == 0
     assert _digest(capsys.readouterr().out) == EIGENCHECK_DIGESTS[dim, beta]
+
+
+def test_eigencheck_stdout_at_the_size_limit_is_unchanged():
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    argv = ["eigencheck", "--dim", str(MAX_POINTS), "--beta", "0.7", "--fd-step", "1e-5"]
+    proc = subprocess.run([sys.executable, "-m", "thermosim", *argv], capture_output=True, env=env)
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert hashlib.sha256(proc.stdout).hexdigest() == EIGENCHECK_AT_THE_LIMIT_DIGEST
 
 
 @pytest.mark.parametrize("name, steps, convention", list(CSV_DIGESTS))

@@ -374,6 +374,29 @@ def test_purification_trace_reads_only_the_support():
     assert np.count_nonzero(rho.entries) == np.count_nonzero(np.diagonal(rho.entries)) == d
 
 
+@settings(max_examples=100, deadline=None)
+@given(case=_support_states(), zero=st.sampled_from([complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]))
+def test_signed_zeros_take_the_route_of_plus_zeros(case, zero):
+    dims, amps = case
+    plain, signed = StateVector(dims, amps), StateVector(dims, np.where(amps == 0, zero, amps))
+    for r in range(1, len(dims)):
+        for keep in combinations(range(len(dims)), r):
+            with mock.patch.object(qcore, "_gram", wraps=qcore._gram) as gram:
+                want, got = partial_trace(plain, keep).entries, partial_trace(signed, keep).entries
+            assert gram.call_count in (0, 2), keep  # the Gram product for both or for neither
+            assert np.array_equal(got, want), keep
+
+
+def test_subnormal_amplitudes_count_as_nonzero():
+    # |00> and a subnormal |10> share the column of the traced qubit 1
+    amps = np.array([1.0, 0.0, 1e-310, 0.0])
+    with mock.patch.object(qcore, "_gram", wraps=qcore._gram) as gram:
+        partial_trace(StateVector((2, 2), amps), keep={0})
+        assert gram.call_count == 1
+        partial_trace(StateVector((2, 2), np.where(amps == 1e-310, 0.0, amps)), keep={0})
+        assert gram.call_count == 1  # with a true zero there, the diagonal route
+
+
 class _GramCalled(Exception):
     pass
 
