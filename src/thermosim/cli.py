@@ -6,10 +6,10 @@ Three subcommands::
     thermosim interference --config FILE --phi-steps K --out FILE [--convention paper|corrected]
     thermosim eigencheck   --dim D --beta B [--fd-step H] [--assert-tol T]
 
-Reports are JSON on stdout; interference sweeps are written as CSV.  All
-floats are rendered with 9 significant digits so identical invocations
-produce byte-identical output.  Exit codes: 0 success, 1 configuration or
-I/O error (one-line diagnostic on stderr), 2 numerical assertion failure.
+Reports are JSON on stdout; interference sweeps are written as CSV.  All floats are
+rendered with 9 significant digits so identical invocations on the same numpy build and
+BLAS thread count produce byte-identical output.  Exit codes: 0 success, 1 configuration
+or I/O error (one-line diagnostic on stderr), 2 numerical assertion failure.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .interference import SweepSpec, _closed_form, sweep
+from .interference import _closed_form, _readout_probability
 from .protocol import OUTCOME_ORDER, ProtocolConfig, post_select, sample_outcomes, success_probability
 from .qcore import ConfigurationError
 from .tempop import eigencheck_purified
@@ -30,8 +30,8 @@ from .thermal import QuditHamiltonian, ThermalSpec
 
 _EIGENCHECK_ENERGY_SEED = 987654321  # fixed so repeated runs see the same levels
 _CONFIG_FIELDS = ("beta_a", "beta_b", "energies_a", "energies_b", "phi")
-# the largest --phi-steps and --dim: at 10^6 an interference run peaks at about
-# 215 MB and an eigencheck at about 270 MB, so larger sizes are refused up front
+# the largest --phi-steps and --dim, larger sizes refused up front: at 10^6 an interference
+# run peaks at about 215 MB (the read-out kernel's temporaries), an eigencheck at about 240 MB
 MAX_POINTS = 10**6
 
 
@@ -114,8 +114,8 @@ def cmd_protocol(args: argparse.Namespace) -> int:
         },
         "phi_plus_state": {
             "basis": ["00", "01", "10", "11"],
-            "amplitudes_re": [float(a.real) for a in phi_plus],
-            "amplitudes_im": [float(a.imag) for a in phi_plus],
+            "amplitudes_re": phi_plus.real.tolist(),
+            "amplitudes_im": phi_plus.imag.tolist(),
         },
     }
     if args.samples is not None:
@@ -136,12 +136,12 @@ def cmd_interference(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     grid = np.linspace(0.0, 2.0 * np.pi, args.phi_steps)
     if args.convention is None:
-        rows = sweep(SweepSpec(cfg, grid))
+        probs = _readout_probability(*cfg.weights(), grid)
     else:
-        rows = zip(grid.tolist(), _closed_form(cfg, args.convention, grid).tolist())
+        probs = _closed_form(cfg, args.convention, grid)
     with Path(args.out).open("w") as out:
         out.write("phi,probability\n")
-        out.writelines(f"{phi:.9g},{prob:.9g}\n" for phi, prob in rows)
+        out.writelines(f"{phi:.9g},{prob:.9g}\n" for phi, prob in zip(grid.tolist(), probs.tolist()))
     return 0
 
 
@@ -151,13 +151,13 @@ def cmd_eigencheck(args: argparse.Namespace) -> int:
     if args.assert_tol is not None and not isfinite(args.assert_tol):
         raise ConfigurationError("--assert-tol must be finite")
     rng = np.random.default_rng(_EIGENCHECK_ENERGY_SEED)
-    energies = rng.uniform(-5.0, 5.0, args.dim)
-    spec = ThermalSpec(args.beta, QuditHamiltonian(tuple(energies)))
+    levels = rng.uniform(-5.0, 5.0, args.dim).tolist()
+    spec = ThermalSpec(args.beta, QuditHamiltonian(levels))
     heads = {"analytic": {}}
     if args.fd_step is not None:
         heads["finite_difference"] = {"step": args.fd_step}
     checks = {key: eigencheck_purified(spec, fd_step=head.get("step")) for key, head in heads.items()}
-    report = {"dim": args.dim, "beta": args.beta, "energies": [float(e) for e in energies]}
+    report = {"dim": args.dim, "beta": args.beta, "energies": levels}
     for key, check in checks.items():
         report[key] = {**heads[key], "rayleigh": check.rayleigh, "expected": check.expected, "residual": check.residual}
     _emit(report)

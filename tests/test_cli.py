@@ -189,7 +189,12 @@ def test_interference_paper_convention(capsys, ref_config_path, tmp_path):
 
 
 @pytest.mark.parametrize("convention", [None, "paper", "corrected"])
-def test_interference_csv_matches_per_point_oracle(capsys, ref_config_path, tmp_path, convention):
+def test_interference_csv_matches_per_point_oracle(capsys, monkeypatch, ref_config_path, tmp_path, convention):
+    # every route formats one kernel array, so the CLI builds no SweepSpec; the oracle builds none either
+    def no_sweep_spec(self):
+        raise AssertionError("the CLI built a SweepSpec")
+
+    monkeypatch.setattr("thermosim.interference.SweepSpec.__post_init__", no_sweep_spec)
     out_path = tmp_path / "fine.csv"
     argv = ["interference", "--config", ref_config_path, "--phi-steps", "10001", "--out", str(out_path)]
     code, _, _ = run_cli(capsys, argv + ([] if convention is None else ["--convention", convention]))

@@ -1,10 +1,10 @@
 """Golden-output gate: sha256 digests of report bytes recorded from a known-good build.
 
-Any changed digit in the eigencheck JSON (up to the 10^6-level limit), in an
-interference CSV, in a residual report, in the large-d reduced density
-matrices, in the dense amplitudes of a purification or in the dense views of
-a factored state fails the gate.  A deliberate change of these outputs
-updates the digests below and says so in CHANGES.md.
+Any changed digit in the eigencheck JSON (up to the 10^6-level limit), in a
+protocol report, in an interference CSV, in a residual report, in the large-d
+reduced density matrices, in the dense amplitudes of a purification or in the
+dense views of a factored state fails the gate.  A deliberate change of these
+outputs updates the digests below and says so in CHANGES.md.
 """
 
 import hashlib
@@ -127,6 +127,14 @@ CSV_DIGESTS = {
     ("reference", 10**6, None): "6d50763cb026536199ecab14f1a082828c2d60b7f79fb5c7cb4b8686fb181cd6",
 }
 
+PROTOCOL_DIGESTS = {
+    # config: sha256 of ``thermosim protocol --config FILE --samples 10000000 --seed 7`` stdout
+    "reference": "5f49db0e3355ec76e6d38166c154dcfcce03c41ac542a448a5f220ccdf219c58",
+    "asymmetric": "407be17f180530c254ccfe1564840e76cdff1b283c0289321a9dfd78e061577d",
+    "beta_a*gap=700": "70339818e2228e33f9eabb61333c84b1043b0414142988a70485355d8f8b5752",
+    "beta*gap=700/699": "c89d081e2da9afbc503101dcb7ce13144406c3a947441d2f020b0d60fd44b814",
+}
+
 
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -153,6 +161,14 @@ def test_interference_csv_is_unchanged(tmp_path, name, steps, convention):
     argv = ["interference", "--config", str(config), "--phi-steps", str(steps), "--out", str(out)]
     assert main(argv + ([] if convention is None else ["--convention", convention])) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CSV_DIGESTS[name, steps, convention]
+
+
+@pytest.mark.parametrize("name", list(PROTOCOL_DIGESTS))
+def test_protocol_stdout_is_unchanged(capsys, tmp_path, name):
+    config = tmp_path / "config.json"
+    config.write_text(CSV_CONFIGS[name])
+    assert main(["protocol", "--config", str(config), "--samples", "10000000", "--seed", "7"]) == 0
+    assert _digest(capsys.readouterr().out) == PROTOCOL_DIGESTS[name]
 
 
 _CONFIGS = {

@@ -14,7 +14,11 @@ sides, one run at a time, parent first on even i and change first on odd i.
 One traced run per side (``--trace 1``) follows on seed S+N.  The bounds, the
 direction of each metric and the run length T (``run_seconds``) come from the
 parent's ``BENCHMARK.json``.  Each run extracts both trees afresh, replacing
-any earlier copy, so an interrupted extraction is never benchmarked.
+any earlier copy, so an interrupted extraction is never benchmarked.  The
+runs inherit this process's environment; the file's ``method`` records the
+two bytecode settings among it, ``PYTHONDONTWRITEBYTECODE`` and
+``PYTHONPYCACHEPREFIX``, because with bytecode uncached every ``setup_s`` and
+``cli_wall_p50_s`` includes compiling the sources.
 
     python3 tools/bench_pairs.py --check BENCH_11.json
 
@@ -27,6 +31,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -131,6 +136,8 @@ def bench(args: argparse.Namespace) -> dict:
     spec = json.loads((sides["parent"][1] / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     command = f"python3 perfbench/run.py --workload <W> --seed <S> --seconds {seconds:g} --trace 0"
+    bytecode = ", ".join(f"{k}={os.environ[k]!r}" if k in os.environ else f"{k} unset"
+                         for k in ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX"))
     out = {
         "claim": args.claim,
         "command": command,
@@ -138,7 +145,8 @@ def bench(args: argparse.Namespace) -> dict:
             "each pair runs the parent and the change one after the other on the same seed, alternating which side "
             "runs first (even pair index: parent first); each side runs from a git archive copy of its commit under a "
             f"scratch directory; one run at a time; {args.pairs} pairs per workload; each workload also has one traced "
-            "run per side (--trace 1) on the next seed; written by tools/bench_pairs.py"
+            f"run per side (--trace 1) on the next seed; the runs see {bytecode}, so with bytecode uncached setup_s "
+            "and cli_wall_p50_s include compiling the sources; written by tools/bench_pairs.py"
         ),
         "parent": {"commit": sides["parent"][0]},
         "change": {"commit": sides["change"][0]},
