@@ -8,8 +8,10 @@ A in |0>.  For the state (a|00> + b e^(i*phi)|11>)/N this evaluates to
 
 so the fringe visibility is 2ab/N^2 with a = sqrt(p0 f0), b = sqrt(p1 f1).
 :func:`circuit_probability` simulates the circuit for one configuration and
-is the module's ground truth; :func:`sweep` runs the same simulation batched
-over a whole grid; :func:`closed_form_probability` evaluates the closed form,
+is the module's ground truth; :func:`sweep` runs the same circuit batched
+over a whole grid, reading out A's pure reduced state with one complex
+array over the grid (no per-point 4-amplitude or 2x2 density arrays);
+:func:`closed_form_probability` evaluates the closed form,
 either with the operational factor 2 in the cross term ("corrected") or
 without it ("paper", kept for comparison because the two differ by exactly
 that factor).
@@ -25,9 +27,6 @@ import numpy as np
 from . import qcore
 from .protocol import BellOutcome, ProtocolConfig, _branch, _positive_qubit_weights, post_select, success_probability
 from .qcore import ConfigurationError
-
-# CNOT with A as control: flat index 2a + b of the (A, B) pair goes to 2a + (a XOR b)
-_CNOT_ORDER = [0, 1, 3, 2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,28 +106,20 @@ def _closed_form(cfg: ProtocolConfig, convention: str, phi):
 def _readout_probability(p, f, phi) -> np.ndarray:
     """P(A = 0) after the read-out circuit, for every point of a broadcast grid.
 
-    The same simulation as :func:`circuit_probability`, batched: the A and B
+    The same circuit as :func:`circuit_probability`, batched: the A and B
     weight pairs ``p`` = (p0, p1) and ``f`` = (f0, f1) and the phases ``phi``
     broadcast together.  The phi+ post-selected amplitudes come from the
-    protocol's branch kernel and are written straight into the slots the
-    CNOT permutes them to.  The partial trace over B then contracts
-    psi[a, b] conj(psi[c, b]) over b at every grid point, and row 0 of the
-    Hadamard reads A out, also as one contraction.  Inputs are assumed
-    valid: every weight positive, phi finite.
+    protocol's branch kernel.  The CNOT takes first|00> + second|11> to the
+    product (first|0> + second|1>)|0>: B is left in |0>, so tracing B out
+    leaves A in the pure state (first, second), and row 0 of the Hadamard
+    reads A out.  No closed form enters: 2ab/N^2 cos(phi) is never formed.
+    Inputs are assumed valid: every weight positive, phi finite.
     """
     _, first, second = _branch(p, f, np.exp(1j * np.asarray(phi, dtype=float)))
-    shape = np.shape(second)  # the phase broadcasts it over the whole grid
-    # grid axes fastest in memory, so that both contractions run along the grid
-    amps = np.zeros(shape + (4,), dtype=np.complex128, order="F")
-    # the CNOT moves amplitude k to _CNOT_ORDER.index(k): |00> and |11> are written straight there
-    amps[..., _CNOT_ORDER.index(0)] = first
-    amps[..., _CNOT_ORDER.index(3)] = second
-    psi = amps.reshape(shape + (2, 2))  # psi[..., a, b], a view of amps
-    rho_a = np.einsum("...ab,...cb->...ac", psi, psi.conj())
     h0 = qcore.HADAMARD.entries[0]
-    # roundoff guard: two ufuncs, the second in place, cost less than np.clip and allocate as little
-    prob = np.maximum(np.einsum("a,...ac,c->...", h0, rho_a, h0.conj()).real, 0.0)
-    return np.minimum(prob, 1.0, out=prob)
+    a = h0[0] * first + h0[1] * second
+    prob = a.real**2 + a.imag**2
+    return np.minimum(prob, 1.0, out=prob)  # roundoff guard: the sum can exceed 1 by an ulp
 
 
 def sweep(spec: SweepSpec) -> list[tuple]:

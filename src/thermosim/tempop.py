@@ -316,11 +316,6 @@ def product_state(
     )
 
 
-def _eigen_report(state: FactoredBipartiteState, fd_step: float | None, expected: float | None) -> EigenReport:
-    """The report of a state, read from its own term arrays."""
-    return EigenReport(*state._evaluated(fd_step)[3:], expected)
-
-
 def _report(terms: tuple, fd_step: float | None, expected: float | None) -> EigenReport:
     """The report of a builder's term arrays, normalized as the builder would, without making a state."""
     _, *fields = terms

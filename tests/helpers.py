@@ -7,7 +7,7 @@ explicit circuit unitaries) and are frozen here as expected values.
 
 import numpy as np
 
-from thermosim import Operator, ProtocolConfig, QuditHamiltonian, ThermalSpec
+from thermosim import EigenReport, Operator, ProtocolConfig, QuditHamiltonian, ThermalSpec
 from thermosim.qcore import EQ_TOL, PSD_TOL
 
 # reference parameter set: beta_A = beta_B = 1, E = (5, 0), E' = (0, 1)
@@ -97,6 +97,14 @@ def assert_valid_density(rho):
 def adjoint(op):
     """The conjugate transpose of ``op``, through the public constructor."""
     return Operator(op.dims, op.entries.conj().T)
+
+
+def eigen_report(state, fd_step, expected):
+    """The report of a built state, read from its own term arrays.
+
+    The state route that the builders' term-array reports are checked against.
+    """
+    return EigenReport(*state._evaluated(fd_step)[3:], expected)
 
 
 # per-term oracle for tempop: each family and term evaluated one scalar at a time

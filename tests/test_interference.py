@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +37,13 @@ def test_quarter_period_phase_gives_half():
 
 def test_bell_state_gives_certain_outcome():
     assert circuit_probability(symmetric_config(0.0)) == pytest.approx(1.0, abs=EQ_TOL)
+    # near p0 f0 = p1 f1 the read-out's unclipped sum of squares rounds to 1 + 2^-52
+    near_one = ProtocolConfig(
+        ThermalSpec(2.205301469581885, QuditHamiltonian((0.7515344621903853, 0.0))),
+        ThermalSpec(2.20500834743658, QuditHamiltonian((0.0, 0.7516343672062027))),
+        2.1929547198505437e-08,
+    )
+    assert sweep(SweepSpec(near_one, (near_one.phi,)))[0][1] <= 1.0
 
 
 def test_circuit_reference_value():
@@ -190,6 +198,24 @@ def test_sweep_spec_refuses_a_grid_that_is_not_one_dimensional():
 
 def test_sweep_empty_beta_axis_has_no_rows():
     assert sweep(SweepSpec(reference_config(), (0.0, 1.0), beta_b_values=())) == []
+
+
+@pytest.mark.parametrize("betas_b", [None, (0.5, 2.0)])
+def test_kernel_memory_is_bounded_per_grid_point(betas_b):
+    # no per-point 4-amplitude or 2x2 density arrays: a few complex and float arrays over the grid
+    phis = np.linspace(0.0, 2 * np.pi, 10**5)
+    levels_b = (0.0, 1.0)
+    beta_b = 1.0 if betas_b is None else np.array(betas_b)[:, None]
+    weights_a = _positive_qubit_weights("spec_a", 1.0, (5.0, 0.0))
+    weights_b = _positive_qubit_weights("spec_b", beta_b, levels_b)
+    tracemalloc.start()
+    try:
+        probs = _readout_probability(weights_a, weights_b, phis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert probs.size == phis.size * (1 if betas_b is None else len(betas_b))
+    assert peak <= 64 * probs.size
 
 
 # beta*gap log-uniform in [1e-3, 700], short of the ~745 underflow edge

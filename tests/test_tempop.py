@@ -26,6 +26,7 @@ from thermosim import (
 from thermosim.qcore import EQ_TOL, FD_TOL
 
 from helpers import (
+    eigen_report,
     family_amplitude,
     family_derivative,
     random_in_regime_config,
@@ -404,7 +405,7 @@ def test_product_state_report_matches_dense():
         left = [ExpLinear(float(c)) for c in rng.uniform(-1.0, 1.0, d)]
         right = [ExpLinear(float(c)) for c in rng.uniform(-1.0, 1.0, d)]
         state = product_state(left, right, rng.uniform(-1.5, 1.5, d))
-        _assert_report_matches_dense(tempop._eigen_report(state, None, None), state)
+        _assert_report_matches_dense(eigen_report(state, None, None), state)
 
 
 @pytest.mark.parametrize("outcome", [BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS])
@@ -602,7 +603,7 @@ def test_eigencheck_reads_the_purified_state_bit_for_bit(fd_step):
     for _ in range(200):
         spec = random_thermal_spec(rng, beta_max=80.0, dims=(2, 64))
         got = _outcome(lambda: eigencheck_purified(spec, fd_step=fd_step))
-        want = _outcome(lambda: tempop._eigen_report(purified_thermal_state(spec), fd_step, spec.beta**2 / 16.0))
+        want = _outcome(lambda: eigen_report(purified_thermal_state(spec), fd_step, spec.beta**2 / 16.0))
         assert got == want
         outcomes.append(got)
     assert 0 < sum(isinstance(x, str) for x in outcomes) < len(outcomes)
@@ -616,7 +617,7 @@ def test_residual_superposition_reads_the_superposition_state_bit_for_bit(outcom
         cfg = _bell_config(rng)
         expected = cfg.spec_a.beta * cfg.spec_b.beta / 4.0 if convention == "full_dependence" else None
         got = _outcome(lambda: residual_superposition(cfg, outcome, convention))
-        want = _outcome(lambda: tempop._eigen_report(superposition_state(cfg, outcome, convention), None, expected))
+        want = _outcome(lambda: eigen_report(superposition_state(cfg, outcome, convention), None, expected))
         assert got == want
 
 
