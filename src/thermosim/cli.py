@@ -31,7 +31,7 @@ from .thermal import QuditHamiltonian, ThermalSpec
 _EIGENCHECK_ENERGY_SEED = 987654321  # fixed so repeated runs see the same levels
 _CONFIG_FIELDS = ("beta_a", "beta_b", "energies_a", "energies_b", "phi")
 # the largest --phi-steps and --dim, larger sizes refused up front: at 10^6 an interference
-# run peaks at about 215 MB (the read-out kernel's temporaries), an eigencheck at about 240 MB
+# run peaks at about 130 MB (the two tolist()s it formats), an eigencheck at about 235 MB
 MAX_POINTS = 10**6
 
 

@@ -9,9 +9,9 @@ A in |0>.  For the state (a|00> + b e^(i*phi)|11>)/N this evaluates to
 so the fringe visibility is 2ab/N^2 with a = sqrt(p0 f0), b = sqrt(p1 f1).
 :func:`circuit_probability` simulates the circuit for one configuration and
 is the module's ground truth; :func:`sweep` runs the same circuit batched
-over a whole grid, reading out A's pure reduced state with one complex
-array over the grid (no per-point 4-amplitude or 2x2 density arrays);
-:func:`closed_form_probability` evaluates the closed form,
+over a whole grid, reading A's pure reduced state out with Hadamard row 0
+(one complex array over the grid, no per-point 4-amplitude or 2x2 density
+arrays); :func:`closed_form_probability` evaluates the closed form,
 either with the operational factor 2 in the cross term ("corrected") or
 without it ("paper", kept for comparison because the two differ by exactly
 that factor).

@@ -204,10 +204,9 @@ def test_sweep_empty_beta_axis_has_no_rows():
 def test_kernel_memory_is_bounded_per_grid_point(betas_b):
     # no per-point 4-amplitude or 2x2 density arrays: a few complex and float arrays over the grid
     phis = np.linspace(0.0, 2 * np.pi, 10**5)
-    levels_b = (0.0, 1.0)
-    beta_b = 1.0 if betas_b is None else np.array(betas_b)[:, None]
+    beta_b = 1.0 if betas_b is None else np.array(betas_b)[:, None]  # as sweep passes a beta_B axis
     weights_a = _positive_qubit_weights("spec_a", 1.0, (5.0, 0.0))
-    weights_b = _positive_qubit_weights("spec_b", beta_b, levels_b)
+    weights_b = _positive_qubit_weights("spec_b", beta_b, (0.0, 1.0))
     tracemalloc.start()
     try:
         probs = _readout_probability(weights_a, weights_b, phis)
