@@ -115,7 +115,7 @@ def _readout_probability(p, f, phi) -> np.ndarray:
     reads A out.  No closed form enters: 2ab/N^2 cos(phi) is never formed.
     Inputs are assumed valid: every weight positive, phi finite.
     """
-    _, first, second = _branch(p, f, np.exp(1j * np.asarray(phi, dtype=float)))
+    first, second = _branch(p, f, np.exp(1j * np.asarray(phi, dtype=float)))
     h0 = qcore.HADAMARD.entries[0]
     a = h0[0] * first + h0[1] * second
     prob = a.real**2 + a.imag**2

@@ -54,7 +54,14 @@ _BELL_VECTORS = {
 }
 
 
+def _check_outcome(outcome) -> None:
+    # the string "phi_plus" would otherwise pass post_select as psi- and fail the look-ups raw
+    if not isinstance(outcome, BellOutcome):
+        raise ConfigurationError(f"outcome must be a BellOutcome, got {outcome!r}")
+
+
 def bell_state(outcome: BellOutcome) -> StateVector:
+    _check_outcome(outcome)
     return _BELL_VECTORS[outcome]
 
 
@@ -105,27 +112,19 @@ class ProtocolConfig:
 
 
 def _branch(p, f, phase):
-    """Probability and unit-norm amplitudes of the phi branch, over broadcast arrays.
+    """Unit-norm amplitudes of the phi branch, over broadcast arrays.
 
     ``p`` = (p0, p1) and ``f`` = (f0, f1) are the A and B weights and
-    ``phase`` is e^(i*phi).  Returns the branch probability p0 f0 + p1 f1,
-    which phi+ and phi- split evenly, and the amplitudes of |00> and of |11>
-    in phi+ (phi- negates the second).  The psi branch is the phi branch of
-    the reversed B weights, on |01> and |10>.
+    ``phase`` is e^(i*phi).  Returns the amplitudes of |00> and of |11> in
+    phi+ (phi- negates the second).  The psi branch is the phi branch of the
+    reversed B weights, on |01> and |10>.  The branch probability is
+    :func:`success_probability`'s.
     """
     (p0, p1), (f0, f1) = p, f
     # square roots are taken per weight so extreme weight products survive
     first, second = np.sqrt(p0) * np.sqrt(f0), np.sqrt(p1) * np.sqrt(f1)
     norm = np.hypot(first, second)
-    return p0 * f0 + p1 * f1, first / norm, phase * second / norm
-
-
-def _config_branch(cfg: ProtocolConfig, branch: str):
-    """:func:`_branch` of ``cfg`` for the "phi" or the "psi" pair of outcomes."""
-    p, (f0, f1) = cfg.weights()
-    if branch not in ("phi", "psi"):
-        raise ConfigurationError(f"branch must be 'phi' or 'psi', got {branch!r}")
-    return _branch(p, (f0, f1) if branch == "phi" else (f1, f0), np.exp(1j * cfg.phi))
+    return first / norm, phase * second / norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,12 +141,17 @@ def joint_state(cfg: ProtocolConfig) -> StateVector:
 
 def post_select(cfg: ProtocolConfig, outcome: BellOutcome) -> PostSelectionResult:
     """Analytic outcome probability and normalized post-selected AB state."""
+    _check_outcome(outcome)
     phi_pair = outcome in (BellOutcome.PHI_PLUS, BellOutcome.PHI_MINUS)
-    branch_probability, first, second = _config_branch(cfg, "phi" if phi_pair else "psi")
+    p, (f0, f1) = cfg.weights()
+    first, second = _branch(p, (f0, f1) if phi_pair else (f1, f0), np.exp(1j * cfg.phi))
     sign = 1.0 if outcome in (BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS) else -1.0
     amps = np.zeros(4, dtype=np.complex128)
-    amps[[0, 3] if phi_pair else [1, 2]] = first, sign * second
-    return PostSelectionResult(outcome, 0.5 * branch_probability, _built(StateVector, (2, 2), amps))
+    slot = 0 if phi_pair else 1  # phi on |00> and |11>, psi on |01> and |10>
+    amps[slot] = first
+    amps[3 - slot] = sign * second
+    probability = 0.5 * success_probability(cfg, "phi" if phi_pair else "psi")
+    return PostSelectionResult(outcome, probability, _built(StateVector, (2, 2), amps))
 
 
 def post_select_oracle(cfg: ProtocolConfig, outcome: BellOutcome) -> PostSelectionResult:
@@ -174,9 +178,15 @@ def success_probability(cfg: ProtocolConfig, branch: str) -> float:
     """Total probability of landing in the phi or psi pair of outcomes.
 
     ``branch`` is "phi" (outcomes phi+/-, success probability p0 f0 + p1 f1)
-    or "psi" (outcomes psi+/-, probability p0 f1 + p1 f0).
+    or "psi" (outcomes psi+/-, probability p0 f1 + p1 f0).  This is the one
+    branch-probability formula, on the Python floats of ``cfg.weights()``.
     """
-    return _config_branch(cfg, branch)[0]
+    (p0, p1), (f0, f1) = cfg.weights()
+    if branch == "phi":
+        return p0 * f0 + p1 * f1
+    if branch == "psi":
+        return p0 * f1 + p1 * f0
+    raise ConfigurationError(f"branch must be 'phi' or 'psi', got {branch!r}")
 
 
 def sample_outcomes(cfg: ProtocolConfig, n: int, seed: int) -> dict[BellOutcome, int]:
@@ -187,7 +197,8 @@ def sample_outcomes(cfg: ProtocolConfig, n: int, seed: int) -> dict[BellOutcome,
     its cost does not grow with ``n``, which may be up to ``MAX_SAMPLES``.
     """
     for name, x in (("sample count", n), ("seed", seed)):
-        if not isinstance(x, Integral):  # numpy's multinomial would truncate 10.5 samples to 10
+        # numpy's multinomial would truncate 10.5 samples to 10, and take True for 1
+        if isinstance(x, bool) or not isinstance(x, Integral):
             raise ConfigurationError(f"{name} must be an integer, got {x!r}")
     if not 1 <= n <= MAX_SAMPLES:
         raise ConfigurationError(f"sample count must be between 1 and {MAX_SAMPLES}")
@@ -195,4 +206,4 @@ def sample_outcomes(cfg: ProtocolConfig, n: int, seed: int) -> dict[BellOutcome,
         raise ConfigurationError("seed must be nonnegative")
     phi, psi = (0.5 * success_probability(cfg, branch) for branch in ("phi", "psi"))
     counts = np.random.default_rng(seed).multinomial(n, [phi, phi, psi, psi])
-    return {o: int(c) for o, c in zip(OUTCOME_ORDER, counts)}
+    return dict(zip(OUTCOME_ORDER, counts.tolist()))

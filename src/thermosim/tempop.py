@@ -150,7 +150,7 @@ def _evaluate(var, energy, weight, value, coeff, offset, frozen_norm, h):
                 )
             exp = lambda at: np.exp(coeff * at + offset)
             slopes = value * ((exp(energy + h) - exp(energy - h)) / (2.0 * h))
-        image = np.where(np.equal(*var), weight * slopes[0] * slopes[1], 0j)
+        image = np.where(var[0] == var[1], weight * slopes[0] * slopes[1], 0j)
         if frozen_norm is not None:
             root = sqrt(frozen_norm)
             psi, image = psi / root, image / root
@@ -331,12 +331,24 @@ def eigencheck_purified(spec: ThermalSpec, *, fd_step: float | None = None) -> E
     return _report(_purified_terms(spec), fd_step, expected)
 
 
+def _read_only(rows) -> np.ndarray:
+    arr = np.array(rows)
+    arr.flags.writeable = False
+    return arr
+
+
+# (left, right) rows of the two-term superpositions' kets and slots, shared read-only by every state:
+# the slots and the phi+ kets |00>, |11> are _DIAGONAL, the psi+ kets |01>, |10> are _CROSSED
+_DIAGONAL = _read_only(((0, 1), (0, 1)))
+_CROSSED = _read_only(((0, 1), (1, 0)))
+
+
 def _superposition_terms(cfg: ProtocolConfig, outcome: BellOutcome, convention: str) -> tuple:
     """Term arrays (kets, slots, energies, weight, value, coeff, offset) of ``superposition_state``."""
     if outcome is BellOutcome.PHI_PLUS:
-        kets_b = (0, 1)
+        kets_b, kets = (0, 1), _DIAGONAL
     elif outcome is BellOutcome.PSI_PLUS:
-        kets_b = (1, 0)
+        kets_b, kets = (1, 0), _CROSSED
     else:
         raise ConfigurationError(f"unsupported outcome {outcome} for residual analysis")
     if convention not in ("full_dependence", "chosen_zero_levels"):
@@ -351,7 +363,7 @@ def _superposition_terms(cfg: ProtocolConfig, outcome: BellOutcome, convention: 
     a, b = -cfg.spec_a.beta / 2.0, -cfg.spec_b.beta / 2.0
     # term n sits on |n>|kets_b[n]> under slot n; a pinned level is the constant e^0 (coeff 0)
     return (
-        np.array(((0, 1), kets_b)), np.array(((0, 1), (0, 1))), np.array((ea, [eb[k] for k in kets_b])),
+        kets, _DIAGONAL, np.array((ea, [eb[k] for k in kets_b])),
         np.array((1.0, np.exp(1j * cfg.phi))), 1.0 + 0j,
         np.array(((a, 0.0 if pin else a), [0.0 if pin and k == 0 else b for k in kets_b])), 0.0,
     )

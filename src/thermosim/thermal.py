@@ -22,10 +22,10 @@ class QuditHamiltonian:
     energies: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        energies = tuple(float(e) for e in self.energies)
+        energies = tuple(map(float, self.energies))
         if len(energies) < 2:
             raise ConfigurationError("a Hamiltonian needs at least two levels")
-        if not all(isfinite(e) for e in energies):
+        if not all(map(isfinite, energies)):
             raise ConfigurationError("energies must be finite")
         if not isfinite(max(energies) - min(energies)):  # the Gibbs kernel shifts by the minimum
             raise ConfigurationError("energy span overflows float64")

@@ -245,9 +245,9 @@ def test_sampling_rejects_negative_seed():
         sample_outcomes(reference_config(), 10, seed=-1)
 
 
-@pytest.mark.parametrize("n, seed", [(10.5, 1), (10.0, 1), (10, 1.5), (10, "3"), ("10", 1)])
+@pytest.mark.parametrize("n, seed", [(10.5, 1), (10.0, 1), (10, 1.5), (10, "3"), ("10", 1), (True, 1), (10, False)])
 def test_sampling_rejects_non_integral_count_and_seed(n, seed):
-    # 10.5 used to pass the range check and numpy drew 10 samples
+    # 10.5 used to pass the range check and numpy drew 10 samples; True drew one
     with pytest.raises(ConfigurationError, match="must be an integer"):
         sample_outcomes(reference_config(), n, seed=seed)
 
@@ -276,12 +276,13 @@ def test_post_select_reads_the_branch_kernel(a, b, phi):
     p, (f0, f1) = cfg.weights()
     phase = np.exp(1j * phi)
     branches = {"phi": protocol._branch(p, (f0, f1), phase), "psi": protocol._branch(p, (f1, f0), phase)}
+    probabilities = {"phi": p[0] * f0 + p[1] * f1, "psi": p[0] * f1 + p[1] * f0}
     slots = {"phi": [0, 3], "psi": [1, 2]}
     for outcome in OUTCOME_ORDER:
         name, sign = outcome.value.split("_")
-        branch_probability, first, second = branches[name]
+        first, second = branches[name]
         result = post_select(cfg, outcome)
-        assert result.probability == 0.5 * branch_probability
+        assert result.probability == 0.5 * success_probability(cfg, name) == 0.5 * probabilities[name]
         expected = np.zeros(4, dtype=complex)
         expected[slots[name]] = first, second if sign == "plus" else -second
         assert np.array_equal(result.state.amps, expected)
@@ -290,7 +291,7 @@ def test_post_select_reads_the_branch_kernel(a, b, phi):
         assert np.abs(result.state.amps - slow.state.amps).max() <= 1e-12
     for name in ("phi", "psi"):
         pair = [post_select(cfg, o).probability for o in OUTCOME_ORDER if o.value.startswith(name)]
-        assert success_probability(cfg, name) == branches[name][0] == sum(pair)
+        assert success_probability(cfg, name) == probabilities[name] == sum(pair)
 
 
 def test_config_computes_its_weights_once(monkeypatch):
@@ -316,6 +317,38 @@ def test_config_computes_its_weights_once(monkeypatch):
     sample_outcomes(cfg, 1000, seed=3)
     interference.closed_form_probability(cfg)
     assert calls == []
+
+
+def test_probabilities_form_no_branch_amplitudes(monkeypatch):
+    def refused(*args):
+        raise AssertionError("the branch amplitudes were formed")
+
+    cfg = reference_config(0.4)
+    monkeypatch.setattr(protocol, "_branch", refused)
+    monkeypatch.setattr(interference, "_branch", refused)
+    assert success_probability(cfg, "phi") + success_probability(cfg, "psi") == pytest.approx(1.0, abs=EQ_TOL)
+    assert sum(sample_outcomes(cfg, 1000, seed=3).values()) == 1000
+    assert 0.0 <= interference.closed_form_probability(cfg) <= 1.0
+    with pytest.raises(AssertionError, match="amplitudes were formed"):
+        post_select(cfg, BellOutcome.PHI_PLUS)
+
+
+# A at beta 1 on levels (5, 0), B at beta 1 on (0, 1): the phi and psi branches differ, so a string read as
+# some outcome shows; the parent's post_select took "phi_plus" for psi- (probability 0.36398, not 0.13602)
+_SKEWED = ProtocolConfig(
+    ThermalSpec(1.0, QuditHamiltonian((5.0, 0.0))), ThermalSpec(1.0, QuditHamiltonian((0.0, 1.0))), 0.3
+)
+
+
+@pytest.mark.parametrize("outcome", ["phi_plus", "PSI_MINUS", 0, None])
+@pytest.mark.parametrize("route", [post_select, post_select_oracle])
+def test_post_selection_refuses_a_non_outcome(route, outcome):
+    with pytest.raises(ConfigurationError, match="outcome must be a BellOutcome") as info:
+        route(_SKEWED, outcome)
+    assert "\n" not in str(info.value)
+    with pytest.raises(ConfigurationError, match="outcome must be a BellOutcome"):
+        bell_state(outcome)
+    assert post_select(_SKEWED, BellOutcome.PHI_PLUS).probability == pytest.approx(0.136017, abs=1e-6)
 
 
 @settings(max_examples=80, deadline=None)

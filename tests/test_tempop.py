@@ -621,6 +621,21 @@ def test_residual_superposition_reads_the_superposition_state_bit_for_bit(outcom
         assert got == want
 
 
+@pytest.mark.parametrize("outcome", [BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS])
+def test_superposition_kets_and_slots_are_shared_read_only(outcome):
+    cfg = reference_config(phi=0.4)
+    state = superposition_state(cfg, outcome, "full_dependence")
+    before = state.amplitude_vector().amps.copy()
+    for name in ("_basis", "_var"):
+        arr = getattr(state, name)
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[1, 0] = 1 - arr[1, 0]
+    again = superposition_state(cfg, outcome, "full_dependence")
+    assert np.array_equal(again.amplitude_vector().amps, before)
+    assert np.array_equal(again._var, [[0, 1], [0, 1]])
+
+
 def test_report_routes_make_no_state(monkeypatch):
     stored = []
     store = FactoredBipartiteState._store
