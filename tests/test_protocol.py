@@ -333,8 +333,8 @@ def test_probabilities_form_no_branch_amplitudes(monkeypatch):
         post_select(cfg, BellOutcome.PHI_PLUS)
 
 
-# A at beta 1 on levels (5, 0), B at beta 1 on (0, 1): the phi and psi branches differ, so a string read as
-# some outcome shows; the parent's post_select took "phi_plus" for psi- (probability 0.36398, not 0.13602)
+# A at beta 1 on levels (5, 0), B at beta 1 on (0, 1): the phi and psi branches differ, so a string misread as
+# some outcome shows; an unchecked post_select took "phi_plus" for psi- (probability 0.36398, not 0.13602)
 _SKEWED = ProtocolConfig(
     ThermalSpec(1.0, QuditHamiltonian((5.0, 0.0))), ThermalSpec(1.0, QuditHamiltonian((0.0, 1.0))), 0.3
 )
