@@ -27,6 +27,7 @@ import numpy as np
 from . import qcore
 from .protocol import BellOutcome, ProtocolConfig, _branch, _positive_qubit_weights, post_select, success_probability
 from .qcore import ConfigurationError
+from .thermal import _reals
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,10 +53,12 @@ class SweepSpec:
         object.__setattr__(self, "phi_points", phis)
         weights_b = self.cfg.weights()[1]
         if self.beta_b_values is not None:
-            betas = tuple(float(b) for b in self.beta_b_values)
+            betas = _reals("beta_b sweep values", self.beta_b_values)
             if not all(isfinite(b) and b > 0.0 for b in betas):
                 raise ConfigurationError("beta_b sweep values must be positive and finite")
-            weights_b = _positive_qubit_weights("spec_b", np.array(betas)[:, None], self.cfg.spec_b.hamiltonian.energies)
+            levels = self.cfg.spec_b.hamiltonian.energies
+            weights = _positive_qubit_weights(*(("spec_b", b, levels) for b in betas))
+            weights_b = np.array(weights).reshape(-1, 2).T[..., None]  # (w0, w1), each of shape (len(betas), 1)
             object.__setattr__(self, "beta_b_values", betas)
         object.__setattr__(self, "_weights_b", weights_b)
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import qcore
 from .qcore import ConfigurationError, Operator, StateVector, _built
-from .thermal import ThermalSpec, _shifted_gibbs, purify
+from .thermal import ThermalSpec, _real, purify
 
 
 class BellOutcome(enum.Enum):
@@ -68,16 +68,30 @@ def bell_state(outcome: BellOutcome) -> StateVector:
 _UNDERFLOW = "{} has a Gibbs weight that underflows to zero; reduce beta or the energy gap"
 
 
-def _positive_qubit_weights(name: str, beta, energies) -> tuple[np.ndarray, np.ndarray]:
-    """Gibbs weights (w0, w1) of a qubit at every ``beta`` of a float or an array.
+def _positive_qubit_weights(*qubits) -> tuple[tuple[float, float], ...]:
+    """Gibbs weights (w0, w1) of each (name, beta, levels) qubit, as Python floats.
 
-    Refuses the spec called ``name`` when a weight underflows to 0.0, which
-    the post-selection and the read-out divide by.
+    The weights of :func:`thermal._shifted_gibbs`, bit for bit: each exponent
+    -beta*(E - E_min), each sum and each division is one IEEE-754 operation
+    that Python rounds as numpy does, so only the exponentials, all in one
+    call, go through numpy.  An exponent that overflows is -inf in Python
+    floats, with no warning, and its weight 0.0.  Refuses the first qubit
+    whose weight underflows to 0.0 by its name, since the post-selection and
+    the read-out divide by every weight.
     """
-    weights, _ = _shifted_gibbs(np.asarray(beta, dtype=float)[..., None], energies)
-    if not (weights > 0.0).all():
-        raise ConfigurationError(_UNDERFLOW.format(name))
-    return weights[..., 0], weights[..., 1]
+    exponents = []
+    for _, beta, (e0, e1) in qubits:
+        low = min(e0, e1)
+        exponents += (-beta * (e0 - low), -beta * (e1 - low))
+    shifted = np.exp(exponents).tolist()
+    weights = []
+    for (name, _, _), w0, w1 in zip(qubits, shifted[::2], shifted[1::2]):
+        total = w0 + w1
+        w0, w1 = w0 / total, w1 / total
+        if not (w0 > 0.0 and w1 > 0.0):
+            raise ConfigurationError(_UNDERFLOW.format(name))
+        weights.append((w0, w1))
+    return tuple(weights)
 
 
 @dataclass(frozen=True)
@@ -94,13 +108,8 @@ class ProtocolConfig:
         for name, spec in zip(names, specs):
             if spec.hamiltonian.dim != 2:
                 raise ConfigurationError(f"{name} must describe a qubit")
-        # one Gibbs call for both qubits: betas (2, 1) against energies (2, 2), the same arithmetic per row
-        weights, _ = _shifted_gibbs(np.array([[s.beta] for s in specs]), np.array([s.hamiltonian.energies for s in specs]))
-        weights = tuple(map(tuple, weights.tolist()))
-        for name, (w0, w1) in zip(names, weights):
-            if not (w0 > 0.0 and w1 > 0.0):
-                raise ConfigurationError(_UNDERFLOW.format(name))
-        phi = float(self.phi)
+        weights = _positive_qubit_weights(*((n, s.beta, s.hamiltonian.energies) for n, s in zip(names, specs)))
+        phi = _real("phi", self.phi)
         if not isfinite(phi):
             raise ConfigurationError("phi must be finite")
         object.__setattr__(self, "phi", phi)

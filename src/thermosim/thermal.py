@@ -9,10 +9,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import exp, fsum, inf, isfinite
+from numbers import Real
 
 import numpy as np
 
 from .qcore import ConfigurationError, DensityMatrix, StateVector, _built
+
+
+def _real(name: str, x) -> float:
+    """``x`` as a float, if it is a real number: numpy int and float scalars are, bool and str are not."""
+    if type(x) is not float and (type(x) is bool or not isinstance(x, Real)):
+        raise ConfigurationError(f"{name} must be real, got {x!r}")
+    return float(x)
+
+
+_PLAIN = frozenset((float, int))
+
+
+def _reals(name: str, values) -> tuple[float, ...]:
+    """``values`` as floats, each checked as :func:`_real` checks it, once per distinct type."""
+    values = tuple(values)  # a generator is read once, for the check and the conversion
+    if not _PLAIN.issuperset(map(type, values)):
+        for t in set(map(type, values)):
+            _real(name, next(x for x in values if type(x) is t))
+    return tuple(map(float, values))
 
 
 @dataclass(frozen=True)
@@ -22,7 +42,7 @@ class QuditHamiltonian:
     energies: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        energies = tuple(map(float, self.energies))
+        energies = _reals("energies", self.energies)
         if len(energies) < 2:
             raise ConfigurationError("a Hamiltonian needs at least two levels")
         if not all(map(isfinite, energies)):
@@ -42,7 +62,7 @@ class ThermalSpec:
     hamiltonian: QuditHamiltonian
 
     def __post_init__(self) -> None:
-        beta = float(self.beta)
+        beta = _real("beta", self.beta)
         if not isfinite(beta) or beta < 0.0:
             raise ConfigurationError(f"beta must be finite and nonnegative, got {beta}")
         object.__setattr__(self, "beta", beta)
@@ -69,25 +89,26 @@ class GibbsWeights:
         object.__setattr__(self, "weights", w)
 
 
-def _shifted_gibbs(beta, energies) -> tuple[np.ndarray, np.ndarray]:
-    """Weights e^(-beta*E_n)/Z over the last axis of ``energies``, and Z * e^(beta*E_min).
+def _shifted_gibbs(beta: float, energies) -> tuple[np.ndarray, float]:
+    """Weights e^(-beta*E_n)/Z of the levels ``energies``, and Z * e^(beta*E_min).
 
-    ``beta`` broadcasts against ``energies``, so a batch of betas carries a
-    trailing length-1 axis.  Exponentials are shifted by the minimum energy
-    before normalization so the weights stay well defined for beta*E up to
-    several hundred; beyond about 745 the smallest weights round to 0.0.
+    Exponentials are shifted by the minimum energy before normalization so
+    the weights stay well defined for beta*E up to several hundred; beyond
+    about 745 the smallest weights round to 0.0, and so do those whose
+    beta*(E - E_min) overflows to inf.
     """
     e = np.asarray(energies, dtype=float)
-    shifted = np.exp(-beta * (e - np.minimum.reduce(e, axis=-1, keepdims=True)))
-    total = np.add.reduce(shifted, axis=-1, keepdims=True)
-    return shifted / total, total[..., 0]
+    with np.errstate(over="ignore"):  # an overflowing exponent is -inf, whose weight is exactly 0.0
+        shifted = np.exp(-beta * (e - e.min()))
+    total = shifted.sum()
+    return shifted / total, float(total)
 
 
 def gibbs_weights(spec: ThermalSpec) -> GibbsWeights:
     """Occupation probabilities e^(-beta*E_n)/Z and the partition function Z."""
     weights, total = _shifted_gibbs(spec.beta, spec.hamiltonian.energies)
     try:
-        z = exp(-spec.beta * min(spec.hamiltonian.energies)) * float(total)
+        z = exp(-spec.beta * min(spec.hamiltonian.energies)) * total
     except OverflowError:  # Z alone overflows past -beta*E_min of about 709; the weights are fine
         z = inf
     return GibbsWeights(tuple(weights), z)

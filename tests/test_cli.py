@@ -418,6 +418,20 @@ def test_overflowing_level_span_exits_one(tmp_path, beta_a):
     assert proc.stderr == "error: energy span overflows float64\n"
 
 
+@pytest.mark.parametrize("command", ["protocol", "interference"])
+def test_overflowing_beta_gap_exits_one(tmp_path, command):
+    # beta_a * gap = 1e310 overflows: one error line, no numpy overflow warning first
+    path = tmp_path / "hot.json"
+    path.write_text('{"beta_a":1e300,"beta_b":1.0,"energies_a":[1e10,0.0],"energies_b":[0.0,1.0],"phi":0.0}')
+    argv = [command, "--config", str(path)]
+    if command == "interference":
+        argv += ["--phi-steps", "5", "--out", str(tmp_path / "hot.csv")]
+    proc = _run_module(argv)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: spec_a has a Gibbs weight that underflows to zero; reduce beta or the energy gap\n"
+
+
 def test_eigencheck_overflowing_normalization_exits_one():
     # -beta * E_min is about 984 here, so the purified state's Z overflows
     proc = _run_module(["eigencheck", "--dim", "4", "--beta", "300"])

@@ -17,7 +17,6 @@ from thermosim import (
     sweep,
 )
 from thermosim.interference import _readout_probability
-from thermosim.protocol import _positive_qubit_weights
 from thermosim.qcore import EQ_TOL
 
 from helpers import (
@@ -162,6 +161,10 @@ def test_sweep_spec_validation():
     for betas in ((1.0, 0.0), (float("nan"),), (float("inf"),)):
         with pytest.raises(ConfigurationError):
             SweepSpec(reference_config(), (0.0,), beta_b_values=betas)
+    for betas in ((True,), (1.0, "2.0")):
+        with pytest.raises(ConfigurationError, match=f"^beta_b sweep values must be real, got {betas[-1]!r}$"):
+            SweepSpec(reference_config(), (0.0,), beta_b_values=betas)
+    assert SweepSpec(reference_config(), (0.0,), beta_b_values=(np.float32(0.5), 2)).beta_b_values == (0.5, 2.0)
     # the reference B gap is 1, so e^(-1000) underflows to 0.0
     with pytest.raises(ConfigurationError, match="spec_b has a Gibbs weight that underflows"):
         SweepSpec(reference_config(), (0.0,), beta_b_values=(1.0, 1000.0))
@@ -203,13 +206,11 @@ def test_sweep_empty_beta_axis_has_no_rows():
 @pytest.mark.parametrize("betas_b", [None, (0.5, 2.0)])
 def test_kernel_memory_is_bounded_per_grid_point(betas_b):
     # no per-point 4-amplitude or 2x2 density arrays: a few complex and float arrays over the grid
-    phis = np.linspace(0.0, 2 * np.pi, 10**5)
-    beta_b = 1.0 if betas_b is None else np.array(betas_b)[:, None]  # as sweep passes a beta_B axis
-    weights_a = _positive_qubit_weights("spec_a", 1.0, (5.0, 0.0))
-    weights_b = _positive_qubit_weights("spec_b", beta_b, (0.0, 1.0))
+    spec = SweepSpec(reference_config(), np.linspace(0.0, 2 * np.pi, 10**5), betas_b)
+    phis = spec.phi_points
     tracemalloc.start()
     try:
-        probs = _readout_probability(weights_a, weights_b, phis)
+        probs = _readout_probability(spec.cfg.weights()[0], spec._weights_b, phis)  # as sweep calls it
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -240,11 +241,11 @@ def _gap(levels):
 def test_kernel_matches_scalar_circuit(levels_a, levels_b, beta_gap_a, beta_gaps_b, phis):
     beta_a = beta_gap_a / _gap(levels_a)
     betas_b = [x / _gap(levels_b) for x in beta_gaps_b]
-    weights_a = _positive_qubit_weights("spec_a", beta_a, levels_a)
-    weights_b = _positive_qubit_weights("spec_b", np.array(betas_b)[:, None], levels_b)
-    grid = _readout_probability(weights_a, weights_b, np.array(phis))
-    assert grid.shape == (len(betas_b), len(phis))
     spec_a = ThermalSpec(beta_a, QuditHamiltonian(levels_a))
+    cfg = ProtocolConfig(spec_a, ThermalSpec(betas_b[0], QuditHamiltonian(levels_b)))
+    spec = SweepSpec(cfg, phis, betas_b)
+    grid = _readout_probability(cfg.weights()[0], spec._weights_b, spec.phi_points)  # as sweep calls it
+    assert grid.shape == (len(betas_b), len(phis))
     for row, beta_b in zip(grid, betas_b):
         spec_b = ThermalSpec(beta_b, QuditHamiltonian(levels_b))
         for got, phi in zip(row, phis):

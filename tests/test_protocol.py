@@ -56,24 +56,84 @@ def test_config_rejects_underflowing_weights():
             ProtocolConfig(a, b)
 
 
+def test_config_phi_is_a_real_number():
+    spec = ThermalSpec(1.0, QuditHamiltonian((0.0, 1.0)))
+    for phi in (False, "0.3", np.bool_(True)):
+        with pytest.raises(ConfigurationError, match=f"^phi must be real, got {phi!r}$"):
+            ProtocolConfig(spec, spec, phi)
+    assert ProtocolConfig(spec, spec, np.float32(0.5)).phi == 0.5
+
+
+def test_config_refuses_an_overflowing_beta_gap_without_a_warning():
+    # beta * gap = 1e310 overflows; the weight is 0.0 and refused, with no numpy overflow warning
+    hot = ThermalSpec(1e300, QuditHamiltonian((1e10, 0.0)))
+    qubit = ThermalSpec(1.0, QuditHamiltonian((0.0, 1.0)))
+    for a, b, name in ((hot, qubit, "spec_a"), (qubit, hot, "spec_b")):
+        with pytest.raises(ConfigurationError, match=f"^{name} has a Gibbs weight that underflows to zero"):
+            ProtocolConfig(a, b)
+
+
 def test_config_weights_are_one_gibbs_call_with_the_per_spec_bytes(monkeypatch):
-    shapes = []
+    qubits, exponents = [], []
+    helper, numpy_exp = protocol._positive_qubit_weights, np.exp
 
-    def recorded(beta, energies):
-        shapes.append((np.shape(beta), np.shape(energies)))
-        return thermal._shifted_gibbs(beta, energies)
+    def recorded(*args):
+        qubits.append(args)
+        return helper(*args)
 
-    monkeypatch.setattr(protocol, "_shifted_gibbs", recorded)
+    def exp(x):
+        exponents.append(len(x))
+        return numpy_exp(x)
+
+    monkeypatch.setattr(protocol, "_positive_qubit_weights", recorded)
+    monkeypatch.setattr(protocol.np, "exp", exp)
     reference_config()
-    assert shapes == [((2, 1), (2, 2))]
+    # both qubits in one call, spec_a first, and their four exponentials in one numpy call
+    assert [[name for name, _, _ in args] for args in qubits] == [["spec_a", "spec_b"]]
+    assert exponents == [4]
     monkeypatch.undo()
     rng = np.random.default_rng(61)
     for k in range(200):
         cfg = random_protocol_config(rng, beta_max=0.0 if k % 10 == 0 else 50.0)
         for spec, pair in zip((cfg.spec_a, cfg.spec_b), cfg.weights()):
-            alone = protocol._positive_qubit_weights("spec", spec.beta, spec.hamiltonian.energies)
+            alone, _ = thermal._shifted_gibbs(spec.beta, spec.hamiltonian.energies)
             assert all(type(w) is float for w in pair)
             assert [w.hex() for w in pair] == [float(w).hex() for w in alone]
+
+
+def _random_qubit(rng, k):
+    """(beta, levels) with beta*gap log-uniform up to 800, beta = 0, signed zeros and degenerate levels among them."""
+    levels = [float(x) for x in rng.uniform(-5.0, 5.0, 2)]
+    if k % 7 == 0:
+        levels = [0.0, -0.0] if k % 2 else [-0.0, 0.0]
+    elif k % 7 == 1:
+        levels[1] = levels[0]
+    elif k % 7 == 2:
+        levels[rng.integers(2)] = -0.0 if k % 3 else 0.0
+    gap = abs(levels[1] - levels[0]) or 1.0
+    beta = 0.0 if k % 11 == 0 else float(np.exp(rng.uniform(np.log(1e-3), np.log(800.0)))) / gap
+    return beta, tuple(levels)
+
+
+def test_qubit_weights_are_the_kernel_bits():
+    rng = np.random.default_rng(19)
+    drawn = [_random_qubit(rng, k) for k in range(2000)]
+    for i in range(0, len(drawn), 2):
+        qubits = [(f"q{j}", beta, levels) for j, (beta, levels) in enumerate(drawn[i:i + 2])]
+        kernel = [thermal._shifted_gibbs(beta, levels)[0].tolist() for _, beta, levels in qubits]
+        underflows = [name for (name, _, _), w in zip(qubits, kernel) if min(w) == 0.0]
+        if underflows:
+            # the first qubit with a zero weight is refused, by its name
+            with pytest.raises(ConfigurationError, match=f"^{underflows[0]} has a Gibbs weight that underflows"):
+                protocol._positive_qubit_weights(*qubits)
+            continue
+        got = protocol._positive_qubit_weights(*qubits)
+        assert [[w.hex() for w in pair] for pair in got] == [[w.hex() for w in pair] for pair in kernel]
+    assert 0 < sum(min(thermal._shifted_gibbs(beta, levels)[0]) == 0.0 for beta, levels in drawn)
+    fine, frozen = (1.0, (0.0, 1.0)), (200.0, (5.0, 0.0))
+    for first, second, name in ((fine, frozen, "b"), (frozen, fine, "a"), (frozen, frozen, "a")):
+        with pytest.raises(ConfigurationError, match=f"^{name} has a Gibbs weight that underflows"):
+            protocol._positive_qubit_weights(("a", *first), ("b", *second))
 
 
 def test_joint_state_symmetric_case_is_uniform():
@@ -304,7 +364,7 @@ def test_config_computes_its_weights_once(monkeypatch):
         return wrapper
 
     for module in (thermal, protocol, interference):
-        for name in ("gibbs_weights", "_shifted_gibbs"):
+        for name in ("gibbs_weights", "_shifted_gibbs", "_positive_qubit_weights"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(getattr(module, name)))
     cfg = reference_config(0.4)

@@ -31,6 +31,10 @@ def test_hamiltonian_validation():
         QuditHamiltonian((1.0,))
     with pytest.raises(ConfigurationError):
         QuditHamiltonian((0.0, np.nan))
+    # float() would read these as 0.0 and 1.0
+    for bad in ("0", True, np.True_):
+        with pytest.raises(ConfigurationError, match=f"^energies must be real, got {bad!r}$"):
+            QuditHamiltonian((1.0, bad))
 
 
 @pytest.mark.parametrize("beta", [0.0, 1.0])
@@ -50,6 +54,23 @@ def test_spec_rejects_bad_beta():
         ThermalSpec(-0.5, ham)
     with pytest.raises(ConfigurationError):
         ThermalSpec(np.inf, ham)
+    for beta in (True, "1.0", None):
+        with pytest.raises(ConfigurationError, match=f"^beta must be real, got {beta!r}$"):
+            ThermalSpec(beta, ham)
+
+
+def test_numpy_scalars_are_numbers():
+    spec = ThermalSpec(np.float32(0.5), QuditHamiltonian((np.int64(2), np.float64(1.0), 0)))
+    assert spec.beta == 0.5 and spec.hamiltonian.energies == (2.0, 1.0, 0.0)
+    assert all(type(x) is float for x in (spec.beta, *spec.hamiltonian.energies))
+
+
+def test_overflowing_beta_gap_has_weight_zero_without_a_warning():
+    # beta * (E - E_min) = 1e310 overflows to inf: its weight is exactly 0.0, and numpy stays silent
+    spec = ThermalSpec(1e300, QuditHamiltonian((1e10, 0.0)))
+    assert gibbs_weights(spec).weights == (0.0, 1.0)
+    assert np.array_equal(thermal_density(spec).entries, np.diag([0.0, 1.0]))
+    assert np.array_equal(purify(spec).amps, [0.0, 0.0, 0.0, 1.0])
 
 
 def test_infinite_temperature_weights():

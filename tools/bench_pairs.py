@@ -20,10 +20,14 @@ two bytecode settings among it, ``PYTHONDONTWRITEBYTECODE`` and
 ``PYTHONPYCACHEPREFIX``, because with bytecode uncached every ``setup_s`` and
 ``cli_wall_p50_s`` includes compiling the sources.
 
+A claim reads "<workload> <metric> improves".  The file records whether it
+is met (``claim_verdict``): the change wins at least nine tenths of the pairs,
+ties counting for neither, and its median gain exceeds the parent's IQR.
+
     python3 tools/bench_pairs.py --check BENCH_11.json
 
-recomputes the summary blocks of an existing file from its recorded pairs and
-exits 1 if any differs.
+recomputes the summary blocks of an existing file from its recorded pairs,
+and its claim verdict where it records one, and exits 1 if any differs.
 """
 
 from __future__ import annotations
@@ -76,6 +80,29 @@ def summarise(pairs: list[dict], end_to_end: list[dict]) -> dict[str, dict]:
     return out
 
 
+def parse_claim(claim: str) -> tuple[str, str]:
+    """The workload and the metric of a claim that reads "<workload> <metric> improves"."""
+    words = claim.split()
+    if len(words) != 3 or words[2] != "improves":
+        raise ValueError(f'a claim reads "<workload> <metric> improves", got {claim!r}')
+    return words[0], words[1]
+
+
+def judge(claim: str, workloads: dict) -> dict:
+    """Whether the summaries meet ``claim``: at least 9 wins in 10 pairs and a median gain beyond the parent's IQR."""
+    workload, metric = parse_claim(claim)
+    summary = workloads[workload]["summary"][metric]
+    wins, pairs = map(int, summary["change_wins"].split("/"))
+    beyond_iqr = summary["gain_beyond_parent_iqr"]
+    return {
+        "workload": workload,
+        "metric": metric,
+        "change_wins": summary["change_wins"],
+        "gain_beyond_parent_iqr": beyond_iqr,
+        "met": 10 * wins >= 9 * pairs and beyond_iqr,
+    }
+
+
 def recorded_summaries(bench: dict):
     """(label, pairs, summary) for every summarised block of a BENCH file."""
     stack = [("", bench)]
@@ -95,6 +122,8 @@ def check(path: Path, end_to_end: list[dict]) -> list[str]:
         listed = [m for m in end_to_end if m["name"] in summary]
         if json.dumps(summarise(pairs, listed)) != json.dumps(summary):
             bad.append(label)
+    if "claim_verdict" in bench and judge(bench["claim"], bench["workloads"]) != bench["claim_verdict"]:
+        bad.append("/claim_verdict")  # files written before verdicts were recorded have none
     return bad
 
 
@@ -134,6 +163,8 @@ def bench(args: argparse.Namespace) -> dict:
     scratch.mkdir(parents=True, exist_ok=True)
     sides = {side: extract(rev, scratch, side) for side, rev in (("parent", args.parent), ("change", args.change))}
     spec = json.loads((sides["parent"][1] / "BENCHMARK.json").read_text())
+    if args.claim and parse_claim(args.claim)[1] not in {m["name"] for m in spec["end_to_end"]}:
+        raise SystemExit(f"the claim names no end-to-end metric of the parent's BENCHMARK.json: {args.claim!r}")
     seconds = spec["run_seconds"]
     command = f"python3 perfbench/run.py --workload <W> --seed <S> --seconds {seconds:g} --trace 0"
     bytecode = ", ".join(f"{k}={os.environ[k]!r}" if k in os.environ else f"{k} unset"
@@ -177,6 +208,9 @@ def bench(args: argparse.Namespace) -> dict:
             "trace": trace,
         }
         Path(args.out).write_text(json.dumps(out, indent=1) + "\n")  # each finished workload survives a later failure
+    if args.claim:
+        out["claim_verdict"] = judge(args.claim, out["workloads"])
+        Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
     return out
 
 
@@ -193,6 +227,13 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if not args.check and not (args.parent and args.change and args.scratch and args.workload and args.out):
         parser.error("give --check, or all of --parent, --change, --scratch, --workload and --out")
+    if args.claim:
+        try:
+            workload, _ = parse_claim(args.claim)
+        except ValueError as exc:
+            parser.error(str(exc))
+        if workload not in {item.split(":")[0] for item in args.workload}:
+            parser.error(f"the claimed workload {workload!r} is not among the --workload runs")
     return args
 
 
