@@ -49,9 +49,14 @@ def test_config_requires_qubits():
 
 def test_config_rejects_underflowing_weights():
     frozen_out = ThermalSpec(200.0, QuditHamiltonian((5.0, 0.0)))  # beta*gap = 1000
+    hot = ThermalSpec(1e300, QuditHamiltonian((1e10, 0.0)))  # beta*gap = 1e310 overflows, with no numpy warning
     qubit = ThermalSpec(1.0, QuditHamiltonian((0.0, 1.0)))
     # the refusal names the spec, spec_a first when both underflow
-    for a, b, name in ((frozen_out, qubit, "spec_a"), (qubit, frozen_out, "spec_b"), (frozen_out, frozen_out, "spec_a")):
+    cases = (
+        (frozen_out, qubit, "spec_a"), (qubit, frozen_out, "spec_b"), (frozen_out, frozen_out, "spec_a"),
+        (hot, qubit, "spec_a"), (qubit, hot, "spec_b"),
+    )
+    for a, b, name in cases:
         with pytest.raises(ConfigurationError, match=f"^{name} has a Gibbs weight that underflows to zero"):
             ProtocolConfig(a, b)
 
@@ -62,15 +67,6 @@ def test_config_phi_is_a_real_number():
         with pytest.raises(ConfigurationError, match=f"^phi must be real, got {phi!r}$"):
             ProtocolConfig(spec, spec, phi)
     assert ProtocolConfig(spec, spec, np.float32(0.5)).phi == 0.5
-
-
-def test_config_refuses_an_overflowing_beta_gap_without_a_warning():
-    # beta * gap = 1e310 overflows; the weight is 0.0 and refused, with no numpy overflow warning
-    hot = ThermalSpec(1e300, QuditHamiltonian((1e10, 0.0)))
-    qubit = ThermalSpec(1.0, QuditHamiltonian((0.0, 1.0)))
-    for a, b, name in ((hot, qubit, "spec_a"), (qubit, hot, "spec_b")):
-        with pytest.raises(ConfigurationError, match=f"^{name} has a Gibbs weight that underflows to zero"):
-            ProtocolConfig(a, b)
 
 
 def test_config_weights_are_one_gibbs_call_with_the_per_spec_bytes(monkeypatch):
