@@ -24,7 +24,7 @@ import numpy as np
 
 from .interference import _closed_form, _readout_probability
 from .protocol import OUTCOME_ORDER, ProtocolConfig, post_select, sample_outcomes, success_probability
-from .qcore import ConfigurationError
+from .qcore import ConfigurationError, _number
 from .tempop import eigencheck_purified
 from .thermal import QuditHamiltonian, ThermalSpec
 
@@ -36,9 +36,7 @@ MAX_POINTS = 10**6
 
 
 def _as_number(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"config field {name!r} must be a number")
-    value = float(value)
+    value = _number(f"config field {name!r}", value)
     if not isfinite(value):
         raise ConfigurationError(f"config field {name!r} must be finite")
     return value

@@ -26,8 +26,7 @@ import numpy as np
 
 from . import qcore
 from .protocol import BellOutcome, ProtocolConfig, _branch, _positive_qubit_weights, post_select, success_probability
-from .qcore import ConfigurationError
-from .thermal import _reals
+from .qcore import ConfigurationError, _numbers
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,16 +43,14 @@ class SweepSpec:
     _weights_b: tuple = field(init=False, repr=False)  # B weights on the beta_B axis
 
     def __post_init__(self) -> None:
-        phis = np.array(self.phi_points, dtype=float)
-        if phis.ndim != 1 or not phis.size:
-            raise ConfigurationError("phi_points must be a nonempty 1-D sequence of numbers")
-        if not np.isfinite(phis).all():
-            raise ConfigurationError("phi_points must be finite")
+        phis = np.array(_numbers("phi_points (a 1-D grid)", self.phi_points), dtype=float)
+        if not (phis.size and np.isfinite(phis).all()):
+            raise ConfigurationError("phi_points must be a nonempty 1-D sequence of finite numbers")
         phis.flags.writeable = False
         object.__setattr__(self, "phi_points", phis)
         weights_b = self.cfg.weights()[1]
         if self.beta_b_values is not None:
-            betas = _reals("beta_b sweep values", self.beta_b_values)
+            betas = _numbers("beta_b sweep values", self.beta_b_values)
             if not all(isfinite(b) and b > 0.0 for b in betas):
                 raise ConfigurationError("beta_b sweep values must be positive and finite")
             levels = self.cfg.spec_b.hamiltonian.energies

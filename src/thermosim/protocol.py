@@ -19,13 +19,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from math import isfinite
-from numbers import Integral
 
 import numpy as np
 
 from . import qcore
-from .qcore import ConfigurationError, Operator, StateVector, _built
-from .thermal import ThermalSpec, _real, purify
+from .qcore import ConfigurationError, Operator, StateVector, _built, _number
+from .thermal import ThermalSpec, purify
 
 
 class BellOutcome(enum.Enum):
@@ -109,7 +108,7 @@ class ProtocolConfig:
             if spec.hamiltonian.dim != 2:
                 raise ConfigurationError(f"{name} must describe a qubit")
         weights = _positive_qubit_weights(*((n, s.beta, s.hamiltonian.energies) for n, s in zip(names, specs)))
-        phi = _real("phi", self.phi)
+        phi = _number("phi", self.phi)
         if not isfinite(phi):
             raise ConfigurationError("phi must be finite")
         object.__setattr__(self, "phi", phi)
@@ -205,10 +204,7 @@ def sample_outcomes(cfg: ProtocolConfig, n: int, seed: int) -> dict[BellOutcome,
     generator, so identical (cfg, n, seed) always produce identical counts;
     its cost does not grow with ``n``, which may be up to ``MAX_SAMPLES``.
     """
-    for name, x in (("sample count", n), ("seed", seed)):
-        # numpy's multinomial would truncate 10.5 samples to 10, and take True for 1
-        if isinstance(x, bool) or not isinstance(x, Integral):
-            raise ConfigurationError(f"{name} must be an integer, got {x!r}")
+    n, seed = _number("sample count", n, "integer"), _number("seed", seed, "integer")  # numpy would take 10.5 as 10
     if not 1 <= n <= MAX_SAMPLES:
         raise ConfigurationError(f"sample count must be between 1 and {MAX_SAMPLES}")
     if seed < 0:

@@ -21,12 +21,19 @@ support, the (k,) amplitudes at strictly increasing flat indices.  The
 diagonal partial trace reads the support directly, and a dense state's
 nonzeros through ``np.flatnonzero``; ``amps`` is built from the support only
 for a caller that reads it.
+
+Numeric input has one rule, ``_number`` for a value and ``_numbers`` for a
+sequence, at every public boundary: Python and numpy int, float and complex
+scalars pass as their kind (real, complex, integer) allows; a bool, str, None
+or non-iterable is refused in one line, "<name> must be <kind>, got <repr>".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
+from numbers import Complex, Integral, Real
+from operator import countOf
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -40,8 +47,35 @@ class ConfigurationError(ValueError):
     """Raised when an input violates a documented structural precondition."""
 
 
+# kind: (Python type, ABC, noun, types that skip the ABC check)
+_KINDS = {"real": (float, Real, "real", frozenset((float, int))),
+          "complex": (complex, Complex, "complex", frozenset((complex, float, int))),
+          "integer": (int, Integral, "an integer", frozenset((int,)))}
+
+
+def _number(name: str, x, kind: str = "real"):
+    """``x`` as a Python number of ``kind``, if it is one: numpy scalars are, bool, str and None are not."""
+    cast, abc, noun, plain = _KINDS[kind]
+    if type(x) not in plain and (type(x) is bool or not isinstance(x, abc)):
+        raise ConfigurationError(f"{name} must be {noun}, got {x!r}")
+    try:
+        return cast(x)
+    except OverflowError:  # an int beyond float64, whose repr may be too long to print
+        raise ConfigurationError(f"{name} must fit in float64") from None
+
+
+def _numbers(name: str, values, kind: str = "real") -> tuple:
+    """``values`` as a tuple of numbers, each checked as :func:`_number` checks it; a string is refused whole."""
+    cast, _, noun, _ = _KINDS[kind]
+    values = values.tolist() if isinstance(values, np.ndarray) else values  # no ABC check per number of an array
+    if isinstance(values, (str, bytes)) or not hasattr(values, "__iter__"):
+        raise ConfigurationError(f"{name} must be {noun}, got {values!r}")
+    values = tuple(values)  # a generator is read once, for the check and the conversion
+    return values if countOf(map(type, values), cast) == len(values) else tuple(_number(name, x, kind) for x in values)
+
+
 def _check_dims(dims: Iterable[int]) -> tuple[int, ...]:
-    out = tuple(map(int, dims))
+    out = _numbers("subsystem dims", dims, "integer")
     if not out or min(out) < 2:
         raise ConfigurationError(f"subsystem dims must all be >= 2, got {out}")
     return out
@@ -197,6 +231,7 @@ def basis_state(dims: Iterable[int], index: int) -> StateVector:
     """Computational basis state with a single unit amplitude at ``index``."""
     dims = _check_dims(dims)
     d = prod(dims)
+    index = _number("basis index", index, "integer")
     if not 0 <= index < d:
         raise ConfigurationError(f"basis index must be in 0..{d - 1}, got {index}")
     amps = np.zeros(d, dtype=np.complex128)
@@ -217,7 +252,7 @@ def partial_trace(state: StateVector | DensityMatrix, keep: Iterable[int]) -> De
     """
     dims = state.dims
     n = len(dims)
-    kept = sorted({int(k) for k in keep})
+    kept = sorted(set(_numbers("keep", keep, "integer")))
     if not kept or len(kept) >= n or kept[0] < 0 or kept[-1] >= n:
         raise ConfigurationError(
             f"keep must be a nonempty proper subset of subsystem indices 0..{n - 1}, got {kept}"
@@ -290,7 +325,7 @@ def apply(op: Operator, state: StateVector, targets: Sequence[int]) -> StateVect
     ``targets[0]``.  The operator dimension must match the product of the
     target dimensions.  Norm is preserved only when ``op`` is unitary.
     """
-    targets = [int(t) for t in targets]
+    targets = list(_numbers("targets", targets, "integer"))
     n = len(state.dims)
     if len(set(targets)) != len(targets) or any(t < 0 or t >= n for t in targets):
         raise ConfigurationError(f"invalid target subsystems {targets} for dims {state.dims}")

@@ -45,13 +45,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite, sqrt
-from numbers import Complex, Integral, Real
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .protocol import BellOutcome, ProtocolConfig
-from .qcore import EQ_TOL, ConfigurationError, StateVector, _built, _check_dims
+from .qcore import EQ_TOL, ConfigurationError, StateVector, _built, _check_dims, _number, _numbers
 from .thermal import ThermalSpec
 
 
@@ -104,10 +104,12 @@ class FactoredTerm:
         return cls(index, index, index, index, left, right, left_energy, right_energy, weight)
 
 
-# (name, type) of each row of term fields after the four integer ones
-_NUMERIC_ROWS = (
-    2 * [("energy", Real)] + 2 * [("coefficient", Real)] + 2 * [("offset", Real)] + 2 * [("value", Complex)]
-    + [("weight", Complex)]
+_TERM_FIELDS = attrgetter("left_var", "right_var", "left_basis", "right_basis", "left_energy", "right_energy",
+                          "left.coeff", "right.coeff", "left.offset", "right.offset", "left.value", "right.value",
+                          "weight")  # the term fields read into the state's arrays, one row each
+_TERM_ROWS = (  # the (name, kind) of each of those rows
+    2 * [("derivative slot", "integer")] + 2 * [("basis ket", "integer")] + 2 * [("energy", "real")]
+    + 2 * [("coefficient", "real")] + 2 * [("offset", "real")] + 2 * [("value", "complex")] + [("weight", "complex")]
 )
 
 
@@ -141,6 +143,7 @@ def _evaluate(var, energy, weight, value, coeff, offset, frozen_norm, h):
         if h is None:
             slopes = coeff * amplitude
         else:
+            h = _number("finite-difference step", h)
             if not (isfinite(h) and h > 0.0):
                 raise ConfigurationError("finite-difference step must be finite and positive")
             floor = 1e-8 * max(1.0, float(np.abs(energy).max()))
@@ -181,16 +184,8 @@ class FactoredBipartiteState:
     dims: tuple[int, int]
 
     def __init__(self, terms: Iterable[FactoredTerm], frozen_norm: float | None = None) -> None:
-        fields = list(zip(*(
-            (t.left_var, t.right_var, t.left_basis, t.right_basis, t.left_energy, t.right_energy, t.left.coeff,
-             t.right.coeff, t.left.offset, t.right.offset, t.left.value, t.right.value, t.weight) for t in terms
-        )))
-        if not all(isinstance(k, Integral) for row in fields[:4] for k in row):  # a float, 1.0 too, is no ket
-            raise ConfigurationError("derivative slots and basis kets must be integers")
-        for (name, kind), row in zip(_NUMERIC_ROWS, fields[4:]):
-            bad = [x for x in row if not isinstance(x, kind)]  # numpy would parse "1.5" and fail raw on "x"
-            if bad:
-                raise ConfigurationError(f"term {name} must be a {kind.__name__.lower()} number, got {bad[0]!r}")
+        rows = zip(_TERM_ROWS, zip(*map(_TERM_FIELDS, terms)))  # a float, 1.0 too, is no ket; "1.5" is no energy
+        fields = [_numbers(f"term {name}", row, kind) for (name, kind), row in rows]
         var, basis = np.array(fields[:4], dtype=np.int64).reshape(2, 2, -1)
         energy, coeff, offset = np.array(fields[4:10], dtype=float).reshape(3, 2, -1)
         complex_rows = np.array(fields[10:], dtype=np.complex128).reshape(3, -1)
@@ -216,9 +211,7 @@ class FactoredBipartiteState:
         if not np.isfinite(energy).all():
             raise ConfigurationError("term energies must be finite")
         if frozen_norm is not None:
-            if not isinstance(frozen_norm, Real):  # float() would parse "2" and fail raw on "x"
-                raise ConfigurationError(f"frozen normalization must be a real number, got {frozen_norm!r}")
-            frozen_norm = float(frozen_norm)
+            frozen_norm = _number("frozen normalization", frozen_norm)
             if not isfinite(frozen_norm) or frozen_norm <= 0.0:
                 raise ConfigurationError("frozen normalization must be finite and positive")
         vars(self).update(
@@ -305,14 +298,15 @@ def product_state(
     derivative slots (n, m) and only the diagonal n = m responds to the
     operator.  Used to exhibit its non-local action.
     """
+    energies = _numbers("energies", energies)
     if len(left) != len(energies) or len(right) != len(energies):
         raise ConfigurationError("need one family per energy on each side")
     kets = np.indices((len(energies),) * 2).reshape(2, -1)  # term (n, m) in row-major order
-    per_term = lambda name, dtype: np.take_along_axis(  # the left family of level n, the right one of level m
-        np.array([[getattr(f, name) for f in side] for side in (left, right)], dtype=dtype), kets, axis=1)
+    per_term = lambda name, kind: np.take_along_axis(  # the left family of level n, the right one of level m
+        np.reshape(_numbers(f"family {name}", [getattr(f, name) for f in (*left, *right)], kind), (2, -1)), kets, 1)
     return _normalized(
-        kets, kets, np.array(energies, dtype=float)[kets], 1.0 + 0j,
-        per_term("value", np.complex128), per_term("coeff", float), per_term("offset", float),
+        kets, kets, np.array(energies)[kets], 1.0 + 0j,
+        per_term("value", "complex"), per_term("coeff", "real"), per_term("offset", "real"),
     )
 
 

@@ -9,30 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import exp, fsum, inf, isfinite
-from numbers import Real
 
 import numpy as np
 
-from .qcore import ConfigurationError, DensityMatrix, StateVector, _built
-
-
-def _real(name: str, x) -> float:
-    """``x`` as a float, if it is a real number: numpy int and float scalars are, bool and str are not."""
-    if type(x) is not float and (type(x) is bool or not isinstance(x, Real)):
-        raise ConfigurationError(f"{name} must be real, got {x!r}")
-    return float(x)
-
-
-_PLAIN = frozenset((float, int))
-
-
-def _reals(name: str, values) -> tuple[float, ...]:
-    """``values`` as floats, each checked as :func:`_real` checks it, once per distinct type."""
-    values = tuple(values)  # a generator is read once, for the check and the conversion
-    if not _PLAIN.issuperset(map(type, values)):
-        for t in set(map(type, values)):
-            _real(name, next(x for x in values if type(x) is t))
-    return tuple(map(float, values))
+from .qcore import ConfigurationError, DensityMatrix, StateVector, _built, _number, _numbers
 
 
 @dataclass(frozen=True)
@@ -42,7 +22,7 @@ class QuditHamiltonian:
     energies: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        energies = _reals("energies", self.energies)
+        energies = _numbers("energies", self.energies)
         if len(energies) < 2:
             raise ConfigurationError("a Hamiltonian needs at least two levels")
         if not all(map(isfinite, energies)):
@@ -62,7 +42,7 @@ class ThermalSpec:
     hamiltonian: QuditHamiltonian
 
     def __post_init__(self) -> None:
-        beta = _real("beta", self.beta)
+        beta = _number("beta", self.beta)
         if not isfinite(beta) or beta < 0.0:
             raise ConfigurationError(f"beta must be finite and nonnegative, got {beta}")
         object.__setattr__(self, "beta", beta)
@@ -83,7 +63,7 @@ class GibbsWeights:
     partition: float
 
     def __post_init__(self) -> None:
-        w = tuple(float(x) for x in self.weights)
+        w = _numbers("weights", self.weights)
         if any(x < 0.0 for x in w) or not abs(fsum(w) - 1.0) <= 1e-12:  # NaN fails too
             raise ConfigurationError("weights must be nonnegative and sum to 1")
         object.__setattr__(self, "weights", w)
@@ -111,7 +91,7 @@ def gibbs_weights(spec: ThermalSpec) -> GibbsWeights:
         z = exp(-spec.beta * min(spec.hamiltonian.energies)) * total
     except OverflowError:  # Z alone overflows past -beta*E_min of about 709; the weights are fine
         z = inf
-    return GibbsWeights(tuple(weights), z)
+    return GibbsWeights(weights, z)
 
 
 def thermal_density(spec: ThermalSpec) -> DensityMatrix:
@@ -139,7 +119,7 @@ def purify(spec: ThermalSpec, phase: float = 0.0) -> StateVector:
     only when read; the partial trace does not read it.
     """
     d = spec.hamiltonian.dim
-    phase = float(phase)
+    phase = _number("phase", phase)
     if not isfinite(phase):
         raise ConfigurationError("phase must be finite")
     if phase != 0.0 and d != 2:

@@ -432,6 +432,14 @@ def test_overflowing_beta_gap_exits_one(tmp_path, command):
     assert proc.stderr == "error: spec_a has a Gibbs weight that underflows to zero; reduce beta or the energy gap\n"
 
 
+def test_config_integer_beyond_float64_exits_one(capsys, tmp_path):
+    # JSON reads 1e400 written out in digits as a Python int, which float() cannot hold
+    path = tmp_path / "huge.json"
+    path.write_text('{"beta_a":1' + "0" * 400 + ',"beta_b":1.0,"energies_a":[5.0,0.0],"energies_b":[0.0,1.0],"phi":0.0}')
+    code, out, err = run_cli(capsys, ["protocol", "--config", str(path)])
+    assert (code, out, err) == (1, "", "error: config field 'beta_a' must fit in float64\n")
+
+
 def test_eigencheck_overflowing_normalization_exits_one():
     # -beta * E_min is about 984 here, so the purified state's Z overflows
     proc = _run_module(["eigencheck", "--dim", "4", "--beta", "300"])

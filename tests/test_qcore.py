@@ -1,5 +1,8 @@
+import ast
+import re
 from itertools import combinations
 from math import prod
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -13,12 +16,22 @@ from thermosim import (
     HADAMARD,
     SIGMA_Z,
     ConfigurationError,
+    Constant,
     DensityMatrix,
+    ExpLinear,
+    FactoredBipartiteState,
+    FactoredTerm,
+    GibbsWeights,
     Operator,
     PHI_PLUS,
+    PSI_PLUS,
+    ProtocolConfig,
     StateVector,
+    SweepSpec,
     apply,
+    apply_inverse_temp_squared,
     basis_state,
+    eigencheck_purified,
     fidelity_pure,
     QuditHamiltonian,
     ThermalSpec,
@@ -26,8 +39,10 @@ from thermosim import (
     partial_trace,
     post_select,
     post_select_oracle,
+    product_state,
     purified_thermal_state,
     purify,
+    sample_outcomes,
     tensor_product,
     thermal_density,
 )
@@ -492,3 +507,139 @@ def test_apply_dimension_mismatch():
         apply(CNOT, basis_state((2, 2), 0), targets=(0, 0))
     with pytest.raises(ConfigurationError):
         apply(CNOT, basis_state((2, 2), 0), targets=(0, 5))
+
+
+# --- numeric input: one rule, one message shape -------------------------------
+
+_HAM = QuditHamiltonian((5.0, 0.0))
+_SPEC = ThermalSpec(1.0, _HAM)
+_CFG = reference_config()
+_ONE = Constant(1.0)
+_TERMS = (FactoredTerm.diagonal(0, _ONE, _ONE, 0.0), FactoredTerm.diagonal(1, _ONE, _ONE, 0.0))
+
+
+def _term_state(**fields):
+    """A two-term state whose first term takes ``fields``; with frozen_norm 2 it is unit norm."""
+    first = dict(left_var=0, right_var=0, left_basis=0, right_basis=0, left=_ONE, right=_ONE,
+                 left_energy=0.0, right_energy=0.0)
+    return FactoredBipartiteState((FactoredTerm(**{**first, **fields}), _TERMS[1]), frozen_norm=2.0)
+
+
+def _product_state(family):
+    """A two-level product state whose left family of level 0 is ``family``."""
+    return product_state([family, _ONE], [_ONE, _ONE], (0.0, 1.0))
+
+
+# every public numeric parameter: (its name in messages, kind, a call with the parameter set to x,
+# a valid value, whether None means "absent"); a tuple valid value marks a sequence parameter
+_BOUNDARIES = {
+    "QuditHamiltonian.energies": ("energies", "real", QuditHamiltonian, (0.0, 1.0), False),
+    "ThermalSpec.beta": ("beta", "real", lambda x: ThermalSpec(x, _HAM), 1.0, False),
+    "GibbsWeights.weights": ("weights", "real", lambda x: GibbsWeights(x, 1.0), (1.0, 0.0), False),
+    "purify.phase": ("phase", "real", lambda x: purify(_SPEC, x), 1.0, False),
+    "ProtocolConfig.phi": ("phi", "real", lambda x: ProtocolConfig(_SPEC, _SPEC, x), 1.0, False),
+    "sample_outcomes.n": ("sample count", "integer", lambda x: sample_outcomes(_CFG, x, 0), 10, False),
+    "sample_outcomes.seed": ("seed", "integer", lambda x: sample_outcomes(_CFG, 10, x), 3, False),
+    "SweepSpec.phi_points": ("phi_points (a 1-D grid)", "real", lambda x: SweepSpec(_CFG, x), (0.0, 1.0), False),
+    "SweepSpec.beta_b_values": ("beta_b sweep values", "real", lambda x: SweepSpec(_CFG, (0.0,), x), (1.0, 2.0), True),
+    "FactoredTerm.left_var": ("term derivative slot", "integer", lambda x: _term_state(left_var=x), 0, False),
+    "FactoredTerm.right_var": ("term derivative slot", "integer", lambda x: _term_state(right_var=x), 0, False),
+    "FactoredTerm.left_basis": ("term basis ket", "integer", lambda x: _term_state(left_basis=x), 0, False),
+    "FactoredTerm.right_basis": ("term basis ket", "integer", lambda x: _term_state(right_basis=x), 0, False),
+    "FactoredTerm.left_energy": ("term energy", "real", lambda x: _term_state(left_energy=x), 0.0, False),
+    "FactoredTerm.right_energy": ("term energy", "real", lambda x: _term_state(right_energy=x), 0.0, False),
+    "ExpLinear.coeff": ("term coefficient", "real", lambda x: _term_state(left=ExpLinear(x)), 0.0, False),
+    "ExpLinear.offset": ("term offset", "real", lambda x: _term_state(right=ExpLinear(0.0, x)), 0.0, False),
+    "ExpLinear.value": ("term value", "complex", lambda x: _term_state(left=ExpLinear(0.0, value=x)), 1.0, False),
+    "FactoredTerm.weight": ("term weight", "complex", lambda x: _term_state(weight=x), 1.0, False),
+    "product_state.energies": ("energies", "real", lambda x: product_state([_ONE, _ONE], [_ONE, _ONE], x), (0.0, 1.0),
+                               False),
+    "product_state.coeff": ("family coeff", "real", lambda x: _product_state(ExpLinear(x)), 0.0, False),
+    "product_state.offset": ("family offset", "real", lambda x: _product_state(ExpLinear(0.0, x)), 0.0, False),
+    "product_state.value": ("family value", "complex", lambda x: _product_state(ExpLinear(0.0, value=x)), 1.0, False),
+    "FactoredBipartiteState.frozen_norm": (
+        "frozen normalization", "real", lambda x: FactoredBipartiteState(_TERMS, frozen_norm=x), 2.0, True),
+    "eigencheck_purified.fd_step": (
+        "finite-difference step", "real", lambda x: eigencheck_purified(_SPEC, fd_step=x), 1.0, True),
+    "apply_inverse_temp_squared.fd_step": (
+        "finite-difference step", "real", lambda x: apply_inverse_temp_squared(_term_state(), fd_step=x), 1.0, True),
+    "StateVector.dims": ("subsystem dims", "integer", lambda x: StateVector(x, [1.0, 0.0, 0.0, 0.0]), (2, 2), False),
+    "DensityMatrix.dims": ("subsystem dims", "integer", lambda x: DensityMatrix(x, np.eye(4) / 4), (2, 2), False),
+    "Operator.dims": ("subsystem dims", "integer", lambda x: Operator(x, np.eye(4)), (2, 2), False),
+    "basis_state.dims": ("subsystem dims", "integer", lambda x: basis_state(x, 0), (2, 2), False),
+    "basis_state.index": ("basis index", "integer", lambda x: basis_state((2, 2), x), 1, False),
+    "partial_trace.keep": ("keep", "integer", lambda x: partial_trace(PHI_PLUS, x), (0,), False),
+    "apply.targets": ("targets", "integer", lambda x: apply(HADAMARD, PSI_PLUS, x), (1,), False),
+}
+
+_NOUNS = {"real": "real", "complex": "complex", "integer": "an integer"}
+_KIND_SCALARS = {  # the numpy scalar types each kind accepts
+    "integer": (np.int64, np.uint8),
+    "real": (np.int64, np.uint8, np.float32),
+    "complex": (np.int64, np.uint8, np.float32, np.complex64),
+}
+
+
+def _refusals():
+    """One case per bad input of every boundary: the value passed and the value the message names."""
+    for boundary, (_, kind, _, valid, optional) in _BOUNDARIES.items():
+        bads = [True, np.True_, "0.5"] + ([] if optional else [None]) + ([1.5, 1.0] if kind == "integer" else [])
+        cases = [(bad, bad, repr(bad)) for bad in bads]
+        if isinstance(valid, tuple):  # a sequence also refuses a bare scalar, and each bad value as an entry
+            cases += [(valid[0], valid[0], "bare scalar")] + [(valid[:-1] + (bad,), bad, f"[{bad!r}]") for bad in bads]
+        for value, named, label in cases:
+            yield pytest.param(boundary, value, named, id=f"{boundary}:{label}")
+
+
+@pytest.mark.parametrize("boundary, value, named", _refusals())
+def test_every_numeric_boundary_refuses_with_one_line_of_one_shape(boundary, value, named):
+    name, kind, call, _, _ = _BOUNDARIES[boundary]
+    with pytest.raises(ConfigurationError) as caught:
+        call(value)
+    assert re.fullmatch(f"{re.escape(name)} must be {_NOUNS[kind]}, got {re.escape(repr(named))}", str(caught.value))
+
+
+@pytest.mark.parametrize("boundary", list(_BOUNDARIES))
+def test_every_numeric_boundary_takes_numpy_scalars_of_its_kind(boundary):
+    _, kind, call, valid, _ = _BOUNDARIES[boundary]
+    for scalar in _KIND_SCALARS[kind]:
+        call(tuple(map(scalar, valid)) if isinstance(valid, tuple) else scalar(valid))
+    if isinstance(valid, tuple):
+        call(np.array(valid))
+        call(list(valid))
+
+
+def test_basis_state_refuses_a_bool_index():
+    # numpy reads True as a mask: basis_state((2,), True) had a 1 in every amplitude, norm sqrt(2)
+    with pytest.raises(ConfigurationError, match=r"^basis index must be an integer, got True$"):
+        basis_state((2,), True)
+    assert basis_state((2,), 1).amps.tolist() == [0.0, 1.0]
+
+
+def test_integers_beyond_float64_are_refused_in_one_line():
+    for call, name in ((lambda: ThermalSpec(10**400, _HAM), "beta"), (lambda: QuditHamiltonian((10**400, 0)), "energies")):
+        with pytest.raises(ConfigurationError, match=f"^{name} must fit in float64$"):
+            call()
+
+
+def test_numpy_arrays_are_read_without_a_check_per_number(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a number of an accepted array checked one by one")
+
+    monkeypatch.setattr(qcore, "_number", refuse)
+    assert SweepSpec(_CFG, np.linspace(0.0, 1.0, 1001, dtype=np.float32)).phi_points.size == 1001
+    assert partial_trace(PHI_PLUS, np.array([1], dtype=np.uint8)).dims == (2,)
+    with pytest.raises(AssertionError):
+        SweepSpec(_CFG, tuple(np.linspace(0.0, 1.0, 3)))  # a tuple of numpy scalars is read number by number
+
+
+def test_only_qcore_imports_the_number_abcs():
+    # one numeric-input rule: no module but qcore decides for itself what a number is
+    importers = set()
+    for path in Path(qcore.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "numbers" and not node.level:
+                importers.add(path.name)
+            if isinstance(node, ast.Import) and any(a.name == "numbers" for a in node.names):
+                importers.add(path.name)
+    assert importers == {"qcore.py"}

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -124,7 +126,7 @@ def test_factored_state_refuses_a_non_real_frozen_norm(norm):
         FactoredTerm.diagonal(1, Constant(1.0), Constant(1.0), 0.0),
     )
     FactoredBipartiteState(terms, frozen_norm=2)
-    with pytest.raises(ConfigurationError, match="frozen normalization must be a real number"):
+    with pytest.raises(ConfigurationError, match=f"^frozen normalization must be real, got {norm!r}$"):
         FactoredBipartiteState(terms, frozen_norm=norm)
 
 
@@ -502,10 +504,10 @@ def test_factored_state_rejects_degenerate_kets_and_values():
 def test_factored_state_refuses_non_integer_kets_and_slots(bad):
     # 1.5 used to build a (2, 2) state whose dense view raised a raw IndexError
     one = Constant(1.0)
-    with pytest.raises(ConfigurationError, match="must be integers"):
+    with pytest.raises(ConfigurationError, match=f"^term basis ket must be an integer, got {re.escape(repr(bad))}$"):
         FactoredBipartiteState((FactoredTerm.diagonal(0, one, one, 0.0),
                                 FactoredTerm(1, 1, 1, bad, one, one, 0.0, 0.0)), frozen_norm=2.0)
-    with pytest.raises(ConfigurationError, match="must be integers"):
+    with pytest.raises(ConfigurationError, match=f"^term derivative slot must be an integer, got {re.escape(repr(bad))}$"):
         FactoredBipartiteState((FactoredTerm.diagonal(0, one, one, 0.0),
                                 FactoredTerm(bad, 1, 1, 1, one, one, 0.0, 0.0)), frozen_norm=2.0)
     state = FactoredBipartiteState((FactoredTerm.diagonal(0, one, one, 0.0),
@@ -522,7 +524,9 @@ def test_factored_state_refuses_non_integer_kets_and_slots(bad):
 ])
 def test_factored_state_refuses_non_numeric_fields(field, term):
     # numpy would raise its raw ValueError on "x" and parse "0.5" as a number
-    with pytest.raises(ConfigurationError, match=f"term {field} must be a"):
+    bad = {"energy": "x", "coefficient": "x", "offset": "0.5", "value": None, "weight": "1"}[field]
+    noun = "complex" if field in ("value", "weight") else "real"
+    with pytest.raises(ConfigurationError, match=f"^term {field} must be {noun}, got {re.escape(repr(bad))}$"):
         FactoredBipartiteState([term, FactoredTerm(1, 1, 1, 1, Constant(1.0), Constant(1.0), 0.0, 0.0)])
 
 
