@@ -2,14 +2,15 @@
 
 Three subcommands::
 
-    thermosim protocol     --config FILE [--samples N --seed S]
+    thermosim protocol     --config FILE [--samples N [--seed S]]
     thermosim interference --config FILE --phi-steps K --out FILE [--convention paper|corrected]
     thermosim eigencheck   --dim D --beta B [--fd-step H] [--assert-tol T]
 
 Reports are JSON on stdout; interference sweeps are written as CSV.  All floats are
-rendered with 9 significant digits so identical invocations on the same numpy build and
-BLAS thread count produce byte-identical output.  Exit codes: 0 success, 1 configuration
-or I/O error (one-line diagnostic on stderr), 2 numerical assertion failure.
+rendered with 9 significant digits so identical invocations on the same numpy build, BLAS
+thread count and numpy CPU dispatch (which picks the ``np.exp`` kernel by instruction set)
+produce byte-identical output.  Exit codes: 0 success, 1 configuration or I/O error
+(one-line diagnostic on stderr), 2 numerical assertion failure.
 """
 
 from __future__ import annotations
@@ -99,8 +100,8 @@ def _emit(report: dict) -> None:
 
 
 def cmd_protocol(args: argparse.Namespace) -> int:
-    if args.seed is not None and args.seed < 0:
-        raise ConfigurationError("--seed must be nonnegative")
+    if args.seed is not None and args.samples is None:
+        raise ConfigurationError("--seed needs --samples")
     cfg = load_config(args.config)
     results = {o: post_select(cfg, o) for o in OUTCOME_ORDER}
     phi_plus = results[OUTCOME_ORDER[0]].state.amps

@@ -25,8 +25,9 @@ from math import isfinite
 import numpy as np
 
 from . import qcore
-from .protocol import BellOutcome, ProtocolConfig, _branch, _positive_qubit_weights, post_select, success_probability
+from .protocol import BellOutcome, ProtocolConfig, _branch, post_select, success_probability
 from .qcore import ConfigurationError, _numbers
+from .thermal import _positive_qubit_weights
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import qcore
 from .qcore import ConfigurationError, Operator, StateVector, _built, _number
-from .thermal import ThermalSpec, purify
+from .thermal import ThermalSpec, _positive_qubit_weights, purify
 
 
 class BellOutcome(enum.Enum):
@@ -62,35 +62,6 @@ def _check_outcome(outcome) -> None:
 def bell_state(outcome: BellOutcome) -> StateVector:
     _check_outcome(outcome)
     return _BELL_VECTORS[outcome]
-
-
-_UNDERFLOW = "{} has a Gibbs weight that underflows to zero; reduce beta or the energy gap"
-
-
-def _positive_qubit_weights(*qubits) -> tuple[tuple[float, float], ...]:
-    """Gibbs weights (w0, w1) of each (name, beta, levels) qubit, as Python floats.
-
-    The weights of :func:`thermal._shifted_gibbs`, bit for bit: each exponent
-    -beta*(E - E_min), each sum and each division is one IEEE-754 operation
-    that Python rounds as numpy does, so only the exponentials, all in one
-    call, go through numpy.  An exponent that overflows is -inf in Python
-    floats, with no warning, and its weight 0.0.  Refuses the first qubit
-    whose weight underflows to 0.0 by its name, since the post-selection and
-    the read-out divide by every weight.
-    """
-    exponents = []
-    for _, beta, (e0, e1) in qubits:
-        low = min(e0, e1)
-        exponents += (-beta * (e0 - low), -beta * (e1 - low))
-    shifted = np.exp(exponents).tolist()
-    weights = []
-    for (name, _, _), w0, w1 in zip(qubits, shifted[::2], shifted[1::2]):
-        total = w0 + w1
-        w0, w1 = w0 / total, w1 / total
-        if not (w0 > 0.0 and w1 > 0.0):
-            raise ConfigurationError(_UNDERFLOW.format(name))
-        weights.append((w0, w1))
-    return tuple(weights)
 
 
 @dataclass(frozen=True)

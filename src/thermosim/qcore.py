@@ -26,6 +26,8 @@ Numeric input has one rule, ``_number`` for a value and ``_numbers`` for a
 sequence, at every public boundary: Python and numpy int, float and complex
 scalars pass as their kind (real, complex, integer) allows; a bool, str, None
 or non-iterable is refused in one line, "<name> must be <kind>, got <repr>".
+The public constructors read their arrays by the same rule, as complex
+numbers, through ``_complex_array``.
 """
 
 from __future__ import annotations
@@ -74,6 +76,20 @@ def _numbers(name: str, values, kind: str = "real") -> tuple:
     return values if countOf(map(type, values), cast) == len(values) else tuple(_number(name, x, kind) for x in values)
 
 
+def _complex_array(name: str, values) -> np.ndarray:
+    """``values`` as a fresh complex128 array, each number checked as :func:`_number` checks a complex one.
+
+    A numpy array of a numeric dtype kind passes whole; any other input is
+    checked entry by entry, nested sequences keeping their shape.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iufc":
+        return np.array(values, dtype=np.complex128)
+    entries = np.array(values, dtype=object)
+    # 0-d: a scalar, which _numbers refuses, or an iterable numpy does not unpack (a generator), read as 1-D
+    checked = _numbers(name, entries.reshape(-1) if entries.ndim else values, "complex")
+    return np.array(checked, dtype=np.complex128).reshape(entries.shape or -1)
+
+
 def _check_dims(dims: Iterable[int]) -> tuple[int, ...]:
     out = _numbers("subsystem dims", dims, "integer")
     if not out or min(out) < 2:
@@ -115,7 +131,7 @@ class StateVector:
     amps: np.ndarray
 
     def __post_init__(self) -> None:
-        self._store(self.dims, np.array(self.amps, dtype=np.complex128).reshape(-1))
+        self._store(self.dims, _complex_array("state amplitudes", self.amps).reshape(-1))
 
     def _store(self, dims: Iterable[int], amps: np.ndarray, at: np.ndarray | None = None) -> None:
         """Checks and freezes d dense amplitudes, or the (k,) amplitudes ``amps`` at the flat indices ``at``."""
@@ -175,8 +191,8 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        # ndmin=2 keeps a 1-D input out of the diagonal form, which is only for _built
-        self._store(self.dims, np.array(self.entries, dtype=np.complex128, ndmin=2))
+        # atleast_2d keeps a 1-D input out of the diagonal form, which is only for _built
+        self._store(self.dims, np.atleast_2d(_complex_array("density matrix entries", self.entries)))
         mat = self.entries
         if np.max(np.abs(mat - mat.conj().T)) > EQ_TOL:
             raise ConfigurationError("density matrix must be Hermitian")
@@ -209,7 +225,7 @@ class Operator:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        self._store(self.dims, np.array(self.entries, dtype=np.complex128))
+        self._store(self.dims, _complex_array("operator entries", self.entries))
 
     def _store(self, dims: Iterable[int], mat: np.ndarray) -> None:
         dims = _check_dims(dims)

@@ -8,7 +8,7 @@ is the infinite-temperature limit; ``beta = inf`` is rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, fsum, inf, isfinite
+from math import fsum, isfinite, isnan, log
 
 import numpy as np
 
@@ -50,23 +50,25 @@ class ThermalSpec:
 
 @dataclass(frozen=True)
 class GibbsWeights:
-    """Thermal occupation probabilities and the partition function.
+    """Thermal occupation probabilities and the log of the partition function.
 
     Weights are mathematically strictly positive, but the smallest ones can
     round to 0.0 once beta times the energy spread exceeds about 745; callers
     that require strict positivity (the post-selection protocol) check it
-    themselves.  ``partition`` is inf once -beta*E_min passes about 709 (or
-    0.0 once beta*E_min passes about 745) while the weights stay valid.
+    themselves.  ``log_partition`` is log Z: ±inf only if beta*E_min overflows.
     """
 
     weights: tuple[float, ...]
-    partition: float
+    log_partition: float
 
     def __post_init__(self) -> None:
         w = _numbers("weights", self.weights)
         if any(x < 0.0 for x in w) or not abs(fsum(w) - 1.0) <= 1e-12:  # NaN fails too
             raise ConfigurationError("weights must be nonnegative and sum to 1")
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "log_partition", _number("log_partition", self.log_partition))
+        if isnan(self.log_partition):
+            raise ConfigurationError("log_partition must not be NaN")
 
 
 def _shifted_gibbs(beta: float, energies) -> tuple[np.ndarray, float]:
@@ -84,14 +86,39 @@ def _shifted_gibbs(beta: float, energies) -> tuple[np.ndarray, float]:
     return shifted / total, float(total)
 
 
+_UNDERFLOW = "{} has a Gibbs weight that underflows to zero; reduce beta or the energy gap"
+
+
+def _positive_qubit_weights(*qubits) -> tuple[tuple[float, float], ...]:
+    """Gibbs weights (w0, w1) of each (name, beta, levels) qubit, as Python floats.
+
+    The weights of :func:`_shifted_gibbs`, bit for bit: each exponent
+    -beta*(E - E_min), each sum and each division is one IEEE-754 operation
+    that Python rounds as numpy does, so only the exponentials, all in one
+    call, go through numpy.  An exponent that overflows is -inf in Python
+    floats, with no warning, and its weight 0.0.  Refuses the first qubit
+    whose weight underflows to 0.0 by its name, since the post-selection and
+    the read-out divide by every weight.
+    """
+    exponents = []
+    for _, beta, (e0, e1) in qubits:
+        low = min(e0, e1)
+        exponents += (-beta * (e0 - low), -beta * (e1 - low))
+    shifted = np.exp(exponents).tolist()
+    weights = []
+    for (name, _, _), w0, w1 in zip(qubits, shifted[::2], shifted[1::2]):
+        total = w0 + w1
+        w0, w1 = w0 / total, w1 / total
+        if not (w0 > 0.0 and w1 > 0.0):
+            raise ConfigurationError(_UNDERFLOW.format(name))
+        weights.append((w0, w1))
+    return tuple(weights)
+
+
 def gibbs_weights(spec: ThermalSpec) -> GibbsWeights:
-    """Occupation probabilities e^(-beta*E_n)/Z and the partition function Z."""
+    """Occupation probabilities e^(-beta*E_n)/Z and log Z."""
     weights, total = _shifted_gibbs(spec.beta, spec.hamiltonian.energies)
-    try:
-        z = exp(-spec.beta * min(spec.hamiltonian.energies)) * total
-    except OverflowError:  # Z alone overflows past -beta*E_min of about 709; the weights are fine
-        z = inf
-    return GibbsWeights(weights, z)
+    return GibbsWeights(weights, log(total) - spec.beta * min(spec.hamiltonian.energies))
 
 
 def thermal_density(spec: ThermalSpec) -> DensityMatrix:

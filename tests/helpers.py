@@ -5,6 +5,8 @@ script (explicit kron of the purifications, explicit Bell projectors, and
 explicit circuit unitaries) and are frozen here as expected values.
 """
 
+import math
+
 import numpy as np
 
 from thermosim import EigenReport, Operator, ProtocolConfig, QuditHamiltonian, ThermalSpec
@@ -72,6 +74,12 @@ def local_gibbs(beta, energies):
     e = np.asarray(energies, dtype=float)
     w = np.exp(-beta * (e - e.min()))
     return w / w.sum()
+
+
+def reference_log_partition(beta, energies):
+    """log sum_n e^(-beta*E_n) in the standard library alone: a log-sum-exp over math.exp and math.fsum."""
+    low = min(energies)
+    return math.log(math.fsum(math.exp(-beta * (e - low)) for e in energies)) - beta * low
 
 
 def random_state_amps(rng, dim):

@@ -97,6 +97,12 @@ def test_protocol_negative_seed_exits_one(capsys, ref_config_path):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_protocol_seed_without_samples_exits_one(capsys, ref_config_path):
+    # a seed draws nothing on its own, so it is refused rather than silently ignored
+    code, out, err = run_cli(capsys, ["protocol", "--config", ref_config_path, "--seed", "7"])
+    assert (code, out, err) == (1, "", "error: --seed needs --samples\n")
+
+
 def test_protocol_symmetric_case(capsys, tmp_path):
     path = tmp_path / "flat.json"
     path.write_text('{"beta_a":0.0,"beta_b":0.0,"energies_a":[5.0,0.0],"energies_b":[0.0,1.0],"phi":0.0}')

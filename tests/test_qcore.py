@@ -536,6 +536,7 @@ _BOUNDARIES = {
     "QuditHamiltonian.energies": ("energies", "real", QuditHamiltonian, (0.0, 1.0), False),
     "ThermalSpec.beta": ("beta", "real", lambda x: ThermalSpec(x, _HAM), 1.0, False),
     "GibbsWeights.weights": ("weights", "real", lambda x: GibbsWeights(x, 1.0), (1.0, 0.0), False),
+    "GibbsWeights.log_partition": ("log_partition", "real", lambda x: GibbsWeights((1.0, 0.0), x), 0.0, False),
     "purify.phase": ("phase", "real", lambda x: purify(_SPEC, x), 1.0, False),
     "ProtocolConfig.phi": ("phi", "real", lambda x: ProtocolConfig(_SPEC, _SPEC, x), 1.0, False),
     "sample_outcomes.n": ("sample count", "integer", lambda x: sample_outcomes(_CFG, x, 0), 10, False),
@@ -563,6 +564,7 @@ _BOUNDARIES = {
         "finite-difference step", "real", lambda x: eigencheck_purified(_SPEC, fd_step=x), 1.0, True),
     "apply_inverse_temp_squared.fd_step": (
         "finite-difference step", "real", lambda x: apply_inverse_temp_squared(_term_state(), fd_step=x), 1.0, True),
+    "StateVector.amps": ("state amplitudes", "complex", lambda x: StateVector((2,), x), (1.0, 0.0), False),
     "StateVector.dims": ("subsystem dims", "integer", lambda x: StateVector(x, [1.0, 0.0, 0.0, 0.0]), (2, 2), False),
     "DensityMatrix.dims": ("subsystem dims", "integer", lambda x: DensityMatrix(x, np.eye(4) / 4), (2, 2), False),
     "Operator.dims": ("subsystem dims", "integer", lambda x: Operator(x, np.eye(4)), (2, 2), False),
@@ -609,6 +611,45 @@ def test_every_numeric_boundary_takes_numpy_scalars_of_its_kind(boundary):
         call(list(valid))
 
 
+# the 2-D array inputs of the public constructors: (their name in messages, a call with the entries set to x)
+_MATRIX_ENTRIES = {
+    "DensityMatrix.entries": ("density matrix entries", lambda x: DensityMatrix((2,), x)),
+    "Operator.entries": ("operator entries", lambda x: Operator((2,), x)),
+}
+
+
+def _matrix_refusals():
+    """The census cases of a 2-D input: each bad value bare and as an entry, and arrays of a non-numeric dtype."""
+    for boundary in _MATRIX_ENTRIES:
+        for bad in (True, np.True_, "0.5", None):
+            yield pytest.param(boundary, bad, bad, id=f"{boundary}:{bad!r}")
+            yield pytest.param(boundary, [[0.5, 0.0], [0.0, bad]], bad, id=f"{boundary}:[[{bad!r}]]")
+        yield pytest.param(boundary, [np.array([1.0, 0.0]), (0.0, True)], True, id=f"{boundary}:array row")
+        yield pytest.param(boundary, np.array([[True, False], [False, True]]), True, id=f"{boundary}:bool array")
+        yield pytest.param(boundary, np.array([["1", "0"], ["0", "0"]]), "1", id=f"{boundary}:str array")
+
+
+@pytest.mark.parametrize("boundary, value, named", _matrix_refusals())
+def test_matrix_entries_refuse_with_one_line_of_one_shape(boundary, value, named):
+    name, call = _MATRIX_ENTRIES[boundary]
+    with pytest.raises(ConfigurationError) as caught:
+        call(value)
+    assert re.fullmatch(f"{re.escape(name)} must be complex, got {re.escape(repr(named))}", str(caught.value))
+
+
+def test_public_arrays_take_numbers_of_numeric_dtypes_only():
+    half = [[np.float32(0.5), np.uint8(0)], [np.int64(0), np.complex64(0.5)]]
+    for _, call in _MATRIX_ENTRIES.values():
+        assert np.array_equal(call(half).entries, np.eye(2) / 2)
+        assert np.array_equal(call(np.eye(2, dtype=np.float32) / 2).entries, np.eye(2) / 2)
+    assert np.array_equal(Operator((2,), np.eye(2, dtype=np.int8)).entries, np.eye(2))
+    assert StateVector((2,), np.array([1, 0], dtype=np.uint8)).amps.tolist() == [1.0, 0.0]
+    # numpy would read these as the amplitudes 1 and 0, and 0.6 and 1
+    for amps, named in ((["1", "0"], "'1'"), ([0.6, True], "True")):
+        with pytest.raises(ConfigurationError, match=f"^state amplitudes must be complex, got {named}$"):
+            StateVector((2,), amps)
+
+
 def test_basis_state_refuses_a_bool_index():
     # numpy reads True as a mask: basis_state((2,), True) had a 1 in every amplitude, norm sqrt(2)
     with pytest.raises(ConfigurationError, match=r"^basis index must be an integer, got True$"):
@@ -643,3 +684,23 @@ def test_only_qcore_imports_the_number_abcs():
             if isinstance(node, ast.Import) and any(a.name == "numbers" for a in node.names):
                 importers.add(path.name)
     assert importers == {"qcore.py"}
+
+
+# private names that cross a module line to a sibling other than qcore: (importer, home module, name)
+_PRIVATE_IMPORTS = {
+    ("interference", "protocol", "_branch"),
+    ("cli", "interference", "_closed_form"),
+    ("cli", "interference", "_readout_probability"),
+    ("protocol", "thermal", "_positive_qubit_weights"),
+    ("interference", "thermal", "_positive_qubit_weights"),
+}
+
+
+def test_private_names_cross_module_lines_only_where_listed():
+    # thermal alone forms Gibbs weights: its qubit form is imported from thermal, never through protocol
+    imports = set()
+    for path in Path(qcore.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module not in (None, "qcore"):
+                imports |= {(path.stem, node.module, a.name) for a in node.names if a.name.startswith("_")}
+    assert imports == _PRIVATE_IMPORTS

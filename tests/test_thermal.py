@@ -1,11 +1,14 @@
+from math import isclose, isinf, isnan, log
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermosim import (
     ConfigurationError,
     DensityMatrix,
+    GibbsWeights,
     QuditHamiltonian,
     ThermalSpec,
     gibbs_weights,
@@ -23,6 +26,7 @@ from helpers import (
     REF_WEIGHTS_B,
     assert_valid_density,
     random_thermal_spec,
+    reference_log_partition,
 )
 
 
@@ -76,17 +80,57 @@ def test_overflowing_beta_gap_has_weight_zero_without_a_warning():
 def test_infinite_temperature_weights():
     gw = gibbs_weights(ThermalSpec(0.0, QuditHamiltonian((7.0, -3.0))))
     np.testing.assert_allclose(gw.weights, [0.5, 0.5], atol=EQ_TOL)
-    assert abs(gw.partition - 2.0) < EQ_TOL
+    assert abs(gw.log_partition - log(2.0)) < EQ_TOL
 
 
 def test_weights_match_reference_values():
     gw = gibbs_weights(ThermalSpec(1.0, QuditHamiltonian((5.0, 0.0))))
     np.testing.assert_allclose(gw.weights, REF_WEIGHTS_A, atol=EQ_TOL)
-    assert abs(gw.partition - REF_PARTITION_A) < EQ_TOL
+    assert abs(gw.log_partition - log(REF_PARTITION_A)) < EQ_TOL
 
     gw = gibbs_weights(ThermalSpec(1.0, QuditHamiltonian((0.0, 1.0))))
     np.testing.assert_allclose(gw.weights, REF_WEIGHTS_B, atol=EQ_TOL)
-    assert abs(gw.partition - REF_PARTITION_B) < EQ_TOL
+    assert abs(gw.log_partition - log(REF_PARTITION_B)) < EQ_TOL
+
+
+@pytest.mark.parametrize("levels", [(-5.0, -4.5), (5.0, 4.5)])
+def test_log_partition_is_finite_where_the_partition_function_is_not(levels):
+    # Z = e^1000 and e^-900 overflow and underflow float64; their logs are finite
+    spec = ThermalSpec(200.0, QuditHamiltonian(levels))
+    expected = reference_log_partition(spec.beta, levels)
+    assert abs(expected) > 745.0
+    assert isclose(gibbs_weights(spec).log_partition, expected, rel_tol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(beta=st.floats(0.0, 100.0), energies=st.lists(st.floats(-100.0, 100.0), min_size=2, max_size=8))
+@example(beta=100.0, energies=[-100.0, 7.5])  # -beta*E_min = 1e4: e^(beta*|E_min|) overflows past 709
+@example(beta=100.0, energies=[100.0, 99.0])  # beta*E_min = 1e4: the same product underflows past 745
+def test_log_partition_is_the_stdlib_log_sum_exp(beta, energies):
+    got = gibbs_weights(ThermalSpec(beta, QuditHamiltonian(energies))).log_partition
+    expected = reference_log_partition(beta, energies)
+    assert isclose(got, expected, rel_tol=1e-12, abs_tol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(beta=st.floats(0.0, 1e308), energies=st.lists(st.floats(-8e307, 8e307), min_size=2, max_size=6))
+@example(beta=1e300, energies=[-1e10, 0.0])
+@example(beta=1e300, energies=[1e10, 2e10])
+def test_log_partition_is_infinite_only_where_beta_times_the_lowest_level_is(beta, energies):
+    got = gibbs_weights(ThermalSpec(beta, QuditHamiltonian(energies))).log_partition
+    assert not isnan(got)
+    assert isinf(got) == isinf(beta * min(energies))
+    if isinf(got):
+        assert got == -beta * min(energies)
+    else:
+        assert isclose(got, reference_log_partition(beta, energies), rel_tol=1e-12, abs_tol=1e-12)
+
+
+def test_gibbs_weights_refuses_a_log_partition_that_is_nan():
+    with pytest.raises(ConfigurationError, match="^log_partition must not be NaN$"):
+        GibbsWeights((1.0, 0.0), float("nan"))
+    for value in (float("inf"), -float("inf"), 0.0):
+        assert GibbsWeights((1.0, 0.0), value).log_partition == value
 
 
 def test_weights_survive_large_beta_energy_products():
@@ -138,7 +182,7 @@ def test_weights_of_many_levels_pass_the_sum_check():
     energies = tuple(np.random.default_rng(19).uniform(-5.0, 5.0, 100_000))
     gw = gibbs_weights(ThermalSpec(0.0, QuditHamiltonian(energies)))
     assert len(gw.weights) == 100_000
-    assert gw.partition == pytest.approx(100_000.0)
+    assert gw.log_partition == pytest.approx(log(100_000.0))
 
 
 @settings(max_examples=60, deadline=None)
