@@ -55,7 +55,7 @@ class GibbsWeights:
     Weights are mathematically strictly positive, but the smallest ones can
     round to 0.0 once beta times the energy spread exceeds about 745; callers
     that require strict positivity (the post-selection protocol) check it
-    themselves.  ``log_partition`` is log Z: ±inf only if beta*E_min overflows.
+    themselves.  ``log_partition`` is log Z: +-inf only if beta*E_min overflows.
     """
 
     weights: tuple[float, ...]

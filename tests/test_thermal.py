@@ -104,8 +104,8 @@ def test_log_partition_is_finite_where_the_partition_function_is_not(levels):
 
 @settings(max_examples=200, deadline=None)
 @given(beta=st.floats(0.0, 100.0), energies=st.lists(st.floats(-100.0, 100.0), min_size=2, max_size=8))
-@example(beta=100.0, energies=[-100.0, 7.5])  # -beta*E_min = 1e4: e^(beta*|E_min|) overflows past 709
-@example(beta=100.0, energies=[100.0, 99.0])  # beta*E_min = 1e4: the same product underflows past 745
+@example(beta=100.0, energies=[-100.0, 7.5])  # -beta*E_min = 1e4: Z = e^(1e4) overflows past 709
+@example(beta=100.0, energies=[100.0, 99.0])  # beta*E_min = 1e4: Z = e^(-1e4) underflows past 745
 def test_log_partition_is_the_stdlib_log_sum_exp(beta, energies):
     got = gibbs_weights(ThermalSpec(beta, QuditHamiltonian(energies))).log_partition
     expected = reference_log_partition(beta, energies)
