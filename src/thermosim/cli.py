@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from math import isfinite
 from pathlib import Path
@@ -147,8 +148,8 @@ def cmd_interference(args: argparse.Namespace) -> int:
 def cmd_eigencheck(args: argparse.Namespace) -> int:
     if not 2 <= args.dim <= MAX_POINTS:
         raise ConfigurationError(f"--dim must be between 2 and {MAX_POINTS}")
-    if args.assert_tol is not None and not isfinite(args.assert_tol):
-        raise ConfigurationError("--assert-tol must be finite")
+    if args.assert_tol is not None and not (isfinite(args.assert_tol) and args.assert_tol >= 0.0):
+        raise ConfigurationError("--assert-tol must be finite and nonnegative")
     rng = np.random.default_rng(_EIGENCHECK_ENERGY_SEED)
     levels = rng.uniform(-5.0, 5.0, args.dim).tolist()
     spec = ThermalSpec(args.beta, QuditHamiltonian(levels))
@@ -174,6 +175,12 @@ def cmd_eigencheck(args: argparse.Namespace) -> int:
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad usage by default; 2 is reserved for numerical
     # assertion failures here, so bad usage maps to the config-error code 1
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # argparse reads only plain decimals such as -0.001 as negative numbers; -1e-3 and -inf
+        # would be taken for options, so a negative value could not reach its own diagnostic
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-inf(inity)?$", re.I)
+
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
         self.exit(1, f"error: {message}\n")

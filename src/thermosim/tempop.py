@@ -6,17 +6,19 @@ States handled here are finite sums of two-sided product terms,
 
 where L_t and R_t are closed-form amplitude families value * e^(coeff*E + offset)
 (a constant has coeff = 0) evaluated at per-side energy arguments, w_t is a
-constant complex weight, and Z is an optional frozen normalization constant.
-A state holds its terms as arrays.  One array kernel, ``_evaluate``, reads
-everything from term arrays under one ``np.errstate``: both sides' families
-with one array exponential, Z, the per-term amplitudes and operator images,
-and the Rayleigh quotient and residual norm.  Each builder forms its term
-arrays in one helper and wraps them in a state through ``qcore._built``,
-which skips the public constructor's proofs of structure and unit norm: the
-builders hold both by construction (Z is the norm they divide by).  The two
-report routes, ``eigencheck_purified`` and ``residual_superposition``, hand
-the same term arrays straight to the kernel; only the builders and the
-public constructor make states.
+constant complex weight, and Z = sum_t |w_t L_t(x_t) R_t(y_t)|^2 is the terms'
+own sum, so every state is unit norm by construction.  Z is evaluated, never
+differentiated, and must be a normal float: finite and at least
+``sys.float_info.min``.  A state holds its terms as arrays.  One array kernel,
+``_evaluate``, reads everything from term arrays under one ``np.errstate``:
+both sides' families with one array exponential, Z, the per-term amplitudes
+and operator images, and the Rayleigh quotient and residual norm.  Each
+builder forms its term arrays in one helper and wraps them in a state through
+``qcore._built``, which skips the public constructor's proofs of structure:
+the builders hold it by construction.  The two report routes,
+``eigencheck_purified`` and ``residual_superposition``, hand the same term
+arrays straight to the kernel; only the builders and the public constructor
+make states.
 
 The operator is sum_k (i d/dE_k) x (-i d/dE_k): derivative slot k
 differentiates the left factor keyed to k and the right factor keyed to k.
@@ -26,7 +28,7 @@ factors of i cancel):
 
     term  ->  w_t * L_t'(x_t) * R_t'(y_t) |l_t> |r_t>.
 
-Neither the frozen normalization constant nor the constant weights are ever
+Neither the normalization constant Z nor the constant weights are ever
 differentiated, even though the normalization of a thermal state does depend
 on the energies; this is what makes purified thermal states exact
 eigenvectors with eigenvalue beta^2/16 (each side carries e^(-beta*E/4), an
@@ -43,6 +45,7 @@ quotients and residuals are convention outcomes, nothing more.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from math import isfinite, sqrt
 from operator import attrgetter
@@ -51,7 +54,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .protocol import BellOutcome, ProtocolConfig
-from .qcore import EQ_TOL, ConfigurationError, StateVector, _built, _check_dims, _number, _numbers
+from .qcore import ConfigurationError, StateVector, _built, _check_dims, _number, _numbers
 from .thermal import ThermalSpec
 
 
@@ -113,33 +116,28 @@ _TERM_ROWS = (  # the (name, kind) of each of those rows
 )
 
 
-# the frozen_norm of ``_evaluate`` that makes Z the builders' sum_t |w_t L_t(x_t) R_t(y_t)|^2
-_NORMALIZE = object()
-
-
-def _evaluate(var, energy, weight, value, coeff, offset, frozen_norm, h):
-    """Everything read from term arrays: (psi, image, Z, rayleigh, residual).
+def _evaluate(var, energy, weight, value, coeff, offset, h):
+    """Everything read from term arrays: (psi, image, rayleigh, residual).
 
     One array exponential evaluates both sides' families at their energies.
     psi holds each term's w*L(x)*R(y) and image its operator response
     w*L'(x)*R'(y), 0 where the two sides carry different slots, both over
-    sqrt(Z).  ``frozen_norm`` is a state's own Z, None for no divisor, or
-    ``_NORMALIZE`` for the builders' Z, which is refused unless finite and
-    positive.  Each derivative is the closed form coeff * amplitude or, with
-    ``h``, a central difference; a constant family's derivative is 0 either
-    way.  A step below 1e-8 * max(1, max|E|) is refused, after Z: E + h
-    would resolve the step to fewer than about eight digits, or not at all.
-    The Rayleigh quotient is <psi|image> and the residual |image - rayleigh
-    psi| in numpy's complex-vector norm arithmetic.  Overflows stay inf or
-    NaN.
+    sqrt(Z) with Z = sum_t |w_t L_t(x_t) R_t(y_t)|^2 summed here.  Z is
+    refused unless it is finite and a normal float: a subnormal Z has lost
+    the digits that unit norm needs.  Each derivative is the closed form
+    coeff * amplitude or, with ``h``, a central difference; a constant
+    family's derivative is 0 either way.  A step below 1e-8 * max(1, max|E|)
+    is refused, after Z: E + h would resolve the step to fewer than about
+    eight digits, or not at all.  The Rayleigh quotient is <psi|image> and
+    the residual |image - rayleigh psi| in numpy's complex-vector norm
+    arithmetic.  Overflows stay inf or NaN.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         amplitude = value * np.exp(coeff * energy + offset)
         psi = weight * amplitude[0] * amplitude[1]
-        if frozen_norm is _NORMALIZE:
-            frozen_norm = float(np.add.reduce(np.abs(psi) ** 2))
-            if psi.size and not (isfinite(frozen_norm) and frozen_norm > 0.0):  # no term at all is refused by _store
-                raise ConfigurationError("normalization overflows or vanishes; reduce beta or energies")
+        z = float(np.add.reduce(np.abs(psi) ** 2))
+        if not (isfinite(z) and z >= sys.float_info.min):
+            raise ConfigurationError("normalization overflows or vanishes; reduce beta or energies")
         if h is None:
             slopes = coeff * amplitude
         else:
@@ -154,36 +152,34 @@ def _evaluate(var, energy, weight, value, coeff, offset, frozen_norm, h):
             exp = lambda at: np.exp(coeff * at + offset)
             slopes = value * ((exp(energy + h) - exp(energy - h)) / (2.0 * h))
         image = np.where(var[0] == var[1], weight * slopes[0] * slopes[1], 0j)
-        if frozen_norm is not None:
-            root = sqrt(frozen_norm)
-            psi, image = psi / root, image / root
+        root = sqrt(z)
+        psi, image = psi / root, image / root
         rayleigh = float(np.vdot(psi, image).real)
         r = image - rayleigh * psi
         residual = sqrt(r.real.dot(r.real) + r.imag.dot(r.imag))
-    return psi, image, frozen_norm, rayleigh, residual
+    return psi, image, rayleigh, residual
 
 
 @dataclass(frozen=True, eq=False, init=False)
 class FactoredBipartiteState:
-    """Term arrays plus an optional frozen normalization divisor.
+    """Term arrays whose evaluated vector is unit norm by construction.
 
     The terms are held as arrays with one row per side (left, right): (2, n)
     kets, slots and energies, a weight that broadcasts against (n,) and the
-    family form value * e^(coeff*E + offset) against (2, n).  The evaluated
-    vector is unit norm; ``frozen_norm`` (when present) is the constant Z such
-    that amplitudes carry an overall factor 1/sqrt(Z).  Kets are distinct, so
-    each term is exactly one entry of the dense vector.  The state evaluates
-    its arrays with ``_evaluate`` whenever a value is read.  ``_store`` holds
-    the checks every state needs; the public constructor converts
+    family form value * e^(coeff*E + offset) against (2, n).  Amplitudes
+    carry the overall factor 1/sqrt(Z), Z being the terms' own sum of
+    |w L R|^2.  Kets are distinct, so each term is exactly one entry of the
+    dense vector.  The state evaluates its arrays with ``_evaluate``
+    whenever a value is read.  ``_store`` holds the checks every state
+    needs, Z once among them; the public constructor converts
     ``FactoredTerm``s once, proves their structure (integer, distinct slot
-    pairs and kets, numeric family fields, one energy per slot), calls
-    ``_store`` and proves unit norm.
+    pairs and kets, numeric family fields, one energy per slot) and calls
+    ``_store``.
     """
 
-    frozen_norm: float | None
     dims: tuple[int, int]
 
-    def __init__(self, terms: Iterable[FactoredTerm], frozen_norm: float | None = None) -> None:
+    def __init__(self, terms: Iterable[FactoredTerm]) -> None:
         rows = zip(_TERM_ROWS, zip(*map(_TERM_FIELDS, terms)))  # a float, 1.0 too, is no ket; "1.5" is no energy
         fields = [_numbers(f"term {name}", row, kind) for (name, kind), row in rows]
         var, basis = np.array(fields[:4], dtype=np.int64).reshape(2, 2, -1)
@@ -200,24 +196,17 @@ class FactoredBipartiteState:
             for slot, point in zip(side_slots, energies):  # non-finite energies are refused by _store
                 if isfinite(point) and points.setdefault(slot, point) != point:
                     raise ConfigurationError(f"{side} variable {slot} is evaluated at two different energies")
-        self._store(basis, var, energy, weight, value, coeff, offset, frozen_norm)
-        psi = self._evaluated(None)[0]
-        if not abs(sqrt(np.vdot(psi, psi).real) - 1.0) <= EQ_TOL:  # NaN fails too
-            raise ConfigurationError("evaluated state must be unit norm")
+        self._store(basis, var, energy, weight, value, coeff, offset)
 
-    def _store(self, basis, var, energy, weight, value, coeff, offset, frozen_norm) -> None:
+    def _store(self, basis, var, energy, weight, value, coeff, offset) -> None:
         if not energy.size:
             raise ConfigurationError("a factored state needs at least one term")
         if not np.isfinite(energy).all():
             raise ConfigurationError("term energies must be finite")
-        if frozen_norm is not None:
-            frozen_norm = _number("frozen normalization", frozen_norm)
-            if not isfinite(frozen_norm) or frozen_norm <= 0.0:
-                raise ConfigurationError("frozen normalization must be finite and positive")
-        vars(self).update(
-            frozen_norm=frozen_norm, dims=_check_dims(basis.max(axis=1) + 1), _basis=basis, _var=var,
-            _energy=energy, _weight=weight, _value=value, _coeff=coeff, _offset=offset,
-        )
+        dims = _check_dims(basis.max(axis=1) + 1)
+        _evaluate(var, energy, weight, value, coeff, offset, None)  # refuses a Z that is not a normal float
+        vars(self).update(dims=dims, _basis=basis, _var=var, _energy=energy, _weight=weight, _value=value,
+                          _coeff=coeff, _offset=offset)
 
     @property
     def terms(self) -> tuple[FactoredTerm, ...]:
@@ -233,9 +222,8 @@ class FactoredBipartiteState:
         return _dense(self, self._evaluated(None)[0])
 
     def _evaluated(self, h: float | None):
-        """``_evaluate`` on the state's own term arrays and frozen normalization."""
-        return _evaluate(self._var, self._energy, self._weight, self._value, self._coeff, self._offset,
-                         self.frozen_norm, h)
+        """``_evaluate`` on the state's own term arrays."""
+        return _evaluate(self._var, self._energy, self._weight, self._value, self._coeff, self._offset, h)
 
 
 def _dense(state: FactoredBipartiteState, values: np.ndarray) -> StateVector:
@@ -243,12 +231,6 @@ def _dense(state: FactoredBipartiteState, values: np.ndarray) -> StateVector:
     arr = np.zeros(state.dims, dtype=np.complex128)
     arr[tuple(state._basis)] = values
     return _built(StateVector, state.dims, arr.reshape(-1))
-
-
-def _normalized(basis, var, energy, weight, value, coeff, offset) -> FactoredBipartiteState:
-    """State over term arrays whose frozen normalization is Z = sum_t |w_t L_t(x_t) R_t(y_t)|^2."""
-    z = _evaluate(var, energy, weight, value, coeff, offset, _NORMALIZE, None)[2]
-    return _built(FactoredBipartiteState, basis, var, energy, weight, value, coeff, offset, z)
 
 
 @dataclass(frozen=True)
@@ -281,10 +263,10 @@ def _purified_terms(spec: ThermalSpec) -> tuple:
 def purified_thermal_state(spec: ThermalSpec) -> FactoredBipartiteState:
     """Purified Gibbs state with the amplitude split evenly across the sides.
 
-    Term n is e^(-beta*E_n/4) x e^(-beta*E_n/4) |n>|n> with a frozen 1/sqrt(Z)
+    Term n is e^(-beta*E_n/4) x e^(-beta*E_n/4) |n>|n> with the constant 1/sqrt(Z)
     prefactor; only this even split makes the state an exact eigenvector.
     """
-    return _normalized(*_purified_terms(spec))
+    return _built(FactoredBipartiteState, *_purified_terms(spec))
 
 
 def product_state(
@@ -304,16 +286,16 @@ def product_state(
     kets = np.indices((len(energies),) * 2).reshape(2, -1)  # term (n, m) in row-major order
     per_term = lambda name, kind: np.take_along_axis(  # the left family of level n, the right one of level m
         np.reshape(_numbers(f"family {name}", [getattr(f, name) for f in (*left, *right)], kind), (2, -1)), kets, 1)
-    return _normalized(
-        kets, kets, np.array(energies)[kets], 1.0 + 0j,
+    return _built(
+        FactoredBipartiteState, kets, kets, np.array(energies)[kets], 1.0 + 0j,
         per_term("value", "complex"), per_term("coeff", "real"), per_term("offset", "real"),
     )
 
 
 def _report(terms: tuple, fd_step: float | None, expected: float | None) -> EigenReport:
-    """The report of a builder's term arrays, normalized as the builder would, without making a state."""
+    """The report of a builder's term arrays, evaluated as the built state would be, without making a state."""
     _, *fields = terms
-    return EigenReport(*_evaluate(*fields, _NORMALIZE, fd_step)[3:], expected)
+    return EigenReport(*_evaluate(*fields, fd_step)[2:], expected)
 
 
 def eigencheck_purified(spec: ThermalSpec, *, fd_step: float | None = None) -> EigenReport:
@@ -373,7 +355,7 @@ def superposition_state(
     the terms sit on |00> and |11>; for psi+ on |01> and |10>, where the
     A level n is paired with the B level 1 - n.
     """
-    return _normalized(*_superposition_terms(cfg, outcome, convention))
+    return _built(FactoredBipartiteState, *_superposition_terms(cfg, outcome, convention))
 
 
 def residual_superposition(

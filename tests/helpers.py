@@ -112,7 +112,7 @@ def eigen_report(state, fd_step, expected):
 
     The state route that the builders' term-array reports are checked against.
     """
-    return EigenReport(*state._evaluated(fd_step)[3:], expected)
+    return EigenReport(*state._evaluated(fd_step)[2:], expected)
 
 
 # per-term oracle for tempop: each family and term evaluated one scalar at a time

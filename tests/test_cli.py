@@ -321,13 +321,20 @@ def test_eigencheck_tight_tolerance_exits_two(capsys):
     assert err.startswith("error:")
 
 
+def test_eigencheck_zero_tolerance_is_allowed(capsys):
+    # at beta = 0 every image is exactly zero, so a zero tolerance is met
+    code, out, err = run_cli(capsys, ["eigencheck", "--dim", "3", "--beta", "0", "--assert-tol", "0"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["analytic"]["residual"] == 0.0
+
+
 def test_eigencheck_invalid_dim_exits_one(capsys):
     code, _, err = run_cli(capsys, ["eigencheck", "--dim", "1", "--beta", "1.0"])
     assert code == 1
     assert err.startswith("error:")
 
 
-@pytest.mark.parametrize("beta", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("beta", ["-1", "-1e-3", "nan", "inf"])
 def test_eigencheck_invalid_beta_exits_one(capsys, beta):
     code, out, err = run_cli(capsys, ["eigencheck", "--dim", "8", "--beta", beta])
     assert code == 1
@@ -335,12 +342,27 @@ def test_eigencheck_invalid_beta_exits_one(capsys, beta):
     assert err.startswith("error:") and err.count("\n") == 1 and "beta" in err
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf"])
+@pytest.mark.parametrize("option, value", [
+    ("--beta", "-1e-3"), ("--beta", "-2.5E+1"), ("--beta", "-inf"),
+    ("--fd-step", "-1e-5"), ("--assert-tol", "-1e-3"),
+])
+def test_negative_values_read_the_same_in_either_form(capsys, option, value):
+    # argparse took "-1e-3" for an option; "--beta -1e-3" must reach the same diagnostic as "--beta=-1e-3"
+    base = ["eigencheck", "--dim", "8"] + ([] if option == "--beta" else ["--beta", "0.7"])
+    spaced = run_cli(capsys, base + [option, value])
+    joined = run_cli(capsys, base + [f"{option}={value}"])
+    assert spaced == joined
+    code, out, err = spaced
+    assert code == 1 and out == "" and err.startswith("error:") and err.count("\n") == 1
+    assert "usage" not in err and "expected one argument" not in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
 def test_eigencheck_nonfinite_tolerance_exits_one(capsys, tol):
     code, out, err = run_cli(capsys, ["eigencheck", "--dim", "8", "--beta", "0.7", "--assert-tol", tol])
     assert code == 1
     assert out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
+    assert err == "error: --assert-tol must be finite and nonnegative\n"
 
 
 def test_eigencheck_gate_compares_rayleigh_with_expected(capsys, monkeypatch):

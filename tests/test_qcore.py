@@ -519,10 +519,10 @@ _TERMS = (FactoredTerm.diagonal(0, _ONE, _ONE, 0.0), FactoredTerm.diagonal(1, _O
 
 
 def _term_state(**fields):
-    """A two-term state whose first term takes ``fields``; with frozen_norm 2 it is unit norm."""
+    """A two-term state whose first term takes ``fields``."""
     first = dict(left_var=0, right_var=0, left_basis=0, right_basis=0, left=_ONE, right=_ONE,
                  left_energy=0.0, right_energy=0.0)
-    return FactoredBipartiteState((FactoredTerm(**{**first, **fields}), _TERMS[1]), frozen_norm=2.0)
+    return FactoredBipartiteState((FactoredTerm(**{**first, **fields}), _TERMS[1]))
 
 
 def _product_state(family):
@@ -558,8 +558,6 @@ _BOUNDARIES = {
     "product_state.coeff": ("family coeff", "real", lambda x: _product_state(ExpLinear(x)), 0.0, False),
     "product_state.offset": ("family offset", "real", lambda x: _product_state(ExpLinear(0.0, x)), 0.0, False),
     "product_state.value": ("family value", "complex", lambda x: _product_state(ExpLinear(0.0, value=x)), 1.0, False),
-    "FactoredBipartiteState.frozen_norm": (
-        "frozen normalization", "real", lambda x: FactoredBipartiteState(_TERMS, frozen_norm=x), 2.0, True),
     "eigencheck_purified.fd_step": (
         "finite-difference step", "real", lambda x: eigencheck_purified(_SPEC, fd_step=x), 1.0, True),
     "apply_inverse_temp_squared.fd_step": (

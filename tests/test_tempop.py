@@ -1,8 +1,9 @@
 import re
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermosim import (
@@ -75,22 +76,22 @@ def test_purified_thermal_state_matches_purification():
     assert fidelity_pure(vec, purify(spec)) > 1 - EQ_TOL
 
 
-def test_factored_state_requires_unit_norm():
+def test_factored_state_divides_by_its_own_norm():
+    # two unit terms sum to Z = 2, so each amplitude is 1/sqrt(2)
     term = FactoredTerm.diagonal(0, Constant(1.0), Constant(1.0), 0.0)
     other = FactoredTerm.diagonal(1, Constant(1.0), Constant(1.0), 0.0)
-    with pytest.raises(ConfigurationError):
-        FactoredBipartiteState((term, other))  # norm sqrt(2)
-    FactoredBipartiteState((term, other), frozen_norm=2.0)
+    amps = FactoredBipartiteState((term, other)).amplitude_vector().amps
+    assert np.array_equal(amps, np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0))
 
 
 def test_factored_state_rejects_duplicate_slots_and_kets():
     a = FactoredTerm(0, 0, 0, 0, Constant(1.0), Constant(1.0), 0.0, 0.0)
     b = FactoredTerm(0, 0, 1, 1, Constant(1.0), Constant(1.0), 0.0, 0.0)
     with pytest.raises(ConfigurationError):
-        FactoredBipartiteState((a, b), frozen_norm=2.0)
+        FactoredBipartiteState((a, b))
     c = FactoredTerm(1, 1, 0, 0, Constant(1.0), Constant(1.0), 0.0, 0.0)
     with pytest.raises(ConfigurationError):
-        FactoredBipartiteState((a, c), frozen_norm=2.0)
+        FactoredBipartiteState((a, c))
 
 
 def test_factored_state_rejects_inconsistent_shared_variable():
@@ -98,36 +99,32 @@ def test_factored_state_rejects_inconsistent_shared_variable():
     a = FactoredTerm(0, 0, 0, 0, Constant(1.0), Constant(1.0), 1.0, 1.0)
     b = FactoredTerm(0, 1, 1, 1, Constant(1.0), Constant(1.0), 2.0, 1.0)
     with pytest.raises(ConfigurationError):
-        FactoredBipartiteState((a, b), frozen_norm=2.0)
+        FactoredBipartiteState((a, b))
 
 
 def test_factored_state_refuses_an_overflowing_family():
-    # e^1000 overflows; the unit-norm check refuses it, with no numpy RuntimeWarning
+    # e^1000 overflows; the normalization check refuses it, with no numpy RuntimeWarning
     terms = (
         FactoredTerm.diagonal(0, ExpLinear(1000.0), ExpLinear(1.0), 1.0),
         FactoredTerm.diagonal(1, ExpLinear(1.0), ExpLinear(1.0), 0.0),
     )
-    with pytest.raises(ConfigurationError, match="unit norm"):
-        FactoredBipartiteState(terms, frozen_norm=2.0)
+    with pytest.raises(ConfigurationError, match="^normalization overflows or vanishes"):
+        FactoredBipartiteState(terms)
 
 
-def test_factored_state_rejects_bad_frozen_norm():
-    term = FactoredTerm.diagonal(0, Constant(1.0), Constant(1.0), 0.0)
-    other = FactoredTerm.diagonal(1, Constant(1.0), Constant(1.0), 0.0)
-    with pytest.raises(ConfigurationError):
-        FactoredBipartiteState((term, other), frozen_norm=-2.0)
+@pytest.mark.filterwarnings("error")
+def test_factored_state_refuses_a_subnormal_normalization():
+    # |2^-511|^2 = 2^-1022 is the smallest normal float; |2^-512|^2 = 2^-1024 is subnormal
+    def state(weight):
+        one = Constant(1.0)
+        return FactoredBipartiteState((FactoredTerm.diagonal(0, one, one, 0.0, weight=weight),
+                                       FactoredTerm.diagonal(1, one, one, 0.0, weight=0.0)))
 
-
-@pytest.mark.parametrize("norm", ["x", "2"])
-def test_factored_state_refuses_a_non_real_frozen_norm(norm):
-    # with two unit-weight terms, frozen_norm=2 builds a unit-norm state
-    terms = (
-        FactoredTerm.diagonal(0, Constant(1.0), Constant(1.0), 0.0),
-        FactoredTerm.diagonal(1, Constant(1.0), Constant(1.0), 0.0),
-    )
-    FactoredBipartiteState(terms, frozen_norm=2)
-    with pytest.raises(ConfigurationError, match=f"^frozen normalization must be real, got {norm!r}$"):
-        FactoredBipartiteState(terms, frozen_norm=norm)
+    assert 2.0**-1022 == sys.float_info.min
+    assert np.array_equal(state(2.0**-511).amplitude_vector().amps, [1.0, 0.0, 0.0, 0.0])
+    for weight in (2.0**-512, 2.0**-600, 0.0):
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(_NORMALIZATION)}$"):
+            state(weight)
 
 
 # --- operator action --------------------------------------------------------
@@ -259,8 +256,7 @@ def test_operator_is_symmetric_on_shared_structures():
                                       float(energies[n]), weight=w)
                 for n, w in enumerate(weights)
             )
-            norm_sq = sum(abs(term_amplitude(t)) ** 2 for t in terms)
-            return FactoredBipartiteState(terms, frozen_norm=norm_sq)
+            return FactoredBipartiteState(terms)
 
         first = build(rng.normal(size=d) + 1j * rng.normal(size=d))
         second = build(rng.normal(size=d) + 1j * rng.normal(size=d))
@@ -430,16 +426,16 @@ def _scalar_views(state, fd_step=None):
 
     psi = np.zeros(state.dims, dtype=complex)
     image = np.zeros(state.dims, dtype=complex)
-    for t in state.terms:
+    terms = state.terms
+    for t in terms:
         psi[t.left_basis, t.right_basis] = term_amplitude(t)
         if t.left_var == t.right_var:
             image[t.left_basis, t.right_basis] = (
                 t.weight * slope(t.left, t.left_energy) * slope(t.right, t.right_energy)
             )
-    if state.frozen_norm is not None:
-        psi /= np.sqrt(state.frozen_norm)
-        image /= np.sqrt(state.frozen_norm)
-    return psi.reshape(-1), image.reshape(-1)
+    # Z summed as numpy sums the term amplitudes, in term order
+    z = np.add.reduce(np.abs(np.array([term_amplitude(t) for t in terms])) ** 2)
+    return psi.reshape(-1) / np.sqrt(z), image.reshape(-1) / np.sqrt(z)
 
 
 def test_array_evaluation_equals_the_scalar_families():
@@ -494,8 +490,8 @@ def test_factored_state_rejects_degenerate_kets_and_values():
         FactoredBipartiteState((FactoredTerm.diagonal(0, one, one, 0.0),))
     with pytest.raises(ConfigurationError):
         FactoredBipartiteState((FactoredTerm(0, 0, -1, 0, one, one, 0.0, 0.0),
-                                FactoredTerm(1, 1, 1, 1, one, one, 0.0, 0.0)), frozen_norm=2.0)
-    with pytest.raises(ConfigurationError):  # a NaN amplitude fails the unit-norm check
+                                FactoredTerm(1, 1, 1, 1, one, one, 0.0, 0.0)))
+    with pytest.raises(ConfigurationError):  # a NaN amplitude makes a NaN normalization
         FactoredBipartiteState((FactoredTerm.diagonal(0, one, one, 0.0, weight=complex("nan")),
                                 FactoredTerm.diagonal(1, one, one, 0.0)))
 
@@ -506,12 +502,12 @@ def test_factored_state_refuses_non_integer_kets_and_slots(bad):
     one = Constant(1.0)
     with pytest.raises(ConfigurationError, match=f"^term basis ket must be an integer, got {re.escape(repr(bad))}$"):
         FactoredBipartiteState((FactoredTerm.diagonal(0, one, one, 0.0),
-                                FactoredTerm(1, 1, 1, bad, one, one, 0.0, 0.0)), frozen_norm=2.0)
+                                FactoredTerm(1, 1, 1, bad, one, one, 0.0, 0.0)))
     with pytest.raises(ConfigurationError, match=f"^term derivative slot must be an integer, got {re.escape(repr(bad))}$"):
         FactoredBipartiteState((FactoredTerm.diagonal(0, one, one, 0.0),
-                                FactoredTerm(bad, 1, 1, 1, one, one, 0.0, 0.0)), frozen_norm=2.0)
+                                FactoredTerm(bad, 1, 1, 1, one, one, 0.0, 0.0)))
     state = FactoredBipartiteState((FactoredTerm.diagonal(0, one, one, 0.0),
-                                    FactoredTerm(np.int64(1), 1, np.uint64(1), 1, one, one, 0.0, 0.0)), frozen_norm=2.0)
+                                    FactoredTerm(np.int64(1), 1, np.uint64(1), 1, one, one, 0.0, 0.0)))
     assert state.dims == (2, 2)
 
 
@@ -539,7 +535,7 @@ def test_factored_state_messages_for_missing_terms_and_nonfinite_energies():
     # a NaN on a shared slot is a non-finite energy, not a second evaluation point
     terms = (FactoredTerm(0, 0, 0, 0, one, one, float("nan"), 0.0), FactoredTerm(0, 1, 1, 1, one, one, 0.0, 0.0))
     with pytest.raises(ConfigurationError, match="finite"):
-        FactoredBipartiteState(terms, frozen_norm=2.0)
+        FactoredBipartiteState(terms)
 
 
 def test_builders_create_no_term_objects(monkeypatch):
@@ -560,7 +556,7 @@ def test_builders_create_no_term_objects(monkeypatch):
 
 
 def test_builders_skip_the_public_constructor(monkeypatch):
-    # the builders hold the structure and unit norm by construction and reach
+    # the builders hold the structure by construction and reach
     # the state through qcore._built, past the public constructor's proofs
     def refuse(self, *args, **kwargs):
         raise AssertionError("public FactoredBipartiteState constructor called")
@@ -577,7 +573,7 @@ def test_builders_skip_the_public_constructor(monkeypatch):
     assert abs(state.amplitude_vector().norm() - 1.0) <= EQ_TOL
     assert apply_inverse_temp_squared(state).dims == (2, 2)
     with pytest.raises(AssertionError, match="public FactoredBipartiteState"):
-        FactoredBipartiteState(state.terms, state.frozen_norm)
+        FactoredBipartiteState(state.terms)
 
 
 # --- report routes read the builders' term arrays -----------------------------
@@ -720,14 +716,65 @@ def test_residual_refusals_keep_their_messages_and_precedence():
         assert _refusal(lambda: superposition_state(deep, BellOutcome.PSI_PLUS, convention)) == _NORMALIZATION
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_subnormal_normalization_is_refused_by_every_route():
+    # Z = e^-740 + e^-741 and Z = 2 e^-742 are subnormal floats: they were accepted with a
+    # Rayleigh quotient of 0.0624840 against 0.0625, and 0.26077 against 0.25
+    spec = _spec(1.0, (740.0, 741.0))
+    cfg = ProtocolConfig(_spec(1.0, (741.0, 740.0)), _spec(1.0, (1.0, 2.0)), 0.0)
+    for route in (lambda: eigencheck_purified(spec), lambda: purified_thermal_state(spec),
+                  lambda: residual_superposition(cfg, BellOutcome.PHI_PLUS, "full_dependence"),
+                  lambda: superposition_state(cfg, BellOutcome.PHI_PLUS, "full_dependence")):
+        assert _refusal(route) == _NORMALIZATION
+
+
+def _edge_config(outcome, bound, gap, beta_a, beta_b, levels_b):
+    """A qubit config whose two terms' |w L R|^2 are e^-bound and e^-(bound + gap)."""
+    kets_b = (0, 1) if outcome is BellOutcome.PHI_PLUS else (1, 0)
+    levels_a = [(exponent - beta_b * levels_b[k]) / beta_a for exponent, k in zip((bound, bound + gap), kets_b)]
+    return ProtocolConfig(_spec(beta_a, tuple(levels_a)), _spec(beta_b, levels_b), 0.3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    bound=st.floats(690.0, 760.0),
+    beta=st.floats(0.25, 4.0),
+    gaps=st.lists(st.floats(0.0, 8.0), min_size=1, max_size=7),
+    outcome=st.sampled_from((BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS)),
+    betas_ab=st.tuples(st.floats(0.25, 4.0), st.floats(0.25, 4.0)),
+    levels_b=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+)
+@example(bound=700.0, beta=1.0, gaps=[1.0], outcome=BellOutcome.PHI_PLUS, betas_ab=(1.0, 1.0), levels_b=(0.0, 1.0))
+@example(bound=740.0, beta=1.0, gaps=[1.0], outcome=BellOutcome.PHI_PLUS, betas_ab=(1.0, 1.0), levels_b=(1.0, 2.0))
+def test_eigen_relation_is_exact_or_refused_at_the_underflow_edge(bound, beta, gaps, outcome, betas_ab, levels_b):
+    # the smallest beta*E of the purified state, and the smallest exponent of the superposition's
+    # terms, is drawn across the edge where Z leaves the normal floats (about 708) and reaches 0 (745)
+    spec = _spec(beta, (bound / beta,) + tuple(bound / beta + g / beta for g in gaps))
+    cfg = _edge_config(outcome, bound, gaps[0], *betas_ab, levels_b)
+    cases = (
+        (lambda: purified_thermal_state(spec), lambda: eigencheck_purified(spec), beta**2 / 16.0),
+        (lambda: superposition_state(cfg, outcome, "full_dependence"),
+         lambda: residual_superposition(cfg, outcome, "full_dependence"), betas_ab[0] * betas_ab[1] / 4.0),
+    )
+    for build, report_of, expected in cases:
+        try:
+            state, report = build(), report_of()
+        except ConfigurationError as err:
+            assert str(err) == _NORMALIZATION
+            continue
+        assert abs(state.amplitude_vector().norm() - 1.0) <= EQ_TOL
+        assert abs(report.rayleigh - expected) <= 1e-12 * expected
+        assert report.residual <= 1e-12 * expected
+
+
 # --- validate once: built states pass the public constructor's checks --------
 
 def _assert_public_round_trip(state):
     """``state`` fed back through the public constructor: every check passes and every value is bit-equal."""
     terms = state.terms
     assert all(isinstance(t, FactoredTerm) for t in terms)
-    again = FactoredBipartiteState(terms, state.frozen_norm)
-    assert again.dims == state.dims and again.frozen_norm == state.frozen_norm
+    again = FactoredBipartiteState(terms)
+    assert again.dims == state.dims
     assert np.array_equal(again.amplitude_vector().amps, state.amplitude_vector().amps)
     for fd_step in (None, 1e-5):
         assert np.array_equal(
