@@ -55,13 +55,17 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 def load_config(path: str | Path) -> ProtocolConfig:
     """Parse a flat JSON config with exactly the ``_CONFIG_FIELDS``, each once."""
     try:
-        raw = Path(path).read_text()
+        raw = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"config {path} is not UTF-8 text: {exc}") from exc
     try:
         doc = json.loads(raw, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ConfigurationError(f"config {path} nests too deeply to parse") from None
     if not isinstance(doc, dict):
         raise ConfigurationError("config must be a JSON object")
     unknown = sorted(set(doc) - set(_CONFIG_FIELDS))

@@ -9,16 +9,18 @@ where L_t and R_t are closed-form amplitude families value * e^(coeff*E + offset
 constant complex weight, and Z = sum_t |w_t L_t(x_t) R_t(y_t)|^2 is the terms'
 own sum, so every state is unit norm by construction.  Z is evaluated, never
 differentiated, and must be a normal float: finite and at least
-``sys.float_info.min``.  A state holds its terms as arrays.  One array kernel,
-``_evaluate``, reads everything from term arrays under one ``np.errstate``:
-both sides' families with one array exponential, Z, the per-term amplitudes
-and operator images, and the Rayleigh quotient and residual norm.  Each
-builder forms its term arrays in one helper and wraps them in a state through
-``qcore._built``, which skips the public constructor's proofs of structure:
-the builders hold it by construction.  The two report routes,
-``eigencheck_purified`` and ``residual_superposition``, hand the same term
-arrays straight to the kernel; only the builders and the public constructor
-make states.
+``sys.float_info.min``.  A state holds its terms as arrays and normalizes
+them once, when it is made: one array exponential gives both sides' family
+values, their products the per-term amplitudes, and those Z.  It keeps the
+family values, the amplitudes over sqrt(Z) and sqrt(Z), 3n complex values for
+n terms (48 MB at n = 10^6).  Every value is read from a state: the dense
+view, the operator image, and the reports of ``eigencheck_purified`` and
+``residual_superposition``, which read the states that
+``purified_thermal_state`` and ``superposition_state`` make.  The builders
+reach the state through ``qcore._built``, which skips the public
+constructor's proofs of structure: they hold it by construction.  An
+analytic report whose Rayleigh quotient or residual is not finite is
+refused; a finite-difference one carries the NaN on to the caller.
 
 The operator is sum_k (i d/dE_k) x (-i d/dE_k): derivative slot k
 differentiates the left factor keyed to k and the right factor keyed to k.
@@ -116,48 +118,13 @@ _TERM_ROWS = (  # the (name, kind) of each of those rows
 )
 
 
-def _evaluate(var, energy, weight, value, coeff, offset, h):
-    """Everything read from term arrays: (psi, image, rayleigh, residual).
-
-    One array exponential evaluates both sides' families at their energies.
-    psi holds each term's w*L(x)*R(y) and image its operator response
-    w*L'(x)*R'(y), 0 where the two sides carry different slots, both over
-    sqrt(Z) with Z = sum_t |w_t L_t(x_t) R_t(y_t)|^2 summed here.  Z is
-    refused unless it is finite and a normal float: a subnormal Z has lost
-    the digits that unit norm needs.  Each derivative is the closed form
-    coeff * amplitude or, with ``h``, a central difference; a constant
-    family's derivative is 0 either way.  A step below 1e-8 * max(1, max|E|)
-    is refused, after Z: E + h would resolve the step to fewer than about
-    eight digits, or not at all.  The Rayleigh quotient is <psi|image> and
-    the residual |image - rayleigh psi| in numpy's complex-vector norm
-    arithmetic.  Overflows stay inf or NaN.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        amplitude = value * np.exp(coeff * energy + offset)
-        psi = weight * amplitude[0] * amplitude[1]
-        z = float(np.add.reduce(np.abs(psi) ** 2))
-        if not (isfinite(z) and z >= sys.float_info.min):
-            raise ConfigurationError("normalization overflows or vanishes; reduce beta or energies")
-        if h is None:
-            slopes = coeff * amplitude
-        else:
-            h = _number("finite-difference step", h)
-            if not (isfinite(h) and h > 0.0):
-                raise ConfigurationError("finite-difference step must be finite and positive")
-            floor = 1e-8 * max(1.0, float(np.abs(energy).max()))
-            if h < floor:
-                raise ConfigurationError(
-                    f"finite-difference step {h:g} is below {floor:g} and cannot resolve the energies"
-                )
-            exp = lambda at: np.exp(coeff * at + offset)
-            slopes = value * ((exp(energy + h) - exp(energy - h)) / (2.0 * h))
-        image = np.where(var[0] == var[1], weight * slopes[0] * slopes[1], 0j)
-        root = sqrt(z)
-        psi, image = psi / root, image / root
-        rayleigh = float(np.vdot(psi, image).real)
-        r = image - rayleigh * psi
-        residual = sqrt(r.real.dot(r.real) + r.imag.dot(r.imag))
-    return psi, image, rayleigh, residual
+def _checked_dims(basis, energy) -> tuple[int, ...]:
+    """The dense dims of term arrays from a caller: refuses no terms, a non-finite energy and a dim below 2."""
+    if not energy.size:
+        raise ConfigurationError("a factored state needs at least one term")
+    if not np.isfinite(energy).all():
+        raise ConfigurationError("term energies must be finite")
+    return _check_dims(basis.max(axis=1) + 1)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -166,15 +133,15 @@ class FactoredBipartiteState:
 
     The terms are held as arrays with one row per side (left, right): (2, n)
     kets, slots and energies, a weight that broadcasts against (n,) and the
-    family form value * e^(coeff*E + offset) against (2, n).  Amplitudes
-    carry the overall factor 1/sqrt(Z), Z being the terms' own sum of
-    |w L R|^2.  Kets are distinct, so each term is exactly one entry of the
-    dense vector.  The state evaluates its arrays with ``_evaluate``
-    whenever a value is read.  ``_store`` holds the checks every state
-    needs, Z once among them; the public constructor converts
-    ``FactoredTerm``s once, proves their structure (integer, distinct slot
-    pairs and kets, numeric family fields, one energy per slot) and calls
-    ``_store``.
+    family form value * e^(coeff*E + offset) against (2, n).  Kets are
+    distinct, so each term is exactly one entry of the dense vector.
+    ``_store`` normalizes once and keeps the (2, n) family values, the
+    per-term amplitudes over sqrt(Z) and sqrt(Z), 3n complex values (48 MB at
+    n = 10^6); ``_evaluated`` reads the operator from them.  The public
+    constructor converts ``FactoredTerm``s once and proves what the builders
+    hold by construction: integer, distinct slot pairs and kets, numeric
+    family fields, one energy per slot, at least one term, finite energies
+    and dims of at least 2.
     """
 
     dims: tuple[int, int]
@@ -193,20 +160,21 @@ class FactoredBipartiteState:
             raise ConfigurationError("terms must carry distinct, nonnegative basis kets")
         for side, side_slots, energies in zip(("left", "right"), var.tolist(), energy.tolist()):
             points: dict[int, float] = {}
-            for slot, point in zip(side_slots, energies):  # non-finite energies are refused by _store
+            for slot, point in zip(side_slots, energies):  # non-finite energies are refused next
                 if isfinite(point) and points.setdefault(slot, point) != point:
                     raise ConfigurationError(f"{side} variable {slot} is evaluated at two different energies")
-        self._store(basis, var, energy, weight, value, coeff, offset)
+        self._store(_checked_dims(basis, energy), basis, var, energy, weight, value, coeff, offset)
 
-    def _store(self, basis, var, energy, weight, value, coeff, offset) -> None:
-        if not energy.size:
-            raise ConfigurationError("a factored state needs at least one term")
-        if not np.isfinite(energy).all():
-            raise ConfigurationError("term energies must be finite")
-        dims = _check_dims(basis.max(axis=1) + 1)
-        _evaluate(var, energy, weight, value, coeff, offset, None)  # refuses a Z that is not a normal float
-        vars(self).update(dims=dims, _basis=basis, _var=var, _energy=energy, _weight=weight, _value=value,
-                          _coeff=coeff, _offset=offset)
+    def _store(self, dims, basis, var, energy, weight, value, coeff, offset) -> None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            amplitude = value * np.exp(coeff * energy + offset)
+            psi = weight * amplitude[0] * amplitude[1]
+            z = float(np.add.reduce(np.abs(psi) ** 2))
+            if not (isfinite(z) and z >= sys.float_info.min):  # a subnormal Z has lost the digits unit norm needs
+                raise ConfigurationError("normalization overflows or vanishes; reduce beta or energies")
+            root = sqrt(z)
+            vars(self).update(dims=dims, _basis=basis, _var=var, _energy=energy, _weight=weight, _value=value,
+                              _coeff=coeff, _offset=offset, _amplitude=amplitude, _psi=psi / root, _root=root)
 
     @property
     def terms(self) -> tuple[FactoredTerm, ...]:
@@ -219,11 +187,40 @@ class FactoredBipartiteState:
                          *self._energy.tolist(), weight))
 
     def amplitude_vector(self) -> StateVector:
-        return _dense(self, self._evaluated(None)[0])
+        return _dense(self, self._psi)
 
     def _evaluated(self, h: float | None):
-        """``_evaluate`` on the state's own term arrays."""
-        return _evaluate(self._var, self._energy, self._weight, self._value, self._coeff, self._offset, h)
+        """The operator read from the stored terms: (image, rayleigh, residual).
+
+        The image holds each term's response w*L'(x)*R'(y) over sqrt(Z), 0
+        where the two sides carry different slots.  Each derivative is the
+        closed form coeff * amplitude or, with ``h``, a central difference; a
+        constant family's derivative is 0 either way.  A step below
+        1e-8 * max(1, max|E|) is refused: E + h would resolve it to fewer
+        than about eight digits, or not at all.  The Rayleigh quotient is
+        <psi|image> and the residual |image - rayleigh psi| in numpy's
+        complex-vector norm arithmetic.  Overflows stay inf or NaN.
+        """
+        coeff, energy, psi = self._coeff, self._energy, self._psi
+        with np.errstate(over="ignore", invalid="ignore"):
+            if h is None:
+                slopes = coeff * self._amplitude
+            else:
+                h = _number("finite-difference step", h)
+                if not (isfinite(h) and h > 0.0):
+                    raise ConfigurationError("finite-difference step must be finite and positive")
+                floor = 1e-8 * max(1.0, float(np.abs(energy).max()))
+                if h < floor:
+                    raise ConfigurationError(
+                        f"finite-difference step {h:g} is below {floor:g} and cannot resolve the energies"
+                    )
+                exp = lambda at: np.exp(coeff * at + self._offset)
+                slopes = self._value * ((exp(energy + h) - exp(energy - h)) / (2.0 * h))
+            image = np.where(self._var[0] == self._var[1], self._weight * slopes[0] * slopes[1], 0j) / self._root
+            rayleigh = float(np.vdot(psi, image).real)
+            r = image - rayleigh * psi
+            residual = sqrt(r.real.dot(r.real) + r.imag.dot(r.imag))
+        return image, rayleigh, residual
 
 
 def _dense(state: FactoredBipartiteState, values: np.ndarray) -> StateVector:
@@ -250,14 +247,15 @@ def apply_inverse_temp_squared(state: FactoredBipartiteState, *, fd_step: float 
     returned vector is an operator image and is generally not normalized (it
     is zero whenever every responding term contains a constant factor).
     """
-    return _dense(state, state._evaluated(fd_step)[1])
+    return _dense(state, state._evaluated(fd_step)[0])
 
 
-def _purified_terms(spec: ThermalSpec) -> tuple:
-    """Term arrays (kets, slots, energies, weight, value, coeff, offset) of ``purified_thermal_state``."""
-    energy = np.array(spec.hamiltonian.energies)
-    slots = np.broadcast_to(np.arange(energy.size), (2, energy.size))
-    return slots, slots, np.broadcast_to(energy, slots.shape), 1.0 + 0j, 1.0 + 0j, -spec.beta / 4.0, 0.0
+def _eigen_report(state: FactoredBipartiteState, fd_step: float | None, expected: float | None) -> EigenReport:
+    """``state``'s report; an analytic one is refused unless finite, a finite-difference one carries NaN on."""
+    rayleigh, residual = state._evaluated(fd_step)[1:]
+    if fd_step is None and not (isfinite(rayleigh) and isfinite(residual)):
+        raise ConfigurationError("Rayleigh quotient or residual is not finite; reduce beta or energies")
+    return EigenReport(rayleigh, residual, expected)
 
 
 def purified_thermal_state(spec: ThermalSpec) -> FactoredBipartiteState:
@@ -266,7 +264,10 @@ def purified_thermal_state(spec: ThermalSpec) -> FactoredBipartiteState:
     Term n is e^(-beta*E_n/4) x e^(-beta*E_n/4) |n>|n> with the constant 1/sqrt(Z)
     prefactor; only this even split makes the state an exact eigenvector.
     """
-    return _built(FactoredBipartiteState, *_purified_terms(spec))
+    energy = np.array(spec.hamiltonian.energies)
+    slots = np.broadcast_to(np.arange(energy.size), (2, energy.size))
+    return _built(FactoredBipartiteState, (energy.size,) * 2, slots, slots, np.broadcast_to(energy, slots.shape),
+                  1.0 + 0j, 1.0 + 0j, -spec.beta / 4.0, 0.0)
 
 
 def product_state(
@@ -286,25 +287,18 @@ def product_state(
     kets = np.indices((len(energies),) * 2).reshape(2, -1)  # term (n, m) in row-major order
     per_term = lambda name, kind: np.take_along_axis(  # the left family of level n, the right one of level m
         np.reshape(_numbers(f"family {name}", [getattr(f, name) for f in (*left, *right)], kind), (2, -1)), kets, 1)
-    return _built(
-        FactoredBipartiteState, kets, kets, np.array(energies)[kets], 1.0 + 0j,
-        per_term("value", "complex"), per_term("coeff", "real"), per_term("offset", "real"),
-    )
-
-
-def _report(terms: tuple, fd_step: float | None, expected: float | None) -> EigenReport:
-    """The report of a builder's term arrays, evaluated as the built state would be, without making a state."""
-    _, *fields = terms
-    return EigenReport(*_evaluate(*fields, fd_step)[2:], expected)
+    families = per_term("value", "complex"), per_term("coeff", "real"), per_term("offset", "real")
+    energy = np.array(energies)[kets]
+    return _built(FactoredBipartiteState, _checked_dims(kets, energy), kets, kets, energy, 1.0 + 0j, *families)
 
 
 def eigencheck_purified(spec: ThermalSpec, *, fd_step: float | None = None) -> EigenReport:
-    """Verify that the purified Gibbs state has eigenvalue beta^2/16."""
+    """Verify that the purified Gibbs state has eigenvalue beta^2/16, reading ``purified_thermal_state``."""
     try:
         expected = spec.beta**2 / 16.0
     except OverflowError:  # once beta passes about 1.3e154
         raise ConfigurationError("beta^2/16 overflows; reduce beta") from None
-    return _report(_purified_terms(spec), fd_step, expected)
+    return _eigen_report(purified_thermal_state(spec), fd_step, expected)
 
 
 def _read_only(rows) -> np.ndarray:
@@ -319,8 +313,16 @@ _DIAGONAL = _read_only(((0, 1), (0, 1)))
 _CROSSED = _read_only(((0, 1), (1, 0)))
 
 
-def _superposition_terms(cfg: ProtocolConfig, outcome: BellOutcome, convention: str) -> tuple:
-    """Term arrays (kets, slots, energies, weight, value, coeff, offset) of ``superposition_state``."""
+def superposition_state(
+    cfg: ProtocolConfig, outcome: BellOutcome, convention: str
+) -> FactoredBipartiteState:
+    """Post-selected AB state rebuilt as a factored bipartite state.
+
+    Term n pairs the A-side Boltzmann factor e^(-beta_A*E/2) with the B-side
+    factor e^(-beta_B*E'/2) under derivative slot n.  For the phi+ outcome
+    the terms sit on |00> and |11>; for psi+ on |01> and |10>, where the
+    A level n is paired with the B level 1 - n.
+    """
     if outcome is BellOutcome.PHI_PLUS:
         kets_b, kets = (0, 1), _DIAGONAL
     elif outcome is BellOutcome.PSI_PLUS:
@@ -338,36 +340,22 @@ def _superposition_terms(cfg: ProtocolConfig, outcome: BellOutcome, convention: 
         raise ConfigurationError("chosen_zero_levels applies only when E1 = 0 and E0' = 0")
     a, b = -cfg.spec_a.beta / 2.0, -cfg.spec_b.beta / 2.0
     # term n sits on |n>|kets_b[n]> under slot n; a pinned level is the constant e^0 (coeff 0)
-    return (
-        kets, _DIAGONAL, np.array((ea, [eb[k] for k in kets_b])),
+    return _built(
+        FactoredBipartiteState, (2, 2), kets, _DIAGONAL, np.array((ea, [eb[k] for k in kets_b])),
         np.array((1.0, np.exp(1j * cfg.phi))), 1.0 + 0j,
         np.array(((a, 0.0 if pin else a), [0.0 if pin and k == 0 else b for k in kets_b])), 0.0,
     )
 
 
-def superposition_state(
-    cfg: ProtocolConfig, outcome: BellOutcome, convention: str
-) -> FactoredBipartiteState:
-    """Post-selected AB state rebuilt as a factored bipartite state.
-
-    Term n pairs the A-side Boltzmann factor e^(-beta_A*E/2) with the B-side
-    factor e^(-beta_B*E'/2) under derivative slot n.  For the phi+ outcome
-    the terms sit on |00> and |11>; for psi+ on |01> and |10>, where the
-    A level n is paired with the B level 1 - n.
-    """
-    return _built(FactoredBipartiteState, *_superposition_terms(cfg, outcome, convention))
-
-
 def residual_superposition(
     cfg: ProtocolConfig, outcome: BellOutcome, convention: str
 ) -> EigenReport:
-    """Rayleigh quotient and residual of a post-selected two-temperature state.
+    """Rayleigh quotient and residual of a post-selected two-temperature state, reading ``superposition_state``.
 
     Under "full_dependence" every term responds with the same factor
     beta_A*beta_B/4, which is reported as the expected value; under
-    "chosen_zero_levels" no analytic value is claimed.  The report is read
-    from ``superposition_state``'s term arrays; no state is made.
+    "chosen_zero_levels" no analytic value is claimed.
     """
-    terms = _superposition_terms(cfg, outcome, convention)
+    state = superposition_state(cfg, outcome, convention)
     expected = cfg.spec_a.beta * cfg.spec_b.beta / 4.0 if convention == "full_dependence" else None
-    return _report(terms, None, expected)
+    return _eigen_report(state, None, expected)

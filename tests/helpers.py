@@ -108,11 +108,12 @@ def adjoint(op):
 
 
 def eigen_report(state, fd_step, expected):
-    """The report of a built state, read from its own term arrays.
+    """The report of a built state as its ``_evaluated`` reads it, non-finite values included.
 
-    The state route that the builders' term-array reports are checked against.
+    The report functions read their builder's state; wherever they accept,
+    they must agree with this bit for bit.
     """
-    return EigenReport(*state._evaluated(fd_step)[2:], expected)
+    return EigenReport(*state._evaluated(fd_step)[1:], expected)
 
 
 # per-term oracle for tempop: each family and term evaluated one scalar at a time

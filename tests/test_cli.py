@@ -37,26 +37,44 @@ def test_load_config_round_trip(ref_config_path):
     assert cfg.spec_a.hamiltonian.energies == (5.0, 0.0)
 
 
-@pytest.mark.parametrize(
-    "payload",
-    [
-        "not json",
-        "[1, 2]",
-        '{"beta_a":1.0,"beta_b":1.0,"energies_a":[5.0,0.0],"energies_b":[0.0,1.0]}',
-        '{"beta_a":1.0,"beta_b":1.0,"energies_a":[5.0,0.0],"energies_B":[0.0,1.0],"phi":0.0}',
-        '{"beta_a":1.0,"beta_b":1.0,"energies_a":[5.0,0.0],"energies_b":[0.0,1.0],"phi":0.0,"extra":1}',
-        '{"beta_a":1.0,"beta_b":1.0,"energies_a":[5.0],"energies_b":[0.0,1.0],"phi":0.0}',
-        '{"beta_a":"one","beta_b":1.0,"energies_a":[5.0,0.0],"energies_b":[0.0,1.0],"phi":0.0}',
-        '{"beta_a":true,"beta_b":1.0,"energies_a":[5.0,0.0],"energies_b":[0.0,1.0],"phi":0.0}',
-        '{"beta_a":1e400,"beta_b":1.0,"energies_a":[5.0,0.0],"energies_b":[0.0,1.0],"phi":0.0}',
-        '{"beta_a":1.0,"beta_b":1.0,"energies_a":[5.0,0.0],"energies_b":[0.0,1.0],"phi":0.0,"beta_a":2.0}',
-    ],
-)
+_MALFORMED_CONFIGS = [
+    "not json",
+    "[1, 2]",
+    '{"beta_a":1.0,"beta_b":1.0,"energies_a":[5.0,0.0],"energies_b":[0.0,1.0]}',
+    '{"beta_a":1.0,"beta_b":1.0,"energies_a":[5.0,0.0],"energies_B":[0.0,1.0],"phi":0.0}',
+    '{"beta_a":1.0,"beta_b":1.0,"energies_a":[5.0,0.0],"energies_b":[0.0,1.0],"phi":0.0,"extra":1}',
+    '{"beta_a":1.0,"beta_b":1.0,"energies_a":[5.0],"energies_b":[0.0,1.0],"phi":0.0}',
+    '{"beta_a":"one","beta_b":1.0,"energies_a":[5.0,0.0],"energies_b":[0.0,1.0],"phi":0.0}',
+    '{"beta_a":true,"beta_b":1.0,"energies_a":[5.0,0.0],"energies_b":[0.0,1.0],"phi":0.0}',
+    '{"beta_a":1e400,"beta_b":1.0,"energies_a":[5.0,0.0],"energies_b":[0.0,1.0],"phi":0.0}',
+    '{"beta_a":1.0,"beta_b":1.0,"energies_a":[5.0,0.0],"energies_b":[0.0,1.0],"phi":0.0,"beta_a":2.0}',
+    pytest.param(b"\xff\xfe", id="not-utf-8"),
+    pytest.param("[" * 100000 + "]" * 100000, id="nested-100000-deep"),
+]
+
+
+def _write_config(path, payload):
+    path.write_bytes(payload if isinstance(payload, bytes) else payload.encode())
+    return str(path)
+
+
+@pytest.mark.parametrize("payload", _MALFORMED_CONFIGS)
 def test_load_config_rejects_malformed_documents(tmp_path, payload):
-    path = tmp_path / "bad.json"
-    path.write_text(payload)
+    path = _write_config(tmp_path / "bad.json", payload)
     with pytest.raises(ConfigurationError):
         load_config(path)
+
+
+@pytest.mark.parametrize("payload", _MALFORMED_CONFIGS)
+@pytest.mark.parametrize("command", ["protocol", "interference"])
+def test_malformed_config_exits_one(capsys, tmp_path, command, payload):
+    # one error line and no report, never a traceback
+    argv = [command, "--config", _write_config(tmp_path / "bad.json", payload)]
+    if command == "interference":
+        argv += ["--phi-steps", "5", "--out", str(tmp_path / "bad.csv")]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # --- protocol command --------------------------------------------------------

@@ -10,6 +10,7 @@ from thermosim import (
     BellOutcome,
     Constant,
     ConfigurationError,
+    EigenReport,
     ExpLinear,
     FactoredBipartiteState,
     FactoredTerm,
@@ -576,7 +577,7 @@ def test_builders_skip_the_public_constructor(monkeypatch):
         FactoredBipartiteState(state.terms)
 
 
-# --- report routes read the builders' term arrays -----------------------------
+# --- reports read the states their builders make -----------------------------
 
 def _outcome(route):
     """The report of ``route()`` as the bits of its fields, or the message of its refusal."""
@@ -636,25 +637,56 @@ def test_superposition_kets_and_slots_are_shared_read_only(outcome):
     assert np.array_equal(again._var, [[0, 1], [0, 1]])
 
 
-def test_report_routes_make_no_state(monkeypatch):
-    stored = []
-    store = FactoredBipartiteState._store
+def test_each_report_builds_one_state_and_runs_the_exponential_once(monkeypatch):
+    # a report reads the state its builder makes: the build evaluates the families with one
+    # array exponential, which a closed-form report reuses; a central difference adds two
+    stored, family_exps = [], []
+    store, exp = FactoredBipartiteState._store, np.exp
 
-    def counted(self, *fields):
+    def counted_store(self, *fields):
         stored.append(type(self))
         store(self, *fields)
 
-    monkeypatch.setattr(FactoredBipartiteState, "_store", counted)
+    def counted_exp(x, *args, **kwargs):
+        if np.ndim(x) == 2:  # the (2, n) family arrays, not the weight's phase e^(i phi)
+            family_exps.append(np.shape(x))
+        return exp(x, *args, **kwargs)
+
     spec, cfg = _spec(1.3, (0.5, -1.0, 2.0)), reference_config(phi=0.4)
-    for fd_step in (None, 1e-5):
-        eigencheck_purified(spec, fd_step=fd_step)
+    monkeypatch.setattr(FactoredBipartiteState, "_store", counted_store)
+    monkeypatch.setattr(np, "exp", counted_exp)
+    reports = [(lambda: eigencheck_purified(spec), 1), (lambda: eigencheck_purified(spec, fd_step=1e-5), 3)]
     for outcome in (BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS):
         for convention in ("full_dependence", "chosen_zero_levels"):
-            residual_superposition(cfg, outcome, convention)
-    assert stored == []
-    purified_thermal_state(spec)
-    superposition_state(cfg, BellOutcome.PSI_PLUS, "chosen_zero_levels")
-    assert stored == [FactoredBipartiteState] * 2
+            reports.append((lambda o=outcome, c=convention: residual_superposition(cfg, o, c), 1))
+    for report, exps in reports:
+        stored.clear()
+        family_exps.clear()
+        report()
+        assert stored == [FactoredBipartiteState]
+        assert len(family_exps) == exps
+
+
+_NOT_FINITE = "Rayleigh quotient or residual is not finite; reduce beta or energies"
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_analytic_report_that_is_not_finite_is_refused():
+    # at beta = 1e160 every e^0 family's slope is -5e159, so each responding term's image
+    # overflows and the report read NaN; the states themselves are fine
+    flat = _spec(1e160, (0.0, 0.0))
+    cfg = ProtocolConfig(flat, flat, 0.3)
+    for outcome, convention in ((BellOutcome.PHI_PLUS, "full_dependence"), (BellOutcome.PSI_PLUS, "full_dependence"),
+                                (BellOutcome.PSI_PLUS, "chosen_zero_levels")):
+        assert _refusal(lambda: residual_superposition(cfg, outcome, convention)) == _NOT_FINITE
+        assert superposition_state(cfg, outcome, convention).amplitude_vector().norm() == pytest.approx(1.0)
+    # no phi+ term responds once the pinned levels are constants
+    assert residual_superposition(cfg, BellOutcome.PHI_PLUS, "chosen_zero_levels") == EigenReport(0.0, 0.0, None)
+    # beta^2/16 is finite at beta = 1e100, but the residual's squares overflow to inf
+    spec = _spec(1e100, (0.0, 1e-100))
+    assert _refusal(lambda: eigencheck_purified(spec)) == _NOT_FINITE
+    fd = eigencheck_purified(spec, fd_step=1e-5)  # a finite-difference report carries NaN to the CLI gate
+    assert np.isnan(fd.rayleigh) and np.isnan(fd.residual)
 
 
 _BETA_SQUARED = "beta^2/16 overflows; reduce beta"
