@@ -12,15 +12,18 @@ here is safe for unsynchronized concurrent use, except that two threads
 reading such a state's ``amps`` first at the same moment may each get an
 equal but distinct array.
 
-Each value class checks and freezes its array in one ``_store``: a public
-constructor copies its input into it, and ``_built`` takes over, without a
-copy, a fresh array that the library built itself.  Two of those arrays are
-sparse forms checked in O(size): a diagonal ``DensityMatrix`` arrives as its
-d values, and a ``StateVector`` with few nonzeros (a purification) as its
-support, the (k,) amplitudes at strictly increasing flat indices.  The
-diagonal partial trace reads the support directly, and a dense state's
-nonzeros through ``np.flatnonzero``; ``amps`` is built from the support only
-for a caller that reads it.
+Dims are proven once, where they enter: by a public constructor, by
+``basis_state`` and by ``tempop``'s term arrays; every other ``dims`` is read
+from a proven value.  Each value class then proves and freezes its array in
+one ``_store``: a public constructor copies its input into it, and ``_built``
+takes over, without a copy, a fresh array that the library built itself.  Two
+of those arrays are sparse forms proven in O(size): a diagonal
+``DensityMatrix`` arrives as its d values, and a ``StateVector`` with few
+nonzeros (a purification, a basis state, a factored state's view) as its
+support, the (k,) amplitudes at strictly increasing flat indices.  Only
+``StateVector`` densifies a support, when a caller reads ``amps``; the
+diagonal partial trace reads a support's nonzero values directly, and a
+dense state's through ``np.flatnonzero``.
 
 Numeric input has one rule, ``_number`` for a value and ``_numbers`` for a
 sequence, at every public boundary: Python and numpy int, float and complex
@@ -100,8 +103,9 @@ def _check_dims(dims: Iterable[int]) -> tuple[int, ...]:
 def _built(cls, *fields):
     """A ``cls`` value checked by its ``_store(*fields)`` alone, skipping the public constructor.
 
-    ``fields`` are fresh arrays no caller holds, taken over without a copy,
-    that hold the public constructor's further proofs by construction.
+    ``fields`` are proven dims, a tuple of Python ints of at least 2, then
+    fresh arrays no caller holds, taken over without a copy, that hold the
+    public constructor's further proofs by construction.
     """
     value = object.__new__(cls)
     value._store(*fields)
@@ -118,24 +122,25 @@ class StateVector:
     zero; use :meth:`norm` or :func:`fidelity_pure` to compare.
 
     ``amps`` is always the dense, read-only complex vector.  A state the
-    library builds with few nonzeros (a purification) reaches ``_built`` in
-    support form instead: its (k,) amplitudes and their strictly increasing
-    flat indices, every other amplitude being zero.  Those are checked in
-    O(k) and kept as ``_support``; ``amps`` is built from them on its first
-    read and then stored, so it is built at most once (two threads reading it
-    first at the same moment may each build an equal copy).  A dense state's
-    ``_support`` is None.
+    library builds with few nonzeros (a purification, a basis state, a
+    factored state's view) reaches ``_built`` in support form instead: its
+    (k,) amplitudes and their strictly increasing flat indices, every other
+    amplitude being zero.  Those are checked in O(k) and kept as
+    ``_support``; ``amps`` is built from them on its first read and then
+    stored, so it is built at most once (two threads reading it first at the
+    same moment may each build an equal copy).  This is the library's only
+    densifier.  A dense state's ``_support`` is None.
     """
 
     dims: tuple[int, ...]
     amps: np.ndarray
 
     def __post_init__(self) -> None:
-        self._store(self.dims, _complex_array("state amplitudes", self.amps).reshape(-1))
+        amps = _complex_array("state amplitudes", self.amps).reshape(-1)
+        self._store(_check_dims(self.dims), amps)
 
-    def _store(self, dims: Iterable[int], amps: np.ndarray, at: np.ndarray | None = None) -> None:
-        """Checks and freezes d dense amplitudes, or the (k,) amplitudes ``amps`` at the flat indices ``at``."""
-        dims = _check_dims(dims)
+    def _store(self, dims: tuple[int, ...], amps: np.ndarray, at: np.ndarray | None = None) -> None:
+        """Proves and freezes d dense amplitudes, or the (k,) amplitudes ``amps`` at the flat indices ``at``."""
         d = prod(dims)
         if at is None and amps.size != d:
             raise ConfigurationError(f"amplitude count {amps.size} does not match dims {dims}")
@@ -192,16 +197,15 @@ class DensityMatrix:
 
     def __post_init__(self) -> None:
         # atleast_2d keeps a 1-D input out of the diagonal form, which is only for _built
-        self._store(self.dims, np.atleast_2d(_complex_array("density matrix entries", self.entries)))
-        mat = self.entries
+        mat = np.atleast_2d(_complex_array("density matrix entries", self.entries))
+        self._store(_check_dims(self.dims), mat)
         if np.max(np.abs(mat - mat.conj().T)) > EQ_TOL:
             raise ConfigurationError("density matrix must be Hermitian")
         if np.linalg.eigvalsh(mat).min() < -PSD_TOL:
             raise ConfigurationError("density matrix must be positive semidefinite")
 
-    def _store(self, dims: Iterable[int], mat: np.ndarray) -> None:
-        """Checks and freezes a (d, d) matrix, or the (d,) diagonal of a diagonal one."""
-        dims = _check_dims(dims)
+    def _store(self, dims: tuple[int, ...], mat: np.ndarray) -> None:
+        """Proves and freezes a (d, d) matrix, or the (d,) diagonal of a diagonal one."""
         d = prod(dims)
         if mat.shape != (d, d) and mat.shape != (d,):
             raise ConfigurationError(f"expected a {d}x{d} matrix for dims {dims}")
@@ -225,10 +229,11 @@ class Operator:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        self._store(self.dims, _complex_array("operator entries", self.entries))
+        mat = _complex_array("operator entries", self.entries)
+        self._store(_check_dims(self.dims), mat)
 
-    def _store(self, dims: Iterable[int], mat: np.ndarray) -> None:
-        dims = _check_dims(dims)
+    def _store(self, dims: tuple[int, ...], mat: np.ndarray) -> None:
+        """Proves and freezes a (d, d) matrix."""
         d = prod(dims)
         if mat.shape != (d, d):
             raise ConfigurationError(f"expected a {d}x{d} matrix for dims {dims}")
@@ -250,9 +255,7 @@ def basis_state(dims: Iterable[int], index: int) -> StateVector:
     index = _number("basis index", index, "integer")
     if not 0 <= index < d:
         raise ConfigurationError(f"basis index must be in 0..{d - 1}, got {index}")
-    amps = np.zeros(d, dtype=np.complex128)
-    amps[index] = 1.0
-    return _built(StateVector, dims, amps)
+    return _built(StateVector, dims, np.ones(1, dtype=np.complex128), np.array([index]))
 
 
 def tensor_product(a: StateVector, b: StateVector) -> StateVector:
@@ -293,9 +296,10 @@ def partial_trace(state: StateVector | DensityMatrix, keep: Iterable[int]) -> De
 def _reduced_density(state: StateVector, kept: list[int], traced: list[int]) -> DensityMatrix:
     """psi psi^dagger of ``state``, built from its (k,) diagonal when it is diagonal.
 
-    psi is the (kept, traced) amplitude matrix.  The nonzero amplitudes are
-    the state's stored support, or, for a dense state, those that
-    ``np.flatnonzero`` finds (a signed zero is zero, a subnormal is not).
+    psi is the (kept, traced) amplitude matrix.  Its nonzero amplitudes are
+    those that ``np.flatnonzero`` finds in the state's stored support, or in
+    ``amps`` for a dense state (a signed zero is zero, a subnormal is not), so
+    a support-form state traces byte for byte like its dense twin.
     When every traced column holds at most one of them (purifications,
     product states, Bell branches) no two rows share a traced basis state,
     so the result is diagonal: each row's sum of re^2 + im^2, added in
@@ -304,11 +308,9 @@ def _reduced_density(state: StateVector, kept: list[int], traced: list[int]) -> 
     dims = state.dims
     kept_dims = tuple(dims[i] for i in kept)
     k = prod(kept_dims)
-    if state._support is None:
-        at = np.flatnonzero(state.amps != 0)  # on the complex array itself it takes about 3x as long
-        vals = state.amps[at]
-    else:
-        vals, at = state._support
+    vals, at = state._support or (state.amps, None)
+    nonzero = np.flatnonzero(vals != 0)  # on the complex array itself it takes about 3x as long
+    vals, at = vals[nonzero], nonzero if at is None else at[nonzero]
     digits = np.unravel_index(at, dims)
     rows, cols = (
         np.ravel_multi_index([digits[i] for i in axes], [dims[i] for i in axes]) for axes in (kept, traced)

@@ -187,7 +187,7 @@ class FactoredBipartiteState:
                          *self._energy.tolist(), weight))
 
     def amplitude_vector(self) -> StateVector:
-        return _dense(self, self._psi)
+        return _view(self, self._psi)
 
     def _evaluated(self, h: float | None):
         """The operator read from the stored terms: (image, rayleigh, residual).
@@ -223,11 +223,15 @@ class FactoredBipartiteState:
         return image, rayleigh, residual
 
 
-def _dense(state: FactoredBipartiteState, values: np.ndarray) -> StateVector:
-    """Per-term values scattered onto their kets of the dense ``dims`` array."""
-    arr = np.zeros(state.dims, dtype=np.complex128)
-    arr[tuple(state._basis)] = values
-    return _built(StateVector, state.dims, arr.reshape(-1))
+def _view(state: FactoredBipartiteState, values: np.ndarray) -> StateVector:
+    """Per-term values at their kets' flat indices, in order: a support-form view of the ``dims`` vector.
+
+    Every value is kept, a signed zero too, so the dense ``amps`` holds the
+    bytes of a zero-filled array with the values scattered onto their kets.
+    """
+    at = np.ravel_multi_index(tuple(state._basis), state.dims)
+    order = np.argsort(at)
+    return _built(StateVector, state.dims, values[order], at[order])
 
 
 @dataclass(frozen=True)
@@ -247,7 +251,7 @@ def apply_inverse_temp_squared(state: FactoredBipartiteState, *, fd_step: float 
     returned vector is an operator image and is generally not normalized (it
     is zero whenever every responding term contains a constant factor).
     """
-    return _dense(state, state._evaluated(fd_step)[0])
+    return _view(state, state._evaluated(fd_step)[0])
 
 
 def _eigen_report(state: FactoredBipartiteState, fd_step: float | None, expected: float | None) -> EigenReport:

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermosim import (
@@ -230,6 +230,11 @@ def _gap(levels):
     return abs(levels[1] - levels[0])
 
 
+# absolute, since near a dark fringe the two routes share no relative digits: a targeted hypothesis
+# search over these strategies (20000 examples) found at most 2 eps, so this is a 4x margin
+_KERNEL_CIRCUIT_TOL = 8 * np.finfo(float).eps
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     levels_a=_LEVELS,
@@ -238,6 +243,8 @@ def _gap(levels):
     beta_gaps_b=st.lists(_BETA_GAP, min_size=1, max_size=3),
     phis=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=6),
 )
+# a dark-fringe draw whose two routes differ in the 9th significant digit (by -1.26e-17)
+@example(levels_a=(0.0, 1.0), levels_b=(1.0, 0.0), beta_gap_a=1.0, beta_gaps_b=[1.0], phis=[3.141629031370778])
 def test_kernel_matches_scalar_circuit(levels_a, levels_b, beta_gap_a, beta_gaps_b, phis):
     beta_a = beta_gap_a / _gap(levels_a)
     betas_b = [x / _gap(levels_b) for x in beta_gaps_b]
@@ -250,5 +257,4 @@ def test_kernel_matches_scalar_circuit(levels_a, levels_b, beta_gap_a, beta_gaps
         spec_b = ThermalSpec(beta_b, QuditHamiltonian(levels_b))
         for got, phi in zip(row, phis):
             want = circuit_probability(ProtocolConfig(spec_a, spec_b, phi))
-            assert abs(got - want) <= 1e-12
-            assert f"{got:.9g}" == f"{want:.9g}"
+            assert abs(got - want) <= _KERNEL_CIRCUIT_TOL

@@ -680,6 +680,18 @@ def test_only_qcore_imports_the_number_abcs():
     assert importers == {"qcore.py"}
 
 
+def test_no_store_proves_dims():
+    # dims are proven once, where they enter; a _store proves only its arrays
+    stores, provers = 0, set()
+    for path in Path(qcore.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name == "_store":
+                stores += 1
+                provers |= {(path.name, n.lineno) for n in ast.walk(node)
+                            if getattr(n, "id", getattr(n, "attr", None)) == "_check_dims"}
+    assert stores == 4 and provers == set()
+
+
 # private names that cross a module line to a sibling other than qcore: (importer, home module, name)
 _PRIVATE_IMPORTS = {
     ("interference", "protocol", "_branch"),

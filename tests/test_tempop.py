@@ -1,5 +1,6 @@
 import re
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,16 +17,20 @@ from thermosim import (
     FactoredTerm,
     ProtocolConfig,
     QuditHamiltonian,
+    StateVector,
     ThermalSpec,
     apply_inverse_temp_squared,
     eigencheck_purified,
     fidelity_pure,
+    partial_trace,
     product_state,
     purified_thermal_state,
     purify,
+    qcore,
     residual_superposition,
     superposition_state,
     tempop,
+    thermal_density,
 )
 from thermosim.qcore import EQ_TOL, FD_TOL
 
@@ -849,3 +854,92 @@ def test_product_state_round_trips(d, seed):
 def test_superposition_state_round_trips(outcome, convention, seed):
     cfg = random_in_regime_config(np.random.default_rng(seed))
     _assert_public_round_trip(superposition_state(cfg, outcome, convention))
+
+
+
+# --- support-form views: the bytes of the zero-filled dense view ---------------
+
+def _scattered(state, values):
+    """The view as the dense route built it: a zero-filled (d, d) array with each term value on its ket."""
+    arr = np.zeros(state.dims, dtype=np.complex128)
+    arr[tuple(state._basis)] = values
+    return arr.reshape(-1)
+
+
+def _traced(state, keep, unit):
+    """The bytes of ``partial_trace(state, keep)``; for an image, whose trace is not 1, of the array it checks."""
+    if unit:
+        return partial_trace(state, keep).entries.tobytes()
+    with mock.patch.object(qcore, "_built", lambda cls, dims, mat: mat):
+        return partial_trace(state, keep).tobytes()
+
+
+def _assert_views_match_the_scatter(state):
+    """Every view of ``state`` has the scatter's bytes and traces byte for byte like its dense twin."""
+    views = [(state.amplitude_vector, state._psi, True)] + [
+        (lambda h=h: apply_inverse_temp_squared(state, fd_step=h), state._evaluated(h)[0], False) for h in (None, 1e-5)
+    ]
+    for view_of, values, unit in views:
+        for keep in ({0}, {1}):
+            view = view_of()  # a fresh view each time, so the trace runs before its amps is built
+            assert view._support is not None
+            got = _traced(view, keep, unit)
+            assert got == _traced(StateVector(view.dims, view.amps), keep, unit), keep
+        assert view.amps.tobytes() == _scattered(state, values).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(2, 64), beta=st.floats(0.0, 5.0), seed=st.integers(0, 2**32 - 1))
+def test_purified_views_match_the_scatter(d, beta, seed):
+    energies = tuple(np.random.default_rng(seed).uniform(-5.0, 5.0, d))
+    _assert_views_match_the_scatter(purified_thermal_state(_spec(beta, energies)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    outcome=st.sampled_from((BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS)),
+    convention=st.sampled_from(("full_dependence", "chosen_zero_levels")),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_superposition_views_match_the_scatter(outcome, convention, seed):
+    cfg = random_in_regime_config(np.random.default_rng(seed))
+    _assert_views_match_the_scatter(superposition_state(cfg, outcome, convention))
+
+
+# parts of family values: away from 0, so Z is normal, or a zero of either sign
+_PART = st.floats(0.1, 2.0) | st.floats(-2.0, -0.1)
+_FAMILY = st.builds(lambda re, im: Constant(complex(re, im)), _PART, _PART | st.sampled_from((0.0, -0.0))) | st.builds(
+    lambda coeff, offset, re, im: ExpLinear(coeff, offset, complex(re, im)),
+    st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), _PART, _PART,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    families=st.integers(2, 5).flatmap(lambda d: st.lists(st.tuples(_FAMILY, _FAMILY), min_size=d, max_size=d)),
+    energies=st.lists(st.floats(-1.5, 1.5), min_size=5, max_size=5),
+    shuffle=st.randoms(use_true_random=False),
+)
+# constant families of either sign: the images hold -0.0
+@example(families=[(Constant(-1.0), Constant(-1.0)), (Constant(1.0), Constant(-1.0))], energies=[0.5] * 5, shuffle=None)
+def test_product_views_match_the_scatter(families, energies, shuffle):
+    left, right = zip(*families)
+    state = product_state(left, right, energies[:len(families)])
+    _assert_views_match_the_scatter(state)
+    if shuffle is None:
+        assert np.signbit(apply_inverse_temp_squared(state).amps.view(float)).any()
+    else:  # the public constructor takes its terms in any order
+        terms = list(state.terms)
+        shuffle.shuffle(terms)
+        _assert_views_match_the_scatter(FactoredBipartiteState(terms))
+
+
+def test_purified_view_trace_reads_only_the_support():
+    spec = _spec(0.8, tuple(np.random.default_rng(11).uniform(-5.0, 5.0, 1024)))
+    state = purified_thermal_state(spec)
+    view = state.amplitude_vector()
+    rho = partial_trace(view, keep={1})
+    assert "amps" not in vars(view)  # the d^2 view was never built
+    want = np.diagonal(thermal_density(spec).entries)
+    np.testing.assert_allclose(np.diagonal(rho.entries), want, rtol=0.0, atol=EQ_TOL)
+    assert np.count_nonzero(rho.entries) == 1024
