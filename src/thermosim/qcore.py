@@ -140,7 +140,7 @@ class StateVector:
         self._store(_check_dims(self.dims), amps)
 
     def _store(self, dims: tuple[int, ...], amps: np.ndarray, at: np.ndarray | None = None) -> None:
-        """Proves and freezes d dense amplitudes, or the (k,) amplitudes ``amps`` at the flat indices ``at``."""
+        """Proves and freezes, over proven ``dims``, d dense amplitudes or the (k,) ``amps`` at flat indices ``at``."""
         d = prod(dims)
         if at is None and amps.size != d:
             raise ConfigurationError(f"amplitude count {amps.size} does not match dims {dims}")
@@ -205,7 +205,7 @@ class DensityMatrix:
             raise ConfigurationError("density matrix must be positive semidefinite")
 
     def _store(self, dims: tuple[int, ...], mat: np.ndarray) -> None:
-        """Proves and freezes a (d, d) matrix, or the (d,) diagonal of a diagonal one."""
+        """Proves and freezes, over proven ``dims``, a (d, d) matrix or the (d,) diagonal of a diagonal one."""
         d = prod(dims)
         if mat.shape != (d, d) and mat.shape != (d,):
             raise ConfigurationError(f"expected a {d}x{d} matrix for dims {dims}")
@@ -233,7 +233,7 @@ class Operator:
         self._store(_check_dims(self.dims), mat)
 
     def _store(self, dims: tuple[int, ...], mat: np.ndarray) -> None:
-        """Proves and freezes a (d, d) matrix."""
+        """Proves and freezes a (d, d) matrix over proven ``dims``."""
         d = prod(dims)
         if mat.shape != (d, d):
             raise ConfigurationError(f"expected a {d}x{d} matrix for dims {dims}")

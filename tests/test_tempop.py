@@ -906,7 +906,7 @@ def test_superposition_views_match_the_scatter(outcome, convention, seed):
     _assert_views_match_the_scatter(superposition_state(cfg, outcome, convention))
 
 
-# parts of family values: away from 0, so Z is normal, or a zero of either sign
+# parts of family values, away from 0 so that Z is normal; a constant's imaginary part may be a zero of either sign
 _PART = st.floats(0.1, 2.0) | st.floats(-2.0, -0.1)
 _FAMILY = st.builds(lambda re, im: Constant(complex(re, im)), _PART, _PART | st.sampled_from((0.0, -0.0))) | st.builds(
     lambda coeff, offset, re, im: ExpLinear(coeff, offset, complex(re, im)),
