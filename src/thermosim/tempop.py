@@ -11,9 +11,9 @@ own sum, so every state is unit norm by construction.  Z is evaluated, never
 differentiated, and must be a normal float: finite and at least
 ``sys.float_info.min``.  A state holds its terms as arrays and normalizes
 them once, when it is made: one array exponential gives both sides' family
-values, their products the per-term amplitudes, and those Z.  It keeps the
-family values, the amplitudes over sqrt(Z) and sqrt(Z), 3n complex values for
-n terms (48 MB at n = 10^6).  Every value is read from a state: the dense
+values, their products the per-term amplitudes, and those Z.  Of the values
+it keeps only the amplitudes over sqrt(Z) and sqrt(Z), n complex values for
+n terms (16 MB at n = 10^6).  Every value is read from a state: the dense
 view, the operator image, and the reports of ``eigencheck_purified`` and
 ``residual_superposition``, which read the states that
 ``purified_thermal_state`` and ``superposition_state`` make.  The builders
@@ -30,11 +30,17 @@ factors of i cancel):
 
     term  ->  w_t * L_t'(x_t) * R_t'(y_t) |l_t> |r_t>.
 
-Neither the normalization constant Z nor the constant weights are ever
-differentiated, even though the normalization of a thermal state does depend
-on the energies; this is what makes purified thermal states exact
-eigenvectors with eigenvalue beta^2/16 (each side carries e^(-beta*E/4), an
-even split of the purification amplitude e^(-beta*E/2)).
+Each family's derivative is coeff times the family, so in closed form every
+term is an eigenvector: its image is lambda_t psi_t, with lambda_t =
+coeff_L,t * coeff_R,t where both sides carry the same slot and 0 where they
+do not.  Measuring the operator gives lambda_t with probability |psi_t|^2,
+so the Rayleigh quotient is the mean of lambda under those weights and the
+residual |(A - <A>) psi| its spread.  Neither the normalization constant Z
+nor the constant weights are ever differentiated, even though the
+normalization of a thermal state does depend on the energies; this is what
+makes purified thermal states exact eigenvectors with eigenvalue beta^2/16
+(each side carries e^(-beta*E/4), an even split of the purification
+amplitude e^(-beta*E/2)), and their reports exactly beta^2/16 and 0.
 
 For post-selected two-temperature states the operator's slot-to-energy
 mapping is a convention choice.  ``residual_superposition`` exposes two:
@@ -133,15 +139,15 @@ class FactoredBipartiteState:
 
     The terms are held as arrays with one row per side (left, right): (2, n)
     kets, slots and energies, a weight that broadcasts against (n,) and the
-    family form value * e^(coeff*E + offset) against (2, n).  Kets are
-    distinct, so each term is exactly one entry of the dense vector.
-    ``_store`` normalizes once and keeps the (2, n) family values, the
-    per-term amplitudes over sqrt(Z) and sqrt(Z), 3n complex values (48 MB at
-    n = 10^6); ``_evaluated`` reads the operator from them.  The public
-    constructor converts ``FactoredTerm``s once and proves what the builders
-    hold by construction: integer, distinct slot pairs and kets, numeric
-    family fields, one energy per slot, at least one term, finite energies
-    and dims of at least 2.
+    family form value * e^(coeff*E + offset) against (2, n), with a leading
+    axis of 2 for ``value`` and ``coeff``.  Kets are distinct, so each term is exactly one
+    entry of the dense vector.  ``_store`` normalizes once and keeps the
+    per-term amplitudes over sqrt(Z) and sqrt(Z), n complex values (16 MB at
+    n = 10^6); ``_image`` and ``_evaluated`` read the operator from them and
+    the term arrays.  The public constructor converts ``FactoredTerm``s once
+    and proves what the builders hold by construction: integer, distinct
+    slot pairs and kets, numeric family fields, one energy per slot, at least
+    one term, finite energies and dims of at least 2.
     """
 
     dims: tuple[int, int]
@@ -167,14 +173,16 @@ class FactoredBipartiteState:
 
     def _store(self, dims, basis, var, energy, weight, value, coeff, offset) -> None:
         with np.errstate(over="ignore", invalid="ignore"):
-            amplitude = value * np.exp(coeff * energy + offset)
-            psi = weight * amplitude[0] * amplitude[1]
-            z = float(np.add.reduce(np.abs(psi) ** 2))
+            exps = np.exp(coeff * energy + offset)
+            psi = weight * (value[0] * exps[0]) * (value[1] * exps[1])  # side by side: no (2, n) complex array
+            z = np.abs(psi)
+            z = float(np.add.reduce(np.multiply(z, z, out=z)))  # |psi|^2 squared in place
             if not (isfinite(z) and z >= sys.float_info.min):  # a subnormal Z has lost the digits unit norm needs
                 raise ConfigurationError("normalization overflows or vanishes; reduce beta or energies")
             root = sqrt(z)
+            psi /= root
             vars(self).update(dims=dims, _basis=basis, _var=var, _energy=energy, _weight=weight, _value=value,
-                              _coeff=coeff, _offset=offset, _amplitude=amplitude, _psi=psi / root, _root=root)
+                              _coeff=coeff, _offset=offset, _psi=psi, _root=root)
 
     @property
     def terms(self) -> tuple[FactoredTerm, ...]:
@@ -189,38 +197,59 @@ class FactoredBipartiteState:
     def amplitude_vector(self) -> StateVector:
         return _view(self, self._psi)
 
-    def _evaluated(self, h: float | None):
-        """The operator read from the stored terms: (image, rayleigh, residual).
+    def _eigenvalues(self) -> np.ndarray:
+        """Each term's eigenvalue lambda_t = coeff_L,t * coeff_R,t, 0 where the two sides carry different slots."""
+        return np.where(self._var[0] == self._var[1], self._coeff[0] * self._coeff[1], 0.0)
 
-        The image holds each term's response w*L'(x)*R'(y) over sqrt(Z), 0
-        where the two sides carry different slots.  Each derivative is the
-        closed form coeff * amplitude or, with ``h``, a central difference; a
-        constant family's derivative is 0 either way.  A step below
-        1e-8 * max(1, max|E|) is refused: E + h would resolve it to fewer
-        than about eight digits, or not at all.  The Rayleigh quotient is
-        <psi|image> and the residual |image - rayleigh psi| in numpy's
-        complex-vector norm arithmetic.  Overflows stay inf or NaN.
+    def _image(self, h: float | None) -> np.ndarray:
+        """Each term's response w*L'(x)*R'(y) over sqrt(Z), 0 where the two sides carry different slots.
+
+        In closed form that is lambda_t psi_t.  With ``h`` each derivative is
+        a central difference instead, whose image is numerical and not
+        lambda_t psi_t; a constant family's derivative is 0 either way.  A
+        step below 1e-8 * max(1, max|E|) is refused: E + h would resolve it
+        to fewer than about eight digits, or not at all.  Overflows stay inf
+        or NaN.
         """
-        coeff, energy, psi = self._coeff, self._energy, self._psi
         with np.errstate(over="ignore", invalid="ignore"):
             if h is None:
-                slopes = coeff * self._amplitude
-            else:
-                h = _number("finite-difference step", h)
-                if not (isfinite(h) and h > 0.0):
-                    raise ConfigurationError("finite-difference step must be finite and positive")
-                floor = 1e-8 * max(1.0, float(np.abs(energy).max()))
-                if h < floor:
-                    raise ConfigurationError(
-                        f"finite-difference step {h:g} is below {floor:g} and cannot resolve the energies"
-                    )
-                exp = lambda at: np.exp(coeff * at + self._offset)
-                slopes = self._value * ((exp(energy + h) - exp(energy - h)) / (2.0 * h))
-            image = np.where(self._var[0] == self._var[1], self._weight * slopes[0] * slopes[1], 0j) / self._root
-            rayleigh = float(np.vdot(psi, image).real)
-            r = image - rayleigh * psi
-            residual = sqrt(r.real.dot(r.real) + r.imag.dot(r.imag))
-        return image, rayleigh, residual
+                return self._eigenvalues() * self._psi
+            coeff, energy = self._coeff, self._energy
+            h = _number("finite-difference step", h)
+            if not (isfinite(h) and h > 0.0):
+                raise ConfigurationError("finite-difference step must be finite and positive")
+            floor = 1e-8 * max(1.0, float(np.abs(energy).max()))
+            if h < floor:
+                raise ConfigurationError(
+                    f"finite-difference step {h:g} is below {floor:g} and cannot resolve the energies"
+                )
+            exp = lambda at: np.exp(coeff * at + self._offset)
+            slopes = self._value * ((exp(energy + h) - exp(energy - h)) / (2.0 * h))
+            return np.where(self._var[0] == self._var[1], self._weight * slopes[0] * slopes[1], 0j) / self._root
+
+    def _evaluated(self, h: float | None) -> tuple[float, float]:
+        """The operator read from the stored terms: (rayleigh, residual).
+
+        In closed form the Rayleigh quotient is the mean of lambda_t under
+        the weights P_t = |psi_t|^2 and the residual their spread.  The mean
+        is taken as lambda_0 plus the mean of lambda_t - lambda_0, and the
+        spread from lambda_t - rayleigh, so a state whose terms share one
+        eigenvalue reads exactly that eigenvalue and 0.0.  With ``h`` the
+        central-difference image is read as a vector: the Rayleigh quotient
+        <psi|image> and the residual |image - rayleigh psi|.  Every sum is a
+        pairwise ``np.add.reduce``, whose order does not follow the BLAS
+        thread count.  Overflows stay inf or NaN.
+        """
+        psi = self._psi
+        with np.errstate(over="ignore", invalid="ignore"):
+            if h is None:
+                lam, p = self._eigenvalues(), np.abs(psi) ** 2
+                rayleigh = float(lam[0] + np.add.reduce(p * (lam - lam[0])))
+                return rayleigh, sqrt(np.add.reduce(p * (lam - rayleigh) ** 2))
+            image = self._image(h)  # read as (re, im) pairs of floats
+            rayleigh = float(np.add.reduce(psi.view(float) * image.view(float)))
+            r = (image - rayleigh * psi).view(float)
+            return rayleigh, sqrt(np.add.reduce(r * r))
 
 
 def _view(state: FactoredBipartiteState, values: np.ndarray) -> StateVector:
@@ -251,12 +280,12 @@ def apply_inverse_temp_squared(state: FactoredBipartiteState, *, fd_step: float 
     returned vector is an operator image and is generally not normalized (it
     is zero whenever every responding term contains a constant factor).
     """
-    return _view(state, state._evaluated(fd_step)[0])
+    return _view(state, state._image(fd_step))
 
 
 def _eigen_report(state: FactoredBipartiteState, fd_step: float | None, expected: float | None) -> EigenReport:
     """``state``'s report; an analytic one is refused unless finite, a finite-difference one carries NaN on."""
-    rayleigh, residual = state._evaluated(fd_step)[1:]
+    rayleigh, residual = state._evaluated(fd_step)
     if fd_step is None and not (isfinite(rayleigh) and isfinite(residual)):
         raise ConfigurationError("Rayleigh quotient or residual is not finite; reduce beta or energies")
     return EigenReport(rayleigh, residual, expected)
@@ -271,7 +300,7 @@ def purified_thermal_state(spec: ThermalSpec) -> FactoredBipartiteState:
     energy = np.array(spec.hamiltonian.energies)
     slots = np.broadcast_to(np.arange(energy.size), (2, energy.size))
     return _built(FactoredBipartiteState, (energy.size,) * 2, slots, slots, np.broadcast_to(energy, slots.shape),
-                  1.0 + 0j, 1.0 + 0j, -spec.beta / 4.0, 0.0)
+                  1.0 + 0j, _UNIT, np.full((2, 1), -spec.beta / 4.0), 0.0)
 
 
 def product_state(
@@ -315,6 +344,8 @@ def _read_only(rows) -> np.ndarray:
 # the slots and the phi+ kets |00>, |11> are _DIAGONAL, the psi+ kets |01>, |10> are _CROSSED
 _DIAGONAL = _read_only(((0, 1), (0, 1)))
 _CROSSED = _read_only(((0, 1), (1, 0)))
+# the family value 1 on both sides, shared read-only by the purified and two-term states
+_UNIT = _read_only(((1.0 + 0j,), (1.0 + 0j,)))
 
 
 def superposition_state(
@@ -346,7 +377,7 @@ def superposition_state(
     # term n sits on |n>|kets_b[n]> under slot n; a pinned level is the constant e^0 (coeff 0)
     return _built(
         FactoredBipartiteState, (2, 2), kets, _DIAGONAL, np.array((ea, [eb[k] for k in kets_b])),
-        np.array((1.0, np.exp(1j * cfg.phi))), 1.0 + 0j,
+        np.array((1.0, np.exp(1j * cfg.phi))), _UNIT,
         np.array(((a, 0.0 if pin else a), [0.0 if pin and k == 0 else b for k in kets_b])), 0.0,
     )
 

@@ -113,7 +113,7 @@ def eigen_report(state, fd_step, expected):
     The report functions read their builder's state; wherever they accept,
     they must agree with this bit for bit.
     """
-    return EigenReport(*state._evaluated(fd_step)[1:], expected)
+    return EigenReport(*state._evaluated(fd_step), expected)
 
 
 # per-term oracle for tempop: each family and term evaluated one scalar at a time
@@ -121,11 +121,6 @@ def eigen_report(state, fd_step, expected):
 def family_amplitude(family, energy):
     """value * e^(coeff*E + offset) of one ``ExpLinear`` family."""
     return complex(family.value * np.exp(family.coeff * energy + family.offset))
-
-
-def family_derivative(family, energy):
-    """d/dE of ``family_amplitude``: coeff times the amplitude."""
-    return family.coeff * family_amplitude(family, energy)
 
 
 def term_amplitude(term):

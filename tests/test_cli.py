@@ -331,12 +331,15 @@ def test_eigencheck_with_fd_and_tolerance(capsys):
 
 
 def test_eigencheck_tight_tolerance_exits_two(capsys):
+    # the analytic report is exact and meets any tolerance; the finite-difference residual does not
     code, out, err = run_cli(
-        capsys, ["eigencheck", "--dim", "2", "--beta", "2.0", "--assert-tol", "1e-30"]
+        capsys, ["eigencheck", "--dim", "2", "--beta", "2.0", "--fd-step", "1e-5", "--assert-tol", "1e-30"]
     )
     assert code == 2
-    assert json.loads(out)["analytic"]["residual"] > 1e-30
-    assert err.startswith("error:")
+    report = json.loads(out)
+    assert (report["analytic"]["rayleigh"], report["analytic"]["residual"]) == (0.25, 0.0)
+    assert report["finite_difference"]["residual"] > 1e-30
+    assert err.startswith("error: finite-difference residual")
 
 
 def test_eigencheck_zero_tolerance_is_allowed(capsys):

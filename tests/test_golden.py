@@ -39,36 +39,35 @@ from helpers import reference_config
 EIGENCHECK_DIGESTS = {
     # (dim, beta): sha256 of ``thermosim eigencheck --dim D --beta B --fd-step 1e-5`` stdout
     (2, "0"): "b083b5d87df298584b74447f4135b6fd48d13a2fa9fb6aa26e3317dc80b737cb",
-    (2, "0.7"): "e7479cb53109165c32e318613515f7e06d6595853927cd7c9d6840707f853258",
-    (2, "2"): "843affd29d659ffea7124258c1a49fad8a9466f09593a29cc1d447a9a69d3856",
-    (2, "13"): "aadc610e30329411af1e90bdaf6e64aaa306be6e1745f7d780a1c4f1221b357d",
+    (2, "0.7"): "8105f817051070396357fe38b7acfcbde997d02626be8106ae5747dc37e534e5",
+    (2, "2"): "8bfa8479fde1bc00fb2d8aa3b82159f79d96e72982520645f040f962214a2223",
+    (2, "13"): "5d7642c4fcae380bde34c63f957275eb418f0dfc835e6d690d0dcde84cd915b9",
     (3, "0"): "ab2d5a2673d278f386e9493c23018f6b1831e5ceb26a3d6380b6372beb07dc2a",
-    (3, "0.7"): "413192a21c2502c00004f2351eff72fe820902a15651b848aa2fee8219d5edb6",
-    (3, "2"): "c78dd47c77f2e70dd4a626337cfde505294e3a4d3f559aa21b18ed2eff827d70",
-    (3, "13"): "4ff9e308dd5ebd52abbf7e5a86ec4268b7d08d7a5ebd6db71f1bd3a30eb1e617",
+    (3, "0.7"): "180f9fc593e77cc2730a8d0234417d493dd4e90d7c207af98a9e0f60f4a6bbeb",
+    (3, "2"): "4b31fe8382f3789f99b6c34c4b042a5252440b626f0686429395bd875cf38c7a",
+    (3, "13"): "268123ee28fec7d2cad9a71a38522bc495aa44f45fd1c0bee02926a2b621b27a",
     (8, "0"): "ea695b31067fe8e60d0463308f7bb47f5d06c2ea4083b3b1320166d2af64a305",
-    (8, "0.7"): "46b81785f852a63ae4353c27e15f06360892e07f269ca1fea23c0e3aed82b221",
-    (8, "2"): "f90fe6d3715896057be2bc9233d345062769bad2229c4f725562d83c17f69af9",
-    (8, "13"): "834ded19623ec41804c82d72c5ed8a6caa22985e4f9e82895c94f5bb4f075efc",
+    (8, "0.7"): "6e3dac217561733047b4d9709b282e0df4e727a3e8316200ac9f35086bf23d0f",
+    (8, "2"): "38d6ba64304eddeb97afd57065b16f9fda989a76b452bf1a145f057b97418e68",
+    (8, "13"): "6fdc660d39d343e112ce3a95272f2ef5ff7c931d5cc8d69cad7c1d30a84ca976",
     (64, "0"): "10625cbf50f4c6c76b929c90f4166b5f0133bc39f04e491ff21c6227e7310286",
-    (64, "0.7"): "c63854f0a009a0f4d41e38143be46cf77d784df8d193558908611f789ea7b5ea",
-    (64, "2"): "01662fe7b8a5a0d9cdad9c04f7b06dcc5bcfcb482a7bc9ebeedfa51d6b21e6f0",
-    (64, "13"): "efceb098b98ee00cf80f0f33615af1d44ffef475b966fa3a0b3d61a6b7cfacc4",
+    (64, "0.7"): "d4dc77a8e55ba81a3d315bb1bed75d7c56a4fa55ca9329e416031c20f7f8167a",
+    (64, "2"): "c8d295de83ec1f7294af3b8d118dd92297610193e237d0b5194964ed89a412a1",
+    (64, "13"): "7f1cac4732786c404b9e7d1e399c5eb0df2a2b4e4091385ed5e3e7ea307ac446",
     (512, "0"): "f7430afbd558e38f02517a4b51eac46278cad1824ecea4a586f54434f975e998",
-    (512, "0.7"): "ee507a9b6ef117e34b5ac465376dfb13615599db67b91ec1f40fa71dd7e1ad5e",
+    (512, "0.7"): "b6d5e55431f51224bd465ce78d986837da78c1a4e861ce2fb03718605aaba425",
     (512, "2"): "e9e77237441eecd16d0753b39f5b59bdb78a4a642ff31ef2dcf5aa8456644d59",
-    (512, "13"): "3f290faf1aa43277ad12611917348f492e36be96bdd1b03caee65eef404fc49f",
+    (512, "13"): "bf8a40de58785f33018e49191cf69284182645d8eb8804a3f153452ed7289fcf",
 }
 
 # sha256 of ``thermosim eigencheck --dim 1000000 --beta 0.7 --fd-step 1e-5`` stdout with one
-# BLAS thread: at this size the BLAS dot products behind rayleigh and residual split their
-# sums across threads, so the last printed digit of a residual follows the thread count
-EIGENCHECK_AT_THE_LIMIT_DIGEST = "d90b9e76b46b67a87d5fb53a06947014a9177f7b2aa316b767f772e0000d9638"
+# BLAS thread; its sums are pairwise np.add.reduce, so two threads print the same bytes
+EIGENCHECK_AT_THE_LIMIT_DIGEST = "2e170540a648af798a4cf92c8a65a98eb60598edca73d079e1975f75d8cb53e2"
 
 RESIDUAL_DIGESTS = {
     # config name: sha256 of float.hex of the four residual_superposition reports
-    "asymmetric": "06a9f3b3657d592999e35ccd4115238dd1c61ee08d7de0efd4ffad82066361a5",
-    "reference_phi_0.4": "00592378787365c04536b747ed7fab691c8954f2c59ce15337873d7db3d41dd4",
+    "asymmetric": "535855c0562295be60f2be141f8518fd3331d5d4e4c3fe6305e040dd09c19b8c",
+    "reference_phi_0.4": "e2b58f43dd254642bd0d78997ebdfd3613b89f02398ddf702e21a467457e9b02",
 }
 
 DENSITY_DIGESTS = {
@@ -81,15 +80,15 @@ DENSITY_DIGESTS = {
 DENSE_VIEW_DIGESTS = {
     # sha256 of ``amplitude_vector().amps.tobytes()`` followed by the bytes of
     # ``apply_inverse_temp_squared(state, fd_step=h).amps`` for h = None, 1e-5
-    "purified d=2": "5b9db0be1385e6a8a7be8cdb61ea661683bbc45238981b478217feaa0d3257e3",
-    "purified d=64": "583499a44fe53520d58cd08c4d07e59c6599e6ac3e41e637422721467b571e24",
-    "purified d=1024": "9aa5e51b6af216e47836f5d0307e89aad36854385ef35a67dd45b1bd39130cee",
-    "product d=3": "0789c331b230220cb8909c103f71443f2151b163f3fd77dcfa993b632b5a713f",
-    "product d=4": "145c873b821e00c65e674417e627b0eb86a9cd5266a2420cb83fc3eed8108756",
-    "PHI_PLUS full_dependence": "340f571b42b2fc4df2c1dd6fd64e4860e81a80cff85c8844449a01f70ddde4bb",
-    "PHI_PLUS chosen_zero_levels": "1be405c37b26100ca97f1162396e4be38cc0fda0c5cbe9c6bc14aa0fb3925ae8",
-    "PSI_PLUS full_dependence": "d025d28bb01c3e163fde8a45abf574d7fff1983caee7fa988ca4ae9597bb83df",
-    "PSI_PLUS chosen_zero_levels": "00a495f9c3b9951fb4610d21d932090e332ee3c23f70091d9fa8fb732eb6ce5f",
+    "purified d=2": "d137c5d7833f6df04822745ccc83ffc8ff0258cb5b1007dadeb8d2b8ec3cfd9d",
+    "purified d=64": "333b64e384ace850f970e63cb37e8fc2cf36b85e039ea1dc87f23a84ba3b99ac",
+    "purified d=1024": "7a4de83c1b1aae652556956411c7771ea02c387a9588a14964d0449ddbf24dd1",
+    "product d=3": "debecf39b61dee4debc3161b69cfaa1702185be945769dcf6140470b188a58d3",
+    "product d=4": "90675d9b9115bd6736454861e3c2039ec95f0152aaad853f793250c7c19d9293",
+    "PHI_PLUS full_dependence": "82136d2702b1c162267cd4e5b62e5179935d6fbb31250764d74e0badd09cd156",
+    "PHI_PLUS chosen_zero_levels": "c7f59e59dfaa8fd04ba718280eba9fcf8a684538bd38f2ae38e7303a6f397dab",
+    "PSI_PLUS full_dependence": "5d8ce3d37955ef51403e912c0f188b29d041d00979a088565077fc0dc6e11f2e",
+    "PSI_PLUS chosen_zero_levels": "858e4f819525009a5dc47da1e04187645570e3cf48c0bc1dbbe1ba76897a37c7",
 }
 
 PURIFY_DIGESTS = {
@@ -146,12 +145,22 @@ def test_eigencheck_stdout_is_unchanged(capsys, dim, beta):
     assert _digest(capsys.readouterr().out) == EIGENCHECK_DIGESTS[dim, beta]
 
 
-def test_eigencheck_stdout_at_the_size_limit_is_unchanged():
-    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+def _eigencheck_at_the_limit(threads: str) -> bytes:
+    """stdout of the size-limit eigencheck in a child process with ``threads`` BLAS threads."""
+    env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
     argv = ["eigencheck", "--dim", str(MAX_POINTS), "--beta", "0.7", "--fd-step", "1e-5"]
     proc = subprocess.run([sys.executable, "-m", "thermosim", *argv], capture_output=True, env=env)
     assert proc.returncode == 0 and proc.stderr == b""
-    assert hashlib.sha256(proc.stdout).hexdigest() == EIGENCHECK_AT_THE_LIMIT_DIGEST
+    return proc.stdout
+
+
+def test_eigencheck_stdout_at_the_size_limit_is_unchanged():
+    assert hashlib.sha256(_eigencheck_at_the_limit("1")).hexdigest() == EIGENCHECK_AT_THE_LIMIT_DIGEST
+
+
+def test_eigencheck_stdout_at_the_size_limit_does_not_follow_the_blas_threads():
+    # the one-thread golden bytes at two threads: no sum of the report follows the BLAS thread count
+    assert hashlib.sha256(_eigencheck_at_the_limit("2")).hexdigest() == EIGENCHECK_AT_THE_LIMIT_DIGEST
 
 
 @pytest.mark.parametrize("name, steps, convention", list(CSV_DIGESTS))

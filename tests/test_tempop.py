@@ -1,5 +1,8 @@
+import ast
+import math
 import re
 import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -37,7 +40,6 @@ from thermosim.qcore import EQ_TOL, FD_TOL
 from helpers import (
     eigen_report,
     family_amplitude,
-    family_derivative,
     random_in_regime_config,
     random_thermal_spec,
     reference_config,
@@ -423,25 +425,31 @@ def test_superposition_reports_match_dense(outcome, convention):
 
 
 def _scalar_views(state, fd_step=None):
-    """Dense psi and operator image from the per-term scalar oracle, term by term."""
+    """Dense psi and operator image from the per-term scalar oracle, term by term.
+
+    In closed form a term's image is lambda_t psi_t, with lambda_t = coeff_L * coeff_R where
+    both sides carry the same slot and 0.0 where they do not; with ``fd_step`` it is the
+    central-difference response over sqrt(Z).
+    """
     def slope(family, energy):
-        if fd_step is None:
-            return family_derivative(family, energy)
         above, below = family_amplitude(family, energy + fd_step), family_amplitude(family, energy - fd_step)
         return (above - below) / (2.0 * fd_step)
 
+    terms = state.terms
+    # Z summed as numpy sums the term amplitudes, in term order
+    root = np.sqrt(np.add.reduce(np.abs(np.array([term_amplitude(t) for t in terms])) ** 2))
     psi = np.zeros(state.dims, dtype=complex)
     image = np.zeros(state.dims, dtype=complex)
-    terms = state.terms
     for t in terms:
         psi[t.left_basis, t.right_basis] = term_amplitude(t)
-        if t.left_var == t.right_var:
-            image[t.left_basis, t.right_basis] = (
-                t.weight * slope(t.left, t.left_energy) * slope(t.right, t.right_energy)
-            )
-    # Z summed as numpy sums the term amplitudes, in term order
-    z = np.add.reduce(np.abs(np.array([term_amplitude(t) for t in terms])) ** 2)
-    return psi.reshape(-1) / np.sqrt(z), image.reshape(-1) / np.sqrt(z)
+        if fd_step is not None and t.left_var == t.right_var:
+            image[t.left_basis, t.right_basis] = t.weight * slope(t.left, t.left_energy) * slope(t.right, t.right_energy)
+    psi, image = psi / root, image / root
+    if fd_step is None:
+        for t in terms:
+            ket = t.left_basis, t.right_basis
+            image[ket] = (t.left.coeff * t.right.coeff if t.left_var == t.right_var else 0.0) * psi[ket]
+    return psi.reshape(-1), image.reshape(-1)
 
 
 def test_array_evaluation_equals_the_scalar_families():
@@ -677,8 +685,8 @@ _NOT_FINITE = "Rayleigh quotient or residual is not finite; reduce beta or energ
 
 @pytest.mark.filterwarnings("error")
 def test_an_analytic_report_that_is_not_finite_is_refused():
-    # at beta = 1e160 every e^0 family's slope is -5e159, so each responding term's image
-    # overflows and the report read NaN; the states themselves are fine
+    # at beta = 1e160 every e^0 family's coefficient is -5e159, so each responding term's
+    # eigenvalue overflows to inf and the report reads NaN; the states themselves are fine
     flat = _spec(1e160, (0.0, 0.0))
     cfg = ProtocolConfig(flat, flat, 0.3)
     for outcome, convention in ((BellOutcome.PHI_PLUS, "full_dependence"), (BellOutcome.PSI_PLUS, "full_dependence"),
@@ -687,9 +695,10 @@ def test_an_analytic_report_that_is_not_finite_is_refused():
         assert superposition_state(cfg, outcome, convention).amplitude_vector().norm() == pytest.approx(1.0)
     # no phi+ term responds once the pinned levels are constants
     assert residual_superposition(cfg, BellOutcome.PHI_PLUS, "chosen_zero_levels") == EigenReport(0.0, 0.0, None)
-    # beta^2/16 is finite at beta = 1e100, but the residual's squares overflow to inf
+    # beta^2/16 is finite at beta = 1e100: both terms share that eigenvalue, so the report is exact
+    # (the vector form's squares overflowed to inf, and it was refused)
     spec = _spec(1e100, (0.0, 1e-100))
-    assert _refusal(lambda: eigencheck_purified(spec)) == _NOT_FINITE
+    assert eigencheck_purified(spec) == EigenReport(1e100**2 / 16.0, 0.0, 1e100**2 / 16.0)
     fd = eigencheck_purified(spec, fd_step=1e-5)  # a finite-difference report carries NaN to the CLI gate
     assert np.isnan(fd.rayleigh) and np.isnan(fd.residual)
 
@@ -877,7 +886,7 @@ def _traced(state, keep, unit):
 def _assert_views_match_the_scatter(state):
     """Every view of ``state`` has the scatter's bytes and traces byte for byte like its dense twin."""
     views = [(state.amplitude_vector, state._psi, True)] + [
-        (lambda h=h: apply_inverse_temp_squared(state, fd_step=h), state._evaluated(h)[0], False) for h in (None, 1e-5)
+        (lambda h=h: apply_inverse_temp_squared(state, fd_step=h), state._image(h), False) for h in (None, 1e-5)
     ]
     for view_of, values, unit in views:
         for keep in ({0}, {1}):
@@ -943,3 +952,73 @@ def test_purified_view_trace_reads_only_the_support():
     want = np.diagonal(thermal_density(spec).entries)
     np.testing.assert_allclose(np.diagonal(rho.entries), want, rtol=0.0, atol=EQ_TOL)
     assert np.count_nonzero(rho.entries) == 1024
+
+
+# --- spectral reports: exact where the terms share one eigenvalue -------------
+
+@pytest.mark.parametrize("beta", [0.0, 0.7, 2.0, 13.0])
+def test_purified_reports_are_exact(beta):
+    rng = np.random.default_rng(197)
+    for d in (2, 3, 8, 64, 512, 2048):
+        report = eigencheck_purified(_spec(beta, tuple(rng.uniform(-5.0, 5.0, d))))
+        assert (report.rayleigh, report.residual, report.expected) == (beta**2 / 16.0, 0.0, beta**2 / 16.0)
+
+
+@pytest.mark.parametrize("outcome", [BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS])
+def test_full_dependence_reports_are_exact(outcome):
+    rng = np.random.default_rng(199)
+    for cfg in [reference_config(phi=0.4)] + [_bell_config(rng) for _ in range(100)]:
+        expected = cfg.spec_a.beta * cfg.spec_b.beta / 4.0
+        report = residual_superposition(cfg, outcome, "full_dependence")
+        assert (report.rayleigh, report.residual, report.expected) == (expected, 0.0, expected)
+
+
+def _purified_of(d, beta, seed):
+    return purified_thermal_state(_spec(beta, tuple(np.random.default_rng(seed).uniform(-5.0, 5.0, d))))
+
+
+_STATES = st.one_of(
+    st.builds(_purified_of, st.integers(2, 64), st.floats(0.0, 20.0), st.integers(0, 2**32 - 1)),
+    st.builds(lambda outcome, convention, seed: superposition_state(
+        random_in_regime_config(np.random.default_rng(seed)), outcome, convention),
+        st.sampled_from((BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS)),
+        st.sampled_from(("full_dependence", "chosen_zero_levels")), st.integers(0, 2**32 - 1)),
+    # the product's terms (n, m) with n != m carry off-diagonal slots; _FAMILY draws constants too
+    st.builds(lambda families, energies: product_state(*zip(*families), energies[:len(families)]),
+              st.integers(2, 5).flatmap(lambda d: st.lists(st.tuples(_FAMILY, _FAMILY), min_size=d, max_size=d)),
+              st.lists(st.floats(-1.5, 1.5), min_size=5, max_size=5)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(state=_STATES)
+def test_spectral_report_matches_the_vector_form(state):
+    # the mean and spread of the term eigenvalues against <psi|image> and |image - rayleigh psi|,
+    # read from the dense vectors with exactly rounded sums
+    psi, image = state.amplitude_vector().amps, apply_inverse_temp_squared(state).amps
+    rayleigh = math.fsum(np.concatenate((psi.real * image.real, psi.imag * image.imag)))
+    r = image - rayleigh * psi
+    residual = math.sqrt(math.fsum(np.concatenate((r.real**2, r.imag**2))))
+    lam = max((abs(t.left.coeff * t.right.coeff) for t in state.terms if t.left_var == t.right_var), default=0.0)
+    tol = 1e-15 * max(1.0, lam)
+    report = eigen_report(state, None, None)
+    assert abs(report.rayleigh - rayleigh) <= tol
+    assert abs(report.residual - residual) <= tol
+
+
+# BLAS-backed numpy routines: their summation order can follow the BLAS thread count
+_BLAS_NAMES = {"vdot", "dot", "matmul", "inner", "einsum", "linalg", "tensordot"}
+
+
+def test_tempop_calls_no_blas_routine():
+    # every tempop sum is a pairwise np.add.reduce, so its bits do not follow OPENBLAS_NUM_THREADS
+    found = set()
+    for node in ast.walk(ast.parse(Path(tempop.__file__).read_text())):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.add(("@", node.lineno))
+        name = getattr(node, "attr", getattr(node, "id", None))
+        if name in _BLAS_NAMES:
+            found.add((name, node.lineno))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found |= {(a.name, node.lineno) for a in node.names if a.name.split(".")[-1] in _BLAS_NAMES}
+    assert found == set()
