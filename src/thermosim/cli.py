@@ -7,9 +7,9 @@ Three subcommands::
     thermosim eigencheck   --dim D --beta B [--fd-step H] [--assert-tol T]
 
 Reports are JSON on stdout; interference sweeps are written as CSV.  All floats are
-rendered with 9 significant digits so identical invocations on the same numpy build, BLAS
-thread count and numpy CPU dispatch (which picks the ``np.exp`` kernel by instruction set)
-produce byte-identical output.  Exit codes: 0 success, 1 configuration or I/O error
+rendered with 9 significant digits so identical invocations on the same numpy build and
+numpy CPU dispatch (which picks the finite-difference route's ``np.exp`` kernel by
+instruction set) produce byte-identical output at any BLAS thread count.  Exit codes: 0 success, 1 configuration or I/O error
 (one-line diagnostic on stderr), 2 numerical assertion failure.
 """
 
@@ -33,7 +33,7 @@ from .thermal import QuditHamiltonian, ThermalSpec
 _EIGENCHECK_ENERGY_SEED = 987654321  # fixed so repeated runs see the same levels
 _CONFIG_FIELDS = ("beta_a", "beta_b", "energies_a", "energies_b", "phi")
 # the largest --phi-steps and --dim, larger sizes refused up front: at 10^6 an interference
-# run peaks at about 130 MB (the two tolist()s it formats), an eigencheck at about 235 MB
+# run peaks at about 130 MB (the two tolist()s it formats), an eigencheck at 220 to 235 MB
 MAX_POINTS = 10**6
 
 

@@ -175,8 +175,8 @@ class FactoredBipartiteState:
         with np.errstate(over="ignore", invalid="ignore"):
             exps = np.exp(coeff * energy + offset)
             psi = weight * (value[0] * exps[0]) * (value[1] * exps[1])  # side by side: no (2, n) complex array
-            z = np.abs(psi)
-            z = float(np.add.reduce(np.multiply(z, z, out=z)))  # |psi|^2 squared in place
+            z = np.abs(psi)  # squared in place: one n-float temporary at 10^6 terms, not two
+            z = float(np.add.reduce(np.multiply(z, z, out=z)))
             if not (isfinite(z) and z >= sys.float_info.min):  # a subnormal Z has lost the digits unit norm needs
                 raise ConfigurationError("normalization overflows or vanishes; reduce beta or energies")
             root = sqrt(z)
