@@ -52,8 +52,8 @@ class SweepSpec:
         weights_b = self.cfg.weights()[1]
         if self.beta_b_values is not None:
             betas = _numbers("beta_b sweep values", self.beta_b_values)
-            if not all(isfinite(b) and b > 0.0 for b in betas):
-                raise ConfigurationError("beta_b sweep values must be positive and finite")
+            if not (betas and all(isfinite(b) and b > 0.0 for b in betas)):
+                raise ConfigurationError("beta_b sweep values must be a nonempty sequence of positive, finite numbers")
             levels = self.cfg.spec_b.hamiltonian.energies
             weights = _positive_qubit_weights(*(("spec_b", b, levels) for b in betas))
             weights_b = np.array(weights).reshape(-1, 2).T[..., None]  # (w0, w1), each of shape (len(betas), 1)

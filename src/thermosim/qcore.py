@@ -12,12 +12,14 @@ here is safe for unsynchronized concurrent use, except that two threads
 reading such a state's ``amps`` first at the same moment may each get an
 equal but distinct array.
 
-Dims are proven once, where they enter: by a public constructor, by
-``basis_state`` and by ``tempop``'s term arrays; every other ``dims`` is read
-from a proven value.  Each value class then proves and freezes its array in
-one ``_store``: a public constructor copies its input into it, and ``_built``
-takes over, without a copy, a fresh array that the library built itself.  Two
-of those arrays are sparse forms proven in O(size): a diagonal
+Each input from outside the library is proven once, where it enters: by a
+public constructor, by ``basis_state`` or by ``tempop``'s term arrays; a
+value the library derives reads its ``dims`` from a proven value and enters
+through ``_built``.  Each value class proves and freezes its array in one
+``_store``: a public constructor copies its input into it, and ``_built``
+takes over, without a copy, a fresh array that the library built itself.
+``DensityMatrix`` is only ever a result, so it has no public constructor.
+Two of those arrays are sparse forms proven in O(size): a diagonal
 ``DensityMatrix`` arrives as its d values, and a ``StateVector`` with few
 nonzeros (a purification, a basis state, a factored state's view) as its
 support, the (k,) amplitudes at strictly increasing flat indices.  Only
@@ -45,7 +47,6 @@ import numpy as np
 
 EQ_TOL = 1e-12   # tolerance for exact-algebra identities
 FD_TOL = 1e-6    # tolerance for finite-difference comparisons
-PSD_TOL = 1e-10  # most negative admissible density-matrix eigenvalue
 
 
 class ConfigurationError(ValueError):
@@ -178,31 +179,22 @@ class StateVector:
         return float(np.linalg.norm(self.amps))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix over subsystems.
 
-    The public constructor proves all three, positivity through a full
-    ``eigvalsh`` (O(d^3)).  The matrices the library builds through ``_built``
-    are Hermitian and positive by construction and skip those two proofs: the
-    diagonal of ``thermal_density``, and the partial trace of a ``StateVector``
-    (a diagonal of squared magnitudes, or the Gram matrix psi psi^dagger).
-    A diagonal reaches ``_built`` as its d values, checked finite and of unit
-    sum in O(d) before they are spread into ``entries`` once.  ``entries`` is
-    always a dense, read-only d x d array.
+    Only ever a result, so ``DensityMatrix(dims, entries)`` raises
+    ``TypeError``.  The library builds both kinds through ``_built``,
+    Hermitian and positive by construction: the diagonal of
+    ``thermal_density``, and the partial trace of a ``StateVector`` (a
+    diagonal of squared magnitudes, or the Gram matrix psi psi^dagger).  A
+    diagonal arrives as its d values, checked finite and of unit sum in O(d)
+    before they are spread into ``entries`` once.  ``entries`` is always a
+    dense, read-only d x d array.
     """
 
     dims: tuple[int, ...]
     entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        # atleast_2d keeps a 1-D input out of the diagonal form, which is only for _built
-        mat = np.atleast_2d(_complex_array("density matrix entries", self.entries))
-        self._store(_check_dims(self.dims), mat)
-        if np.max(np.abs(mat - mat.conj().T)) > EQ_TOL:
-            raise ConfigurationError("density matrix must be Hermitian")
-        if np.linalg.eigvalsh(mat).min() < -PSD_TOL:
-            raise ConfigurationError("density matrix must be positive semidefinite")
 
     def _store(self, dims: tuple[int, ...], mat: np.ndarray) -> None:
         """Proves and freezes, over proven ``dims``, a (d, d) matrix or the (d,) diagonal of a diagonal one."""
@@ -263,34 +255,24 @@ def tensor_product(a: StateVector, b: StateVector) -> StateVector:
     return _built(StateVector, a.dims + b.dims, np.kron(a.amps, b.amps))
 
 
-def partial_trace(state: StateVector | DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
-    """Reduced density matrix on the subsystems in ``keep``.
+def partial_trace(state: StateVector, keep: Iterable[int]) -> DensityMatrix:
+    """Reduced density matrix of a ``StateVector`` on the subsystems in ``keep``.
 
     ``keep`` must be a nonempty proper subset of subsystem indices; the kept
-    subsystems appear in their original relative order.
+    subsystems appear in their original relative order.  A ``DensityMatrix``
+    is refused: trace its ``StateVector`` to the smaller ``keep`` instead.
     """
-    dims = state.dims
-    n = len(dims)
+    if not isinstance(state, StateVector):
+        raise ConfigurationError(f"cannot trace object of type {type(state).__name__}")
+    n = len(state.dims)
     kept = sorted(set(_numbers("keep", keep, "integer")))
     if not kept or len(kept) >= n or kept[0] < 0 or kept[-1] >= n:
         raise ConfigurationError(
             f"keep must be a nonempty proper subset of subsystem indices 0..{n - 1}, got {kept}"
         )
     traced = [i for i in range(n) if i not in kept]
-    if isinstance(state, StateVector):
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused as not finite
-            return _reduced_density(state, kept, traced)
-    if isinstance(state, DensityMatrix):
-        kept_dims = tuple(dims[i] for i in kept)
-        # a partial sum of a matrix Hermitian only within EQ_TOL can drift
-        # past it, so this result is checked in full
-        arr = state.entries.reshape(dims + dims)
-        row = list(range(n))
-        col = [i if i in traced else i + n for i in range(n)]
-        out = kept + [i + n for i in kept]
-        rho = np.einsum(arr, row + col, out).reshape(prod(kept_dims), prod(kept_dims))
-        return DensityMatrix(kept_dims, rho)
-    raise ConfigurationError(f"cannot trace object of type {type(state).__name__}")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused as not finite
+        return _reduced_density(state, kept, traced)
 
 
 def _reduced_density(state: StateVector, kept: list[int], traced: list[int]) -> DensityMatrix:

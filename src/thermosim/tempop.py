@@ -16,8 +16,8 @@ it keeps only the amplitudes over sqrt(Z) and sqrt(Z), n complex values for
 n terms (16 MB at n = 10^6).  Every value is read from a state: the dense
 view, the operator image, and the reports of ``eigencheck_purified`` and
 ``residual_superposition``, which read the states that
-``purified_thermal_state`` and ``superposition_state`` make.  The builders
-reach the state through ``qcore._built``, which skips the public
+``purified_thermal_state`` and ``superposition_state`` make.  Those two
+builders reach the state through ``qcore._built``, which skips the public
 constructor's proofs of structure: they hold it by construction.  An
 analytic report whose Rayleigh quotient or residual is not finite is
 refused; a finite-difference one carries the NaN on to the caller.
@@ -124,15 +124,6 @@ _TERM_ROWS = (  # the (name, kind) of each of those rows
 )
 
 
-def _checked_dims(basis, energy) -> tuple[int, ...]:
-    """The dense dims of term arrays from a caller: refuses no terms, a non-finite energy and a dim below 2."""
-    if not energy.size:
-        raise ConfigurationError("a factored state needs at least one term")
-    if not np.isfinite(energy).all():
-        raise ConfigurationError("term energies must be finite")
-    return _check_dims(basis.max(axis=1) + 1)
-
-
 @dataclass(frozen=True, eq=False, init=False)
 class FactoredBipartiteState:
     """Term arrays whose evaluated vector is unit norm by construction.
@@ -169,7 +160,11 @@ class FactoredBipartiteState:
             for slot, point in zip(side_slots, energies):  # non-finite energies are refused next
                 if isfinite(point) and points.setdefault(slot, point) != point:
                     raise ConfigurationError(f"{side} variable {slot} is evaluated at two different energies")
-        self._store(_checked_dims(basis, energy), basis, var, energy, weight, value, coeff, offset)
+        if not n:
+            raise ConfigurationError("a factored state needs at least one term")
+        if not np.isfinite(energy).all():
+            raise ConfigurationError("term energies must be finite")
+        self._store(_check_dims(basis.max(axis=1) + 1), basis, var, energy, weight, value, coeff, offset)
 
     def _store(self, dims, basis, var, energy, weight, value, coeff, offset) -> None:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -312,17 +307,16 @@ def product_state(
 
     Both sides share the energy variables, so the term (n, m) carries
     derivative slots (n, m) and only the diagonal n = m responds to the
-    operator.  Used to exhibit its non-local action.
+    operator.  Used to exhibit its non-local action.  Its n^2 terms go
+    through the public constructor, which proves the families.
     """
     energies = _numbers("energies", energies)
     if len(left) != len(energies) or len(right) != len(energies):
         raise ConfigurationError("need one family per energy on each side")
-    kets = np.indices((len(energies),) * 2).reshape(2, -1)  # term (n, m) in row-major order
-    per_term = lambda name, kind: np.take_along_axis(  # the left family of level n, the right one of level m
-        np.reshape(_numbers(f"family {name}", [getattr(f, name) for f in (*left, *right)], kind), (2, -1)), kets, 1)
-    families = per_term("value", "complex"), per_term("coeff", "real"), per_term("offset", "real")
-    energy = np.array(energies)[kets]
-    return _built(FactoredBipartiteState, _checked_dims(kets, energy), kets, kets, energy, 1.0 + 0j, *families)
+    levels = range(len(energies))
+    return FactoredBipartiteState(  # term (n, m) in row-major order
+        FactoredTerm(n, m, n, m, left[n], right[m], energies[n], energies[m]) for n in levels for m in levels
+    )
 
 
 def eigencheck_purified(spec: ThermalSpec, *, fd_step: float | None = None) -> EigenReport:

@@ -124,10 +124,10 @@ def gibbs_weights(spec: ThermalSpec) -> GibbsWeights:
 def thermal_density(spec: ThermalSpec) -> DensityMatrix:
     """Gibbs state, diagonal in the energy eigenbasis.
 
-    A real diagonal of nonnegative weights is positive semidefinite by
-    construction, so it skips the eigvalsh.  The d weights themselves are
-    handed over and checked, finite and of unit sum, in O(d); ``entries`` is
-    still the dense d x d matrix.
+    A real diagonal of nonnegative weights is Hermitian and positive
+    semidefinite by construction.  The d weights themselves are handed over
+    and checked, finite and of unit sum, in O(d); ``entries`` is still the
+    dense d x d matrix.
     """
     weights, _ = _shifted_gibbs(spec.beta, spec.hamiltonian.energies)
     return _built(DensityMatrix, (spec.hamiltonian.dim,), weights.astype(np.complex128))

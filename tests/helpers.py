@@ -10,7 +10,9 @@ import math
 import numpy as np
 
 from thermosim import EigenReport, Operator, ProtocolConfig, QuditHamiltonian, ThermalSpec
-from thermosim.qcore import EQ_TOL, PSD_TOL
+from thermosim.qcore import EQ_TOL
+
+PSD_TOL = 1e-10  # most negative admissible density-matrix eigenvalue
 
 # reference parameter set: beta_A = beta_B = 1, E = (5, 0), E' = (0, 1)
 REF_WEIGHTS_A = (0.006692850924284856, 0.9933071490757153)
@@ -95,7 +97,7 @@ def random_unitary(rng, dim):
 
 
 def assert_valid_density(rho):
-    """The Hermitian, positivity and unit-trace checks of the public DensityMatrix."""
+    """The Hermitian, positivity and unit-trace properties every density matrix holds, checked in full."""
     mat = rho.entries
     assert np.max(np.abs(mat - mat.conj().T)) <= EQ_TOL
     assert np.linalg.eigvalsh(mat).min() >= -PSD_TOL

@@ -158,8 +158,8 @@ def test_sweep_spec_validation():
     for phis in ((0.0, float("nan")), (float("inf"),)):
         with pytest.raises(ConfigurationError, match="finite"):
             SweepSpec(reference_config(), phis)
-    for betas in ((1.0, 0.0), (float("nan"),), (float("inf"),)):
-        with pytest.raises(ConfigurationError):
+    for betas in ((), (1.0, 0.0), (float("nan"),), (float("inf"),)):
+        with pytest.raises(ConfigurationError, match="^beta_b sweep values must be a nonempty sequence of positive"):
             SweepSpec(reference_config(), (0.0,), beta_b_values=betas)
     for betas in ((True,), (1.0, "2.0")):
         with pytest.raises(ConfigurationError, match=f"^beta_b sweep values must be real, got {betas[-1]!r}$"):
@@ -197,10 +197,6 @@ def test_sweep_spec_refuses_a_grid_that_is_not_one_dimensional():
     for phis in (0.5, [[0.0, 1.0]]):
         with pytest.raises(ConfigurationError, match="1-D"):
             SweepSpec(reference_config(), phis)
-
-
-def test_sweep_empty_beta_axis_has_no_rows():
-    assert sweep(SweepSpec(reference_config(), (0.0, 1.0), beta_b_values=())) == []
 
 
 @pytest.mark.parametrize("betas_b", [None, (0.5, 2.0)])

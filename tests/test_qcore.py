@@ -33,6 +33,7 @@ from thermosim import (
     basis_state,
     eigencheck_purified,
     fidelity_pure,
+    joint_state,
     QuditHamiltonian,
     ThermalSpec,
     circuit_probability,
@@ -94,7 +95,7 @@ def test_library_routes_skip_the_public_constructors(monkeypatch):
     def refuse(self):
         raise AssertionError(f"public {type(self).__name__} constructor called")
 
-    for cls in (StateVector, DensityMatrix, Operator):
+    for cls in (StateVector, Operator):
         monkeypatch.setattr(cls, "__post_init__", refuse)
     values = _library_built_values()
     assert values["purify"].dims == (3, 3) and values["partial_trace"].dims == (3,)
@@ -109,7 +110,6 @@ def test_state_vector_amplitudes_are_immutable():
     # public constructors copy: the caller's array stays theirs and writeable
     for cls, dims, array, field in (
         (StateVector, (2, 2), np.array([1.0, 0.0, 0.0, 0.0], dtype=np.complex128), "amps"),
-        (DensityMatrix, (2,), np.diag([0.25, 0.75]).astype(np.complex128), "entries"),
         (Operator, (2,), np.eye(2, dtype=np.complex128), "entries"),
     ):
         value = cls(dims, array)
@@ -122,17 +122,6 @@ def test_state_vector_amplitudes_are_immutable():
         if name != "circuit_probability":
             array = value.entries if isinstance(value, (DensityMatrix, Operator)) else value.amps
             assert not array.flags.writeable, name
-
-
-def test_density_matrix_validation():
-    with pytest.raises(ConfigurationError):
-        DensityMatrix((2,), [[0.5, 0.3], [0.1, 0.5]])  # not Hermitian
-    with pytest.raises(ConfigurationError):
-        DensityMatrix((2,), [[0.9, 0.0], [0.0, 0.9]])  # trace != 1
-    with pytest.raises(ConfigurationError):
-        DensityMatrix((2,), [[1.5, 0.0], [0.0, -0.5]])  # negative eigenvalue
-    with pytest.raises(ConfigurationError):
-        DensityMatrix((2,), [[np.nan, 0.0], [0.0, 1.0]])
 
 
 def test_operator_shape_validation():
@@ -194,9 +183,24 @@ def test_partial_trace_keeps_original_relative_order():
     state = StateVector((2, 3, 2), random_state_amps(rng, 12))
     rho = partial_trace(state, keep={2, 0})
     assert rho.dims == (2, 2)
-    # cross-check against the density-matrix code path
-    full = DensityMatrix((2, 3, 2), np.outer(state.amps, state.amps.conj()))
-    np.testing.assert_allclose(rho.entries, partial_trace(full, keep={0, 2}).entries, atol=EQ_TOL)
+    # cross-check against an einsum over the outer product, tracing subsystem 1
+    full = np.outer(state.amps, state.amps.conj()).reshape(2, 3, 2, 2, 3, 2)
+    np.testing.assert_allclose(rho.entries, np.einsum("ajbcjd->abcd", full).reshape(4, 4), atol=EQ_TOL)
+
+
+def test_partial_trace_refuses_anything_but_a_state_vector():
+    # a density matrix is only a result: a reduced state is reduced further from its StateVector
+    joint = joint_state(reference_config(0.3))
+    reduced = partial_trace(joint, keep={1, 3})
+    for value, name in ((np.eye(2), "ndarray"), (42, "int"), (reduced, "DensityMatrix")):
+        with pytest.raises(ConfigurationError) as caught:
+            partial_trace(value, keep={0})
+        assert str(caught.value) == f"cannot trace object of type {name}"
+    with pytest.raises(TypeError, match="takes no arguments"):
+        DensityMatrix((2,), np.eye(2) / 2)
+    # tracing subsystem 3 out of the {1, 3} reduction is the one-call reduction to {1}
+    twice = np.einsum("ajbj->ab", reduced.entries.reshape(2, 2, 2, 2))
+    np.testing.assert_allclose(twice, partial_trace(joint, keep={1}).entries, atol=EQ_TOL)
 
 
 def test_partial_trace_of_random_pure_state_is_valid_density():
@@ -298,12 +302,6 @@ def test_diagonal_partial_trace_matches_the_gram_matrix(case):
         rho = partial_trace(StateVector(dims, flat(unit)), keep)
         _assert_route_matches_gram(rho.entries, unit, purification)
         assert gram.call_count == 2 * collide
-
-
-def test_public_density_matrix_refuses_a_diagonal():
-    # only the library's own diagonals reach _store as d values
-    with pytest.raises(ConfigurationError, match="expected a 2x2 matrix for dims"):
-        DensityMatrix((2,), [0.5, 0.5])
 
 
 @pytest.mark.parametrize("diagonal, match", [
@@ -555,16 +553,15 @@ _BOUNDARIES = {
     "FactoredTerm.weight": ("term weight", "complex", lambda x: _term_state(weight=x), 1.0, False),
     "product_state.energies": ("energies", "real", lambda x: product_state([_ONE, _ONE], [_ONE, _ONE], x), (0.0, 1.0),
                                False),
-    "product_state.coeff": ("family coeff", "real", lambda x: _product_state(ExpLinear(x)), 0.0, False),
-    "product_state.offset": ("family offset", "real", lambda x: _product_state(ExpLinear(0.0, x)), 0.0, False),
-    "product_state.value": ("family value", "complex", lambda x: _product_state(ExpLinear(0.0, value=x)), 1.0, False),
+    "product_state.coeff": ("term coefficient", "real", lambda x: _product_state(ExpLinear(x)), 0.0, False),
+    "product_state.offset": ("term offset", "real", lambda x: _product_state(ExpLinear(0.0, x)), 0.0, False),
+    "product_state.value": ("term value", "complex", lambda x: _product_state(ExpLinear(0.0, value=x)), 1.0, False),
     "eigencheck_purified.fd_step": (
         "finite-difference step", "real", lambda x: eigencheck_purified(_SPEC, fd_step=x), 1.0, True),
     "apply_inverse_temp_squared.fd_step": (
         "finite-difference step", "real", lambda x: apply_inverse_temp_squared(_term_state(), fd_step=x), 1.0, True),
     "StateVector.amps": ("state amplitudes", "complex", lambda x: StateVector((2,), x), (1.0, 0.0), False),
     "StateVector.dims": ("subsystem dims", "integer", lambda x: StateVector(x, [1.0, 0.0, 0.0, 0.0]), (2, 2), False),
-    "DensityMatrix.dims": ("subsystem dims", "integer", lambda x: DensityMatrix(x, np.eye(4) / 4), (2, 2), False),
     "Operator.dims": ("subsystem dims", "integer", lambda x: Operator(x, np.eye(4)), (2, 2), False),
     "basis_state.dims": ("subsystem dims", "integer", lambda x: basis_state(x, 0), (2, 2), False),
     "basis_state.index": ("basis index", "integer", lambda x: basis_state((2, 2), x), 1, False),
@@ -611,7 +608,6 @@ def test_every_numeric_boundary_takes_numpy_scalars_of_its_kind(boundary):
 
 # the 2-D array inputs of the public constructors: (their name in messages, a call with the entries set to x)
 _MATRIX_ENTRIES = {
-    "DensityMatrix.entries": ("density matrix entries", lambda x: DensityMatrix((2,), x)),
     "Operator.entries": ("operator entries", lambda x: Operator((2,), x)),
 }
 

@@ -570,7 +570,7 @@ def test_builders_create_no_term_objects(monkeypatch):
 
 
 def test_builders_skip_the_public_constructor(monkeypatch):
-    # the builders hold the structure by construction and reach
+    # the two hot builders hold the structure by construction and reach
     # the state through qcore._built, past the public constructor's proofs
     def refuse(self, *args, **kwargs):
         raise AssertionError("public FactoredBipartiteState constructor called")
@@ -583,9 +583,9 @@ def test_builders_skip_the_public_constructor(monkeypatch):
     for outcome in (BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS):
         for convention in ("full_dependence", "chosen_zero_levels"):
             assert residual_superposition(cfg, outcome, convention).residual >= 0.0
-    state = product_state([ExpLinear(0.4), Constant(0.5j)], [Constant(1.0), ExpLinear(-0.7)], (0.3, -0.8))
+    state = purified_thermal_state(spec)
     assert abs(state.amplitude_vector().norm() - 1.0) <= EQ_TOL
-    assert apply_inverse_temp_squared(state).dims == (2, 2)
+    assert apply_inverse_temp_squared(state).dims == (3, 3)
     with pytest.raises(AssertionError, match="public FactoredBipartiteState"):
         FactoredBipartiteState(state.terms)
 
