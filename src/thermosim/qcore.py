@@ -183,8 +183,8 @@ class StateVector:
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix over subsystems.
 
-    Only ever a result, so ``DensityMatrix(dims, entries)`` raises
-    ``TypeError``.  The library builds both kinds through ``_built``,
+    Only ever a result, so calling ``DensityMatrix``, with or without
+    arguments, raises ``TypeError``.  The library builds both kinds through ``_built``,
     Hermitian and positive by construction: the diagonal of
     ``thermal_density``, and the partial trace of a ``StateVector`` (a
     diagonal of squared magnitudes, or the Gram matrix psi psi^dagger).  A
@@ -195,6 +195,9 @@ class DensityMatrix:
 
     dims: tuple[int, ...]
     entries: np.ndarray
+
+    def __init__(self, *args, **kwargs) -> None:  # object's own would make an empty, field-less value
+        raise TypeError("DensityMatrix has no public constructor: it is a result of thermal_density or partial_trace")
 
     def _store(self, dims: tuple[int, ...], mat: np.ndarray) -> None:
         """Proves and freezes, over proven ``dims``, a (d, d) matrix or the (d,) diagonal of a diagonal one."""

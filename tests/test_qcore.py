@@ -188,19 +188,70 @@ def test_partial_trace_keeps_original_relative_order():
     np.testing.assert_allclose(rho.entries, np.einsum("ajbcjd->abcd", full).reshape(4, 4), atol=EQ_TOL)
 
 
-def test_partial_trace_refuses_anything_but_a_state_vector():
+def _non_states():
+    """Values partial_trace refuses, each with the type name its message gives."""
+    yield pytest.param(np.eye(2), "ndarray", id="ndarray")
+    yield pytest.param(42, "int", id="int")
+    yield pytest.param(None, "NoneType", id="None")
+    yield pytest.param([1.0, 0.0, 0.0, 0.0], "list", id="list")
+    yield pytest.param(partial_trace(joint_state(reference_config(0.3)), keep={1, 3}), "DensityMatrix",
+                       id="reduced DensityMatrix")
+    yield pytest.param(thermal_density(ThermalSpec(1.0, QuditHamiltonian((0.0, 1.0)))), "DensityMatrix",
+                       id="Gibbs DensityMatrix")
+    yield pytest.param(HADAMARD, "Operator", id="Operator")
+    yield pytest.param(purified_thermal_state(ThermalSpec(1.0, QuditHamiltonian((0.0, 1.0)))),
+                       "FactoredBipartiteState", id="FactoredBipartiteState")
+
+
+@pytest.mark.parametrize("value, name", _non_states())
+def test_partial_trace_refuses_anything_but_a_state_vector(value, name):
     # a density matrix is only a result: a reduced state is reduced further from its StateVector
-    joint = joint_state(reference_config(0.3))
-    reduced = partial_trace(joint, keep={1, 3})
-    for value, name in ((np.eye(2), "ndarray"), (42, "int"), (reduced, "DensityMatrix")):
-        with pytest.raises(ConfigurationError) as caught:
-            partial_trace(value, keep={0})
-        assert str(caught.value) == f"cannot trace object of type {name}"
-    with pytest.raises(TypeError, match="takes no arguments"):
-        DensityMatrix((2,), np.eye(2) / 2)
-    # tracing subsystem 3 out of the {1, 3} reduction is the one-call reduction to {1}
-    twice = np.einsum("ajbj->ab", reduced.entries.reshape(2, 2, 2, 2))
-    np.testing.assert_allclose(twice, partial_trace(joint, keep={1}).entries, atol=EQ_TOL)
+    with pytest.raises(ConfigurationError) as caught:
+        partial_trace(value, keep={0})
+    assert str(caught.value) == f"cannot trace object of type {name}"
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    pytest.param((), {}, id="no arguments"),
+    pytest.param(((2,), np.eye(2) / 2), {}, id="dims and entries"),
+    pytest.param((), {"dims": (2,), "entries": np.eye(2) / 2}, id="keywords"),
+])
+def test_density_matrix_has_no_public_constructor(args, kwargs):
+    # without arguments too: object's own constructor would hand back a value with no dims or entries
+    with pytest.raises(TypeError, match="^DensityMatrix has no public constructor"):
+        DensityMatrix(*args, **kwargs)
+
+
+def _trace_out(entries, dims, drop):
+    """The in-test partial trace of a dense matrix over ``dims``, over the positions in ``drop``."""
+    k, t = len(dims), entries.reshape(dims + dims)
+    for pos in sorted(drop, reverse=True):  # dropping the last first leaves the earlier positions in place
+        t = np.trace(t, axis1=pos, axis2=pos + k)
+        k -= 1
+    d = prod(n for i, n in enumerate(dims) if i not in drop)
+    return t.reshape(d, d)
+
+
+def _nested_keeps(n):
+    """Every (outer, inner) pair of keep sets of an n-subsystem state, inner a nonempty proper subset of outer."""
+    for size in range(2, n):
+        for outer in combinations(range(n), size):
+            for inner_size in range(1, size):
+                for inner in combinations(outer, inner_size):
+                    yield pytest.param(outer, inner, id=f"{outer}->{inner}")
+
+
+@pytest.mark.parametrize("outer, inner", _nested_keeps(4))
+def test_a_reduced_state_is_reduced_further_from_its_state_vector(outer, inner):
+    # no capability went with the DensityMatrix route: tracing a reduction further
+    # is the one-call reduction of the StateVector to the smaller keep
+    mixed = StateVector((2, 3, 2, 3), random_state_amps(np.random.default_rng(11), 36))
+    for state in (joint_state(reference_config(0.3)), mixed):
+        reduced = partial_trace(state, keep=set(outer))
+        drop = [i for i, s in enumerate(outer) if s not in inner]
+        once = partial_trace(state, keep=set(inner))
+        assert once.dims == tuple(state.dims[s] for s in inner)
+        np.testing.assert_allclose(_trace_out(reduced.entries, reduced.dims, drop), once.entries, atol=EQ_TOL)
 
 
 def test_partial_trace_of_random_pure_state_is_valid_density():
