@@ -8,7 +8,9 @@ A in |0>.  For the state (a|00> + b e^(i*phi)|11>)/N this evaluates to
 
 so the fringe visibility is 2ab/N^2 with a = sqrt(p0 f0), b = sqrt(p1 f1).
 :func:`circuit_probability` simulates the circuit for one configuration and
-is the module's ground truth; :func:`sweep` runs the same circuit batched
+is the module's ground truth: it reads the brute-force post-selected state, so
+it shares neither the qubit weights nor the branch kernel with the batched
+route; :func:`sweep` runs the same circuit batched
 over a whole grid, reading A's pure reduced state out with Hadamard row 0
 (one complex array over the grid, no per-point 4-amplitude or 2x2 density
 arrays); :func:`closed_form_probability` evaluates the closed form,
@@ -25,7 +27,7 @@ from math import isfinite
 import numpy as np
 
 from . import qcore
-from .protocol import BellOutcome, ProtocolConfig, _branch, post_select, success_probability
+from .protocol import BellOutcome, ProtocolConfig, _branch, post_select_oracle, success_probability
 from .qcore import ConfigurationError, _numbers
 from .thermal import _positive_qubit_weights
 
@@ -64,11 +66,13 @@ class SweepSpec:
 def circuit_probability(cfg: ProtocolConfig) -> float:
     """Probability of measuring |0> on A after the read-out circuit.
 
-    Full simulation: CNOT on the phi+ post-selected state, partial trace over
-    B, Hadamard on A, probability of |0>.  After the CNOT the reduced state
-    of A is pure, so the statistics are well defined.
+    Full simulation: CNOT on the phi+ state of the brute-force route
+    :func:`~thermosim.protocol.post_select_oracle`, partial trace over B,
+    Hadamard on A, probability of |0>.  After the CNOT the reduced state of
+    A is pure, so the statistics are well defined.  It shares neither the
+    qubit weights nor the branch kernel with the batched kernel.
     """
-    state = post_select(cfg, BellOutcome.PHI_PLUS).state
+    state = post_select_oracle(cfg, BellOutcome.PHI_PLUS).state
     state = qcore.apply(qcore.CNOT, state, targets=(0, 1))
     rho_a = qcore.partial_trace(state, keep={0}).entries
     h = qcore.HADAMARD.entries

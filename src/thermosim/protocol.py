@@ -23,7 +23,7 @@ from math import isfinite
 import numpy as np
 
 from . import qcore
-from .qcore import ConfigurationError, Operator, StateVector, _built, _number
+from .qcore import ConfigurationError, StateVector, _built, _number
 from .thermal import ThermalSpec, _positive_qubit_weights, purify
 
 
@@ -134,23 +134,19 @@ def post_select(cfg: ProtocolConfig, outcome: BellOutcome) -> PostSelectionResul
 
 
 def post_select_oracle(cfg: ProtocolConfig, outcome: BellOutcome) -> PostSelectionResult:
-    """Brute-force route: project the joint state onto the Bell outcome.
+    """Brute-force route: contract <bell| over (A', B') of the joint state.
 
-    Builds the full four-qubit state, applies |bell><bell| on (A', B'), takes
-    the squared norm of the projected vector as the outcome probability, and
-    drops the post-measurement (A', B') product factor to leave the AB state.
-    Must agree with :func:`post_select`.
+    Builds the full four-qubit state from the purifications and contracts
+    the conjugate Bell vector over (A', B'), which removes the measured
+    product factor and leaves the unnormalized AB vector.  Its squared norm
+    is the outcome probability and the vector over its norm the state.  It
+    shares no code with :func:`post_select`: no qubit weights, no branch
+    kernel, no branch probability.  Must agree with it.
     """
-    joint = joint_state(cfg)
-    bell = bell_state(outcome)
-    projector = _built(Operator, (2, 2), np.outer(bell.amps, bell.amps.conj()))
-    projected = qcore.apply(projector, joint, targets=(0, 2))
-    probability = projected.norm() ** 2
-    # contracting <bell| over (A', B') removes the measured product factor
-    tensor = joint.amps.reshape(2, 2, 2, 2)
-    chi = np.einsum("ij,iajb->ab", bell.amps.reshape(2, 2).conj(), tensor).reshape(-1)
-    chi = chi / np.linalg.norm(chi)
-    return PostSelectionResult(outcome, float(probability), _built(StateVector, (2, 2), chi))
+    bell = bell_state(outcome).amps.reshape(2, 2).conj()
+    chi = np.einsum("ij,iajb->ab", bell, joint_state(cfg).amps.reshape(2, 2, 2, 2)).reshape(-1)
+    norm = np.linalg.norm(chi)
+    return PostSelectionResult(outcome, float(norm**2), _built(StateVector, (2, 2), chi / norm))
 
 
 def success_probability(cfg: ProtocolConfig, branch: str) -> float:

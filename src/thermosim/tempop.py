@@ -179,16 +179,6 @@ class FactoredBipartiteState:
             vars(self).update(dims=dims, _basis=basis, _var=var, _energy=energy, _weight=weight, _value=value,
                               _coeff=coeff, _offset=offset, _psi=psi, _root=root)
 
-    @property
-    def terms(self) -> tuple[FactoredTerm, ...]:
-        """The state's terms, built from its arrays on each access."""
-        shape = self._energy.shape
-        weight = np.broadcast_to(self._weight, shape[1:]).tolist()
-        value, coeff, offset = (np.broadcast_to(x, shape).tolist() for x in (self._value, self._coeff, self._offset))
-        left, right = ([ExpLinear(*f) for f in zip(*side)] for side in zip(coeff, offset, value))
-        return tuple(map(FactoredTerm, *self._var.tolist(), *self._basis.tolist(), left, right,
-                         *self._energy.tolist(), weight))
-
     def amplitude_vector(self) -> StateVector:
         return _view(self, self._psi)
 

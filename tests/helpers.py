@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from thermosim import EigenReport, Operator, ProtocolConfig, QuditHamiltonian, ThermalSpec
+from thermosim import BellOutcome, EigenReport, ExpLinear, FactoredTerm, Operator, ProtocolConfig, QuditHamiltonian, ThermalSpec
 from thermosim.qcore import EQ_TOL
 
 PSD_TOL = 1e-10  # most negative admissible density-matrix eigenvalue
@@ -128,3 +128,36 @@ def family_amplitude(family, energy):
 def term_amplitude(term):
     """w * L(x) * R(y) of one ``FactoredTerm``."""
     return term.weight * family_amplitude(term.left, term.left_energy) * family_amplitude(term.right, term.right_energy)
+
+
+# formula terms: the terms each tempop builder stands for, written from the formulas of its docstring
+
+def purified_terms(spec):
+    """Term n of the purified Gibbs state: e^(-beta*E_n/4) x e^(-beta*E_n/4) |n>|n> under slot n."""
+    side = ExpLinear(-spec.beta / 4.0)
+    return tuple(FactoredTerm.diagonal(n, side, side, e) for n, e in enumerate(spec.hamiltonian.energies))
+
+
+def superposition_terms(cfg, outcome, convention):
+    """Term n of a post-selected phi+ or psi+ state: e^(-beta_A*E_n/2) x e^(-beta_B*E'_k/2) |n>|k> under slot n.
+
+    k is n for phi+ and 1 - n for psi+; term 1 carries the weight e^(i*phi).  Under
+    "chosen_zero_levels" the pinned levels E1 and E0' are constants (coeff 0).
+    """
+    pin = convention == "chosen_zero_levels"
+    a, b = -cfg.spec_a.beta / 2.0, -cfg.spec_b.beta / 2.0
+    ea, eb = cfg.spec_a.hamiltonian.energies, cfg.spec_b.hamiltonian.energies
+    weights = (1.0 + 0j, complex(np.exp(1j * cfg.phi)))
+    terms = []
+    for n in (0, 1):
+        k = n if outcome is BellOutcome.PHI_PLUS else 1 - n
+        left, right = ExpLinear(0.0 if pin and n == 1 else a), ExpLinear(0.0 if pin and k == 0 else b)
+        terms.append(FactoredTerm(n, n, n, k, left, right, ea[n], eb[k], weights[n]))
+    return tuple(terms)
+
+
+def product_terms(left, right, energies):
+    """Term (n, m) of ``product_state(left, right, energies)``: left[n](E_n) x right[m](E_m) |n>|m>, row-major."""
+    levels = range(len(energies))
+    return tuple(FactoredTerm(n, m, n, m, left[n], right[m], float(energies[n]), float(energies[m]))
+                 for n in levels for m in levels)

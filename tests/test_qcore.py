@@ -21,7 +21,6 @@ from thermosim import (
     ExpLinear,
     FactoredBipartiteState,
     FactoredTerm,
-    GibbsWeights,
     Operator,
     PHI_PLUS,
     PSI_PLUS,
@@ -584,8 +583,6 @@ def _product_state(family):
 _BOUNDARIES = {
     "QuditHamiltonian.energies": ("energies", "real", QuditHamiltonian, (0.0, 1.0), False),
     "ThermalSpec.beta": ("beta", "real", lambda x: ThermalSpec(x, _HAM), 1.0, False),
-    "GibbsWeights.weights": ("weights", "real", lambda x: GibbsWeights(x, 1.0), (1.0, 0.0), False),
-    "GibbsWeights.log_partition": ("log_partition", "real", lambda x: GibbsWeights((1.0, 0.0), x), 0.0, False),
     "purify.phase": ("phase", "real", lambda x: purify(_SPEC, x), 1.0, False),
     "ProtocolConfig.phi": ("phi", "real", lambda x: ProtocolConfig(_SPEC, _SPEC, x), 1.0, False),
     "sample_outcomes.n": ("sample count", "integer", lambda x: sample_outcomes(_CFG, x, 0), 10, False),

@@ -40,9 +40,12 @@ from thermosim.qcore import EQ_TOL, FD_TOL
 from helpers import (
     eigen_report,
     family_amplitude,
+    product_terms,
+    purified_terms,
     random_in_regime_config,
     random_thermal_spec,
     reference_config,
+    superposition_terms,
     term_amplitude,
 )
 
@@ -424,8 +427,8 @@ def test_superposition_reports_match_dense(outcome, convention):
         _assert_report_matches_dense(report, superposition_state(cfg, outcome, convention))
 
 
-def _scalar_views(state, fd_step=None):
-    """Dense psi and operator image from the per-term scalar oracle, term by term.
+def _scalar_views(terms, dims, fd_step=None):
+    """Dense psi and operator image of ``terms`` on ``dims`` from the per-term scalar oracle, term by term.
 
     In closed form a term's image is lambda_t psi_t, with lambda_t = coeff_L * coeff_R where
     both sides carry the same slot and 0.0 where they do not; with ``fd_step`` it is the
@@ -435,11 +438,10 @@ def _scalar_views(state, fd_step=None):
         above, below = family_amplitude(family, energy + fd_step), family_amplitude(family, energy - fd_step)
         return (above - below) / (2.0 * fd_step)
 
-    terms = state.terms
     # Z summed as numpy sums the term amplitudes, in term order
     root = np.sqrt(np.add.reduce(np.abs(np.array([term_amplitude(t) for t in terms])) ** 2))
-    psi = np.zeros(state.dims, dtype=complex)
-    image = np.zeros(state.dims, dtype=complex)
+    psi = np.zeros(dims, dtype=complex)
+    image = np.zeros(dims, dtype=complex)
     for t in terms:
         psi[t.left_basis, t.right_basis] = term_amplitude(t)
         if fd_step is not None and t.left_var == t.right_var:
@@ -453,22 +455,27 @@ def _scalar_views(state, fd_step=None):
 
 
 def test_array_evaluation_equals_the_scalar_families():
-    # the families are evaluated over term arrays; the arithmetic is the
-    # scalar oracle's own, so the values must agree bit for bit
+    # the families are evaluated over term arrays; the arithmetic is the scalar oracle's own,
+    # on the formula terms of each builder, so the values must agree bit for bit
     rng = np.random.default_rng(173)
-    states = [purified_thermal_state(random_thermal_spec(rng, beta_max=20.0, dims=(2, 64))) for _ in range(8)]
+    states = []
+    for _ in range(8):
+        spec = random_thermal_spec(rng, beta_max=20.0, dims=(2, 64))
+        states.append((purified_thermal_state(spec), purified_terms(spec)))
     for _ in range(8):
         d = int(rng.integers(2, 6))
         left = [ExpLinear(float(c), float(o)) for c, o in rng.uniform(-1.0, 1.0, (d, 2))]
         right = [Constant(complex(*rng.normal(size=2))) if n % 2 else ExpLinear(float(rng.uniform(-1, 1)))
                  for n in range(d)]
-        states.append(product_state(left, right, rng.uniform(-1.5, 1.5, d)))
+        energies = rng.uniform(-1.5, 1.5, d)
+        states.append((product_state(left, right, energies), product_terms(left, right, energies)))
     for outcome in (BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS):
         for convention in ("full_dependence", "chosen_zero_levels"):
-            states.append(superposition_state(random_in_regime_config(rng), outcome, convention))
-    for state in states:
+            cfg = random_in_regime_config(rng)
+            states.append((superposition_state(cfg, outcome, convention), superposition_terms(cfg, outcome, convention)))
+    for state, terms in states:
         for fd_step in (None, 1e-5):
-            psi, image = _scalar_views(state, fd_step)
+            psi, image = _scalar_views(terms, state.dims, fd_step)
             assert np.array_equal(state.amplitude_vector().amps, psi)
             assert np.array_equal(apply_inverse_temp_squared(state, fd_step=fd_step).amps, image)
 
@@ -554,7 +561,7 @@ def test_factored_state_messages_for_missing_terms_and_nonfinite_energies():
 
 def test_builders_create_no_term_objects(monkeypatch):
     # the builders evaluate their term arrays straight from the energies;
-    # term objects exist only at the public constructor and in ``.terms``
+    # term objects exist only at the public constructor
     def refuse(*args, **kwargs):
         raise AssertionError("term object built on the eigen path")
 
@@ -587,7 +594,7 @@ def test_builders_skip_the_public_constructor(monkeypatch):
     assert abs(state.amplitude_vector().norm() - 1.0) <= EQ_TOL
     assert apply_inverse_temp_squared(state).dims == (3, 3)
     with pytest.raises(AssertionError, match="public FactoredBipartiteState"):
-        FactoredBipartiteState(state.terms)
+        FactoredBipartiteState(purified_terms(spec))
 
 
 # --- reports read the states their builders make -----------------------------
@@ -815,10 +822,9 @@ def test_eigen_relation_is_exact_or_refused_at_the_underflow_edge(bound, beta, g
 
 # --- validate once: built states pass the public constructor's checks --------
 
-def _assert_public_round_trip(state):
-    """``state`` fed back through the public constructor: every check passes and every value is bit-equal."""
-    terms = state.terms
-    assert all(isinstance(t, FactoredTerm) for t in terms)
+def _assert_public_round_trip(state, terms):
+    """``terms``, the formula terms of ``state``, through the public constructor: every check passes and
+    every value equals the built state's bit for bit."""
     again = FactoredBipartiteState(terms)
     assert again.dims == state.dims
     assert np.array_equal(again.amplitude_vector().amps, state.amplitude_vector().amps)
@@ -836,7 +842,7 @@ def test_purified_state_round_trips(d, beta_gap, seed):
     levels = np.concatenate(([-1.0, 0.0], np.random.default_rng(seed).uniform(-1.0, 0.0, d - 2)))
     spec = _spec(beta_gap, tuple(levels))
     state = purified_thermal_state(spec)
-    _assert_public_round_trip(state)
+    _assert_public_round_trip(state, purified_terms(spec))
     assert np.max(np.abs(state.amplitude_vector().amps - purify(spec).amps)) <= EQ_TOL
 
 
@@ -851,7 +857,8 @@ def test_product_state_round_trips(d, seed):
         return ExpLinear(float(rng.uniform(-1.0, 1.0)), float(rng.uniform(-1.0, 1.0)))
 
     left, right = [family() for _ in range(d)], [family() for _ in range(d)]
-    _assert_public_round_trip(product_state(left, right, rng.uniform(-1.5, 1.5, d)))
+    energies = rng.uniform(-1.5, 1.5, d)
+    _assert_public_round_trip(product_state(left, right, energies), product_terms(left, right, energies))
 
 
 @settings(max_examples=40, deadline=None)
@@ -862,7 +869,7 @@ def test_product_state_round_trips(d, seed):
 )
 def test_superposition_state_round_trips(outcome, convention, seed):
     cfg = random_in_regime_config(np.random.default_rng(seed))
-    _assert_public_round_trip(superposition_state(cfg, outcome, convention))
+    _assert_public_round_trip(superposition_state(cfg, outcome, convention), superposition_terms(cfg, outcome, convention))
 
 
 
@@ -938,7 +945,7 @@ def test_product_views_match_the_scatter(families, energies, shuffle):
     if shuffle is None:
         assert np.signbit(apply_inverse_temp_squared(state).amps.view(float)).any()
     else:  # the public constructor takes its terms in any order
-        terms = list(state.terms)
+        terms = list(product_terms(left, right, energies[:len(families)]))
         shuffle.shuffle(terms)
         _assert_views_match_the_scatter(FactoredBipartiteState(terms))
 
@@ -974,32 +981,43 @@ def test_full_dependence_reports_are_exact(outcome):
 
 
 def _purified_of(d, beta, seed):
-    return purified_thermal_state(_spec(beta, tuple(np.random.default_rng(seed).uniform(-5.0, 5.0, d))))
+    spec = _spec(beta, tuple(np.random.default_rng(seed).uniform(-5.0, 5.0, d)))
+    return purified_thermal_state(spec), purified_terms(spec)
 
 
+def _superposition_of(outcome, convention, seed):
+    cfg = random_in_regime_config(np.random.default_rng(seed))
+    return superposition_state(cfg, outcome, convention), superposition_terms(cfg, outcome, convention)
+
+
+def _product_of(families, energies):
+    left, right, energies = *zip(*families), energies[:len(families)]
+    return product_state(left, right, energies), product_terms(left, right, energies)
+
+
+# (state, its formula terms) pairs
 _STATES = st.one_of(
     st.builds(_purified_of, st.integers(2, 64), st.floats(0.0, 20.0), st.integers(0, 2**32 - 1)),
-    st.builds(lambda outcome, convention, seed: superposition_state(
-        random_in_regime_config(np.random.default_rng(seed)), outcome, convention),
-        st.sampled_from((BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS)),
-        st.sampled_from(("full_dependence", "chosen_zero_levels")), st.integers(0, 2**32 - 1)),
+    st.builds(_superposition_of, st.sampled_from((BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS)),
+              st.sampled_from(("full_dependence", "chosen_zero_levels")), st.integers(0, 2**32 - 1)),
     # the product's terms (n, m) with n != m carry off-diagonal slots; _FAMILY draws constants too
-    st.builds(lambda families, energies: product_state(*zip(*families), energies[:len(families)]),
+    st.builds(_product_of,
               st.integers(2, 5).flatmap(lambda d: st.lists(st.tuples(_FAMILY, _FAMILY), min_size=d, max_size=d)),
               st.lists(st.floats(-1.5, 1.5), min_size=5, max_size=5)),
 )
 
 
 @settings(max_examples=200, deadline=None)
-@given(state=_STATES)
-def test_spectral_report_matches_the_vector_form(state):
+@given(case=_STATES)
+def test_spectral_report_matches_the_vector_form(case):
     # the mean and spread of the term eigenvalues against <psi|image> and |image - rayleigh psi|,
     # read from the dense vectors with exactly rounded sums
+    state, terms = case
     psi, image = state.amplitude_vector().amps, apply_inverse_temp_squared(state).amps
     rayleigh = math.fsum(np.concatenate((psi.real * image.real, psi.imag * image.imag)))
     r = image - rayleigh * psi
     residual = math.sqrt(math.fsum(np.concatenate((r.real**2, r.imag**2))))
-    lam = max((abs(t.left.coeff * t.right.coeff) for t in state.terms if t.left_var == t.right_var), default=0.0)
+    lam = max((abs(t.left.coeff * t.right.coeff) for t in terms if t.left_var == t.right_var), default=0.0)
     tol = 1e-15 * max(1.0, lam)
     report = eigen_report(state, None, None)
     assert abs(report.rayleigh - rayleigh) <= tol

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from thermosim import (
     ConfigurationError,
-    GibbsWeights,
     QuditHamiltonian,
     ThermalSpec,
     gibbs_weights,
@@ -123,13 +122,6 @@ def test_log_partition_is_infinite_only_where_beta_times_the_lowest_level_is(bet
         assert got == -beta * min(energies)
     else:
         assert isclose(got, reference_log_partition(beta, energies), rel_tol=1e-12, abs_tol=1e-12)
-
-
-def test_gibbs_weights_refuses_a_log_partition_that_is_nan():
-    with pytest.raises(ConfigurationError, match="^log_partition must not be NaN$"):
-        GibbsWeights((1.0, 0.0), float("nan"))
-    for value in (float("inf"), -float("inf"), 0.0):
-        assert GibbsWeights((1.0, 0.0), value).log_partition == value
 
 
 def test_weights_survive_large_beta_energy_products():
