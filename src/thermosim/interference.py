@@ -10,13 +10,12 @@ so the fringe visibility is 2ab/N^2 with a = sqrt(p0 f0), b = sqrt(p1 f1).
 :func:`circuit_probability` simulates the circuit for one configuration and
 is the module's ground truth: it reads the brute-force post-selected state, so
 it shares neither the qubit weights nor the branch kernel with the batched
-route; :func:`sweep` runs the same circuit batched
-over a whole grid, reading A's pure reduced state out with Hadamard row 0
-(one complex array over the grid, no per-point 4-amplitude or 2x2 density
-arrays); :func:`closed_form_probability` evaluates the closed form,
-either with the operational factor 2 in the cross term ("corrected") or
-without it ("paper", kept for comparison because the two differ by exactly
-that factor).
+route.  :func:`sweep` runs the same circuit batched over a whole grid, reading
+A's pure reduced state out with Hadamard row 0 (one complex array over the
+grid, no per-point 4-amplitude or 2x2 density arrays);
+:func:`closed_form_probability` evaluates the closed form, either with the
+operational factor 2 in the cross term ("corrected") or without it ("paper",
+kept for comparison because the two differ by exactly that factor).
 """
 
 from __future__ import annotations

@@ -140,8 +140,8 @@ def post_select_oracle(cfg: ProtocolConfig, outcome: BellOutcome) -> PostSelecti
     the conjugate Bell vector over (A', B'), which removes the measured
     product factor and leaves the unnormalized AB vector.  Its squared norm
     is the outcome probability and the vector over its norm the state.  It
-    shares no code with :func:`post_select`: no qubit weights, no branch
-    kernel, no branch probability.  Must agree with it.
+    shares none of :func:`post_select`'s arithmetic: no qubit weights, no
+    branch kernel, no branch probability.  Must agree with it.
     """
     bell = bell_state(outcome).amps.reshape(2, 2).conj()
     chi = np.einsum("ij,iajb->ab", bell, joint_state(cfg).amps.reshape(2, 2, 2, 2)).reshape(-1)

@@ -9,7 +9,9 @@ import math
 
 import numpy as np
 
-from thermosim import BellOutcome, EigenReport, ExpLinear, FactoredTerm, Operator, ProtocolConfig, QuditHamiltonian, ThermalSpec
+from thermosim import (
+    BellOutcome, EigenReport, ExpLinear, FactoredTerm, Operator, ProtocolConfig, QuditHamiltonian, ThermalSpec,
+)
 from thermosim.qcore import EQ_TOL
 
 PSD_TOL = 1e-10  # most negative admissible density-matrix eigenvalue
@@ -147,7 +149,7 @@ def superposition_terms(cfg, outcome, convention):
     pin = convention == "chosen_zero_levels"
     a, b = -cfg.spec_a.beta / 2.0, -cfg.spec_b.beta / 2.0
     ea, eb = cfg.spec_a.hamiltonian.energies, cfg.spec_b.hamiltonian.energies
-    weights = (1.0 + 0j, complex(np.exp(1j * cfg.phi)))
+    weights = (1.0, np.exp(1j * cfg.phi))
     terms = []
     for n in (0, 1):
         k = n if outcome is BellOutcome.PHI_PLUS else 1 - n
@@ -159,5 +161,4 @@ def superposition_terms(cfg, outcome, convention):
 def product_terms(left, right, energies):
     """Term (n, m) of ``product_state(left, right, energies)``: left[n](E_n) x right[m](E_m) |n>|m>, row-major."""
     levels = range(len(energies))
-    return tuple(FactoredTerm(n, m, n, m, left[n], right[m], float(energies[n]), float(energies[m]))
-                 for n in levels for m in levels)
+    return tuple(FactoredTerm(n, m, n, m, left[n], right[m], energies[n], energies[m]) for n in levels for m in levels)

@@ -67,7 +67,7 @@ def test_criterion_1_purification_round_trip():
 
 
 def test_criterion_2_bell_decomposition_against_oracle():
-    with criterion(2, "Bell decomposition vs projector oracle, 200 randomized configs"):
+    with criterion(2, "Bell decomposition vs Bell-contraction oracle, 200 randomized configs"):
         rng = np.random.default_rng(1002)
         for _ in range(200):
             cfg = random_protocol_config(rng, beta_max=50.0)

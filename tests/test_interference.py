@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from thermosim import interference, protocol
 from thermosim import (
     ConfigurationError,
     ProtocolConfig,
@@ -227,7 +228,8 @@ def _gap(levels):
 
 
 # absolute, since near a dark fringe the two routes share no relative digits: a targeted hypothesis
-# search over these strategies (20000 examples) found at most 2 eps, so this is a 4x margin
+# search over these strategies (80000 examples, half of them with every phi within 1e-3 of pi) against
+# the scalar circuit on the Bell-contraction oracle's state found at most 4.5 eps, a 1.8x margin
 _KERNEL_CIRCUIT_TOL = 8 * np.finfo(float).eps
 
 
@@ -254,3 +256,20 @@ def test_kernel_matches_scalar_circuit(levels_a, levels_b, beta_gap_a, beta_gaps
         for got, phi in zip(row, phis):
             want = circuit_probability(ProtocolConfig(spec_a, spec_b, phi))
             assert abs(got - want) <= _KERNEL_CIRCUIT_TOL
+
+
+def test_scalar_circuit_shares_no_branch_kernel_with_the_batched_kernel(monkeypatch):
+    # a slip in the branch kernel's phase keeps unit norm, so every state check passes; the
+    # scalar circuit reads the brute-force post-selected state and must not move with it
+    branch = protocol._branch
+
+    def slipped(p, f, phase):
+        first, second = branch(p, f, phase)
+        return first, second * np.exp(1e-6j)
+
+    monkeypatch.setattr(protocol, "_branch", slipped)
+    monkeypatch.setattr(interference, "_branch", slipped)
+    cfg = reference_config(0.4)
+    spec = SweepSpec(cfg, (cfg.phi,))
+    (got,) = _readout_probability(cfg.weights()[0], spec._weights_b, spec.phi_points)  # as sweep calls it
+    assert abs(got - circuit_probability(cfg)) > 1e-9

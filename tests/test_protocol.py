@@ -69,6 +69,13 @@ def test_config_phi_is_a_real_number():
     assert ProtocolConfig(spec, spec, np.float32(0.5)).phi == 0.5
 
 
+@pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan])
+def test_config_refuses_a_phase_that_is_not_finite(phi):
+    spec = ThermalSpec(1.0, QuditHamiltonian((0.0, 1.0)))
+    with pytest.raises(ConfigurationError, match="^phi must be finite$"):
+        ProtocolConfig(spec, spec, phi)
+
+
 def test_config_weights_are_one_gibbs_call_with_the_per_spec_bytes(monkeypatch):
     qubits, exponents = [], []
     helper, numpy_exp = protocol._positive_qubit_weights, np.exp

@@ -128,6 +128,12 @@ def test_operator_shape_validation():
         Operator((2, 2), np.eye(2))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_operator_refuses_entries_that_are_not_finite(bad):
+    with pytest.raises(ConfigurationError, match="^operator entries must be finite$"):
+        Operator((2,), [[bad, 0.0], [0.0, 1.0]])
+
+
 @pytest.mark.parametrize("index", [-1, 4, 7])
 def test_basis_state_rejects_index_out_of_range(index):
     with pytest.raises(ConfigurationError, match="basis index"):

@@ -472,7 +472,8 @@ def test_array_evaluation_equals_the_scalar_families():
     for outcome in (BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS):
         for convention in ("full_dependence", "chosen_zero_levels"):
             cfg = random_in_regime_config(rng)
-            states.append((superposition_state(cfg, outcome, convention), superposition_terms(cfg, outcome, convention)))
+            states.append((superposition_state(cfg, outcome, convention),
+                           superposition_terms(cfg, outcome, convention)))
     for state, terms in states:
         for fd_step in (None, 1e-5):
             psi, image = _scalar_views(terms, state.dims, fd_step)
@@ -557,6 +558,14 @@ def test_factored_state_messages_for_missing_terms_and_nonfinite_energies():
     terms = (FactoredTerm(0, 0, 0, 0, one, one, float("nan"), 0.0), FactoredTerm(0, 1, 1, 1, one, one, 0.0, 0.0))
     with pytest.raises(ConfigurationError, match="finite"):
         FactoredBipartiteState(terms)
+
+
+def test_product_state_needs_one_family_per_energy_on_each_side():
+    # more families than energies on either side, and fewer
+    one = Constant(1.0)
+    for left, right in (([one] * 3, [one] * 2), ([one] * 2, [one] * 3), ([one], [one] * 2), ([one] * 2, [one])):
+        with pytest.raises(ConfigurationError, match="^need one family per energy on each side$"):
+            product_state(left, right, (0.0, 1.0))
 
 
 def test_builders_create_no_term_objects(monkeypatch):
@@ -869,7 +878,8 @@ def test_product_state_round_trips(d, seed):
 )
 def test_superposition_state_round_trips(outcome, convention, seed):
     cfg = random_in_regime_config(np.random.default_rng(seed))
-    _assert_public_round_trip(superposition_state(cfg, outcome, convention), superposition_terms(cfg, outcome, convention))
+    state = superposition_state(cfg, outcome, convention)
+    _assert_public_round_trip(state, superposition_terms(cfg, outcome, convention))
 
 
 
