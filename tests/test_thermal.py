@@ -1,4 +1,4 @@
-from math import isclose, isinf, isnan, log
+from math import fsum, isclose, isinf, isnan, log
 
 import numpy as np
 import pytest
@@ -173,7 +173,34 @@ def test_weights_of_many_levels_pass_the_sum_check():
     energies = tuple(np.random.default_rng(19).uniform(-5.0, 5.0, 100_000))
     gw = gibbs_weights(ThermalSpec(0.0, QuditHamiltonian(energies)))
     assert len(gw.weights) == 100_000
+    assert abs(fsum(gw.weights) - 1.0) <= 1e-12
     assert gw.log_partition == pytest.approx(log(100_000.0))
+
+
+@pytest.mark.parametrize(
+    "beta, levels",
+    [
+        pytest.param(0.0, (7.0, -3.0), id="infinite temperature"),
+        pytest.param(1.0, (0.0, 0.0, 0.0), id="degenerate levels"),
+        pytest.param(np.float32(0.5), (np.int64(2), np.float64(1.0), 0), id="numpy scalar inputs"),
+        pytest.param(70.0, (10.0, 0.0), id="weight near the underflow edge"),
+        pytest.param(1e300, (1e10, 0.0), id="overflowing beta gap"),
+        pytest.param(1.0, (8e307, -8e307), id="widest finite span"),
+        pytest.param(200.0, (-5.0, -4.5), id="Z overflows"),
+        pytest.param(200.0, (5.0, 4.5), id="Z underflows"),
+        pytest.param(1e300, (-1e10, 0.0), id="log Z is +inf"),
+        pytest.param(1e300, (1e10, 2e10), id="log Z is -inf"),
+        pytest.param(3.0, tuple(np.random.default_rng(23).uniform(-5.0, 5.0, 1000)), id="1000 levels"),
+    ],
+)
+def test_gibbs_weights_output_holds_what_the_record_no_longer_checks(beta, levels):
+    # GibbsWeights is an unchecked record, so its producer alone must give plain floats,
+    # nonnegative weights of unit sum and a log Z that is never NaN
+    gw = gibbs_weights(ThermalSpec(beta, QuditHamiltonian(levels)))
+    assert type(gw.weights) is tuple and len(gw.weights) == len(levels)
+    assert all(type(x) is float and x >= 0.0 for x in gw.weights)
+    assert abs(fsum(gw.weights) - 1.0) <= 1e-12
+    assert type(gw.log_partition) is float and not isnan(gw.log_partition)
 
 
 @settings(max_examples=60, deadline=None)
