@@ -19,6 +19,7 @@ import argparse
 import json
 import re
 import sys
+from collections import Counter
 from math import isfinite
 from pathlib import Path
 
@@ -45,8 +46,7 @@ def _as_number(value, name: str) -> float:
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    keys = [k for k, _ in pairs]
-    repeated = sorted({k for k in keys if keys.count(k) > 1})
+    repeated = sorted(k for k, count in Counter(k for k, _ in pairs).items() if count > 1)
     if repeated:
         raise ConfigurationError(f"config repeats keys {repeated}")
     return dict(pairs)

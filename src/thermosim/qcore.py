@@ -12,18 +12,20 @@ here is safe for unsynchronized concurrent use, except that two threads
 reading such a state's ``amps`` first at the same moment may each get an
 equal but distinct array.
 
-Each input from outside the library is proven once, where it enters: by a
-public constructor, by ``basis_state`` or by ``tempop``'s term arrays; a
-value the library derives reads its ``dims`` from a proven value and enters
-through ``_built``.  Each value class proves and freezes its array in one
-``_store``: a public constructor copies its input into it, and ``_built``
-takes over, without a copy, a fresh array that the library built itself.
-``DensityMatrix`` is only ever a result, so it has no public constructor.
-Two of those arrays are sparse forms proven in O(size): a diagonal
-``DensityMatrix`` arrives as its d values, and a ``StateVector`` with few
-nonzeros (a purification, a basis state, a factored state's view) as its
-support, the (k,) amplitudes at strictly increasing flat indices.  Only
-``StateVector`` densifies a support, when a caller reads ``amps``; the
+Each input from outside the library is proven once, where it enters, and
+structure (dims, shapes, supports) only there: by a public constructor, by
+``basis_state`` or by ``tempop``'s term arrays.  A value the library derives
+reads its ``dims`` from a proven value and enters through ``_built``, with
+arrays its producer shaped itself.  A ``_store`` proves only what arithmetic
+can break, finiteness and, for a ``DensityMatrix``, unit trace, and freezes
+a copy of a public constructor's input or, without a copy, a fresh array the
+library built.  ``DensityMatrix`` is only ever a result, so it has no public
+constructor; ``Operator`` is only ever an input, so it has no ``_store``.
+Two of the stored arrays are sparse forms checked in O(size): a
+diagonal ``DensityMatrix`` arrives as its d values, and a ``StateVector``
+with few nonzeros (a purification, a basis state, a factored state's view)
+as its support, the (k,) amplitudes at strictly increasing flat indices.
+Only ``StateVector`` densifies a support, when a caller reads ``amps``; the
 diagonal partial trace reads a support's nonzero values directly, and a
 dense state's through ``np.flatnonzero``.
 
@@ -47,6 +49,7 @@ import numpy as np
 
 EQ_TOL = 1e-12   # tolerance for exact-algebra identities
 FD_TOL = 1e-6    # tolerance for finite-difference comparisons
+_MAX_INDEX = int(np.iinfo(np.intp).max)  # the largest array size numpy can index
 
 
 class ConfigurationError(ValueError):
@@ -98,6 +101,8 @@ def _check_dims(dims: Iterable[int]) -> tuple[int, ...]:
     out = _numbers("subsystem dims", dims, "integer")
     if not out or min(out) < 2:
         raise ConfigurationError(f"subsystem dims must all be >= 2, got {out}")
+    if prod(out) > _MAX_INDEX:
+        raise ConfigurationError(f"subsystem dims must have a product of at most {_MAX_INDEX}, got {out}")
     return out
 
 
@@ -105,8 +110,9 @@ def _built(cls, *fields):
     """A ``cls`` value checked by its ``_store(*fields)`` alone, skipping the public constructor.
 
     ``fields`` are proven dims, a tuple of Python ints of at least 2, then
-    fresh arrays no caller holds, taken over without a copy, that hold the
-    public constructor's further proofs by construction.
+    fresh arrays no caller holds, taken over without a copy, whose shapes
+    and supports the caller holds by construction; ``_store`` proves only
+    their values.
     """
     value = object.__new__(cls)
     value._store(*fields)
@@ -126,7 +132,8 @@ class StateVector:
     library builds with few nonzeros (a purification, a basis state, a
     factored state's view) reaches ``_built`` in support form instead: its
     (k,) amplitudes and their strictly increasing flat indices, every other
-    amplitude being zero.  Those are checked in O(k) and kept as
+    amplitude being zero.  Its producer holds the indices by construction;
+    the amplitudes are checked finite in O(k) and both are kept as
     ``_support``; ``amps`` is built from them on its first read and then
     stored, so it is built at most once (two threads reading it first at the
     same moment may each build an equal copy).  This is the library's only
@@ -138,20 +145,16 @@ class StateVector:
 
     def __post_init__(self) -> None:
         amps = _complex_array("state amplitudes", self.amps).reshape(-1)
-        self._store(_check_dims(self.dims), amps)
+        dims = _check_dims(self.dims)
+        if amps.size != prod(dims):
+            raise ConfigurationError(f"amplitude count {amps.size} does not match dims {dims}")
+        self._store(dims, amps)
 
     def _store(self, dims: tuple[int, ...], amps: np.ndarray, at: np.ndarray | None = None) -> None:
-        """Proves and freezes, over proven ``dims``, d dense amplitudes or the (k,) ``amps`` at flat indices ``at``."""
-        d = prod(dims)
-        if at is None and amps.size != d:
-            raise ConfigurationError(f"amplitude count {amps.size} does not match dims {dims}")
+        """Proves finite and freezes d dense ``amps``, or the (k,) ``amps`` at the support's flat indices ``at``."""
         if not np.isfinite(amps).all():
             raise ConfigurationError("state amplitudes must be finite")
         if at is not None:
-            if at.shape != amps.shape or at.ndim != 1:
-                raise ConfigurationError(f"support of {at.shape} indices for {amps.shape} amplitudes")
-            if at.size and (at[0] < 0 or at[-1] >= d or (at[1:] <= at[:-1]).any()):
-                raise ConfigurationError(f"support indices must be strictly increasing in 0..{d - 1}")
             at.setflags(write=False)
         amps.setflags(write=False)
         object.__setattr__(self, "dims", dims)
@@ -187,10 +190,10 @@ class DensityMatrix:
     arguments, raises ``TypeError``.  The library builds both kinds through ``_built``,
     Hermitian and positive by construction: the diagonal of
     ``thermal_density``, and the partial trace of a ``StateVector`` (a
-    diagonal of squared magnitudes, or the Gram matrix psi psi^dagger).  A
-    diagonal arrives as its d values, checked finite and of unit sum in O(d)
-    before they are spread into ``entries`` once.  ``entries`` is always a
-    dense, read-only d x d array.
+    diagonal of squared magnitudes, or the Gram matrix psi psi^dagger),
+    shaped by construction.  A diagonal arrives as its d values, checked
+    finite and of unit sum in O(d) before they are spread into ``entries``
+    once.  ``entries`` is always a dense, read-only d x d array.
     """
 
     dims: tuple[int, ...]
@@ -200,10 +203,7 @@ class DensityMatrix:
         raise TypeError("DensityMatrix has no public constructor: it is a result of thermal_density or partial_trace")
 
     def _store(self, dims: tuple[int, ...], mat: np.ndarray) -> None:
-        """Proves and freezes, over proven ``dims``, a (d, d) matrix or the (d,) diagonal of a diagonal one."""
-        d = prod(dims)
-        if mat.shape != (d, d) and mat.shape != (d,):
-            raise ConfigurationError(f"expected a {d}x{d} matrix for dims {dims}")
+        """Proves finite and of unit trace and freezes a (d, d) matrix, or the (d,) diagonal of a diagonal one."""
         if not np.isfinite(mat).all():
             raise ConfigurationError("density matrix entries must be finite")
         diagonal = mat if mat.ndim == 1 else np.diagonal(mat)
@@ -218,17 +218,14 @@ class DensityMatrix:
 
 @dataclass(frozen=True, eq=False)
 class Operator:
-    """Dense square matrix acting on the subsystems named by ``dims``."""
+    """Dense square matrix acting on the subsystems named by ``dims``, built only by its public constructor."""
 
     dims: tuple[int, ...]
     entries: np.ndarray
 
     def __post_init__(self) -> None:
         mat = _complex_array("operator entries", self.entries)
-        self._store(_check_dims(self.dims), mat)
-
-    def _store(self, dims: tuple[int, ...], mat: np.ndarray) -> None:
-        """Proves and freezes a (d, d) matrix over proven ``dims``."""
+        dims = _check_dims(self.dims)
         d = prod(dims)
         if mat.shape != (d, d):
             raise ConfigurationError(f"expected a {d}x{d} matrix for dims {dims}")

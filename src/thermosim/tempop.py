@@ -138,7 +138,8 @@ class FactoredBipartiteState:
     the term arrays.  The public constructor converts ``FactoredTerm``s once
     and proves what the builders hold by construction: integer, distinct
     slot pairs and kets, numeric family fields, one energy per slot, at least
-    one term, finite energies and dims of at least 2.
+    one term, finite energies, slots and kets that fit in int64, and dims of
+    at least 2 whose product numpy can index.
     """
 
     dims: tuple[int, int]
@@ -146,6 +147,9 @@ class FactoredBipartiteState:
     def __init__(self, terms: Iterable[FactoredTerm]) -> None:
         rows = zip(_TERM_ROWS, zip(*map(_TERM_FIELDS, terms)))  # a float, 1.0 too, is no ket; "1.5" is no energy
         fields = [_numbers(f"term {name}", row, kind) for (name, kind), row in rows]
+        for (name, _), row in zip(_TERM_ROWS, fields[:4]):  # slots and kets, read next as int64
+            if not (-2**63 <= min(row) and max(row) < 2**63):
+                raise ConfigurationError(f"term {name} must fit in int64")
         var, basis = np.array(fields[:4], dtype=np.int64).reshape(2, 2, -1)
         energy, coeff, offset = np.array(fields[4:10], dtype=float).reshape(3, 2, -1)
         complex_rows = np.array(fields[10:], dtype=np.complex128).reshape(3, -1)
@@ -164,7 +168,8 @@ class FactoredBipartiteState:
             raise ConfigurationError("a factored state needs at least one term")
         if not np.isfinite(energy).all():
             raise ConfigurationError("term energies must be finite")
-        self._store(_check_dims(basis.max(axis=1) + 1), basis, var, energy, weight, value, coeff, offset)
+        dims = _check_dims(max(kets) + 1 for kets in fields[2:4])  # from Python ints, which do not wrap
+        self._store(dims, basis, var, energy, weight, value, coeff, offset)
 
     def _store(self, dims, basis, var, energy, weight, value, coeff, offset) -> None:
         with np.errstate(over="ignore", invalid="ignore"):

@@ -45,6 +45,8 @@ class ThermalSpec:
         beta = _number("beta", self.beta)
         if not isfinite(beta) or beta < 0.0:
             raise ConfigurationError(f"beta must be finite and nonnegative, got {beta}")
+        if not isinstance(self.hamiltonian, QuditHamiltonian):
+            raise ConfigurationError(f"hamiltonian must be a QuditHamiltonian, got {type(self.hamiltonian).__name__}")
         object.__setattr__(self, "beta", beta)
 
 

@@ -106,6 +106,13 @@ def assert_valid_density(rho):
     assert abs(np.trace(mat).real - 1.0) <= EQ_TOL
 
 
+def assert_support_invariant(state):
+    """What ``StateVector._store`` takes on trust from a support's producer, checked on its output."""
+    values, at = state._support
+    assert at.dtype.kind == "i" and at.ndim == 1 and at.shape == values.shape
+    assert at[0] >= 0 and at[-1] < math.prod(state.dims) and (at[1:] > at[:-1]).all()
+
+
 def adjoint(op):
     """The conjugate transpose of ``op``, through the public constructor."""
     return Operator(op.dims, op.entries.conj().T)

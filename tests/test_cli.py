@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from itertools import zip_longest
 
@@ -63,6 +64,16 @@ def test_load_config_rejects_malformed_documents(tmp_path, payload):
     path = _write_config(tmp_path / "bad.json", payload)
     with pytest.raises(ConfigurationError):
         load_config(path)
+
+
+def test_many_repeated_keys_are_refused_in_linear_time(capsys, tmp_path):
+    # 50,000 keys (0.5 MB): a count per key took about 40 s to reach this refusal
+    keys = [f"k{i:05d}" for i in range(50000)] + ["k00007", "k00003", "k00007"]
+    path = _write_config(tmp_path / "many.json", "{" + ",".join(f'"{k}":0' for k in keys) + "}")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, ["protocol", "--config", path])
+    assert time.perf_counter() - start < 10.0
+    assert (code, out, err) == (1, "", "error: config repeats keys ['k00003', 'k00007']\n")
 
 
 @pytest.mark.parametrize("payload", _MALFORMED_CONFIGS)

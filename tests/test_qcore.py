@@ -49,7 +49,9 @@ from thermosim import (
 from thermosim import qcore
 from thermosim.qcore import EQ_TOL
 
-from helpers import adjoint, assert_valid_density, random_state_amps, random_unitary, reference_config
+from helpers import (
+    adjoint, assert_support_invariant, assert_valid_density, random_state_amps, random_unitary, reference_config,
+)
 
 
 # --- types and validation ------------------------------------------------
@@ -67,6 +69,16 @@ def test_state_vector_rejects_nonfinite():
 def test_state_vector_rejects_trivial_dims():
     with pytest.raises(ConfigurationError):
         StateVector((1, 4), [1, 0, 0, 0])
+
+
+def test_dims_numpy_cannot_index_are_refused():
+    # basis_state((2**62, 2**62), 5) used to build a state whose amps raised numpy's raw ValueError
+    top = int(np.iinfo(np.intp).max)
+    message = f"^subsystem dims must have a product of at most {top}, got \\("
+    for dims in ((2**62, 2**62), (2, top // 2 + 1), (2,) * 64):
+        for build in (lambda: basis_state(dims, 5), lambda: StateVector(dims, [1.0]), lambda: Operator(dims, [[1.0]])):
+            with pytest.raises(ConfigurationError, match=message):
+                build()
 
 
 def _library_built_values():
@@ -376,17 +388,31 @@ def test_library_built_diagonal_is_a_dense_read_only_matrix():
     assert not rho.entries.flags.writeable
 
 
-@pytest.mark.parametrize("values, at, match", [
-    ([np.nan, 1.0], [0, 3], "finite"),
-    ([0.6, 0.8], [0, 4], "support indices"),
-    ([0.6, 0.8], [-1, 3], "support indices"),
-    ([0.6, 0.8], [2, 2], "support indices"),
-    ([0.6, 0.8], [3, 0], "support indices"),
-    ([0.6, 0.8], [0, 1, 3], "support of"),
-])
-def test_library_built_support_is_checked(values, at, match):
-    with pytest.raises(ConfigurationError, match=match):
-        qcore._built(StateVector, (2, 2), np.array(values, dtype=np.complex128), np.array(at))
+def test_library_built_support_is_checked():
+    # a support's values are proven finite; its indices are its producer's to hold, as the next test shows
+    with pytest.raises(ConfigurationError, match="^state amplitudes must be finite$"):
+        qcore._built(StateVector, (2, 2), np.array([np.nan, 1.0], dtype=np.complex128), np.array([0, 3]))
+
+
+@pytest.mark.parametrize("d", [2, 3, 64, 1024])
+def test_purifications_hold_the_support_invariant(d):
+    # tests/test_tempop.py checks the views of every factored state's builder the same way
+    levels = tuple(np.random.default_rng(29).uniform(-5.0, 5.0, d))
+    specs = [ThermalSpec(0.8, QuditHamiltonian(levels)), ThermalSpec(1.3, QuditHamiltonian((0.5,) * (d - 1) + (2.0,)))]
+    states = [purify(spec) for spec in specs] + [purify(specs[0], phase) for phase in (0.7, -2.5) if d == 2]
+    for spec in specs:
+        state = purified_thermal_state(spec)
+        states += [state.amplitude_vector()] + [apply_inverse_temp_squared(state, fd_step=h) for h in (None, 1e-5)]
+    for state in states:
+        assert_support_invariant(state)
+
+
+def test_basis_states_hold_the_support_invariant():
+    for dims in ((2,), (2, 3), (3, 2, 5), (7, 7, 73, 127, 337, 92737, 649657)):  # the last: d = 2**63 - 1
+        for index in (0, 1, prod(dims) - 1):
+            state = basis_state(dims, index)
+            assert_support_invariant(state)
+            assert state._support[1].tolist() == [index]
 
 
 @st.composite
@@ -739,7 +765,7 @@ def test_no_store_proves_dims():
                 stores += 1
                 provers |= {(path.name, n.lineno) for n in ast.walk(node)
                             if getattr(n, "id", getattr(n, "attr", None)) == "_check_dims"}
-    assert stores == 4 and provers == set()
+    assert stores == 3 and provers == set()
 
 
 # private names that cross a module line to a sibling other than qcore: (importer, home module, name)

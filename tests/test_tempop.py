@@ -38,6 +38,7 @@ from thermosim import (
 from thermosim.qcore import EQ_TOL, FD_TOL
 
 from helpers import (
+    assert_support_invariant,
     eigen_report,
     family_amplitude,
     product_terms,
@@ -533,6 +534,30 @@ def test_factored_state_refuses_non_integer_kets_and_slots(bad):
     assert state.dims == (2, 2)
 
 
+def test_factored_state_refuses_slots_and_kets_numpy_cannot_hold():
+    # at 2**63 numpy's int64 conversion raised a raw OverflowError; 2**63 - 1 wrapped to a dim of -2**63
+    one = Constant(1.0)
+    first = FactoredTerm.diagonal(0, one, one, 0.0)
+    for name, second in (
+        ("basis ket", FactoredTerm(1, 1, 2**63, 1, one, one, 0.0, 0.0)),
+        ("basis ket", FactoredTerm(1, 1, 1, -2**63 - 1, one, one, 0.0, 0.0)),
+        ("derivative slot", FactoredTerm(2**63, 1, 1, 1, one, one, 0.0, 0.0)),
+        ("derivative slot", FactoredTerm(1, -2**63 - 1, 1, 1, one, one, 0.0, 0.0)),
+    ):
+        with pytest.raises(ConfigurationError, match=f"^term {name} must fit in int64$"):
+            FactoredBipartiteState((first, second))
+    # kets numpy holds, but dims whose product it cannot index: the dense view raised a raw ValueError
+    top = int(np.iinfo(np.intp).max)
+    for kets, dims in (((top, 1), (top + 1, 2)), ((2**40, 2**40), (2**40 + 1,) * 2)):
+        with pytest.raises(ConfigurationError, match=re.escape(f"at most {top}, got {dims}")):
+            FactoredBipartiteState((first, FactoredTerm(1, 1, *kets, one, one, 0.0, 0.0)))
+    # the widest ket a side can carry, and slots at both ends of int64
+    state = FactoredBipartiteState((FactoredTerm(-2**63, 2**63 - 1, 0, 0, one, one, 0.0, 0.0),
+                                    FactoredTerm(1, 1, top // 2 - 1, 1, one, one, 0.0, 0.0)))
+    assert state.dims == (top // 2, 2)
+    assert state.amplitude_vector()._support[1].tolist() == [0, top - 2]
+
+
 @pytest.mark.parametrize("field, term", [
     ("energy", FactoredTerm(0, 0, 0, 0, ExpLinear(0.0), ExpLinear(0.0), "x", 0.0)),
     ("coefficient", FactoredTerm(0, 0, 0, 0, ExpLinear(0.0), ExpLinear("x"), 0.0, 0.0)),
@@ -901,14 +926,14 @@ def _traced(state, keep, unit):
 
 
 def _assert_views_match_the_scatter(state):
-    """Every view of ``state`` has the scatter's bytes and traces byte for byte like its dense twin."""
+    """Every view of ``state`` holds the support invariant, has the scatter's bytes and traces like its dense twin."""
     views = [(state.amplitude_vector, state._psi, True)] + [
         (lambda h=h: apply_inverse_temp_squared(state, fd_step=h), state._image(h), False) for h in (None, 1e-5)
     ]
     for view_of, values, unit in views:
         for keep in ({0}, {1}):
             view = view_of()  # a fresh view each time, so the trace runs before its amps is built
-            assert view._support is not None
+            assert_support_invariant(view)
             got = _traced(view, keep, unit)
             assert got == _traced(StateVector(view.dims, view.amps), keep, unit), keep
         assert view.amps.tobytes() == _scattered(state, values).tobytes()

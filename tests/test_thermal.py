@@ -61,6 +61,15 @@ def test_spec_rejects_bad_beta():
             ThermalSpec(beta, ham)
 
 
+def test_spec_refuses_a_hamiltonian_that_is_not_a_qudit_hamiltonian():
+    # a list of levels used to build a spec whose first reader raised a raw AttributeError
+    for ham, name in (([0.0, 1.0], "list"), ((0.0, 1.0), "tuple"), (None, "NoneType"), ("01", "str")):
+        with pytest.raises(ConfigurationError, match=f"^hamiltonian must be a QuditHamiltonian, got {name}$"):
+            ThermalSpec(1.0, ham)
+    with pytest.raises(ConfigurationError, match="^beta must be finite"):  # beta is proven first
+        ThermalSpec(-1.0, [0.0, 1.0])
+
+
 def test_numpy_scalars_are_numbers():
     spec = ThermalSpec(np.float32(0.5), QuditHamiltonian((np.int64(2), np.float64(1.0), 0)))
     assert spec.beta == 0.5 and spec.hamiltonian.energies == (2.0, 1.0, 0.0)
