@@ -247,6 +247,9 @@ def _view(state: FactoredBipartiteState, values: np.ndarray) -> StateVector:
 
     Every value is kept, a signed zero too, so the dense ``amps`` holds the
     bytes of a zero-filled array with the values scattered onto their kets.
+    The kets are distinct and inside proven dims, so once sorted their flat
+    indices are the strictly increasing support that ``StateVector`` takes
+    on trust.
     """
     at = np.ravel_multi_index(tuple(state._basis), state.dims)
     order = np.argsort(at)

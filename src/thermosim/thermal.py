@@ -135,7 +135,7 @@ def purify(spec: ThermalSpec, phase: float = 0.0) -> StateVector:
     for higher dimensions the phase must be 0.
 
     The state is built in support form: its d amplitudes sqrt(p_n) at the
-    flat indices n*(d+1), checked in O(d).  Its dense d^2 ``amps`` is built
+    flat indices n*(d+1), checked finite in O(d).  Its dense d^2 ``amps`` is built
     only when read; the partial trace does not read it.
     """
     d = spec.hamiltonian.dim
