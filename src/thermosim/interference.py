@@ -123,7 +123,8 @@ def _readout_probability(p, f, phi) -> np.ndarray:
     h0 = qcore.HADAMARD.entries[0]
     a = h0[0] * first + h0[1] * second
     prob = a.real**2 + a.imag**2
-    return np.minimum(prob, 1.0, out=prob)  # roundoff guard: the sum can exceed 1 by an ulp
+    # roundoff guard, in place: the sum can exceed 1 by an ulp; a 0-d phase's numpy scalar gets a 0-d array
+    return np.minimum(prob, 1.0, out=np.asarray(prob))
 
 
 def sweep(spec: SweepSpec) -> list[tuple]:

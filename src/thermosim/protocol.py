@@ -53,6 +53,12 @@ _BELL_VECTORS = {
 }
 
 
+# the flat indices of a branch's two kets, shared by every post-selected state:
+# phi on |00> and |11>, psi on |01> and |10>
+_KETS = np.array([[0, 3], [1, 2]])
+_KETS.setflags(write=False)
+
+
 def _check_outcome(outcome) -> None:
     # the string "phi_plus" would otherwise pass post_select as psi- and fail the look-ups raw
     if not isinstance(outcome, BellOutcome):
@@ -125,12 +131,9 @@ def post_select(cfg: ProtocolConfig, outcome: BellOutcome) -> PostSelectionResul
     p, (f0, f1) = cfg.weights()
     first, second = _branch(p, (f0, f1) if phi_pair else (f1, f0), np.exp(1j * cfg.phi))
     sign = 1.0 if outcome in (BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS) else -1.0
-    amps = np.zeros(4, dtype=np.complex128)
-    slot = 0 if phi_pair else 1  # phi on |00> and |11>, psi on |01> and |10>
-    amps[slot] = first
-    amps[3 - slot] = sign * second
+    values = np.array([first, sign * second], dtype=np.complex128)
     probability = 0.5 * success_probability(cfg, "phi" if phi_pair else "psi")
-    return PostSelectionResult(outcome, probability, _built(StateVector, (2, 2), amps))
+    return PostSelectionResult(outcome, probability, _built(StateVector, (2, 2), values, _KETS[0 if phi_pair else 1]))
 
 
 def post_select_oracle(cfg: ProtocolConfig, outcome: BellOutcome) -> PostSelectionResult:

@@ -23,11 +23,12 @@ library built.  ``DensityMatrix`` is only ever a result, so it has no public
 constructor; ``Operator`` is only ever an input, so it has no ``_store``.
 Two of the stored arrays are sparse forms checked in O(size): a
 diagonal ``DensityMatrix`` arrives as its d values, and a ``StateVector``
-with few nonzeros (a purification, a basis state, a factored state's view)
-as its support, the (k,) amplitudes at strictly increasing flat indices.
-Only ``StateVector`` densifies a support, when a caller reads ``amps``; the
-diagonal partial trace reads a support's nonzero values directly, and a
-dense state's through ``np.flatnonzero``.
+with few nonzeros (a purification, a basis state, a post-selected state, a
+factored state's view) as its support, the (k,) amplitudes at strictly
+increasing flat indices.  A ``StateVector`` has one stored form, its values
+and their flat indices (None for every index), and its ``amps`` property is
+the library's only densifier; the diagonal partial trace reads the stored
+values, of either kind, through ``np.flatnonzero``.
 
 Numeric input has one rule, ``_number`` for a value and ``_numbers`` for a
 sequence, at every public boundary: Python and numpy int, float and complex
@@ -40,6 +41,7 @@ numbers, through ``_complex_array``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 from numbers import Complex, Integral, Real
 from operator import countOf
@@ -119,7 +121,7 @@ def _built(cls, *fields):
     return value
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class StateVector:
     """Complex amplitude vector over a tensor product of subsystems.
 
@@ -128,50 +130,51 @@ class StateVector:
     operators (projectors, derivative operators) need not be and may even be
     zero; use :meth:`norm` or :func:`fidelity_pure` to compare.
 
-    ``amps`` is always the dense, read-only complex vector.  A state the
-    library builds with few nonzeros (a purification, a basis state, a
-    factored state's view) reaches ``_built`` in support form instead: its
-    (k,) amplitudes and their strictly increasing flat indices, every other
-    amplitude being zero.  Its producer holds the indices by construction;
-    the amplitudes are checked finite in O(k) and both are kept as
-    ``_support``; ``amps`` is built from them on its first read and then
-    stored, so it is built at most once (two threads reading it first at the
-    same moment may each build an equal copy).  This is the library's only
-    densifier.  A dense state's ``_support`` is None.
+    ``StateVector(dims, amps)`` copies and proves a dense vector.  Every
+    state has one stored form, which only ``_store`` writes: its values,
+    checked finite, and their strictly increasing flat indices, with None
+    meaning every index.  A state the library builds with few nonzeros (a
+    purification, a basis state, a post-selected state, a factored state's
+    view) reaches ``_built`` in this support form, every other amplitude
+    being zero; its producer holds the indices by construction.  ``amps``,
+    the dense read-only vector, is the library's only densifier: a dense
+    state's ``amps`` is its stored values, and a support-form state's is
+    built from them on the first read and then kept (two threads reading it
+    first at the same moment may each build an equal copy).  A vector numpy
+    cannot allocate is refused in one line.  ``dims`` is the one field, so
+    ``repr`` and ``dataclasses.fields`` never densify.
     """
 
     dims: tuple[int, ...]
-    amps: np.ndarray
 
-    def __post_init__(self) -> None:
-        amps = _complex_array("state amplitudes", self.amps).reshape(-1)
-        dims = _check_dims(self.dims)
+    def __init__(self, dims: Iterable[int], amps) -> None:
+        amps = _complex_array("state amplitudes", amps).reshape(-1)
+        dims = _check_dims(dims)
         if amps.size != prod(dims):
             raise ConfigurationError(f"amplitude count {amps.size} does not match dims {dims}")
         self._store(dims, amps)
 
-    def _store(self, dims: tuple[int, ...], amps: np.ndarray, at: np.ndarray | None = None) -> None:
-        """Proves finite and freezes d dense ``amps``, or the (k,) ``amps`` at the support's flat indices ``at``."""
-        if not np.isfinite(amps).all():
+    def _store(self, dims: tuple[int, ...], values: np.ndarray, at: np.ndarray | None = None) -> None:
+        """Proves finite and freezes d dense ``values``, or the (k,) ``values`` at the support's flat indices ``at``."""
+        if not np.isfinite(values).all():
             raise ConfigurationError("state amplitudes must be finite")
         if at is not None:
             at.setflags(write=False)
-        amps.setflags(write=False)
+        values.setflags(write=False)
         object.__setattr__(self, "dims", dims)
-        if at is None:
-            object.__setattr__(self, "amps", amps)
-        object.__setattr__(self, "_support", None if at is None else (amps, at))
+        object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "_at", at)
 
-    def __getattr__(self, name: str):
-        # reached when normal lookup fails: a missing name, or the amps of a support-form state not yet read
-        support = self.__dict__.get("_support")
-        if name != "amps" or support is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        values, at = support
-        amps = np.zeros(prod(self.dims), dtype=np.complex128)
-        amps[at] = values
+    @cached_property
+    def amps(self) -> np.ndarray:
+        if self._at is None:
+            return self._values
+        try:
+            amps = np.zeros(self.dim, dtype=np.complex128)
+        except MemoryError:
+            raise ConfigurationError(f"a state of {self.dim} amplitudes is too large to densify") from None
+        amps[self._at] = self._values
         amps.setflags(write=False)
-        object.__setattr__(self, "amps", amps)
         return amps
 
     @property
@@ -279,9 +282,9 @@ def _reduced_density(state: StateVector, kept: list[int], traced: list[int]) -> 
     """psi psi^dagger of ``state``, built from its (k,) diagonal when it is diagonal.
 
     psi is the (kept, traced) amplitude matrix.  Its nonzero amplitudes are
-    those that ``np.flatnonzero`` finds in the state's stored support, or in
-    ``amps`` for a dense state (a signed zero is zero, a subnormal is not), so
-    a support-form state traces byte for byte like its dense twin.
+    those that ``np.flatnonzero`` finds in the state's stored values, at their
+    stored flat indices (a signed zero is zero, a subnormal is not), so a
+    support-form state traces byte for byte like its dense twin.
     When every traced column holds at most one of them (purifications,
     product states, Bell branches) no two rows share a traced basis state,
     so the result is diagonal: each row's sum of re^2 + im^2, added in
@@ -290,7 +293,7 @@ def _reduced_density(state: StateVector, kept: list[int], traced: list[int]) -> 
     dims = state.dims
     kept_dims = tuple(dims[i] for i in kept)
     k = prod(kept_dims)
-    vals, at = state._support or (state.amps, None)
+    vals, at = state._values, state._at
     nonzero = np.flatnonzero(vals != 0)  # on the complex array itself it takes about 3x as long
     vals, at = vals[nonzero], nonzero if at is None else at[nonzero]
     digits = np.unravel_index(at, dims)

@@ -108,7 +108,7 @@ def assert_valid_density(rho):
 
 def assert_support_invariant(state):
     """What ``StateVector._store`` takes on trust from a support's producer, checked on its output."""
-    values, at = state._support
+    values, at = state._values, state._at
     assert at.dtype.kind == "i" and at.ndim == 1 and at.shape == values.shape
     assert at[0] >= 0 and at[-1] < math.prod(state.dims) and (at[1:] > at[:-1]).all()
 

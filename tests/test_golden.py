@@ -25,6 +25,7 @@ from thermosim import (
     ThermalSpec,
     apply_inverse_temp_squared,
     partial_trace,
+    post_select,
     product_state,
     purified_thermal_state,
     purify,
@@ -32,9 +33,10 @@ from thermosim import (
     superposition_state,
     thermal_density,
 )
-from thermosim.cli import MAX_POINTS, main
+from thermosim.cli import MAX_POINTS, load_config, main
+from thermosim.protocol import OUTCOME_ORDER
 
-from helpers import reference_config
+from helpers import assert_support_invariant, reference_config
 
 EIGENCHECK_DIGESTS = {
     # (dim, beta): sha256 of ``thermosim eigencheck --dim D --beta B --fd-step 1e-5`` stdout
@@ -134,6 +136,16 @@ PROTOCOL_DIGESTS = {
     "beta*gap=700/699": "c89d081e2da9afbc503101dcb7ce13144406c3a947441d2f020b0d60fd44b814",
 }
 
+POST_SELECT_DIGESTS = {
+    # config: sha256 of float.hex of the real and imaginary part of every amplitude of
+    # ``post_select(cfg, outcome).state.amps``, outcomes in OUTCOME_ORDER, so signed zeros count too
+    "reference": "27fdf597d199817b0c0eaf282b8c6c8acd14af3a8bbda72f32cd30aff8195cdd",
+    "asymmetric": "477ccbbbc0a0620f828da7fd2a2acf3f1c451c0e4a128733ca1f77d97bd26362",
+    "beta_a*gap=700": "923e3af3154d31433a2ec0bdd6f6b3dbf3b820c3800df4b51af2ff2d14f5f9c0",
+    "beta*gap=700/699": "b71a373c365c16186213e3034e02f08d1e28e937f312cdfce5e8049b8e804738",
+    "reference_phi_0.4": "e0d4a013d3dceb5102e1a5405df631a9f46a30fc365a55d5958e266d05ff191d",
+}
+
 
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -192,6 +204,30 @@ _CONFIGS = {
 
 def _hex(value):
     return "None" if value is None else float.hex(value)
+
+
+def _golden_configs(tmp_path):
+    """Every golden config: the CLI configs as ``load_config`` reads them, then ``_CONFIGS``."""
+    configs = {}
+    for i, (name, text) in enumerate(CSV_CONFIGS.items()):
+        path = tmp_path / f"config{i}.json"
+        path.write_text(text)
+        configs[name] = load_config(path)
+    return {**configs, **_CONFIGS}
+
+
+def test_post_selected_states_are_unchanged(tmp_path):
+    digests = {}
+    for name, cfg in _golden_configs(tmp_path).items():
+        amps = [post_select(cfg, outcome).state.amps for outcome in OUTCOME_ORDER]
+        digests[name] = _digest(" ".join(_hex(x) for a in amps for z in a.tolist() for x in (z.real, z.imag)))
+    assert digests == POST_SELECT_DIGESTS
+
+
+def test_post_selected_states_are_in_support_form(tmp_path):
+    for cfg in _golden_configs(tmp_path).values():
+        for outcome in OUTCOME_ORDER:
+            assert_support_invariant(post_select(cfg, outcome).state)
 
 
 @pytest.mark.parametrize("name", sorted(_CONFIGS))

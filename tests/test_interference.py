@@ -258,6 +258,17 @@ def test_kernel_matches_scalar_circuit(levels_a, levels_b, beta_gap_a, beta_gaps
             assert abs(got - want) <= _KERNEL_CIRCUIT_TOL
 
 
+def test_kernel_takes_a_zero_dimensional_phase():
+    # a 0-d phase makes every intermediate a numpy scalar, which the in-place guard cannot write to
+    cfg = reference_config(0.4)
+    p, f = cfg.weights()
+    (want,) = _readout_probability(p, f, np.array([cfg.phi]))
+    for phi in (cfg.phi, np.float64(cfg.phi), np.array(cfg.phi)):
+        got = _readout_probability(p, f, phi)
+        assert type(got) is np.ndarray and got.shape == () and got.tobytes() == want.tobytes()
+    assert abs(float(got) - circuit_probability(cfg)) <= _KERNEL_CIRCUIT_TOL
+
+
 def test_scalar_circuit_shares_no_branch_kernel_with_the_batched_kernel(monkeypatch):
     # a slip in the branch kernel's phase keeps unit norm, so every state check passes; the
     # scalar circuit reads the brute-force post-selected state and must not move with it

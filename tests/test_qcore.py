@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import re
 from itertools import combinations
 from math import prod
@@ -103,11 +104,11 @@ def _library_built_values():
 def test_library_routes_skip_the_public_constructors(monkeypatch):
     # the public constructors copy their input; the library takes over the
     # arrays it built through qcore._built instead
-    def refuse(self):
+    def refuse(self, *args):
         raise AssertionError(f"public {type(self).__name__} constructor called")
 
-    for cls in (StateVector, Operator):
-        monkeypatch.setattr(cls, "__post_init__", refuse)
+    for cls, constructor in ((StateVector, "__init__"), (Operator, "__post_init__")):
+        monkeypatch.setattr(cls, constructor, refuse)
     values = _library_built_values()
     assert values["purify"].dims == (3, 3) and values["partial_trace"].dims == (3,)
     with pytest.raises(AssertionError, match="public StateVector"):
@@ -412,7 +413,7 @@ def test_basis_states_hold_the_support_invariant():
         for index in (0, 1, prod(dims) - 1):
             state = basis_state(dims, index)
             assert_support_invariant(state)
-            assert state._support[1].tolist() == [index]
+            assert state._at.tolist() == [index]
 
 
 @st.composite
@@ -467,6 +468,36 @@ def test_purification_trace_reads_only_the_support():
     shifted = np.exp(-0.8 * (energies - energies.min()))
     np.testing.assert_allclose(np.diagonal(rho.entries), shifted / shifted.sum(), rtol=0.0, atol=EQ_TOL)
     assert np.count_nonzero(rho.entries) == np.count_nonzero(np.diagonal(rho.entries)) == d
+
+
+def test_only_amps_densifies():
+    d = 1024
+    energies = tuple(float(e) for e in np.random.default_rng(29).uniform(-5.0, 5.0, d))
+    spec = ThermalSpec(0.8, QuditHamiltonian(energies))
+    for state in (purify(spec), purified_thermal_state(spec).amplitude_vector()):
+        assert repr(state) == str(state) == f"StateVector(dims=({d}, {d}))"
+        assert [field.name for field in dataclasses.fields(state)] == ["dims"]
+        partial_trace(state, keep={1})
+        assert "amps" not in vars(state)  # the d^2 vector was never built
+        assert state.amps is state.amps and "amps" in vars(state)  # until amps built it, once
+    assert repr(basis_state((2**20, 2**20), 0)) == "StateVector(dims=(1048576, 1048576))"
+
+
+def test_a_state_too_large_to_densify_is_refused_in_one_line():
+    # 2**40 amplitudes, 16 TiB of complex128: numpy refuses the allocation at once, allocating nothing
+    big, small = basis_state((2**20, 2**20), 0), basis_state((2,), 0)
+    routes = {
+        "amps": lambda: big.amps,
+        "norm": big.norm,
+        "tensor_product": lambda: tensor_product(small, big),
+        "fidelity_pure": lambda: fidelity_pure(big, big),
+        # apply proves the operator against its targets first, so this state splits 2**40 as 2 x 2**39
+        "apply": lambda: apply(HADAMARD, basis_state((2, 2**39), 0), [0]),
+    }
+    for route in routes.values():
+        with pytest.raises(ConfigurationError, match="^a state of 1099511627776 amplitudes is too large to densify$"):
+            route()
+    assert "amps" not in vars(big)
 
 
 @settings(max_examples=100, deadline=None)

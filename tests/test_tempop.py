@@ -555,7 +555,7 @@ def test_factored_state_refuses_slots_and_kets_numpy_cannot_hold():
     state = FactoredBipartiteState((FactoredTerm(-2**63, 2**63 - 1, 0, 0, one, one, 0.0, 0.0),
                                     FactoredTerm(1, 1, top // 2 - 1, 1, one, one, 0.0, 0.0)))
     assert state.dims == (top // 2, 2)
-    assert state.amplitude_vector()._support[1].tolist() == [0, top - 2]
+    assert state.amplitude_vector()._at.tolist() == [0, top - 2]
 
 
 @pytest.mark.parametrize("field, term", [
