@@ -72,6 +72,19 @@ def test_state_vector_rejects_trivial_dims():
         StateVector((1, 4), [1, 0, 0, 0])
 
 
+def test_state_vector_takes_its_arguments_by_position_and_by_keyword_in_one_refusal_order():
+    by_keyword = StateVector(amps=[0.6, 0.8j], dims=[2])
+    assert by_keyword.dims == (2,) and by_keyword.amps.tobytes() == StateVector((2,), [0.6, 0.8j]).amps.tobytes()
+    # entries first, then dims, then the count: each case fails every check after its own too
+    for dims, amps, match in (
+        ((1,), [True], "^state amplitudes must be complex, got True$"),
+        ((1,), [1.0, 0.0, 0.0], "^subsystem dims must all be >= 2, got \\(1,\\)$"),
+        ((2,), [np.nan], "^amplitude count 1 does not match dims \\(2,\\)$"),
+    ):
+        with pytest.raises(ConfigurationError, match=match):
+            StateVector(dims, amps)
+
+
 def test_dims_numpy_cannot_index_are_refused():
     # basis_state((2**62, 2**62), 5) used to build a state whose amps raised numpy's raw ValueError
     top = int(np.iinfo(np.intp).max)
