@@ -50,6 +50,8 @@ class SweepSpec:
             raise ConfigurationError("phi_points must be a nonempty 1-D sequence of finite numbers")
         phis.flags.writeable = False
         object.__setattr__(self, "phi_points", phis)
+        if not isinstance(self.cfg, ProtocolConfig):
+            raise ConfigurationError(f"cfg must be a ProtocolConfig, got {type(self.cfg).__name__}")
         weights_b = self.cfg.weights()[1]
         if self.beta_b_values is not None:
             betas = _numbers("beta_b sweep values", self.beta_b_values)

@@ -82,6 +82,8 @@ class ProtocolConfig:
     def __post_init__(self) -> None:
         names, specs = ("spec_a", "spec_b"), (self.spec_a, self.spec_b)
         for name, spec in zip(names, specs):
+            if not isinstance(spec, ThermalSpec):
+                raise ConfigurationError(f"{name} must be a ThermalSpec, got {type(spec).__name__}")
             if spec.hamiltonian.dim != 2:
                 raise ConfigurationError(f"{name} must describe a qubit")
         weights = _positive_qubit_weights(*((n, s.beta, s.hamiltonian.energies) for n, s in zip(names, specs)))

@@ -28,7 +28,9 @@ factored state's view) as its support, the (k,) amplitudes at strictly
 increasing flat indices.  A ``StateVector`` has one stored form, its values
 and their flat indices (None for every index), and its ``amps`` property is
 the library's only densifier; the diagonal partial trace reads the stored
-values, of either kind, through ``np.flatnonzero``.
+values, of either kind, through ``np.flatnonzero``.  A dense array numpy
+cannot allocate (a state's ``amps``, a tensor product, a density matrix's
+``entries``) is refused in one line, by ``_dense``.
 
 Numeric input has one rule, ``_number`` for a value and ``_numbers`` for a
 sequence, at every public boundary: Python and numpy int, float and complex
@@ -108,6 +110,14 @@ def _check_dims(dims: Iterable[int]) -> tuple[int, ...]:
     return out
 
 
+def _dense(noun: str, build, *args) -> np.ndarray:
+    """``build(*args)``, a dense array; one numpy cannot allocate is refused as "<noun> is too large to densify"."""
+    try:
+        return build(*args)
+    except MemoryError:
+        raise ConfigurationError(f"{noun} is too large to densify") from None
+
+
 def _built(cls, *fields):
     """A ``cls`` value checked by its ``_store(*fields)`` alone, skipping the public constructor.
 
@@ -169,10 +179,7 @@ class StateVector:
     def amps(self) -> np.ndarray:
         if self._at is None:
             return self._values
-        try:
-            amps = np.zeros(self.dim, dtype=np.complex128)
-        except MemoryError:
-            raise ConfigurationError(f"a state of {self.dim} amplitudes is too large to densify") from None
+        amps = _dense(f"a state of {self.dim} amplitudes", np.zeros, self.dim, np.complex128)
         amps[self._at] = self._values
         amps.setflags(write=False)
         return amps
@@ -196,7 +203,8 @@ class DensityMatrix:
     diagonal of squared magnitudes, or the Gram matrix psi psi^dagger),
     shaped by construction.  A diagonal arrives as its d values, checked
     finite and of unit sum in O(d) before they are spread into ``entries``
-    once.  ``entries`` is always a dense, read-only d x d array.
+    once.  ``entries`` is always a dense, read-only d x d array; one numpy
+    cannot allocate is refused in one line.
     """
 
     dims: tuple[int, ...]
@@ -213,7 +221,7 @@ class DensityMatrix:
         if not abs(diagonal.sum().real - 1.0) <= EQ_TOL:  # NaN fails too
             raise ConfigurationError("density matrix must have unit trace")
         if mat.ndim == 1:
-            mat = np.diag(mat)
+            mat = _dense(f"a {mat.size}x{mat.size} density matrix", np.diag, mat)
         mat.setflags(write=False)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "entries", mat)
@@ -255,7 +263,8 @@ def basis_state(dims: Iterable[int], index: int) -> StateVector:
 
 def tensor_product(a: StateVector, b: StateVector) -> StateVector:
     """Composite state of two registers; output dims are a's followed by b's."""
-    return _built(StateVector, a.dims + b.dims, np.kron(a.amps, b.amps))
+    product = _dense(f"a state of {a.dim * b.dim} amplitudes", np.kron, a.amps, b.amps)
+    return _built(StateVector, a.dims + b.dims, product)
 
 
 def partial_trace(state: StateVector, keep: Iterable[int]) -> DensityMatrix:
@@ -302,7 +311,7 @@ def _reduced_density(state: StateVector, kept: list[int], traced: list[int]) -> 
     )
     if cols.size and np.bincount(cols).max() > 1:
         psi = np.transpose(state.amps.reshape(dims), kept + traced).reshape(k, -1)
-        return _built(DensityMatrix, kept_dims, _gram(psi))
+        return _built(DensityMatrix, kept_dims, _dense(f"a {k}x{k} density matrix", _gram, psi))
     # a kept row's amplitudes lie in column order in memory too, so each sum is the dense route's
     diagonal = np.bincount(rows, weights=vals.real**2 + vals.imag**2, minlength=k).astype(np.complex128)
     return _built(DensityMatrix, kept_dims, diagonal)

@@ -2,12 +2,13 @@
 
 States handled here are finite sums of two-sided product terms,
 
-    |psi> = (1/sqrt(Z)) * sum_t  w_t * L_t(x_t) * R_t(y_t) |l_t> |r_t>,
+    |psi> = (1/sqrt(Z)) * sum_t  L_t(x_t) * R_t(y_t) |l_t> |r_t>,
 
 where L_t and R_t are closed-form amplitude families value * e^(coeff*E + offset)
-(a constant has coeff = 0) evaluated at per-side energy arguments, w_t is a
-constant complex weight, and Z = sum_t |w_t L_t(x_t) R_t(y_t)|^2 is the terms'
-own sum, so every state is unit norm by construction.  Z is evaluated, never
+(a constant has coeff = 0) evaluated at per-side energy arguments, and
+Z = sum_t |L_t(x_t) R_t(y_t)|^2 is the terms' own sum, so every state is unit
+norm by construction.  A term's constant complex coefficient lives in its
+families' values, by convention the left one's.  Z is evaluated, never
 differentiated, and must be a normal float: finite and at least
 ``sys.float_info.min``.  A state holds its terms as arrays and normalizes
 them once, when it is made: one array exponential gives both sides' family
@@ -28,7 +29,7 @@ A term therefore responds only when both of its sides carry the same slot
 index, and the response replaces each factor by its derivative (the two
 factors of i cancel):
 
-    term  ->  w_t * L_t'(x_t) * R_t'(y_t) |l_t> |r_t>.
+    term  ->  L_t'(x_t) * R_t'(y_t) |l_t> |r_t>.
 
 Each family's derivative is coeff times the family, so in closed form every
 term is an eigenvector: its image is lambda_t psi_t, with lambda_t =
@@ -36,7 +37,7 @@ coeff_L,t * coeff_R,t where both sides carry the same slot and 0 where they
 do not.  Measuring the operator gives lambda_t with probability |psi_t|^2,
 so the Rayleigh quotient is the mean of lambda under those weights and the
 residual |(A - <A>) psi| its spread.  Neither the normalization constant Z
-nor the constant weights are ever differentiated, even though the
+nor the families' values are ever differentiated, even though the
 normalization of a thermal state does depend on the energies; this is what
 makes purified thermal states exact eigenvectors with eigenvalue beta^2/16
 (each side carries e^(-beta*E/4), an even split of the purification
@@ -72,7 +73,7 @@ class ExpLinear:
 
     coeff: float
     offset: float = 0.0
-    value: complex = 1.0
+    value: complex = 1.0 + 0j
 
 
 def Constant(value: complex) -> ExpLinear:
@@ -82,7 +83,7 @@ def Constant(value: complex) -> ExpLinear:
 
 @dataclass(frozen=True)
 class FactoredTerm:
-    """One product term w * L(x) * R(y) |left_basis>|right_basis>.
+    """One product term L(x) * R(y) |left_basis>|right_basis>.
 
     ``left_var`` and ``right_var`` name the derivative slots the two factors
     are keyed to; ``left_energy`` and ``right_energy`` are the evaluation
@@ -97,7 +98,6 @@ class FactoredTerm:
     right: ExpLinear
     left_energy: float
     right_energy: float
-    weight: complex = 1.0 + 0j
 
     @classmethod
     def diagonal(
@@ -107,20 +107,19 @@ class FactoredTerm:
         right: ExpLinear,
         left_energy: float,
         right_energy: float | None = None,
-        weight: complex = 1.0 + 0j,
     ) -> "FactoredTerm":
         """Term |n>|n> whose both sides are keyed to derivative slot n."""
         if right_energy is None:
             right_energy = left_energy
-        return cls(index, index, index, index, left, right, left_energy, right_energy, weight)
+        return cls(index, index, index, index, left, right, left_energy, right_energy)
 
 
+# the term fields read into the state's arrays, one row each
 _TERM_FIELDS = attrgetter("left_var", "right_var", "left_basis", "right_basis", "left_energy", "right_energy",
-                          "left.coeff", "right.coeff", "left.offset", "right.offset", "left.value", "right.value",
-                          "weight")  # the term fields read into the state's arrays, one row each
+                          "left.coeff", "right.coeff", "left.offset", "right.offset", "left.value", "right.value")
 _TERM_ROWS = (  # the (name, kind) of each of those rows
     2 * [("derivative slot", "integer")] + 2 * [("basis ket", "integer")] + 2 * [("energy", "real")]
-    + 2 * [("coefficient", "real")] + 2 * [("offset", "real")] + 2 * [("value", "complex")] + [("weight", "complex")]
+    + 2 * [("coefficient", "real")] + 2 * [("offset", "real")] + 2 * [("value", "complex")]
 )
 
 
@@ -129,9 +128,9 @@ class FactoredBipartiteState:
     """Term arrays whose evaluated vector is unit norm by construction.
 
     The terms are held as arrays with one row per side (left, right): (2, n)
-    kets, slots and energies, a weight that broadcasts against (n,) and the
-    family form value * e^(coeff*E + offset) against (2, n), with a leading
-    axis of 2 for ``value`` and ``coeff``.  Kets are distinct, so each term is exactly one
+    kets, slots and energies, and the family form value * e^(coeff*E + offset)
+    that broadcasts against (2, n), with a leading axis of 2 for ``value``
+    and ``coeff``.  Kets are distinct, so each term is exactly one
     entry of the dense vector.  ``_store`` normalizes once and keeps the
     per-term amplitudes over sqrt(Z) and sqrt(Z), n complex values (16 MB at
     n = 10^6); ``_image`` and ``_evaluated`` read the operator from them and
@@ -152,8 +151,7 @@ class FactoredBipartiteState:
                 raise ConfigurationError(f"term {name} must fit in int64")
         var, basis = np.array(fields[:4], dtype=np.int64).reshape(2, 2, -1)
         energy, coeff, offset = np.array(fields[4:10], dtype=float).reshape(3, 2, -1)
-        complex_rows = np.array(fields[10:], dtype=np.complex128).reshape(3, -1)
-        value, weight = complex_rows[:2], complex_rows[2]
+        value = np.array(fields[10:], dtype=np.complex128).reshape(2, -1)
         n = energy.shape[1]
         if len(set(zip(*var.tolist()))) != n:
             raise ConfigurationError("terms must carry distinct derivative-slot pairs")
@@ -169,20 +167,20 @@ class FactoredBipartiteState:
         if not np.isfinite(energy).all():
             raise ConfigurationError("term energies must be finite")
         dims = _check_dims(max(kets) + 1 for kets in fields[2:4])  # from Python ints, which do not wrap
-        self._store(dims, basis, var, energy, weight, value, coeff, offset)
+        self._store(dims, basis, var, energy, value, coeff, offset)
 
-    def _store(self, dims, basis, var, energy, weight, value, coeff, offset) -> None:
+    def _store(self, dims, basis, var, energy, value, coeff, offset) -> None:
         with np.errstate(over="ignore", invalid="ignore"):
             exps = np.exp(coeff * energy + offset)
-            psi = weight * (value[0] * exps[0]) * (value[1] * exps[1])  # side by side: no (2, n) complex array
+            psi = (value[0] * exps[0]) * (value[1] * exps[1])  # side by side: no (2, n) complex array
             z = np.abs(psi)  # squared in place: one n-float temporary at 10^6 terms, not two
             z = float(np.add.reduce(np.multiply(z, z, out=z)))
             if not (isfinite(z) and z >= sys.float_info.min):  # a subnormal Z has lost the digits unit norm needs
                 raise ConfigurationError("normalization overflows or vanishes; reduce beta or energies")
             root = sqrt(z)
             psi /= root
-            vars(self).update(dims=dims, _basis=basis, _var=var, _energy=energy, _weight=weight, _value=value,
-                              _coeff=coeff, _offset=offset, _psi=psi, _root=root)
+            vars(self).update(dims=dims, _basis=basis, _var=var, _energy=energy, _value=value, _coeff=coeff,
+                              _offset=offset, _psi=psi, _root=root)
 
     def amplitude_vector(self) -> StateVector:
         return _view(self, self._psi)
@@ -192,7 +190,7 @@ class FactoredBipartiteState:
         return np.where(self._var[0] == self._var[1], self._coeff[0] * self._coeff[1], 0.0)
 
     def _image(self, h: float | None) -> np.ndarray:
-        """Each term's response w*L'(x)*R'(y) over sqrt(Z), 0 where the two sides carry different slots.
+        """Each term's response L'(x)*R'(y) over sqrt(Z), 0 where the two sides carry different slots.
 
         In closed form that is lambda_t psi_t.  With ``h`` each derivative is
         a central difference instead, whose image is numerical and not
@@ -215,7 +213,7 @@ class FactoredBipartiteState:
                 )
             exp = lambda at: np.exp(coeff * at + self._offset)
             slopes = self._value * ((exp(energy + h) - exp(energy - h)) / (2.0 * h))
-            return np.where(self._var[0] == self._var[1], self._weight * slopes[0] * slopes[1], 0j) / self._root
+            return np.where(self._var[0] == self._var[1], slopes[0] * slopes[1], 0j) / self._root
 
     def _evaluated(self, h: float | None) -> tuple[float, float]:
         """The operator read from the stored terms: (rayleigh, residual).
@@ -293,7 +291,7 @@ def purified_thermal_state(spec: ThermalSpec) -> FactoredBipartiteState:
     energy = np.array(spec.hamiltonian.energies)
     slots = np.broadcast_to(np.arange(energy.size), (2, energy.size))
     return _built(FactoredBipartiteState, (energy.size,) * 2, slots, slots, np.broadcast_to(energy, slots.shape),
-                  1.0 + 0j, _UNIT, np.full((2, 1), -spec.beta / 4.0), 0.0)
+                  _UNIT, np.full((2, 1), -spec.beta / 4.0), 0.0)
 
 
 def product_state(
@@ -336,7 +334,7 @@ def _read_only(rows) -> np.ndarray:
 # the slots and the phi+ kets |00>, |11> are _DIAGONAL, the psi+ kets |01>, |10> are _CROSSED
 _DIAGONAL = _read_only(((0, 1), (0, 1)))
 _CROSSED = _read_only(((0, 1), (1, 0)))
-# the family value 1 on both sides, shared read-only by the purified and two-term states
+# the family value 1 on both sides, shared read-only by every purified state
 _UNIT = _read_only(((1.0 + 0j,), (1.0 + 0j,)))
 
 
@@ -348,7 +346,8 @@ def superposition_state(
     Term n pairs the A-side Boltzmann factor e^(-beta_A*E/2) with the B-side
     factor e^(-beta_B*E'/2) under derivative slot n.  For the phi+ outcome
     the terms sit on |00> and |11>; for psi+ on |01> and |10>, where the
-    A level n is paired with the B level 1 - n.
+    A level n is paired with the B level 1 - n.  Term 1's A factor carries
+    the purification phase e^(i*phi) as its value, as ``purify`` puts it.
     """
     if outcome is BellOutcome.PHI_PLUS:
         kets_b, kets = (0, 1), _DIAGONAL
@@ -369,7 +368,7 @@ def superposition_state(
     # term n sits on |n>|kets_b[n]> under slot n; a pinned level is the constant e^0 (coeff 0)
     return _built(
         FactoredBipartiteState, (2, 2), kets, _DIAGONAL, np.array((ea, [eb[k] for k in kets_b])),
-        np.array((1.0, np.exp(1j * cfg.phi))), _UNIT,
+        np.array(((1.0, np.exp(1j * cfg.phi)), (1.0, 1.0))),
         np.array(((a, 0.0 if pin else a), [0.0 if pin and k == 0 else b for k in kets_b])), 0.0,
     )
 

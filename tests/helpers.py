@@ -135,8 +135,8 @@ def family_amplitude(family, energy):
 
 
 def term_amplitude(term):
-    """w * L(x) * R(y) of one ``FactoredTerm``."""
-    return term.weight * family_amplitude(term.left, term.left_energy) * family_amplitude(term.right, term.right_energy)
+    """L(x) * R(y) of one ``FactoredTerm``."""
+    return family_amplitude(term.left, term.left_energy) * family_amplitude(term.right, term.right_energy)
 
 
 # formula terms: the terms each tempop builder stands for, written from the formulas of its docstring
@@ -150,18 +150,19 @@ def purified_terms(spec):
 def superposition_terms(cfg, outcome, convention):
     """Term n of a post-selected phi+ or psi+ state: e^(-beta_A*E_n/2) x e^(-beta_B*E'_k/2) |n>|k> under slot n.
 
-    k is n for phi+ and 1 - n for psi+; term 1 carries the weight e^(i*phi).  Under
+    k is n for phi+ and 1 - n for psi+; term 1's A family carries the value e^(i*phi).  Under
     "chosen_zero_levels" the pinned levels E1 and E0' are constants (coeff 0).
     """
     pin = convention == "chosen_zero_levels"
     a, b = -cfg.spec_a.beta / 2.0, -cfg.spec_b.beta / 2.0
     ea, eb = cfg.spec_a.hamiltonian.energies, cfg.spec_b.hamiltonian.energies
-    weights = (1.0, np.exp(1j * cfg.phi))
+    phases = (1.0, np.exp(1j * cfg.phi))
     terms = []
     for n in (0, 1):
         k = n if outcome is BellOutcome.PHI_PLUS else 1 - n
-        left, right = ExpLinear(0.0 if pin and n == 1 else a), ExpLinear(0.0 if pin and k == 0 else b)
-        terms.append(FactoredTerm(n, n, n, k, left, right, ea[n], eb[k], weights[n]))
+        left = ExpLinear(0.0 if pin and n == 1 else a, value=phases[n])
+        right = ExpLinear(0.0 if pin and k == 0 else b)
+        terms.append(FactoredTerm(n, n, n, k, left, right, ea[n], eb[k]))
     return tuple(terms)
 
 

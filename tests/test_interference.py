@@ -200,6 +200,16 @@ def test_sweep_spec_refuses_a_grid_that_is_not_one_dimensional():
             SweepSpec(reference_config(), phis)
 
 
+def test_sweep_spec_refuses_a_config_that_is_not_a_protocol_config():
+    # a string or a spec in place of the config raised a raw AttributeError from its first reader
+    cfg = reference_config()
+    for bad, got in (("x", "str"), (cfg.spec_a, "ThermalSpec"), (None, "NoneType")):
+        with pytest.raises(ConfigurationError, match=f"^cfg must be a ProtocolConfig, got {got}$"):
+            SweepSpec(bad, [0.0])
+    with pytest.raises(ConfigurationError, match="^phi_points"):  # the grid is proven first
+        SweepSpec("x", [])
+
+
 @pytest.mark.parametrize("betas_b", [None, (0.5, 2.0)])
 def test_kernel_memory_is_bounded_per_grid_point(betas_b):
     # no per-point 4-amplitude or 2x2 density arrays: a few complex and float arrays over the grid

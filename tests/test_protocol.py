@@ -47,6 +47,19 @@ def test_config_requires_qubits():
         ProtocolConfig(qutrit, qubit)
 
 
+def test_config_refuses_a_spec_that_is_not_a_thermal_spec():
+    # a number or a Hamiltonian in place of a spec raised a raw AttributeError from its first reader
+    qubit = ThermalSpec(1.0, QuditHamiltonian((0.0, 1.0)))
+    cases = ((1.0, 2.0, "spec_a", "float"), (qubit, None, "spec_b", "NoneType"),
+             (qubit.hamiltonian, qubit, "spec_a", "QuditHamiltonian"), (qubit, "x", "spec_b", "str"))
+    for a, b, name, got in cases:
+        with pytest.raises(ConfigurationError, match=f"^{name} must be a ThermalSpec, got {got}$"):
+            ProtocolConfig(a, b)
+    qutrit = ThermalSpec(1.0, QuditHamiltonian((0.0, 1.0, 2.0)))
+    with pytest.raises(ConfigurationError, match="^spec_a must describe a qubit$"):  # spec_a is proven first
+        ProtocolConfig(qutrit, 2.0)
+
+
 def test_config_rejects_underflowing_weights():
     frozen_out = ThermalSpec(200.0, QuditHamiltonian((5.0, 0.0)))  # beta*gap = 1000
     hot = ThermalSpec(1e300, QuditHamiltonian((1e10, 0.0)))  # beta*gap = 1e310 overflows, with no numpy warning

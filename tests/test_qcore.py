@@ -498,11 +498,13 @@ def test_only_amps_densifies():
 
 def test_a_state_too_large_to_densify_is_refused_in_one_line():
     # 2**40 amplitudes, 16 TiB of complex128: numpy refuses the allocation at once, allocating nothing
-    big, small = basis_state((2**20, 2**20), 0), basis_state((2,), 0)
+    # (the kernel refuses it under heuristic overcommit; a host that always overcommits would grant it lazily)
+    big, small, half = basis_state((2**20, 2**20), 0), basis_state((2,), 0), basis_state((2**20,), 0)
     routes = {
         "amps": lambda: big.amps,
         "norm": big.norm,
         "tensor_product": lambda: tensor_product(small, big),
+        "tensor_product's product": lambda: tensor_product(half, half),  # two 16 MB factors
         "fidelity_pure": lambda: fidelity_pure(big, big),
         # apply proves the operator against its targets first, so this state splits 2**40 as 2 x 2**39
         "apply": lambda: apply(HADAMARD, basis_state((2, 2**39), 0), [0]),
@@ -511,6 +513,20 @@ def test_a_state_too_large_to_densify_is_refused_in_one_line():
         with pytest.raises(ConfigurationError, match="^a state of 1099511627776 amplitudes is too large to densify$"):
             route()
     assert "amps" not in vars(big)
+
+
+@pytest.mark.parametrize("route", ["diagonal", "gram"])
+def test_a_density_matrix_too_large_to_densify_is_refused_in_one_line(route):
+    # a 2**20 x 2**20 matrix, 16 TiB of complex128, on each route of the partial trace; both raised numpy's
+    # raw MemoryError.  The kernel refuses it at once under heuristic overcommit, as it does the state above;
+    # the Gram case is sized so that no host could grant it (a 2**17-row trace asks for 256 GiB)
+    if route == "diagonal":  # 2**20 values spread into entries, from a state never densified
+        state = basis_state((2**20, 2**20), 0)
+    else:  # every column of the traced qubit is full
+        state = StateVector((2**20, 2), np.full(2**21, 2**-10.5))
+    with pytest.raises(ConfigurationError, match="^a 1048576x1048576 density matrix is too large to densify$"):
+        partial_trace(state, keep={0})
+    assert route == "gram" or "amps" not in vars(state)
 
 
 @settings(max_examples=100, deadline=None)
@@ -674,7 +690,6 @@ _BOUNDARIES = {
     "ExpLinear.coeff": ("term coefficient", "real", lambda x: _term_state(left=ExpLinear(x)), 0.0, False),
     "ExpLinear.offset": ("term offset", "real", lambda x: _term_state(right=ExpLinear(0.0, x)), 0.0, False),
     "ExpLinear.value": ("term value", "complex", lambda x: _term_state(left=ExpLinear(0.0, value=x)), 1.0, False),
-    "FactoredTerm.weight": ("term weight", "complex", lambda x: _term_state(weight=x), 1.0, False),
     "product_state.energies": ("energies", "real", lambda x: product_state([_ONE, _ONE], [_ONE, _ONE], x), (0.0, 1.0),
                                False),
     "product_state.coeff": ("term coefficient", "real", lambda x: _product_state(ExpLinear(x)), 0.0, False),

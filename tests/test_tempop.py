@@ -127,16 +127,16 @@ def test_factored_state_refuses_an_overflowing_family():
 @pytest.mark.filterwarnings("error")
 def test_factored_state_refuses_a_subnormal_normalization():
     # |2^-511|^2 = 2^-1022 is the smallest normal float; |2^-512|^2 = 2^-1024 is subnormal
-    def state(weight):
+    def state(value):
         one = Constant(1.0)
-        return FactoredBipartiteState((FactoredTerm.diagonal(0, one, one, 0.0, weight=weight),
-                                       FactoredTerm.diagonal(1, one, one, 0.0, weight=0.0)))
+        return FactoredBipartiteState((FactoredTerm.diagonal(0, Constant(value), one, 0.0),
+                                       FactoredTerm.diagonal(1, Constant(0.0), one, 0.0)))
 
     assert 2.0**-1022 == sys.float_info.min
     assert np.array_equal(state(2.0**-511).amplitude_vector().amps, [1.0, 0.0, 0.0, 0.0])
-    for weight in (2.0**-512, 2.0**-600, 0.0):
+    for value in (2.0**-512, 2.0**-600, 0.0):
         with pytest.raises(ConfigurationError, match=f"^{re.escape(_NORMALIZATION)}$"):
-            state(weight)
+            state(value)
 
 
 # --- operator action --------------------------------------------------------
@@ -254,19 +254,17 @@ def test_finite_difference_error_decays_quadratically():
 
 def test_operator_is_symmetric_on_shared_structures():
     # <phi|K psi> = conj(<psi|K phi>) when the two states share families and
-    # energies and differ only in their constant term weights
+    # energies and differ only in their left families' constant values
     rng = np.random.default_rng(113)
     for _ in range(20):
         d = int(rng.integers(2, 5))
         energies = rng.uniform(-2, 2, d)
-        families = [(ExpLinear(float(c)), ExpLinear(float(cc)))
-                    for c, cc in rng.uniform(-1, 1, (d, 2))]
+        coeffs = rng.uniform(-1, 1, (d, 2))
 
-        def build(weights):
+        def build(values):
             terms = tuple(
-                FactoredTerm.diagonal(n, families[n][0], families[n][1],
-                                      float(energies[n]), weight=w)
-                for n, w in enumerate(weights)
+                FactoredTerm.diagonal(n, ExpLinear(float(c), value=v), ExpLinear(float(cc)), float(energies[n]))
+                for n, ((c, cc), v) in enumerate(zip(coeffs, values))
             )
             return FactoredBipartiteState(terms)
 
@@ -433,11 +431,12 @@ def _scalar_views(terms, dims, fd_step=None):
 
     In closed form a term's image is lambda_t psi_t, with lambda_t = coeff_L * coeff_R where
     both sides carry the same slot and 0.0 where they do not; with ``fd_step`` it is the
-    central-difference response over sqrt(Z).
+    central-difference response over sqrt(Z), each family's slope being its value times the
+    difference of its exponentials.
     """
     def slope(family, energy):
-        above, below = family_amplitude(family, energy + fd_step), family_amplitude(family, energy - fd_step)
-        return (above - below) / (2.0 * fd_step)
+        above, below = (np.exp(family.coeff * at + family.offset) for at in (energy + fd_step, energy - fd_step))
+        return complex(family.value * ((above - below) / (2.0 * fd_step)))
 
     # Z summed as numpy sums the term amplitudes, in term order
     root = np.sqrt(np.add.reduce(np.abs(np.array([term_amplitude(t) for t in terms])) ** 2))
@@ -446,7 +445,7 @@ def _scalar_views(terms, dims, fd_step=None):
     for t in terms:
         psi[t.left_basis, t.right_basis] = term_amplitude(t)
         if fd_step is not None and t.left_var == t.right_var:
-            image[t.left_basis, t.right_basis] = t.weight * slope(t.left, t.left_energy) * slope(t.right, t.right_energy)
+            image[t.left_basis, t.right_basis] = slope(t.left, t.left_energy) * slope(t.right, t.right_energy)
     psi, image = psi / root, image / root
     if fd_step is None:
         for t in terms:
@@ -475,6 +474,16 @@ def test_array_evaluation_equals_the_scalar_families():
             cfg = random_in_regime_config(rng)
             states.append((superposition_state(cfg, outcome, convention),
                            superposition_terms(cfg, outcome, convention)))
+    # responding families whose value is not 1: a complex one on the left, a real one on the right, since
+    # numpy's array product of two complex numbers may round differently from the scalar one
+    for _ in range(8):
+        d = int(rng.integers(2, 6))
+        left = [ExpLinear(float(c), float(o), complex(*v))
+                for c, o, v in zip(rng.uniform(-1.0, 1.0, d), rng.uniform(-1.0, 1.0, d), rng.normal(size=(d, 2)))]
+        right = [ExpLinear(float(c), float(o), complex(v))
+                 for c, o, v in zip(rng.uniform(-1.0, 1.0, d), rng.uniform(-1.0, 1.0, d), rng.normal(size=d))]
+        energies = rng.uniform(-1.5, 1.5, d)
+        states.append((product_state(left, right, energies), product_terms(left, right, energies)))
     for state, terms in states:
         for fd_step in (None, 1e-5):
             psi, image = _scalar_views(terms, state.dims, fd_step)
@@ -515,7 +524,7 @@ def test_factored_state_rejects_degenerate_kets_and_values():
         FactoredBipartiteState((FactoredTerm(0, 0, -1, 0, one, one, 0.0, 0.0),
                                 FactoredTerm(1, 1, 1, 1, one, one, 0.0, 0.0)))
     with pytest.raises(ConfigurationError):  # a NaN amplitude makes a NaN normalization
-        FactoredBipartiteState((FactoredTerm.diagonal(0, one, one, 0.0, weight=complex("nan")),
+        FactoredBipartiteState((FactoredTerm.diagonal(0, Constant(complex("nan")), one, 0.0),
                                 FactoredTerm.diagonal(1, one, one, 0.0)))
 
 
@@ -563,12 +572,11 @@ def test_factored_state_refuses_slots_and_kets_numpy_cannot_hold():
     ("coefficient", FactoredTerm(0, 0, 0, 0, ExpLinear(0.0), ExpLinear("x"), 0.0, 0.0)),
     ("offset", FactoredTerm(0, 0, 0, 0, ExpLinear(0.0, "0.5"), ExpLinear(0.0), 0.0, 0.0)),
     ("value", FactoredTerm(0, 0, 0, 0, ExpLinear(0.0), ExpLinear(0.0, value=None), 0.0, 0.0)),
-    ("weight", FactoredTerm(0, 0, 0, 0, ExpLinear(0.0), ExpLinear(0.0), 0.0, 0.0, "1")),
 ])
 def test_factored_state_refuses_non_numeric_fields(field, term):
     # numpy would raise its raw ValueError on "x" and parse "0.5" as a number
-    bad = {"energy": "x", "coefficient": "x", "offset": "0.5", "value": None, "weight": "1"}[field]
-    noun = "complex" if field in ("value", "weight") else "real"
+    bad = {"energy": "x", "coefficient": "x", "offset": "0.5", "value": None}[field]
+    noun = "complex" if field == "value" else "real"
     with pytest.raises(ConfigurationError, match=f"^term {field} must be {noun}, got {re.escape(repr(bad))}$"):
         FactoredBipartiteState([term, FactoredTerm(1, 1, 1, 1, Constant(1.0), Constant(1.0), 0.0, 0.0)])
 
@@ -702,7 +710,7 @@ def test_each_report_builds_one_state_and_runs_the_exponential_once(monkeypatch)
         store(self, *fields)
 
     def counted_exp(x, *args, **kwargs):
-        if np.ndim(x) == 2:  # the (2, n) family arrays, not the weight's phase e^(i phi)
+        if np.ndim(x) == 2:  # the (2, n) family arrays, not the A-side phase e^(i phi)
             family_exps.append(np.shape(x))
         return exp(x, *args, **kwargs)
 
