@@ -78,6 +78,21 @@ def test_constant_family():
         assert not apply_inverse_temp_squared(state, fd_step=fd_step).amps.any()
 
 
+def test_a_default_family_value_is_the_complex_one(monkeypatch):
+    # the default value is complex, so the constructor checks a default product state's
+    # value rows whole, with no per-number check, and its amplitudes keep their bytes
+    family = ExpLinear(-0.4, 0.1)
+    assert type(family.value) is complex and family.value == 1
+    energies = (-1.0, 0.25, 0.5, 2.0)
+    expected = product_state([ExpLinear(-0.4, 0.1, 1.0)] * 4, [ExpLinear(0.3)] * 4, energies).amplitude_vector()
+    calls = []
+    number = qcore._number
+    monkeypatch.setattr(qcore, "_number", lambda *args: calls.append(args) or number(*args))
+    state = product_state([family] * 4, [ExpLinear(0.3)] * 4, energies)
+    assert calls == []
+    assert state.amplitude_vector().amps.tobytes() == expected.amps.tobytes()
+
+
 # --- state construction and validation -------------------------------------
 
 def test_purified_thermal_state_matches_purification():
