@@ -41,7 +41,6 @@ from .tempop import (
     EigenReport,
     ExpLinear,
     FactoredBipartiteState,
-    FactoredTerm,
     apply_inverse_temp_squared,
     eigencheck_purified,
     product_state,

@@ -17,11 +17,15 @@ it keeps only the amplitudes over sqrt(Z) and sqrt(Z), n complex values for
 n terms (16 MB at n = 10^6).  Every value is read from a state: the dense
 view, the operator image, and the reports of ``eigencheck_purified`` and
 ``residual_superposition``, which read the states that
-``purified_thermal_state`` and ``superposition_state`` make.  Those two
-builders reach the state through ``qcore._built``, which skips the public
-constructor's proofs of structure: they hold it by construction.  An
-analytic report whose Rayleigh quotient or residual is not finite is
-refused; a finite-difference one carries the NaN on to the caller.
+``purified_thermal_state`` and ``superposition_state`` make.  A state has
+one input form, its term arrays: six (2, n) arrays of kets, slots, energies
+and family fields, row 0 the left side and row 1 the right.  The public
+constructor takes them by keyword and proves their structure with numpy;
+the three builders, ``product_state`` too, make them and reach the state
+through ``qcore._built``, which skips those proofs: they hold the structure
+by construction.  An analytic report whose Rayleigh quotient or residual is
+not finite is refused; a finite-difference one carries the NaN on to the
+caller.
 
 The operator is sum_k (i d/dE_k) x (-i d/dE_k): derivative slot k
 differentiates the left factor keyed to k and the right factor keyed to k.
@@ -57,13 +61,12 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from math import isfinite, sqrt
-from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .protocol import BellOutcome, ProtocolConfig
-from .qcore import ConfigurationError, StateVector, _built, _check_dims, _number, _numbers
+from .qcore import ConfigurationError, StateVector, _array, _built, _check_dims, _number, _numbers
 from .thermal import ThermalSpec
 
 
@@ -81,48 +84,6 @@ def Constant(value: complex) -> ExpLinear:
     return ExpLinear(0.0, value=value)
 
 
-@dataclass(frozen=True)
-class FactoredTerm:
-    """One product term L(x) * R(y) |left_basis>|right_basis>.
-
-    ``left_var`` and ``right_var`` name the derivative slots the two factors
-    are keyed to; ``left_energy`` and ``right_energy`` are the evaluation
-    points of those variables.
-    """
-
-    left_var: int
-    right_var: int
-    left_basis: int
-    right_basis: int
-    left: ExpLinear
-    right: ExpLinear
-    left_energy: float
-    right_energy: float
-
-    @classmethod
-    def diagonal(
-        cls,
-        index: int,
-        left: ExpLinear,
-        right: ExpLinear,
-        left_energy: float,
-        right_energy: float | None = None,
-    ) -> "FactoredTerm":
-        """Term |n>|n> whose both sides are keyed to derivative slot n."""
-        if right_energy is None:
-            right_energy = left_energy
-        return cls(index, index, index, index, left, right, left_energy, right_energy)
-
-
-# the term fields read into the state's arrays, one row each
-_TERM_FIELDS = attrgetter("left_var", "right_var", "left_basis", "right_basis", "left_energy", "right_energy",
-                          "left.coeff", "right.coeff", "left.offset", "right.offset", "left.value", "right.value")
-_TERM_ROWS = (  # the (name, kind) of each of those rows
-    2 * [("derivative slot", "integer")] + 2 * [("basis ket", "integer")] + 2 * [("energy", "real")]
-    + 2 * [("coefficient", "real")] + 2 * [("offset", "real")] + 2 * [("value", "complex")]
-)
-
-
 @dataclass(frozen=True, eq=False, init=False)
 class FactoredBipartiteState:
     """Term arrays whose evaluated vector is unit norm by construction.
@@ -134,40 +95,44 @@ class FactoredBipartiteState:
     entry of the dense vector.  ``_store`` normalizes once and keeps the
     per-term amplitudes over sqrt(Z) and sqrt(Z), n complex values (16 MB at
     n = 10^6); ``_image`` and ``_evaluated`` read the operator from them and
-    the term arrays.  The public constructor converts ``FactoredTerm``s once
-    and proves what the builders hold by construction: integer, distinct
-    slot pairs and kets, numeric family fields, one energy per slot, at least
-    one term, finite energies, slots and kets that fit in int64, and dims of
-    at least 2 whose product numpy can index.
+    the term arrays.
+
+    The public constructor takes the n terms as six (2, n) array-likes, by
+    keyword: each term's ``kets`` and derivative ``slots``, the ``energies``
+    its slots are evaluated at, and its families' ``coeffs``, ``offsets``
+    and ``values``.  It reads them by qcore's numeric rule and proves with
+    numpy what the builders hold by construction: one (2, n) shape, at least
+    one term, distinct slot pairs and kets, nonnegative kets, finite
+    energies, one energy per slot on each side, slots and kets that fit in
+    int64, and dims of at least 2 whose product numpy can index.
     """
 
     dims: tuple[int, int]
 
-    def __init__(self, terms: Iterable[FactoredTerm]) -> None:
-        rows = zip(_TERM_ROWS, zip(*map(_TERM_FIELDS, terms)))  # a float, 1.0 too, is no ket; "1.5" is no energy
-        fields = [_numbers(f"term {name}", row, kind) for (name, kind), row in rows]
-        for (name, _), row in zip(_TERM_ROWS, fields[:4]):  # slots and kets, read next as int64
-            if not (-2**63 <= min(row) and max(row) < 2**63):
-                raise ConfigurationError(f"term {name} must fit in int64")
-        var, basis = np.array(fields[:4], dtype=np.int64).reshape(2, 2, -1)
-        energy, coeff, offset = np.array(fields[4:10], dtype=float).reshape(3, 2, -1)
-        value = np.array(fields[10:], dtype=np.complex128).reshape(2, -1)
-        n = energy.shape[1]
-        if len(set(zip(*var.tolist()))) != n:
-            raise ConfigurationError("terms must carry distinct derivative-slot pairs")
-        if len(set(zip(*basis.tolist()))) != n or (basis < 0).any():
-            raise ConfigurationError("terms must carry distinct, nonnegative basis kets")
-        for side, side_slots, energies in zip(("left", "right"), var.tolist(), energy.tolist()):
-            points: dict[int, float] = {}
-            for slot, point in zip(side_slots, energies):  # non-finite energies are refused next
-                if isfinite(point) and points.setdefault(slot, point) != point:
-                    raise ConfigurationError(f"{side} variable {slot} is evaluated at two different energies")
-        if not n:
+    def __init__(self, *, kets, slots, energies, coeffs, offsets, values) -> None:
+        kets, slots = _array("term basis ket", kets, "integer"), _array("term derivative slot", slots, "integer")
+        energy, coeff, offset = (_array(f"term {noun}", rows) for noun, rows in
+                                 (("energy", energies), ("coefficient", coeffs), ("offset", offsets)))
+        value = _array("term value", values, "complex")
+        arrays = dict(kets=kets, slots=slots, energies=energy, coeffs=coeff, offsets=offset, values=value)
+        if wrong := [f"{name} {rows.shape}" for name, rows in arrays.items() if rows.shape != (2, kets.shape[-1])]:
+            raise ConfigurationError(f"term arrays must each have shape (2, n) for one n, got {', '.join(wrong)}")
+        if not kets.size:
             raise ConfigurationError("a factored state needs at least one term")
+        if _repeats(slots):
+            raise ConfigurationError("terms must carry distinct derivative-slot pairs")
+        if _repeats(kets) or (kets < 0).any():
+            raise ConfigurationError("terms must carry distinct, nonnegative basis kets")
         if not np.isfinite(energy).all():
             raise ConfigurationError("term energies must be finite")
-        dims = _check_dims(max(kets) + 1 for kets in fields[2:4])  # from Python ints, which do not wrap
-        self._store(dims, basis, var, energy, value, coeff, offset)
+        for side, side_slots, points in zip(("left", "right"), slots, energy):
+            order = np.argsort(side_slots, kind="stable")
+            side_slots, points = side_slots[order], points[order]
+            clash = np.flatnonzero((side_slots[1:] == side_slots[:-1]) & (points[1:] != points[:-1]))
+            if clash.size:
+                raise ConfigurationError(f"{side} variable {side_slots[clash[0]]} is evaluated at two different energies")
+        dims = _check_dims(top + 1 for top in kets.max(axis=1).tolist())  # Python ints, which do not wrap
+        self._store(dims, kets, slots, energy, value, coeff, offset)
 
     def _store(self, dims, basis, var, energy, value, coeff, offset) -> None:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -240,6 +205,12 @@ class FactoredBipartiteState:
             return rayleigh, sqrt(np.add.reduce(r * r))
 
 
+def _repeats(pairs: np.ndarray) -> bool:
+    """Whether two columns of the (2, n) integer array ``pairs`` are equal: adjacent once lexsorted."""
+    pairs = pairs[:, np.lexsort(pairs)]
+    return bool((pairs[:, 1:] == pairs[:, :-1]).all(axis=0).any())
+
+
 def _view(state: FactoredBipartiteState, values: np.ndarray) -> StateVector:
     """Per-term values at their kets' flat indices, in order: a support-form view of the ``dims`` vector.
 
@@ -303,16 +274,33 @@ def product_state(
 
     Both sides share the energy variables, so the term (n, m) carries
     derivative slots (n, m) and only the diagonal n = m responds to the
-    operator.  Used to exhibit its non-local action.  Its n^2 terms go
-    through the public constructor, which proves the families.
+    operator.  Used to exhibit its non-local action.  It proves its O(d)
+    inputs, the families and the energies, and builds the arrays of its d^2
+    terms in row-major order, whose slots and kets are distinct by
+    construction.
     """
     energies = _numbers("energies", energies)
-    if len(left) != len(energies) or len(right) != len(energies):
+    d = len(energies)
+    if len(left) != d or len(right) != d:
         raise ConfigurationError("need one family per energy on each side")
-    levels = range(len(energies))
-    return FactoredBipartiteState(  # term (n, m) in row-major order
-        FactoredTerm(n, m, n, m, left[n], right[m], energies[n], energies[m]) for n in levels for m in levels
+    for side, families in (("left", left), ("right", right)):
+        for n, family in enumerate(families):
+            if not isinstance(family, ExpLinear):
+                raise ConfigurationError(f"{side} family {n} must be an ExpLinear, got {type(family).__name__}")
+    if not d:
+        raise ConfigurationError("a factored state needs at least one term")
+    coeff, offset, value = (  # (2, d): row 0 the left families, row 1 the right ones
+        np.array([_numbers(f"term {noun}", [getattr(f, field) for f in side], kind) for side in (left, right)])
+        for field, noun, kind in (("coeff", "coefficient", "real"), ("offset", "offset", "real"),
+                                  ("value", "value", "complex"))
     )
+    energy = np.array(energies)
+    if not np.isfinite(energy).all():
+        raise ConfigurationError("term energies must be finite")
+    dims = _check_dims((d, d))
+    kets = np.indices(dims).reshape(2, -1)  # term (n, m) sits on |n>|m> under slots (n, m)
+    return _built(FactoredBipartiteState, dims, kets, kets, energy[kets],
+                  *(np.take_along_axis(rows, kets, 1) for rows in (value, coeff, offset)))
 
 
 def eigencheck_purified(spec: ThermalSpec, *, fd_step: float | None = None) -> EigenReport:

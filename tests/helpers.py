@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from thermosim import (
-    BellOutcome, EigenReport, ExpLinear, FactoredTerm, Operator, ProtocolConfig, QuditHamiltonian, ThermalSpec,
+    BellOutcome, EigenReport, Operator, ProtocolConfig, QuditHamiltonian, ThermalSpec,
 )
 from thermosim.qcore import EQ_TOL
 
@@ -127,24 +127,40 @@ def eigen_report(state, fd_step, expected):
     return EigenReport(*state._evaluated(fd_step), expected)
 
 
-# per-term oracle for tempop: each family and term evaluated one scalar at a time
+# per-term oracle for tempop: each term of a dict of term arrays evaluated alone
 
-def family_amplitude(family, energy):
-    """value * e^(coeff*E + offset) of one ``ExpLinear`` family."""
-    return complex(family.value * np.exp(family.coeff * energy + family.offset))
+def family_amplitude(terms, side, t):
+    """value * e^(coeff*E + offset) of term ``t``'s family on ``side`` (0 left, 1 right), as a 1-element array.
+
+    Each product is taken between 1-element arrays, so it rounds as numpy's array multiply of
+    whole rows does; Python's and numpy's scalar product of two complex numbers may differ from
+    it in the last bit.
+    """
+    value, coeff, offset, energy = (terms[key][side][t] for key in ("values", "coeffs", "offsets", "energies"))
+    return np.array([value], dtype=complex) * np.exp(np.array([coeff * energy + offset]))
 
 
-def term_amplitude(term):
-    """L(x) * R(y) of one ``FactoredTerm``."""
-    return family_amplitude(term.left, term.left_energy) * family_amplitude(term.right, term.right_energy)
+def term_amplitude(terms, t):
+    """L(x) * R(y) of term ``t`` of ``terms``."""
+    return complex((family_amplitude(terms, 0, t) * family_amplitude(terms, 1, t))[0])
 
 
-# formula terms: the terms each tempop builder stands for, written from the formulas of its docstring
+# formula terms: the terms each tempop builder stands for, written from the formulas of its docstring as the
+# six (2, n) term arrays of the public constructor, nested lists with row 0 the left side and row 1 the right
+
+_TERM_KEYS = ("kets", "slots", "energies", "coeffs", "offsets", "values")
+
+
+def term_arrays(terms):
+    """The constructor's keyword arrays of ``terms``, each term a (left, right) pair per key, in key order."""
+    return {key: [list(side) for side in zip(*pairs)] for key, pairs in zip(_TERM_KEYS, zip(*terms))}
+
 
 def purified_terms(spec):
     """Term n of the purified Gibbs state: e^(-beta*E_n/4) x e^(-beta*E_n/4) |n>|n> under slot n."""
-    side = ExpLinear(-spec.beta / 4.0)
-    return tuple(FactoredTerm.diagonal(n, side, side, e) for n, e in enumerate(spec.hamiltonian.energies))
+    coeff = -spec.beta / 4.0
+    return term_arrays(((n, n), (n, n), (e, e), (coeff, coeff), (0.0, 0.0), (1.0, 1.0))
+                       for n, e in enumerate(spec.hamiltonian.energies))
 
 
 def superposition_terms(cfg, outcome, convention):
@@ -160,13 +176,14 @@ def superposition_terms(cfg, outcome, convention):
     terms = []
     for n in (0, 1):
         k = n if outcome is BellOutcome.PHI_PLUS else 1 - n
-        left = ExpLinear(0.0 if pin and n == 1 else a, value=phases[n])
-        right = ExpLinear(0.0 if pin and k == 0 else b)
-        terms.append(FactoredTerm(n, n, n, k, left, right, ea[n], eb[k]))
-    return tuple(terms)
+        coeffs = (0.0 if pin and n == 1 else a, 0.0 if pin and k == 0 else b)
+        terms.append(((n, k), (n, n), (ea[n], eb[k]), coeffs, (0.0, 0.0), (phases[n], 1.0)))
+    return term_arrays(terms)
 
 
 def product_terms(left, right, energies):
     """Term (n, m) of ``product_state(left, right, energies)``: left[n](E_n) x right[m](E_m) |n>|m>, row-major."""
     levels = range(len(energies))
-    return tuple(FactoredTerm(n, m, n, m, left[n], right[m], energies[n], energies[m]) for n in levels for m in levels)
+    return term_arrays(((n, m), (n, m), (energies[n], energies[m]), (left[n].coeff, right[m].coeff),
+                        (left[n].offset, right[m].offset), (left[n].value, right[m].value))
+                       for n in levels for m in levels)

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import re
+from functools import partial
 from itertools import combinations
 from math import prod
 from pathlib import Path
@@ -21,7 +22,6 @@ from thermosim import (
     DensityMatrix,
     ExpLinear,
     FactoredBipartiteState,
-    FactoredTerm,
     Operator,
     PHI_PLUS,
     PSI_PLUS,
@@ -496,37 +496,63 @@ def test_only_amps_densifies():
     assert repr(basis_state((2**20, 2**20), 0)) == "StateVector(dims=(1048576, 1048576))"
 
 
-def test_a_state_too_large_to_densify_is_refused_in_one_line():
-    # 2**40 amplitudes, 16 TiB of complex128: numpy refuses the allocation at once, allocating nothing
-    # (the kernel refuses it under heuristic overcommit; a host that always overcommits would grant it lazily)
-    big, small, half = basis_state((2**20, 2**20), 0), basis_state((2,), 0), basis_state((2**20,), 0)
+def _failing_dense(monkeypatch):
+    """Makes each ``qcore._dense`` build raise ``MemoryError`` itself, as numpy does when it cannot allocate.
+
+    Returns the builds ``_dense`` was handed, so a test sees which densifier each route reached,
+    on any host and at any size.
+    """
+    builds, dense = [], qcore._dense
+
+    def fail(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(qcore, "_dense", lambda noun, build, *args: builds.append(build) or dense(noun, fail, *args))
+    return builds
+
+
+def test_a_state_too_large_to_densify_is_refused_in_one_line(monkeypatch):
+    # every route that densifies a vector, each refusing with the size it was asked for
+    builds = _failing_dense(monkeypatch)
+    sparse, three = basis_state((2, 3), 0), basis_state((3,), 0)
     routes = {
-        "amps": lambda: big.amps,
-        "norm": big.norm,
-        "tensor_product": lambda: tensor_product(small, big),
-        "tensor_product's product": lambda: tensor_product(half, half),  # two 16 MB factors
-        "fidelity_pure": lambda: fidelity_pure(big, big),
-        # apply proves the operator against its targets first, so this state splits 2**40 as 2 x 2**39
-        "apply": lambda: apply(HADAMARD, basis_state((2, 2**39), 0), [0]),
+        "amps": (lambda: sparse.amps, 6, np.zeros),
+        "norm": (sparse.norm, 6, np.zeros),
+        "tensor_product's factor": (lambda: tensor_product(PHI_PLUS, three), 3, np.zeros),
+        "tensor_product's product": (lambda: tensor_product(PHI_PLUS, PSI_PLUS), 16, np.kron),
+        "fidelity_pure": (lambda: fidelity_pure(sparse, sparse), 6, np.zeros),
+        "apply": (lambda: apply(HADAMARD, sparse, [0]), 6, np.zeros),
     }
-    for route in routes.values():
-        with pytest.raises(ConfigurationError, match="^a state of 1099511627776 amplitudes is too large to densify$"):
+    for name, (route, size, build) in routes.items():
+        builds.clear()
+        with pytest.raises(ConfigurationError, match=f"^a state of {size} amplitudes is too large to densify$"):
             route()
-    assert "amps" not in vars(big)
+        assert builds == [build], name
+    assert "amps" not in vars(sparse) and "amps" not in vars(three)
 
 
 @pytest.mark.parametrize("route", ["diagonal", "gram"])
-def test_a_density_matrix_too_large_to_densify_is_refused_in_one_line(route):
-    # a 2**20 x 2**20 matrix, 16 TiB of complex128, on each route of the partial trace; both raised numpy's
-    # raw MemoryError.  The kernel refuses it at once under heuristic overcommit, as it does the state above;
-    # the Gram case is sized so that no host could grant it (a 2**17-row trace asks for 256 GiB)
-    if route == "diagonal":  # 2**20 values spread into entries, from a state never densified
-        state = basis_state((2**20, 2**20), 0)
+def test_a_density_matrix_too_large_to_densify_is_refused_in_one_line(route, monkeypatch):
+    # each route of the partial trace; both raised numpy's raw MemoryError
+    builds = _failing_dense(monkeypatch)
+    if route == "diagonal":  # 3 values spread into entries, from a state never densified
+        state, build = basis_state((3, 2), 0), np.diag
     else:  # every column of the traced qubit is full
-        state = StateVector((2**20, 2), np.full(2**21, 2**-10.5))
-    with pytest.raises(ConfigurationError, match="^a 1048576x1048576 density matrix is too large to densify$"):
+        state, build = StateVector((3, 2), np.full(6, 6**-0.5)), qcore._gram
+    with pytest.raises(ConfigurationError, match="^a 3x3 density matrix is too large to densify$"):
         partial_trace(state, keep={0})
+    assert builds == [build]
     assert route == "gram" or "amps" not in vars(state)
+
+
+def test_a_16_tib_state_is_refused_by_numpy_itself():
+    # 2**40 amplitudes, 16 TiB of complex128: numpy's own MemoryError, allocating nothing.  This one case
+    # depends on the host: the kernel refuses the allocation at once under heuristic overcommit
+    # (vm.overcommit_memory 0); a host that always overcommits would grant it lazily
+    big = basis_state((2**20, 2**20), 0)
+    with pytest.raises(ConfigurationError, match="^a state of 1099511627776 amplitudes is too large to densify$"):
+        big.amps
+    assert "amps" not in vars(big)
 
 
 @settings(max_examples=100, deadline=None)
@@ -655,14 +681,17 @@ _HAM = QuditHamiltonian((5.0, 0.0))
 _SPEC = ThermalSpec(1.0, _HAM)
 _CFG = reference_config()
 _ONE = Constant(1.0)
-_TERMS = (FactoredTerm.diagonal(0, _ONE, _ONE, 0.0), FactoredTerm.diagonal(1, _ONE, _ONE, 0.0))
+# the term arrays of a two-term state: (2, n) rows, row 0 the left side and row 1 the right
+_TERM_ARRAYS = dict(kets=((0, 1), (0, 1)), slots=((0, 1), (0, 1)), energies=((0.0, 0.0), (0.0, 0.0)),
+                    coeffs=((0.0, 0.0), (0.0, 0.0)), offsets=((0.0, 0.0), (0.0, 0.0)), values=((1.0, 1.0), (1.0, 1.0)))
 
 
-def _term_state(**fields):
-    """A two-term state whose first term takes ``fields``."""
-    first = dict(left_var=0, right_var=0, left_basis=0, right_basis=0, left=_ONE, right=_ONE,
-                 left_energy=0.0, right_energy=0.0)
-    return FactoredBipartiteState((FactoredTerm(**{**first, **fields}), _TERMS[1]))
+def _term_state(key=None, side=0, x=None):
+    """The two-term state whose ``key`` array holds ``x`` as the first entry of row ``side``, if a key is given."""
+    rows = {**_TERM_ARRAYS}
+    if key is not None:
+        rows[key] = tuple((x,) + row[1:] if n == side else row for n, row in enumerate(rows[key]))
+    return FactoredBipartiteState(**rows)
 
 
 def _product_state(family):
@@ -681,15 +710,11 @@ _BOUNDARIES = {
     "sample_outcomes.seed": ("seed", "integer", lambda x: sample_outcomes(_CFG, 10, x), 3, False),
     "SweepSpec.phi_points": ("phi_points (a 1-D grid)", "real", lambda x: SweepSpec(_CFG, x), (0.0, 1.0), False),
     "SweepSpec.beta_b_values": ("beta_b sweep values", "real", lambda x: SweepSpec(_CFG, (0.0,), x), (1.0, 2.0), True),
-    "FactoredTerm.left_var": ("term derivative slot", "integer", lambda x: _term_state(left_var=x), 0, False),
-    "FactoredTerm.right_var": ("term derivative slot", "integer", lambda x: _term_state(right_var=x), 0, False),
-    "FactoredTerm.left_basis": ("term basis ket", "integer", lambda x: _term_state(left_basis=x), 0, False),
-    "FactoredTerm.right_basis": ("term basis ket", "integer", lambda x: _term_state(right_basis=x), 0, False),
-    "FactoredTerm.left_energy": ("term energy", "real", lambda x: _term_state(left_energy=x), 0.0, False),
-    "FactoredTerm.right_energy": ("term energy", "real", lambda x: _term_state(right_energy=x), 0.0, False),
-    "ExpLinear.coeff": ("term coefficient", "real", lambda x: _term_state(left=ExpLinear(x)), 0.0, False),
-    "ExpLinear.offset": ("term offset", "real", lambda x: _term_state(right=ExpLinear(0.0, x)), 0.0, False),
-    "ExpLinear.value": ("term value", "complex", lambda x: _term_state(left=ExpLinear(0.0, value=x)), 1.0, False),
+    **{f"FactoredBipartiteState.{key}[{side}]": (f"term {name}", kind, partial(_term_state, key, side), valid, False)
+       for key, name, kind, valid in (("kets", "basis ket", "integer", 0), ("slots", "derivative slot", "integer", 0),
+                                      ("energies", "energy", "real", 0.0), ("coeffs", "coefficient", "real", 0.0),
+                                      ("offsets", "offset", "real", 0.0), ("values", "value", "complex", 1.0))
+       for side in (0, 1)},
     "product_state.energies": ("energies", "real", lambda x: product_state([_ONE, _ONE], [_ONE, _ONE], x), (0.0, 1.0),
                                False),
     "product_state.coeff": ("term coefficient", "real", lambda x: _product_state(ExpLinear(x)), 0.0, False),

@@ -17,7 +17,6 @@ from thermosim import (
     EigenReport,
     ExpLinear,
     FactoredBipartiteState,
-    FactoredTerm,
     ProtocolConfig,
     QuditHamiltonian,
     StateVector,
@@ -40,7 +39,6 @@ from thermosim.qcore import EQ_TOL, FD_TOL
 from helpers import (
     assert_support_invariant,
     eigen_report,
-    family_amplitude,
     product_terms,
     purified_terms,
     random_in_regime_config,
@@ -53,6 +51,13 @@ from helpers import (
 
 def _spec(beta, energies):
     return ThermalSpec(beta, QuditHamiltonian(energies))
+
+
+def _arrays(kets=((0, 1), (0, 1)), **rows):
+    """The constructor's keyword arrays for terms on ``kets``: slots default to the kets, energies, coeffs and
+    offsets to 0 and values to 1, and a scalar row is spread over the kets' (2, n) shape."""
+    rows = {"slots": kets, "energies": 0.0, "coeffs": 0.0, "offsets": 0.0, "values": 1.0, **rows}
+    return {"kets": kets, **{key: np.full(np.shape(kets), x) if np.isscalar(x) else x for key, x in rows.items()}}
 
 
 # --- amplitude families ---------------------------------------------------
@@ -105,47 +110,43 @@ def test_purified_thermal_state_matches_purification():
 
 def test_factored_state_divides_by_its_own_norm():
     # two unit terms sum to Z = 2, so each amplitude is 1/sqrt(2)
-    term = FactoredTerm.diagonal(0, Constant(1.0), Constant(1.0), 0.0)
-    other = FactoredTerm.diagonal(1, Constant(1.0), Constant(1.0), 0.0)
-    amps = FactoredBipartiteState((term, other)).amplitude_vector().amps
+    amps = FactoredBipartiteState(**_arrays()).amplitude_vector().amps
     assert np.array_equal(amps, np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0))
 
 
 def test_factored_state_rejects_duplicate_slots_and_kets():
-    a = FactoredTerm(0, 0, 0, 0, Constant(1.0), Constant(1.0), 0.0, 0.0)
-    b = FactoredTerm(0, 0, 1, 1, Constant(1.0), Constant(1.0), 0.0, 0.0)
-    with pytest.raises(ConfigurationError):
-        FactoredBipartiteState((a, b))
-    c = FactoredTerm(1, 1, 0, 0, Constant(1.0), Constant(1.0), 0.0, 0.0)
-    with pytest.raises(ConfigurationError):
-        FactoredBipartiteState((a, c))
+    # the repeat may sit anywhere in the term order, not only next to its twin
+    with pytest.raises(ConfigurationError, match="^terms must carry distinct derivative-slot pairs$"):
+        FactoredBipartiteState(**_arrays(kets=((0, 1, 2), (0, 1, 2)), slots=((0, 1, 0), (0, 1, 0))))
+    with pytest.raises(ConfigurationError, match="^terms must carry distinct, nonnegative basis kets$"):
+        FactoredBipartiteState(**_arrays(kets=((0, 1, 0), (0, 1, 0)), slots=((0, 1, 2), (0, 1, 2))))
+    # pairs equal on one side only are distinct
+    pairs = ((0, 0, 1), (0, 1, 0))
+    assert FactoredBipartiteState(**_arrays(kets=pairs, slots=pairs)).amplitude_vector()._at.tolist() == [0, 1, 2]
 
 
 def test_factored_state_rejects_inconsistent_shared_variable():
     # both terms key their left factor to slot 0 but at different energies
-    a = FactoredTerm(0, 0, 0, 0, Constant(1.0), Constant(1.0), 1.0, 1.0)
-    b = FactoredTerm(0, 1, 1, 1, Constant(1.0), Constant(1.0), 2.0, 1.0)
-    with pytest.raises(ConfigurationError):
-        FactoredBipartiteState((a, b))
+    with pytest.raises(ConfigurationError, match="^left variable 0 is evaluated at two different energies$"):
+        FactoredBipartiteState(**_arrays(slots=((0, 0), (0, 1)), energies=((1.0, 2.0), (1.0, 1.0))))
+    # a slot's terms need not be adjacent, and the right side is checked as the left is
+    with pytest.raises(ConfigurationError, match="^right variable 3 is evaluated at two different energies$"):
+        FactoredBipartiteState(**_arrays(kets=((0, 1, 2), (0, 1, 2)), slots=((0, 1, 2), (3, 0, 3)),
+                                         energies=((0.0, 0.0, 0.0), (1.0, 0.0, -1.0))))
 
 
 def test_factored_state_refuses_an_overflowing_family():
     # e^1000 overflows; the normalization check refuses it, with no numpy RuntimeWarning
-    terms = (
-        FactoredTerm.diagonal(0, ExpLinear(1000.0), ExpLinear(1.0), 1.0),
-        FactoredTerm.diagonal(1, ExpLinear(1.0), ExpLinear(1.0), 0.0),
-    )
+    terms = _arrays(energies=((1.0, 0.0), (1.0, 0.0)), coeffs=((1000.0, 1.0), (1.0, 1.0)))
     with pytest.raises(ConfigurationError, match="^normalization overflows or vanishes"):
-        FactoredBipartiteState(terms)
+        FactoredBipartiteState(**terms)
 
 
 @pytest.mark.filterwarnings("error")
 def test_factored_state_refuses_a_subnormal_normalization():
     # |2^-511|^2 = 2^-1022 is the smallest normal float; |2^-512|^2 = 2^-1024 is subnormal
     def state(value):
-        one = Constant(1.0)
-        return FactoredBipartiteState((FactoredTerm.diagonal(0, Constant(value), one, 0.0),
-                                       FactoredTerm.diagonal(1, Constant(0.0), one, 0.0)))
+        return FactoredBipartiteState(**_arrays(values=((value, 0.0), (1.0, 1.0))))
 
     assert 2.0**-1022 == sys.float_info.min
     assert np.array_equal(state(2.0**-511).amplitude_vector().amps, [1.0, 0.0, 0.0, 0.0])
@@ -166,11 +167,7 @@ def test_purified_state_is_eigenvector():
 
 def test_constant_bell_state_maps_to_zero():
     half = 1 / np.sqrt(2)
-    terms = (
-        FactoredTerm.diagonal(0, Constant(half), Constant(1.0), 0.0),
-        FactoredTerm.diagonal(1, Constant(half), Constant(1.0), 0.0),
-    )
-    state = FactoredBipartiteState(terms)
+    state = FactoredBipartiteState(**_arrays(values=((half, half), (1.0, 1.0))))
     image = apply_inverse_temp_squared(state)
     assert image.norm() == 0.0
 
@@ -277,11 +274,9 @@ def test_operator_is_symmetric_on_shared_structures():
         coeffs = rng.uniform(-1, 1, (d, 2))
 
         def build(values):
-            terms = tuple(
-                FactoredTerm.diagonal(n, ExpLinear(float(c), value=v), ExpLinear(float(cc)), float(energies[n]))
-                for n, ((c, cc), v) in enumerate(zip(coeffs, values))
-            )
-            return FactoredBipartiteState(terms)
+            levels = np.arange(d)
+            return FactoredBipartiteState(kets=(levels, levels), slots=(levels, levels), energies=(energies, energies),
+                                          coeffs=coeffs.T, offsets=np.zeros((2, d)), values=(values, np.ones(d)))
 
         first = build(rng.normal(size=d) + 1j * rng.normal(size=d))
         second = build(rng.normal(size=d) + 1j * rng.normal(size=d))
@@ -442,35 +437,40 @@ def test_superposition_reports_match_dense(outcome, convention):
 
 
 def _scalar_views(terms, dims, fd_step=None):
-    """Dense psi and operator image of ``terms`` on ``dims`` from the per-term scalar oracle, term by term.
+    """Dense psi and operator image of the term arrays ``terms`` on ``dims`` from the per-term oracle, term by term.
 
     In closed form a term's image is lambda_t psi_t, with lambda_t = coeff_L * coeff_R where
     both sides carry the same slot and 0.0 where they do not; with ``fd_step`` it is the
     central-difference response over sqrt(Z), each family's slope being its value times the
-    difference of its exponentials.
+    difference of its exponentials.  Every product of two family values is taken between
+    1-element arrays, as the oracle takes it.
     """
-    def slope(family, energy):
-        above, below = (np.exp(family.coeff * at + family.offset) for at in (energy + fd_step, energy - fd_step))
-        return complex(family.value * ((above - below) / (2.0 * fd_step)))
+    def slope(side, t):
+        value, coeff, offset, energy = (terms[key][side][t] for key in ("values", "coeffs", "offsets", "energies"))
+        above, below = (np.exp(np.array([coeff * at + offset])) for at in (energy + fd_step, energy - fd_step))
+        return np.array([value], dtype=complex) * ((above - below) / (2.0 * fd_step))
 
+    kets, slots, coeffs = terms["kets"], terms["slots"], terms["coeffs"]
+    n = len(kets[0])
     # Z summed as numpy sums the term amplitudes, in term order
-    root = np.sqrt(np.add.reduce(np.abs(np.array([term_amplitude(t) for t in terms])) ** 2))
+    root = np.sqrt(np.add.reduce(np.abs(np.array([term_amplitude(terms, t) for t in range(n)])) ** 2))
     psi = np.zeros(dims, dtype=complex)
     image = np.zeros(dims, dtype=complex)
-    for t in terms:
-        psi[t.left_basis, t.right_basis] = term_amplitude(t)
-        if fd_step is not None and t.left_var == t.right_var:
-            image[t.left_basis, t.right_basis] = slope(t.left, t.left_energy) * slope(t.right, t.right_energy)
+    for t in range(n):
+        ket = kets[0][t], kets[1][t]
+        psi[ket] = term_amplitude(terms, t)
+        if fd_step is not None and slots[0][t] == slots[1][t]:
+            image[ket] = (slope(0, t) * slope(1, t))[0]
     psi, image = psi / root, image / root
     if fd_step is None:
-        for t in terms:
-            ket = t.left_basis, t.right_basis
-            image[ket] = (t.left.coeff * t.right.coeff if t.left_var == t.right_var else 0.0) * psi[ket]
+        for t in range(n):
+            ket = kets[0][t], kets[1][t]
+            image[ket] = (coeffs[0][t] * coeffs[1][t] if slots[0][t] == slots[1][t] else 0.0) * psi[ket]
     return psi.reshape(-1), image.reshape(-1)
 
 
 def test_array_evaluation_equals_the_scalar_families():
-    # the families are evaluated over term arrays; the arithmetic is the scalar oracle's own,
+    # the families are evaluated over term arrays; the arithmetic is the per-term oracle's own,
     # on the formula terms of each builder, so the values must agree bit for bit
     rng = np.random.default_rng(173)
     states = []
@@ -489,14 +489,13 @@ def test_array_evaluation_equals_the_scalar_families():
             cfg = random_in_regime_config(rng)
             states.append((superposition_state(cfg, outcome, convention),
                            superposition_terms(cfg, outcome, convention)))
-    # responding families whose value is not 1: a complex one on the left, a real one on the right, since
-    # numpy's array product of two complex numbers may round differently from the scalar one
+    # responding families whose values are not real on either side: numpy's scalar product of two
+    # complex numbers may round differently from its array product, which the oracle takes
     for _ in range(8):
         d = int(rng.integers(2, 6))
-        left = [ExpLinear(float(c), float(o), complex(*v))
-                for c, o, v in zip(rng.uniform(-1.0, 1.0, d), rng.uniform(-1.0, 1.0, d), rng.normal(size=(d, 2)))]
-        right = [ExpLinear(float(c), float(o), complex(v))
-                 for c, o, v in zip(rng.uniform(-1.0, 1.0, d), rng.uniform(-1.0, 1.0, d), rng.normal(size=d))]
+        left, right = ([ExpLinear(float(c), float(o), complex(*v)) for c, o, v in
+                        zip(rng.uniform(-1.0, 1.0, d), rng.uniform(-1.0, 1.0, d), rng.normal(size=(d, 2)))]
+                       for _ in range(2))
         energies = rng.uniform(-1.5, 1.5, d)
         states.append((product_state(left, right, energies), product_terms(left, right, energies)))
     for state, terms in states:
@@ -532,80 +531,98 @@ def test_purified_state_at_the_overflow_edge():
 
 
 def test_factored_state_rejects_degenerate_kets_and_values():
-    one = Constant(1.0)
     with pytest.raises(ConfigurationError):  # a 1 x 1 dense view is no bipartite state
-        FactoredBipartiteState((FactoredTerm.diagonal(0, one, one, 0.0),))
+        FactoredBipartiteState(**_arrays(kets=((0,), (0,))))
     with pytest.raises(ConfigurationError):
-        FactoredBipartiteState((FactoredTerm(0, 0, -1, 0, one, one, 0.0, 0.0),
-                                FactoredTerm(1, 1, 1, 1, one, one, 0.0, 0.0)))
+        FactoredBipartiteState(**_arrays(kets=((-1, 1), (0, 1))))
     with pytest.raises(ConfigurationError):  # a NaN amplitude makes a NaN normalization
-        FactoredBipartiteState((FactoredTerm.diagonal(0, Constant(complex("nan")), one, 0.0),
-                                FactoredTerm.diagonal(1, one, one, 0.0)))
+        FactoredBipartiteState(**_arrays(values=((complex("nan"), 1.0), (1.0, 1.0))))
 
 
 @pytest.mark.parametrize("bad", [1.5, 1.0])
 def test_factored_state_refuses_non_integer_kets_and_slots(bad):
     # 1.5 used to build a (2, 2) state whose dense view raised a raw IndexError
-    one = Constant(1.0)
     with pytest.raises(ConfigurationError, match=f"^term basis ket must be an integer, got {re.escape(repr(bad))}$"):
-        FactoredBipartiteState((FactoredTerm.diagonal(0, one, one, 0.0),
-                                FactoredTerm(1, 1, 1, bad, one, one, 0.0, 0.0)))
+        FactoredBipartiteState(**_arrays(kets=((0, 1), (0, bad))))
     with pytest.raises(ConfigurationError, match=f"^term derivative slot must be an integer, got {re.escape(repr(bad))}$"):
-        FactoredBipartiteState((FactoredTerm.diagonal(0, one, one, 0.0),
-                                FactoredTerm(bad, 1, 1, 1, one, one, 0.0, 0.0)))
-    state = FactoredBipartiteState((FactoredTerm.diagonal(0, one, one, 0.0),
-                                    FactoredTerm(np.int64(1), 1, np.uint64(1), 1, one, one, 0.0, 0.0)))
+        FactoredBipartiteState(**_arrays(slots=((0, bad), (0, 1))))
+    with pytest.raises(ConfigurationError, match="^term basis ket must be an integer, got 0.0$"):
+        FactoredBipartiteState(**_arrays(kets=np.array(((0, 1), (0, bad)))))  # a float array is read entry by entry
+    state = FactoredBipartiteState(**_arrays(kets=((0, np.uint64(1)), (0, 1)), slots=((0, np.int64(1)), (0, 1))))
     assert state.dims == (2, 2)
 
 
 def test_factored_state_refuses_slots_and_kets_numpy_cannot_hold():
     # at 2**63 numpy's int64 conversion raised a raw OverflowError; 2**63 - 1 wrapped to a dim of -2**63
-    one = Constant(1.0)
-    first = FactoredTerm.diagonal(0, one, one, 0.0)
-    for name, second in (
-        ("basis ket", FactoredTerm(1, 1, 2**63, 1, one, one, 0.0, 0.0)),
-        ("basis ket", FactoredTerm(1, 1, 1, -2**63 - 1, one, one, 0.0, 0.0)),
-        ("derivative slot", FactoredTerm(2**63, 1, 1, 1, one, one, 0.0, 0.0)),
-        ("derivative slot", FactoredTerm(1, -2**63 - 1, 1, 1, one, one, 0.0, 0.0)),
+    for name, rows in (
+        ("basis ket", dict(kets=((0, 2**63), (0, 1)))),
+        ("basis ket", dict(kets=((0, 1), (0, -2**63 - 1)))),
+        ("derivative slot", dict(slots=((0, 2**63), (0, 1)))),
+        ("derivative slot", dict(slots=((0, 1), (0, -2**63 - 1)))),
+        # numpy's int64 conversion of a uint64 above 2**63 - 1 wraps it silently, in an array or as an entry
+        ("basis ket", dict(kets=np.array(((0, 2**63), (0, 1)), dtype=np.uint64))),
+        ("basis ket", dict(kets=((0, 1), (0, np.uint64(2**64 - 1))))),
+        ("derivative slot", dict(slots=np.array(((0, 1), (0, 2**63 + 1)), dtype=np.uint64))),
     ):
         with pytest.raises(ConfigurationError, match=f"^term {name} must fit in int64$"):
-            FactoredBipartiteState((first, second))
+            FactoredBipartiteState(**_arrays(**rows))
+    # a uint64 array within int64 is read whole
+    assert FactoredBipartiteState(**_arrays(kets=np.array(((0, 1), (0, 1)), dtype=np.uint64))).dims == (2, 2)
     # kets numpy holds, but dims whose product it cannot index: the dense view raised a raw ValueError
     top = int(np.iinfo(np.intp).max)
     for kets, dims in (((top, 1), (top + 1, 2)), ((2**40, 2**40), (2**40 + 1,) * 2)):
         with pytest.raises(ConfigurationError, match=re.escape(f"at most {top}, got {dims}")):
-            FactoredBipartiteState((first, FactoredTerm(1, 1, *kets, one, one, 0.0, 0.0)))
+            FactoredBipartiteState(**_arrays(kets=tuple(zip((0, 0), kets)), slots=((0, 1), (0, 1))))
     # the widest ket a side can carry, and slots at both ends of int64
-    state = FactoredBipartiteState((FactoredTerm(-2**63, 2**63 - 1, 0, 0, one, one, 0.0, 0.0),
-                                    FactoredTerm(1, 1, top // 2 - 1, 1, one, one, 0.0, 0.0)))
+    state = FactoredBipartiteState(**_arrays(kets=((0, top // 2 - 1), (0, 1)), slots=((-2**63, 1), (2**63 - 1, 1))))
     assert state.dims == (top // 2, 2)
     assert state.amplitude_vector()._at.tolist() == [0, top - 2]
 
 
 @pytest.mark.parametrize("field, term", [
-    ("energy", FactoredTerm(0, 0, 0, 0, ExpLinear(0.0), ExpLinear(0.0), "x", 0.0)),
-    ("coefficient", FactoredTerm(0, 0, 0, 0, ExpLinear(0.0), ExpLinear("x"), 0.0, 0.0)),
-    ("offset", FactoredTerm(0, 0, 0, 0, ExpLinear(0.0, "0.5"), ExpLinear(0.0), 0.0, 0.0)),
-    ("value", FactoredTerm(0, 0, 0, 0, ExpLinear(0.0), ExpLinear(0.0, value=None), 0.0, 0.0)),
+    ("energy", _arrays(energies=(("x", 0.0), (0.0, 0.0)))),
+    ("coefficient", _arrays(coeffs=((0.0, 0.0), ("x", 0.0)))),
+    ("offset", _arrays(offsets=(("0.5", 0.0), (0.0, 0.0)))),
+    ("value", _arrays(values=((1.0, 1.0), (None, 1.0)))),
 ])
 def test_factored_state_refuses_non_numeric_fields(field, term):
     # numpy would raise its raw ValueError on "x" and parse "0.5" as a number
     bad = {"energy": "x", "coefficient": "x", "offset": "0.5", "value": None}[field]
     noun = "complex" if field == "value" else "real"
     with pytest.raises(ConfigurationError, match=f"^term {field} must be {noun}, got {re.escape(repr(bad))}$"):
-        FactoredBipartiteState([term, FactoredTerm(1, 1, 1, 1, Constant(1.0), Constant(1.0), 0.0, 0.0)])
+        FactoredBipartiteState(**term)
+
+
+def test_factored_state_refuses_arrays_not_of_one_two_by_n_shape():
+    # a ragged array is refused by its entry, where numpy would raise its raw ValueError or build an object array
+    with pytest.raises(ConfigurationError, match=r"^term basis ket must be an integer, got \[0, 1\]$"):
+        FactoredBipartiteState(**{**_arrays(), "kets": [[0, 1], [0]]})
+    with pytest.raises(ConfigurationError, match=r"^term energy must be real, got \[0.0\]$"):
+        FactoredBipartiteState(**_arrays(energies=((0.0, 0.0), (0.0, [0.0]))))
+    for rows, wrong in (
+        (dict(kets=((0, 1), (0, 1), (0, 1))), "kets (3, 2), slots (3, 2)"),  # three sides
+        (dict(kets=(0, 1)), "kets (2,)"),  # one side: slots and every spread scalar row follow its shape
+        (dict(energies=((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))), "energies (2, 3)"),  # one n for all six
+        (dict(values=((1.0, 1.0),)), "values (1, 2)"),
+        (dict(kets=[], slots=((), ())), "kets (0,)"),
+    ):
+        with pytest.raises(ConfigurationError, match=re.escape(f"shape (2, n) for one n, got {wrong}")):
+            FactoredBipartiteState(**_arrays(**rows))
+    with pytest.raises(TypeError):  # the arrays are taken by keyword only
+        FactoredBipartiteState(*_arrays().values())
 
 
 def test_factored_state_messages_for_missing_terms_and_nonfinite_energies():
     with pytest.raises(ConfigurationError, match="at least one term"):
-        FactoredBipartiteState(())
+        FactoredBipartiteState(**_arrays(kets=((), ())))
     with pytest.raises(ConfigurationError, match="at least one term"):
         product_state([], [], [])
-    one = Constant(1.0)
     # a NaN on a shared slot is a non-finite energy, not a second evaluation point
-    terms = (FactoredTerm(0, 0, 0, 0, one, one, float("nan"), 0.0), FactoredTerm(0, 1, 1, 1, one, one, 0.0, 0.0))
-    with pytest.raises(ConfigurationError, match="finite"):
-        FactoredBipartiteState(terms)
+    terms = _arrays(slots=((0, 0), (0, 1)), energies=((float("nan"), 0.0), (0.0, 0.0)))
+    with pytest.raises(ConfigurationError, match="^term energies must be finite$"):
+        FactoredBipartiteState(**terms)
+    with pytest.raises(ConfigurationError, match="^term energies must be finite$"):
+        product_state([Constant(1.0)] * 2, [Constant(1.0)] * 2, (0.0, float("inf")))
 
 
 def test_product_state_needs_one_family_per_energy_on_each_side():
@@ -616,13 +633,20 @@ def test_product_state_needs_one_family_per_energy_on_each_side():
             product_state(left, right, (0.0, 1.0))
 
 
+def test_product_state_refuses_a_family_that_is_not_an_exp_linear():
+    # a float family raised a raw AttributeError ('float' object has no attribute 'coeff')
+    with pytest.raises(ConfigurationError, match="^left family 0 must be an ExpLinear, got float$"):
+        product_state([1.0, 2.0], [Constant(1.0)] * 2, (0.0, 1.0))
+    with pytest.raises(ConfigurationError, match="^right family 1 must be an ExpLinear, got NoneType$"):
+        product_state([Constant(1.0)] * 2, [Constant(1.0), None], (0.0, 1.0))
+
+
 def test_builders_create_no_term_objects(monkeypatch):
     # the builders evaluate their term arrays straight from the energies;
-    # term objects exist only at the public constructor
+    # family objects exist only as product_state's input
     def refuse(*args, **kwargs):
-        raise AssertionError("term object built on the eigen path")
+        raise AssertionError("family object built on the eigen path")
 
-    monkeypatch.setattr(tempop, "FactoredTerm", refuse)
     monkeypatch.setattr(tempop, "ExpLinear", refuse)
     spec = _spec(1.0, tuple(np.random.default_rng(167).uniform(-5.0, 5.0, 4096)))
     for fd_step in (None, 1e-5):
@@ -634,8 +658,8 @@ def test_builders_create_no_term_objects(monkeypatch):
 
 
 def test_builders_skip_the_public_constructor(monkeypatch):
-    # the two hot builders hold the structure by construction and reach
-    # the state through qcore._built, past the public constructor's proofs
+    # the builders hold the structure by construction and reach the state
+    # through qcore._built, past the public constructor's proofs
     def refuse(self, *args, **kwargs):
         raise AssertionError("public FactoredBipartiteState constructor called")
 
@@ -650,8 +674,9 @@ def test_builders_skip_the_public_constructor(monkeypatch):
     state = purified_thermal_state(spec)
     assert abs(state.amplitude_vector().norm() - 1.0) <= EQ_TOL
     assert apply_inverse_temp_squared(state).dims == (3, 3)
+    assert product_state([Constant(1.0)] * 3, [ExpLinear(-0.5)] * 3, (0.5, -1.0, 2.0)).dims == (3, 3)
     with pytest.raises(AssertionError, match="public FactoredBipartiteState"):
-        FactoredBipartiteState(purified_terms(spec))
+        FactoredBipartiteState(**purified_terms(spec))
 
 
 # --- reports read the states their builders make -----------------------------
@@ -882,7 +907,7 @@ def test_eigen_relation_is_exact_or_refused_at_the_underflow_edge(bound, beta, g
 def _assert_public_round_trip(state, terms):
     """``terms``, the formula terms of ``state``, through the public constructor: every check passes and
     every value equals the built state's bit for bit."""
-    again = FactoredBipartiteState(terms)
+    again = FactoredBipartiteState(**terms)
     assert again.dims == state.dims
     assert np.array_equal(again.amplitude_vector().amps, state.amplitude_vector().amps)
     for fd_step in (None, 1e-5):
@@ -1003,9 +1028,11 @@ def test_product_views_match_the_scatter(families, energies, shuffle):
     if shuffle is None:
         assert np.signbit(apply_inverse_temp_squared(state).amps.view(float)).any()
     else:  # the public constructor takes its terms in any order
-        terms = list(product_terms(left, right, energies[:len(families)]))
-        shuffle.shuffle(terms)
-        _assert_views_match_the_scatter(FactoredBipartiteState(terms))
+        terms = product_terms(left, right, energies[:len(families)])
+        order = list(range(len(families) ** 2))
+        shuffle.shuffle(order)
+        _assert_views_match_the_scatter(FactoredBipartiteState(**{key: np.asarray(rows)[:, order]
+                                                                  for key, rows in terms.items()}))
 
 
 def test_purified_view_trace_reads_only_the_support():
@@ -1075,7 +1102,8 @@ def test_spectral_report_matches_the_vector_form(case):
     rayleigh = math.fsum(np.concatenate((psi.real * image.real, psi.imag * image.imag)))
     r = image - rayleigh * psi
     residual = math.sqrt(math.fsum(np.concatenate((r.real**2, r.imag**2))))
-    lam = max((abs(t.left.coeff * t.right.coeff) for t in terms if t.left_var == t.right_var), default=0.0)
+    coeffs, slots = np.asarray(terms["coeffs"]), np.asarray(terms["slots"])
+    lam = max(np.abs(coeffs[0] * coeffs[1])[slots[0] == slots[1]], default=0.0)
     tol = 1e-15 * max(1.0, lam)
     report = eigen_report(state, None, None)
     assert abs(report.rayleigh - rayleigh) <= tol
