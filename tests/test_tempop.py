@@ -84,7 +84,7 @@ def test_constant_family():
 
 
 def test_a_default_family_value_is_the_complex_one(monkeypatch):
-    # the default value is complex, so the constructor checks a default product state's
+    # the default value is complex, so product_state checks a default product state's
     # value rows whole, with no per-number check, and its amplitudes keep their bytes
     family = ExpLinear(-0.4, 0.1)
     assert type(family.value) is complex and family.value == 1
