@@ -61,15 +61,15 @@ class ConfigurationError(ValueError):
     """Raised when an input violates a documented structural precondition."""
 
 
-# kind: (Python type, ABC, noun, types that skip the ABC check, array dtype)
-_KINDS = {"real": (float, Real, "real", frozenset((float, int)), np.float64),
-          "complex": (complex, Complex, "complex", frozenset((complex, float, int)), np.complex128),
-          "integer": (int, Integral, "an integer", frozenset((int,)), np.int64)}
+# kind: (Python type, ABC, noun, types that skip the ABC check)
+_KINDS = {"real": (float, Real, "real", frozenset((float, int))),
+          "complex": (complex, Complex, "complex", frozenset((complex, float, int))),
+          "integer": (int, Integral, "an integer", frozenset((int,)))}
 
 
 def _number(name: str, x, kind: str = "real"):
     """``x`` as a Python number of ``kind``, if it is one: numpy scalars are, bool, str and None are not."""
-    cast, abc, noun, plain, _ = _KINDS[kind]
+    cast, abc, noun, plain = _KINDS[kind]
     if type(x) not in plain and (type(x) is bool or not isinstance(x, abc)):
         raise ConfigurationError(f"{name} must be {noun}, got {x!r}")
     try:
@@ -80,7 +80,7 @@ def _number(name: str, x, kind: str = "real"):
 
 def _numbers(name: str, values, kind: str = "real") -> tuple:
     """``values`` as a tuple of numbers, each checked as :func:`_number` checks it; a string is refused whole."""
-    cast, _, noun, _, _ = _KINDS[kind]
+    cast, _, noun, _ = _KINDS[kind]
     values = values.tolist() if isinstance(values, np.ndarray) else values  # no ABC check per number of an array
     if isinstance(values, (str, bytes)) or not hasattr(values, "__iter__"):
         raise ConfigurationError(f"{name} must be {noun}, got {values!r}")
@@ -88,24 +88,19 @@ def _numbers(name: str, values, kind: str = "real") -> tuple:
     return values if countOf(map(type, values), cast) == len(values) else tuple(_number(name, x, kind) for x in values)
 
 
-def _array(name: str, values, kind: str = "real") -> np.ndarray:
-    """``values`` as a fresh C-ordered array of ``kind``'s dtype, each number checked as :func:`_number` checks it.
+def _array(name: str, values) -> np.ndarray:
+    """``values`` as a fresh C-ordered complex array, each number checked as :func:`_number` checks it.
 
-    A numpy array of a numeric dtype that casts safely to it passes whole;
-    any other input is checked entry by entry, nested sequences keeping their
-    shape, so a uint64 array is read as Python ints.  An integer beyond int64
-    is refused ("<name> must fit in int64"), where numpy would wrap it.
+    A numpy array of a numeric dtype that casts safely to complex128 passes
+    whole; any other input is checked entry by entry, nested sequences
+    keeping their shape.
     """
-    dtype = _KINDS[kind][4]
-    if isinstance(values, np.ndarray) and values.dtype.kind in "iufc" and np.can_cast(values.dtype, dtype):
-        return np.array(values, dtype=dtype, order="C")
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iufc" and np.can_cast(values.dtype, np.complex128):
+        return np.array(values, dtype=np.complex128, order="C")
     entries = np.array(values, dtype=object)
     # 0-d: a scalar, which _numbers refuses, or an iterable numpy does not unpack (a generator), read as 1-D
-    checked = _numbers(name, entries.reshape(-1) if entries.ndim else values, kind)
-    try:
-        return np.array(checked, dtype=dtype).reshape(entries.shape or -1)
-    except OverflowError:  # only a Python int overflows a dtype here
-        raise ConfigurationError(f"{name} must fit in int64") from None
+    checked = _numbers(name, entries.reshape(-1) if entries.ndim else values, "complex")
+    return np.array(checked, dtype=np.complex128).reshape(entries.shape or -1)
 
 
 def _check_dims(dims: Iterable[int]) -> tuple[int, ...]:
@@ -165,7 +160,7 @@ class StateVector:
     dims: tuple[int, ...]
 
     def __init__(self, dims: Iterable[int], amps) -> None:
-        amps = _array("state amplitudes", amps, "complex").reshape(-1)
+        amps = _array("state amplitudes", amps).reshape(-1)
         dims = _check_dims(dims)
         if amps.size != prod(dims):
             raise ConfigurationError(f"amplitude count {amps.size} does not match dims {dims}")
@@ -242,7 +237,7 @@ class Operator:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        mat = _array("operator entries", self.entries, "complex")
+        mat = _array("operator entries", self.entries)
         dims = _check_dims(self.dims)
         d = prod(dims)
         if mat.shape != (d, d):

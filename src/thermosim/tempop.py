@@ -17,15 +17,17 @@ it keeps only the amplitudes over sqrt(Z) and sqrt(Z), n complex values for
 n terms (16 MB at n = 10^6).  Every value is read from a state: the dense
 view, the operator image, and the reports of ``eigencheck_purified`` and
 ``residual_superposition``, which read the states that
-``purified_thermal_state`` and ``superposition_state`` make.  A state has
-one input form, its term arrays: six (2, n) arrays of kets, slots, energies
-and family fields, row 0 the left side and row 1 the right.  The public
-constructor takes them by keyword and proves their structure with numpy;
-the three builders, ``product_state`` too, make them and reach the state
-through ``qcore._built``, which skips those proofs: they hold the structure
-by construction.  An analytic report whose Rayleigh quotient or residual is
-not finite is refused; a finite-difference one carries the NaN on to the
-caller.
+``purified_thermal_state`` and ``superposition_state`` make.  A state is
+only ever a result, so calling ``FactoredBipartiteState`` raises
+``TypeError``.  The three builders, ``purified_thermal_state``,
+``superposition_state`` and ``product_state``, make its term arrays, six
+(2, n) arrays of kets, slots, energies and family fields, row 0 the left side
+and row 1 the right, and reach the state through ``qcore._built``.  They hold
+its structure by construction: distinct slot pairs, one energy per slot on
+each side, and distinct kets in strictly increasing flat order.
+``product_state`` is the one way in for a caller's families, and proves
+them.  An analytic report whose Rayleigh quotient or residual is not finite
+is refused; a finite-difference one carries the NaN on to the caller.
 
 The operator is sum_k (i d/dE_k) x (-i d/dE_k): derivative slot k
 differentiates the left factor keyed to k and the right factor keyed to k.
@@ -66,7 +68,7 @@ from typing import Sequence
 import numpy as np
 
 from .protocol import BellOutcome, ProtocolConfig
-from .qcore import ConfigurationError, StateVector, _array, _built, _check_dims, _number, _numbers
+from .qcore import ConfigurationError, StateVector, _built, _check_dims, _number, _numbers
 from .thermal import ThermalSpec
 
 
@@ -97,42 +99,17 @@ class FactoredBipartiteState:
     n = 10^6); ``_image`` and ``_evaluated`` read the operator from them and
     the term arrays.
 
-    The public constructor takes the n terms as six (2, n) array-likes, by
-    keyword: each term's ``kets`` and derivative ``slots``, the ``energies``
-    its slots are evaluated at, and its families' ``coeffs``, ``offsets``
-    and ``values``.  It reads them by qcore's numeric rule and proves with
-    numpy what the builders hold by construction: one (2, n) shape, at least
-    one term, distinct slot pairs and kets, nonnegative kets, finite
-    energies, one energy per slot on each side, slots and kets that fit in
-    int64, and dims of at least 2 whose product numpy can index.
+    Only ever a result, so calling ``FactoredBipartiteState``, with or without
+    arguments, raises ``TypeError``: ``purified_thermal_state``,
+    ``superposition_state`` and ``product_state`` build it through
+    ``qcore._built``, with kets in strictly increasing flat order.
     """
 
     dims: tuple[int, int]
 
-    def __init__(self, *, kets, slots, energies, coeffs, offsets, values) -> None:
-        kets, slots = _array("term basis ket", kets, "integer"), _array("term derivative slot", slots, "integer")
-        energy, coeff, offset = (_array(f"term {noun}", rows) for noun, rows in
-                                 (("energy", energies), ("coefficient", coeffs), ("offset", offsets)))
-        value = _array("term value", values, "complex")
-        arrays = dict(kets=kets, slots=slots, energies=energy, coeffs=coeff, offsets=offset, values=value)
-        if wrong := [f"{name} {rows.shape}" for name, rows in arrays.items() if rows.shape != (2, kets.shape[-1])]:
-            raise ConfigurationError(f"term arrays must each have shape (2, n) for one n, got {', '.join(wrong)}")
-        if not kets.size:
-            raise ConfigurationError("a factored state needs at least one term")
-        if _repeats(slots):
-            raise ConfigurationError("terms must carry distinct derivative-slot pairs")
-        if _repeats(kets) or (kets < 0).any():
-            raise ConfigurationError("terms must carry distinct, nonnegative basis kets")
-        if not np.isfinite(energy).all():
-            raise ConfigurationError("term energies must be finite")
-        for side, side_slots, points in zip(("left", "right"), slots, energy):
-            order = np.argsort(side_slots, kind="stable")
-            side_slots, points = side_slots[order], points[order]
-            clash = np.flatnonzero((side_slots[1:] == side_slots[:-1]) & (points[1:] != points[:-1]))
-            if clash.size:
-                raise ConfigurationError(f"{side} variable {side_slots[clash[0]]} is evaluated at two different energies")
-        dims = _check_dims(top + 1 for top in kets.max(axis=1).tolist())  # Python ints, which do not wrap
-        self._store(dims, kets, slots, energy, value, coeff, offset)
+    def __init__(self, *args, **kwargs) -> None:  # object's own would make an empty, field-less value
+        raise TypeError("FactoredBipartiteState has no public constructor: it is a result of "
+                        "purified_thermal_state, superposition_state or product_state")
 
     def _store(self, dims, basis, var, energy, value, coeff, offset) -> None:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -148,7 +125,7 @@ class FactoredBipartiteState:
                               _offset=offset, _psi=psi, _root=root)
 
     def amplitude_vector(self) -> StateVector:
-        return _view(self, self._psi)
+        return _view(self, self._psi.copy())
 
     def _eigenvalues(self) -> np.ndarray:
         """Each term's eigenvalue lambda_t = coeff_L,t * coeff_R,t, 0 where the two sides carry different slots."""
@@ -205,24 +182,15 @@ class FactoredBipartiteState:
             return rayleigh, sqrt(np.add.reduce(r * r))
 
 
-def _repeats(pairs: np.ndarray) -> bool:
-    """Whether two columns of the (2, n) integer array ``pairs`` are equal: adjacent once lexsorted."""
-    pairs = pairs[:, np.lexsort(pairs)]
-    return bool((pairs[:, 1:] == pairs[:, :-1]).all(axis=0).any())
-
-
 def _view(state: FactoredBipartiteState, values: np.ndarray) -> StateVector:
-    """Per-term values at their kets' flat indices, in order: a support-form view of the ``dims`` vector.
+    """The fresh per-term ``values`` at their kets' flat indices: a support-form view of the ``dims`` vector.
 
     Every value is kept, a signed zero too, so the dense ``amps`` holds the
     bytes of a zero-filled array with the values scattered onto their kets.
-    The kets are distinct and inside proven dims, so once sorted their flat
-    indices are the strictly increasing support that ``StateVector`` takes
-    on trust.
+    Every builder emits its kets in strictly increasing flat order, the
+    support that ``StateVector`` takes on trust.
     """
-    at = np.ravel_multi_index(tuple(state._basis), state.dims)
-    order = np.argsort(at)
-    return _built(StateVector, state.dims, values[order], at[order])
+    return _built(StateVector, state.dims, values, np.ravel_multi_index(tuple(state._basis), state.dims))
 
 
 @dataclass(frozen=True)
@@ -275,15 +243,22 @@ def product_state(
     Both sides share the energy variables, so the term (n, m) carries
     derivative slots (n, m) and only the diagonal n = m responds to the
     operator.  Used to exhibit its non-local action.  It proves its O(d)
-    inputs, the families and the energies, and builds the arrays of its d^2
-    terms in row-major order, whose slots and kets are distinct by
+    inputs, the families and the energies, reading each side once as a
+    tuple, and builds the arrays of its d^2 terms in row-major order, whose
+    slots are distinct and kets strictly increasing in flat order by
     construction.
     """
     energies = _numbers("energies", energies)
+    sides = []
+    for side, families in (("left", left), ("right", right)):
+        if not hasattr(families, "__iter__"):
+            raise ConfigurationError(f"{side} families must be a sequence of ExpLinear, got {type(families).__name__}")
+        sides.append(tuple(families))  # a generator is read once, as _numbers reads the energies
+    left, right = sides
     d = len(energies)
     if len(left) != d or len(right) != d:
         raise ConfigurationError("need one family per energy on each side")
-    for side, families in (("left", left), ("right", right)):
+    for side, families in zip(("left", "right"), sides):
         for n, family in enumerate(families):
             if not isinstance(family, ExpLinear):
                 raise ConfigurationError(f"{side} family {n} must be an ExpLinear, got {type(family).__name__}")

@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from thermosim import (
-    BellOutcome, EigenReport, Operator, ProtocolConfig, QuditHamiltonian, ThermalSpec,
+    BellOutcome, EigenReport, FactoredBipartiteState, Operator, ProtocolConfig, QuditHamiltonian, ThermalSpec, qcore,
 )
 from thermosim.qcore import EQ_TOL
 
@@ -146,14 +146,29 @@ def term_amplitude(terms, t):
 
 
 # formula terms: the terms each tempop builder stands for, written from the formulas of its docstring as the
-# six (2, n) term arrays of the public constructor, nested lists with row 0 the left side and row 1 the right
+# six (2, n) term arrays a state holds, nested lists with row 0 the left side and row 1 the right
 
 _TERM_KEYS = ("kets", "slots", "energies", "coeffs", "offsets", "values")
 
 
 def term_arrays(terms):
-    """The constructor's keyword arrays of ``terms``, each term a (left, right) pair per key, in key order."""
+    """The term arrays of ``terms`` by name, each term a (left, right) pair per key, in key order."""
     return {key: [list(side) for side in zip(*pairs)] for key, pairs in zip(_TERM_KEYS, zip(*terms))}
+
+
+def built_state(terms):
+    """The state of the term arrays ``terms``, reached through ``qcore._built`` as the builders reach it.
+
+    The terms are sorted by flat ket, the order the builders emit and the views take on trust, and the
+    dims are one past each side's largest ket.
+    """
+    kets = np.asarray(terms["kets"], dtype=np.int64)
+    dims = tuple(int(top) + 1 for top in kets.max(axis=1))
+    order = np.argsort(np.ravel_multi_index(tuple(kets), dims), kind="stable")
+    rows = {key: np.asarray(terms[key], dtype=dtype)[:, order] for key, dtype in
+            (("kets", np.int64), ("slots", np.int64), ("energies", float), ("values", complex), ("coeffs", float),
+             ("offsets", float))}
+    return qcore._built(FactoredBipartiteState, dims, *rows.values())
 
 
 def purified_terms(spec):

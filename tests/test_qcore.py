@@ -1,7 +1,6 @@
 import ast
 import dataclasses
 import re
-from functools import partial
 from itertools import combinations
 from math import prod
 from pathlib import Path
@@ -21,7 +20,6 @@ from thermosim import (
     Constant,
     DensityMatrix,
     ExpLinear,
-    FactoredBipartiteState,
     Operator,
     PHI_PLUS,
     PSI_PLUS,
@@ -51,7 +49,8 @@ from thermosim import qcore
 from thermosim.qcore import EQ_TOL
 
 from helpers import (
-    adjoint, assert_support_invariant, assert_valid_density, random_state_amps, random_unitary, reference_config,
+    adjoint, assert_support_invariant, assert_valid_density, built_state, random_state_amps, random_unitary,
+    reference_config,
 )
 
 
@@ -681,17 +680,10 @@ _HAM = QuditHamiltonian((5.0, 0.0))
 _SPEC = ThermalSpec(1.0, _HAM)
 _CFG = reference_config()
 _ONE = Constant(1.0)
-# the term arrays of a two-term state: (2, n) rows, row 0 the left side and row 1 the right
-_TERM_ARRAYS = dict(kets=((0, 1), (0, 1)), slots=((0, 1), (0, 1)), energies=((0.0, 0.0), (0.0, 0.0)),
-                    coeffs=((0.0, 0.0), (0.0, 0.0)), offsets=((0.0, 0.0), (0.0, 0.0)), values=((1.0, 1.0), (1.0, 1.0)))
-
-
-def _term_state(key=None, side=0, x=None):
-    """The two-term state whose ``key`` array holds ``x`` as the first entry of row ``side``, if a key is given."""
-    rows = {**_TERM_ARRAYS}
-    if key is not None:
-        rows[key] = tuple((x,) + row[1:] if n == side else row for n, row in enumerate(rows[key]))
-    return FactoredBipartiteState(**rows)
+# a two-term state from its term arrays: (2, n) rows, row 0 the left side and row 1 the right
+_TERM_STATE = built_state(dict(kets=((0, 1), (0, 1)), slots=((0, 1), (0, 1)), energies=((0.0, 0.0), (0.0, 0.0)),
+                               coeffs=((0.0, 0.0), (0.0, 0.0)), offsets=((0.0, 0.0), (0.0, 0.0)),
+                               values=((1.0, 1.0), (1.0, 1.0))))
 
 
 def _product_state(family):
@@ -710,11 +702,6 @@ _BOUNDARIES = {
     "sample_outcomes.seed": ("seed", "integer", lambda x: sample_outcomes(_CFG, 10, x), 3, False),
     "SweepSpec.phi_points": ("phi_points (a 1-D grid)", "real", lambda x: SweepSpec(_CFG, x), (0.0, 1.0), False),
     "SweepSpec.beta_b_values": ("beta_b sweep values", "real", lambda x: SweepSpec(_CFG, (0.0,), x), (1.0, 2.0), True),
-    **{f"FactoredBipartiteState.{key}[{side}]": (f"term {name}", kind, partial(_term_state, key, side), valid, False)
-       for key, name, kind, valid in (("kets", "basis ket", "integer", 0), ("slots", "derivative slot", "integer", 0),
-                                      ("energies", "energy", "real", 0.0), ("coeffs", "coefficient", "real", 0.0),
-                                      ("offsets", "offset", "real", 0.0), ("values", "value", "complex", 1.0))
-       for side in (0, 1)},
     "product_state.energies": ("energies", "real", lambda x: product_state([_ONE, _ONE], [_ONE, _ONE], x), (0.0, 1.0),
                                False),
     "product_state.coeff": ("term coefficient", "real", lambda x: _product_state(ExpLinear(x)), 0.0, False),
@@ -723,7 +710,7 @@ _BOUNDARIES = {
     "eigencheck_purified.fd_step": (
         "finite-difference step", "real", lambda x: eigencheck_purified(_SPEC, fd_step=x), 1.0, True),
     "apply_inverse_temp_squared.fd_step": (
-        "finite-difference step", "real", lambda x: apply_inverse_temp_squared(_term_state(), fd_step=x), 1.0, True),
+        "finite-difference step", "real", lambda x: apply_inverse_temp_squared(_TERM_STATE, fd_step=x), 1.0, True),
     "StateVector.amps": ("state amplitudes", "complex", lambda x: StateVector((2,), x), (1.0, 0.0), False),
     "StateVector.dims": ("subsystem dims", "integer", lambda x: StateVector(x, [1.0, 0.0, 0.0, 0.0]), (2, 2), False),
     "Operator.dims": ("subsystem dims", "integer", lambda x: Operator(x, np.eye(4)), (2, 2), False),

@@ -38,6 +38,7 @@ from thermosim.qcore import EQ_TOL, FD_TOL
 
 from helpers import (
     assert_support_invariant,
+    built_state,
     eigen_report,
     product_terms,
     purified_terms,
@@ -54,8 +55,8 @@ def _spec(beta, energies):
 
 
 def _arrays(kets=((0, 1), (0, 1)), **rows):
-    """The constructor's keyword arrays for terms on ``kets``: slots default to the kets, energies, coeffs and
-    offsets to 0 and values to 1, and a scalar row is spread over the kets' (2, n) shape."""
+    """The term arrays for terms on ``kets``: slots default to the kets, energies, coeffs and offsets to 0 and
+    values to 1, and a scalar row is spread over the kets' (2, n) shape."""
     rows = {"slots": kets, "energies": 0.0, "coeffs": 0.0, "offsets": 0.0, "values": 1.0, **rows}
     return {"kets": kets, **{key: np.full(np.shape(kets), x) if np.isscalar(x) else x for key, x in rows.items()}}
 
@@ -110,49 +111,40 @@ def test_purified_thermal_state_matches_purification():
 
 def test_factored_state_divides_by_its_own_norm():
     # two unit terms sum to Z = 2, so each amplitude is 1/sqrt(2)
-    amps = FactoredBipartiteState(**_arrays()).amplitude_vector().amps
+    amps = built_state(_arrays()).amplitude_vector().amps
     assert np.array_equal(amps, np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0))
-
-
-def test_factored_state_rejects_duplicate_slots_and_kets():
-    # the repeat may sit anywhere in the term order, not only next to its twin
-    with pytest.raises(ConfigurationError, match="^terms must carry distinct derivative-slot pairs$"):
-        FactoredBipartiteState(**_arrays(kets=((0, 1, 2), (0, 1, 2)), slots=((0, 1, 0), (0, 1, 0))))
-    with pytest.raises(ConfigurationError, match="^terms must carry distinct, nonnegative basis kets$"):
-        FactoredBipartiteState(**_arrays(kets=((0, 1, 0), (0, 1, 0)), slots=((0, 1, 2), (0, 1, 2))))
-    # pairs equal on one side only are distinct
-    pairs = ((0, 0, 1), (0, 1, 0))
-    assert FactoredBipartiteState(**_arrays(kets=pairs, slots=pairs)).amplitude_vector()._at.tolist() == [0, 1, 2]
-
-
-def test_factored_state_rejects_inconsistent_shared_variable():
-    # both terms key their left factor to slot 0 but at different energies
-    with pytest.raises(ConfigurationError, match="^left variable 0 is evaluated at two different energies$"):
-        FactoredBipartiteState(**_arrays(slots=((0, 0), (0, 1)), energies=((1.0, 2.0), (1.0, 1.0))))
-    # a slot's terms need not be adjacent, and the right side is checked as the left is
-    with pytest.raises(ConfigurationError, match="^right variable 3 is evaluated at two different energies$"):
-        FactoredBipartiteState(**_arrays(kets=((0, 1, 2), (0, 1, 2)), slots=((0, 1, 2), (3, 0, 3)),
-                                         energies=((0.0, 0.0, 0.0), (1.0, 0.0, -1.0))))
 
 
 def test_factored_state_refuses_an_overflowing_family():
     # e^1000 overflows; the normalization check refuses it, with no numpy RuntimeWarning
     terms = _arrays(energies=((1.0, 0.0), (1.0, 0.0)), coeffs=((1000.0, 1.0), (1.0, 1.0)))
     with pytest.raises(ConfigurationError, match="^normalization overflows or vanishes"):
-        FactoredBipartiteState(**terms)
+        built_state(terms)
 
 
 @pytest.mark.filterwarnings("error")
 def test_factored_state_refuses_a_subnormal_normalization():
     # |2^-511|^2 = 2^-1022 is the smallest normal float; |2^-512|^2 = 2^-1024 is subnormal
     def state(value):
-        return FactoredBipartiteState(**_arrays(values=((value, 0.0), (1.0, 1.0))))
+        return built_state(_arrays(values=((value, 0.0), (1.0, 1.0))))
 
     assert 2.0**-1022 == sys.float_info.min
     assert np.array_equal(state(2.0**-511).amplitude_vector().amps, [1.0, 0.0, 0.0, 0.0])
     for value in (2.0**-512, 2.0**-600, 0.0):
         with pytest.raises(ConfigurationError, match=f"^{re.escape(_NORMALIZATION)}$"):
             state(value)
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    pytest.param((), {}, id="no arguments"),
+    pytest.param(((2, 2),), {}, id="dims"),
+    pytest.param((), purified_terms(_spec(1.0, (0.0, 1.0))), id="term arrays"),
+])
+def test_factored_state_has_no_public_constructor(args, kwargs):
+    # a factored state is only ever a result; object's own constructor would hand back a value with no terms
+    with pytest.raises(TypeError, match="^FactoredBipartiteState has no public constructor: it is a result of "
+                                        "purified_thermal_state, superposition_state or product_state$"):
+        FactoredBipartiteState(*args, **kwargs)
 
 
 # --- operator action --------------------------------------------------------
@@ -167,7 +159,7 @@ def test_purified_state_is_eigenvector():
 
 def test_constant_bell_state_maps_to_zero():
     half = 1 / np.sqrt(2)
-    state = FactoredBipartiteState(**_arrays(values=((half, half), (1.0, 1.0))))
+    state = built_state(_arrays(values=((half, half), (1.0, 1.0))))
     image = apply_inverse_temp_squared(state)
     assert image.norm() == 0.0
 
@@ -275,8 +267,8 @@ def test_operator_is_symmetric_on_shared_structures():
 
         def build(values):
             levels = np.arange(d)
-            return FactoredBipartiteState(kets=(levels, levels), slots=(levels, levels), energies=(energies, energies),
-                                          coeffs=coeffs.T, offsets=np.zeros((2, d)), values=(values, np.ones(d)))
+            return built_state(dict(kets=(levels, levels), slots=(levels, levels), energies=(energies, energies),
+                                    coeffs=coeffs.T, offsets=np.zeros((2, d)), values=(values, np.ones(d))))
 
         first = build(rng.normal(size=d) + 1j * rng.normal(size=d))
         second = build(rng.normal(size=d) + 1j * rng.normal(size=d))
@@ -530,99 +522,14 @@ def test_purified_state_at_the_overflow_edge():
         purified_thermal_state(_spec(720.0, (-1.0, 0.5)))
 
 
-def test_factored_state_rejects_degenerate_kets_and_values():
-    with pytest.raises(ConfigurationError):  # a 1 x 1 dense view is no bipartite state
-        FactoredBipartiteState(**_arrays(kets=((0,), (0,))))
-    with pytest.raises(ConfigurationError):
-        FactoredBipartiteState(**_arrays(kets=((-1, 1), (0, 1))))
-    with pytest.raises(ConfigurationError):  # a NaN amplitude makes a NaN normalization
-        FactoredBipartiteState(**_arrays(values=((complex("nan"), 1.0), (1.0, 1.0))))
-
-
-@pytest.mark.parametrize("bad", [1.5, 1.0])
-def test_factored_state_refuses_non_integer_kets_and_slots(bad):
-    # 1.5 used to build a (2, 2) state whose dense view raised a raw IndexError
-    with pytest.raises(ConfigurationError, match=f"^term basis ket must be an integer, got {re.escape(repr(bad))}$"):
-        FactoredBipartiteState(**_arrays(kets=((0, 1), (0, bad))))
-    with pytest.raises(ConfigurationError, match=f"^term derivative slot must be an integer, got {re.escape(repr(bad))}$"):
-        FactoredBipartiteState(**_arrays(slots=((0, bad), (0, 1))))
-    with pytest.raises(ConfigurationError, match="^term basis ket must be an integer, got 0.0$"):
-        FactoredBipartiteState(**_arrays(kets=np.array(((0, 1), (0, bad)))))  # a float array is read entry by entry
-    state = FactoredBipartiteState(**_arrays(kets=((0, np.uint64(1)), (0, 1)), slots=((0, np.int64(1)), (0, 1))))
-    assert state.dims == (2, 2)
-
-
-def test_factored_state_refuses_slots_and_kets_numpy_cannot_hold():
-    # at 2**63 numpy's int64 conversion raised a raw OverflowError; 2**63 - 1 wrapped to a dim of -2**63
-    for name, rows in (
-        ("basis ket", dict(kets=((0, 2**63), (0, 1)))),
-        ("basis ket", dict(kets=((0, 1), (0, -2**63 - 1)))),
-        ("derivative slot", dict(slots=((0, 2**63), (0, 1)))),
-        ("derivative slot", dict(slots=((0, 1), (0, -2**63 - 1)))),
-        # numpy's int64 conversion of a uint64 above 2**63 - 1 wraps it silently, in an array or as an entry
-        ("basis ket", dict(kets=np.array(((0, 2**63), (0, 1)), dtype=np.uint64))),
-        ("basis ket", dict(kets=((0, 1), (0, np.uint64(2**64 - 1))))),
-        ("derivative slot", dict(slots=np.array(((0, 1), (0, 2**63 + 1)), dtype=np.uint64))),
-    ):
-        with pytest.raises(ConfigurationError, match=f"^term {name} must fit in int64$"):
-            FactoredBipartiteState(**_arrays(**rows))
-    # a uint64 array within int64 is read whole
-    assert FactoredBipartiteState(**_arrays(kets=np.array(((0, 1), (0, 1)), dtype=np.uint64))).dims == (2, 2)
-    # kets numpy holds, but dims whose product it cannot index: the dense view raised a raw ValueError
-    top = int(np.iinfo(np.intp).max)
-    for kets, dims in (((top, 1), (top + 1, 2)), ((2**40, 2**40), (2**40 + 1,) * 2)):
-        with pytest.raises(ConfigurationError, match=re.escape(f"at most {top}, got {dims}")):
-            FactoredBipartiteState(**_arrays(kets=tuple(zip((0, 0), kets)), slots=((0, 1), (0, 1))))
-    # the widest ket a side can carry, and slots at both ends of int64
-    state = FactoredBipartiteState(**_arrays(kets=((0, top // 2 - 1), (0, 1)), slots=((-2**63, 1), (2**63 - 1, 1))))
-    assert state.dims == (top // 2, 2)
-    assert state.amplitude_vector()._at.tolist() == [0, top - 2]
-
-
-@pytest.mark.parametrize("field, term", [
-    ("energy", _arrays(energies=(("x", 0.0), (0.0, 0.0)))),
-    ("coefficient", _arrays(coeffs=((0.0, 0.0), ("x", 0.0)))),
-    ("offset", _arrays(offsets=(("0.5", 0.0), (0.0, 0.0)))),
-    ("value", _arrays(values=((1.0, 1.0), (None, 1.0)))),
-])
-def test_factored_state_refuses_non_numeric_fields(field, term):
-    # numpy would raise its raw ValueError on "x" and parse "0.5" as a number
-    bad = {"energy": "x", "coefficient": "x", "offset": "0.5", "value": None}[field]
-    noun = "complex" if field == "value" else "real"
-    with pytest.raises(ConfigurationError, match=f"^term {field} must be {noun}, got {re.escape(repr(bad))}$"):
-        FactoredBipartiteState(**term)
-
-
-def test_factored_state_refuses_arrays_not_of_one_two_by_n_shape():
-    # a ragged array is refused by its entry, where numpy would raise its raw ValueError or build an object array
-    with pytest.raises(ConfigurationError, match=r"^term basis ket must be an integer, got \[0, 1\]$"):
-        FactoredBipartiteState(**{**_arrays(), "kets": [[0, 1], [0]]})
-    with pytest.raises(ConfigurationError, match=r"^term energy must be real, got \[0.0\]$"):
-        FactoredBipartiteState(**_arrays(energies=((0.0, 0.0), (0.0, [0.0]))))
-    for rows, wrong in (
-        (dict(kets=((0, 1), (0, 1), (0, 1))), "kets (3, 2), slots (3, 2)"),  # three sides
-        (dict(kets=(0, 1)), "kets (2,)"),  # one side: slots and every spread scalar row follow its shape
-        (dict(energies=((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))), "energies (2, 3)"),  # one n for all six
-        (dict(values=((1.0, 1.0),)), "values (1, 2)"),
-        (dict(kets=[], slots=((), ())), "kets (0,)"),
-    ):
-        with pytest.raises(ConfigurationError, match=re.escape(f"shape (2, n) for one n, got {wrong}")):
-            FactoredBipartiteState(**_arrays(**rows))
-    with pytest.raises(TypeError):  # the arrays are taken by keyword only
-        FactoredBipartiteState(*_arrays().values())
-
-
 def test_factored_state_messages_for_missing_terms_and_nonfinite_energies():
     with pytest.raises(ConfigurationError, match="at least one term"):
-        FactoredBipartiteState(**_arrays(kets=((), ())))
-    with pytest.raises(ConfigurationError, match="at least one term"):
         product_state([], [], [])
-    # a NaN on a shared slot is a non-finite energy, not a second evaluation point
-    terms = _arrays(slots=((0, 0), (0, 1)), energies=((float("nan"), 0.0), (0.0, 0.0)))
-    with pytest.raises(ConfigurationError, match="^term energies must be finite$"):
-        FactoredBipartiteState(**terms)
     with pytest.raises(ConfigurationError, match="^term energies must be finite$"):
         product_state([Constant(1.0)] * 2, [Constant(1.0)] * 2, (0.0, float("inf")))
+    # a NaN amplitude makes a NaN normalization
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(_NORMALIZATION)}$"):
+        product_state([Constant(complex("nan")), Constant(1.0)], [Constant(1.0)] * 2, (0.0, 1.0))
 
 
 def test_product_state_needs_one_family_per_energy_on_each_side():
@@ -631,6 +538,19 @@ def test_product_state_needs_one_family_per_energy_on_each_side():
     for left, right in (([one] * 3, [one] * 2), ([one] * 2, [one] * 3), ([one], [one] * 2), ([one] * 2, [one])):
         with pytest.raises(ConfigurationError, match="^need one family per energy on each side$"):
             product_state(left, right, (0.0, 1.0))
+
+
+def test_product_state_reads_each_side_of_families_once():
+    # each side is read once as a tuple, as the energies are: a generator of families, a bare family and None
+    # raised a raw TypeError ("object of type 'generator' has no len()")
+    families = [ExpLinear(-0.5, 0.1), Constant(1j)]
+    want = product_state(families, families, (0.0, 1.0)).amplitude_vector().amps
+    got = product_state((f for f in families), iter(families), (0.0, 1.0)).amplitude_vector().amps
+    assert got.tobytes() == want.tobytes()
+    with pytest.raises(ConfigurationError, match="^left families must be a sequence of ExpLinear, got ExpLinear$"):
+        product_state(Constant(1.0), families, (0.0, 1.0))
+    with pytest.raises(ConfigurationError, match="^right families must be a sequence of ExpLinear, got NoneType$"):
+        product_state(families, None, (0.0, 1.0))
 
 
 def test_product_state_refuses_a_family_that_is_not_an_exp_linear():
@@ -655,28 +575,6 @@ def test_builders_create_no_term_objects(monkeypatch):
     for outcome in (BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS):
         for convention in ("full_dependence", "chosen_zero_levels"):
             assert residual_superposition(cfg, outcome, convention).residual >= 0.0
-
-
-def test_builders_skip_the_public_constructor(monkeypatch):
-    # the builders hold the structure by construction and reach the state
-    # through qcore._built, past the public constructor's proofs
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("public FactoredBipartiteState constructor called")
-
-    monkeypatch.setattr(FactoredBipartiteState, "__init__", refuse)
-    spec = _spec(1.3, (0.5, -1.0, 2.0))
-    for fd_step in (None, 1e-5):
-        assert abs(eigencheck_purified(spec, fd_step=fd_step).rayleigh - 1.3**2 / 16.0) <= FD_TOL
-    cfg = reference_config(phi=0.4)
-    for outcome in (BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS):
-        for convention in ("full_dependence", "chosen_zero_levels"):
-            assert residual_superposition(cfg, outcome, convention).residual >= 0.0
-    state = purified_thermal_state(spec)
-    assert abs(state.amplitude_vector().norm() - 1.0) <= EQ_TOL
-    assert apply_inverse_temp_squared(state).dims == (3, 3)
-    assert product_state([Constant(1.0)] * 3, [ExpLinear(-0.5)] * 3, (0.5, -1.0, 2.0)).dims == (3, 3)
-    with pytest.raises(AssertionError, match="public FactoredBipartiteState"):
-        FactoredBipartiteState(**purified_terms(spec))
 
 
 # --- reports read the states their builders make -----------------------------
@@ -902,12 +800,12 @@ def test_eigen_relation_is_exact_or_refused_at_the_underflow_edge(bound, beta, g
         assert report.residual <= 1e-12 * expected
 
 
-# --- validate once: built states pass the public constructor's checks --------
+# --- built states equal their formula terms ----------------------------------
 
-def _assert_public_round_trip(state, terms):
-    """``terms``, the formula terms of ``state``, through the public constructor: every check passes and
-    every value equals the built state's bit for bit."""
-    again = FactoredBipartiteState(**terms)
+def _assert_formula_round_trip(state, terms):
+    """``terms``, the formula terms of ``state``, built as they stand: every value equals the built state's
+    bit for bit."""
+    again = built_state(terms)
     assert again.dims == state.dims
     assert np.array_equal(again.amplitude_vector().amps, state.amplitude_vector().amps)
     for fd_step in (None, 1e-5):
@@ -924,7 +822,7 @@ def test_purified_state_round_trips(d, beta_gap, seed):
     levels = np.concatenate(([-1.0, 0.0], np.random.default_rng(seed).uniform(-1.0, 0.0, d - 2)))
     spec = _spec(beta_gap, tuple(levels))
     state = purified_thermal_state(spec)
-    _assert_public_round_trip(state, purified_terms(spec))
+    _assert_formula_round_trip(state, purified_terms(spec))
     assert np.max(np.abs(state.amplitude_vector().amps - purify(spec).amps)) <= EQ_TOL
 
 
@@ -940,7 +838,7 @@ def test_product_state_round_trips(d, seed):
 
     left, right = [family() for _ in range(d)], [family() for _ in range(d)]
     energies = rng.uniform(-1.5, 1.5, d)
-    _assert_public_round_trip(product_state(left, right, energies), product_terms(left, right, energies))
+    _assert_formula_round_trip(product_state(left, right, energies), product_terms(left, right, energies))
 
 
 @settings(max_examples=40, deadline=None)
@@ -952,7 +850,7 @@ def test_product_state_round_trips(d, seed):
 def test_superposition_state_round_trips(outcome, convention, seed):
     cfg = random_in_regime_config(np.random.default_rng(seed))
     state = superposition_state(cfg, outcome, convention)
-    _assert_public_round_trip(state, superposition_terms(cfg, outcome, convention))
+    _assert_formula_round_trip(state, superposition_terms(cfg, outcome, convention))
 
 
 
@@ -1017,22 +915,43 @@ _FAMILY = st.builds(lambda re, im: Constant(complex(re, im)), _PART, _PART | st.
 @given(
     families=st.integers(2, 5).flatmap(lambda d: st.lists(st.tuples(_FAMILY, _FAMILY), min_size=d, max_size=d)),
     energies=st.lists(st.floats(-1.5, 1.5), min_size=5, max_size=5),
-    shuffle=st.randoms(use_true_random=False),
 )
-# constant families of either sign: the images hold -0.0
-@example(families=[(Constant(-1.0), Constant(-1.0)), (Constant(1.0), Constant(-1.0))], energies=[0.5] * 5, shuffle=None)
-def test_product_views_match_the_scatter(families, energies, shuffle):
+def test_product_views_match_the_scatter(families, energies):
     left, right = zip(*families)
-    state = product_state(left, right, energies[:len(families)])
+    _assert_views_match_the_scatter(product_state(left, right, energies[:len(families)]))
+
+
+def test_product_views_keep_signed_zeros():
+    # constant families of either sign: the images hold -0.0
+    state = product_state((Constant(-1.0), Constant(1.0)), (Constant(-1.0), Constant(-1.0)), (0.5, 0.5))
     _assert_views_match_the_scatter(state)
-    if shuffle is None:
-        assert np.signbit(apply_inverse_temp_squared(state).amps.view(float)).any()
-    else:  # the public constructor takes its terms in any order
-        terms = product_terms(left, right, energies[:len(families)])
-        order = list(range(len(families) ** 2))
-        shuffle.shuffle(order)
-        _assert_views_match_the_scatter(FactoredBipartiteState(**{key: np.asarray(rows)[:, order]
-                                                                  for key, rows in terms.items()}))
+    assert np.signbit(apply_inverse_temp_squared(state).amps.view(float)).any()
+
+
+def _builder_states():
+    """A state of every builder: purified states and complex-valued product states at several d, and
+    phi+ and psi+ under both conventions at two phases."""
+    rng = np.random.default_rng(211)
+    for d in (2, 3, 64, 1024):
+        yield purified_thermal_state(_spec(0.9, tuple(rng.uniform(-5.0, 5.0, d))))
+    for d in (2, 5, 40):
+        left, right = ([ExpLinear(float(c), float(o), complex(*v)) for c, o, v in
+                        zip(rng.uniform(-1.0, 1.0, d), rng.uniform(-1.0, 1.0, d), rng.normal(size=(d, 2)))]
+                       for _ in range(2))
+        yield product_state(left, right, rng.uniform(-1.5, 1.5, d))
+    for phi in (0.0, 0.4):
+        for outcome in (BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS):
+            for convention in ("full_dependence", "chosen_zero_levels"):
+                yield superposition_state(reference_config(phi), outcome, convention)
+
+
+def test_every_builder_emits_its_kets_in_increasing_flat_order():
+    # the views hand the kets' flat indices to StateVector unsorted, so every builder must emit them strictly
+    # increasing: each view of each builder's state holds the support invariant
+    for state in _builder_states():
+        for view in (state.amplitude_vector(), apply_inverse_temp_squared(state),
+                     apply_inverse_temp_squared(state, fd_step=1e-5)):
+            assert_support_invariant(view)
 
 
 def test_purified_view_trace_reads_only_the_support():
