@@ -14,13 +14,14 @@ equal but distinct array.
 
 Each input from outside the library is proven once, where it enters, and
 structure (dims, shapes, supports) only there: by a public constructor, by
-``basis_state`` or by ``tempop``'s term arrays.  A value the library derives
-reads its ``dims`` from a proven value and enters through ``_built``, with
-arrays its producer shaped itself.  A ``_store`` proves only what arithmetic
+``basis_state`` or by ``tempop``'s ``product_state``.  A value the library
+derives reads its ``dims`` from a proven value and enters through ``_built``,
+with arrays its producer shaped itself.  A ``_store`` proves only what arithmetic
 can break, finiteness and, for a ``DensityMatrix``, unit trace, and freezes
 a copy of a public constructor's input or, without a copy, a fresh array the
 library built.  ``DensityMatrix`` is only ever a result, so it has no public
-constructor; ``Operator`` is only ever an input, so it has no ``_store``.
+constructor, nor has ``tempop``'s ``FactoredBipartiteState``; ``Operator`` is
+only ever an input, so it has no ``_store``.
 Two of the stored arrays are sparse forms checked in O(size): a
 diagonal ``DensityMatrix`` arrives as its d values, and a ``StateVector``
 with few nonzeros (a purification, a basis state, a post-selected state, a
@@ -36,9 +37,8 @@ Numeric input has one rule, ``_number`` for a value and ``_numbers`` for a
 sequence, at every public boundary: Python and numpy int, float and complex
 scalars pass as their kind (real, complex, integer) allows; a bool, str, None
 or non-iterable is refused in one line, "<name> must be <kind>, got <repr>".
-The public constructors read their arrays by the same rule, through
-``_array``: ``StateVector`` and ``Operator`` as complex numbers, and
-``tempop``'s term arrays by each array's kind.
+The public constructors, ``StateVector`` and ``Operator``, read their arrays
+by the same rule, as complex numbers, through ``_array``.
 """
 
 from __future__ import annotations

@@ -165,10 +165,10 @@ def built_state(terms):
     kets = np.asarray(terms["kets"], dtype=np.int64)
     dims = tuple(int(top) + 1 for top in kets.max(axis=1))
     order = np.argsort(np.ravel_multi_index(tuple(kets), dims), kind="stable")
-    rows = {key: np.asarray(terms[key], dtype=dtype)[:, order] for key, dtype in
-            (("kets", np.int64), ("slots", np.int64), ("energies", float), ("values", complex), ("coeffs", float),
-             ("offsets", float))}
-    return qcore._built(FactoredBipartiteState, dims, *rows.values())
+    return qcore._built(FactoredBipartiteState, dims, *(
+        np.asarray(terms[key], dtype=dtype)[:, order] for key, dtype in
+        (("kets", np.int64), ("slots", np.int64), ("energies", float), ("values", complex), ("coeffs", float),
+         ("offsets", float))))  # the order of FactoredBipartiteState._store's fields
 
 
 def purified_terms(spec):
