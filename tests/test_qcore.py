@@ -686,9 +686,10 @@ _TERM_STATE = built_state(dict(kets=((0, 1), (0, 1)), slots=((0, 1), (0, 1)), en
                                values=((1.0, 1.0), (1.0, 1.0))))
 
 
-def _product_state(family):
-    """A two-level product state whose left family of level 0 is ``family``."""
-    return product_state([family, _ONE], [_ONE, _ONE], (0.0, 1.0))
+def _product_state(family, side="left"):
+    """A two-level product state whose family of level 0 on ``side`` is ``family``."""
+    sides = {"left": [_ONE, _ONE], "right": [_ONE, _ONE], side: [family, _ONE]}
+    return product_state(sides["left"], sides["right"], (0.0, 1.0))
 
 
 # every public numeric parameter: (its name in messages, kind, a call with the parameter set to x,
@@ -707,6 +708,13 @@ _BOUNDARIES = {
     "product_state.coeff": ("term coefficient", "real", lambda x: _product_state(ExpLinear(x)), 0.0, False),
     "product_state.offset": ("term offset", "real", lambda x: _product_state(ExpLinear(0.0, x)), 0.0, False),
     "product_state.value": ("term value", "complex", lambda x: _product_state(ExpLinear(0.0, value=x)), 1.0, False),
+    # each side of families is read on its own, so the right side's fields are boundaries of their own
+    "product_state.coeff[right]": (
+        "term coefficient", "real", lambda x: _product_state(ExpLinear(x), "right"), 0.0, False),
+    "product_state.offset[right]": (
+        "term offset", "real", lambda x: _product_state(ExpLinear(0.0, x), "right"), 0.0, False),
+    "product_state.value[right]": (
+        "term value", "complex", lambda x: _product_state(ExpLinear(0.0, value=x), "right"), 1.0, False),
     "eigencheck_purified.fd_step": (
         "finite-difference step", "real", lambda x: eigencheck_purified(_SPEC, fd_step=x), 1.0, True),
     "apply_inverse_temp_squared.fd_step": (

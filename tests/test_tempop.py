@@ -553,6 +553,16 @@ def test_product_state_reads_each_side_of_families_once():
         product_state(families, None, (0.0, 1.0))
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("bad", [ExpLinear(0.0), None, 2, 2.5], ids=["ExpLinear", "None", "int", "float"])
+def test_product_state_refuses_a_side_of_families_that_is_not_iterable(side, bad):
+    families = [Constant(1.0), Constant(1.0)]
+    sides = {"left": families, "right": families, side: bad}
+    with pytest.raises(ConfigurationError,
+                       match=f"^{side} families must be a sequence of ExpLinear, got {type(bad).__name__}$"):
+        product_state(sides["left"], sides["right"], (0.0, 1.0))
+
+
 def test_product_state_refuses_a_family_that_is_not_an_exp_linear():
     # a float family raised a raw AttributeError ('float' object has no attribute 'coeff')
     with pytest.raises(ConfigurationError, match="^left family 0 must be an ExpLinear, got float$"):
@@ -928,30 +938,67 @@ def test_product_views_keep_signed_zeros():
     assert np.signbit(apply_inverse_temp_squared(state).amps.view(float)).any()
 
 
-def _builder_states():
-    """A state of every builder: purified states and complex-valued product states at several d, and
-    phi+ and psi+ under both conventions at two phases."""
-    rng = np.random.default_rng(211)
-    for d in (2, 3, 64, 1024):
-        yield purified_thermal_state(_spec(0.9, tuple(rng.uniform(-5.0, 5.0, d))))
-    for d in (2, 5, 40):
-        left, right = ([ExpLinear(float(c), float(o), complex(*v)) for c, o, v in
-                        zip(rng.uniform(-1.0, 1.0, d), rng.uniform(-1.0, 1.0, d), rng.normal(size=(d, 2)))]
-                       for _ in range(2))
-        yield product_state(left, right, rng.uniform(-1.5, 1.5, d))
-    for phi in (0.0, 0.4):
-        for outcome in (BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS):
-            for convention in ("full_dependence", "chosen_zero_levels"):
-                yield superposition_state(reference_config(phi), outcome, convention)
+def _product_families(rng, d):
+    """``d`` complex-valued ExpLinear families drawn from ``rng``."""
+    return [ExpLinear(float(c), float(o), complex(*v))
+            for c, o, v in zip(rng.uniform(-1.0, 1.0, d), rng.uniform(-1.0, 1.0, d), rng.normal(size=(d, 2)))]
 
 
-def test_every_builder_emits_its_kets_in_increasing_flat_order():
+def _purified(d):
+    rng = np.random.default_rng(211 + d)
+    return lambda: purified_thermal_state(_spec(0.9, tuple(rng.uniform(-5.0, 5.0, d))))
+
+
+def _product(d):
+    rng = np.random.default_rng(311 + d)
+    return lambda: product_state(_product_families(rng, d), _product_families(rng, d), rng.uniform(-1.5, 1.5, d))
+
+
+def _superposed(phi, outcome, convention):
+    return lambda: superposition_state(reference_config(phi), outcome, convention)
+
+
+# a state of every builder, by name: purified states and complex-valued product states at several d, and
+# phi+ and psi+ under both conventions at two phases
+_BUILDER_STATES = {
+    **{f"purified d={d}": _purified(d) for d in (2, 3, 64, 1024)},
+    **{f"product d={d}": _product(d) for d in (2, 5, 40)},
+    **{f"{outcome.name} {convention} phi={phi}": _superposed(phi, outcome, convention)
+       for phi in (0.0, 0.4) for outcome in (BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS)
+       for convention in ("full_dependence", "chosen_zero_levels")},
+}
+
+_VIEWS = {
+    "amplitude_vector": lambda state: state.amplitude_vector(),
+    "image": apply_inverse_temp_squared,
+    "fd image": lambda state: apply_inverse_temp_squared(state, fd_step=1e-5),
+}
+
+
+@pytest.mark.parametrize("view", list(_VIEWS))
+@pytest.mark.parametrize("builder", list(_BUILDER_STATES))
+def test_every_builder_emits_its_kets_in_increasing_flat_order(builder, view):
     # the views hand the kets' flat indices to StateVector unsorted, so every builder must emit them strictly
     # increasing: each view of each builder's state holds the support invariant
-    for state in _builder_states():
-        for view in (state.amplitude_vector(), apply_inverse_temp_squared(state),
-                     apply_inverse_temp_squared(state, fd_step=1e-5)):
-            assert_support_invariant(view)
+    assert_support_invariant(_VIEWS[view](_BUILDER_STATES[builder]()))
+
+
+@pytest.mark.parametrize("builder", list(_BUILDER_STATES))
+def test_every_builder_holds_the_term_structure_by_construction(builder):
+    # no constructor proves a state's terms, so each builder must emit them well formed: (2, n) integer kets
+    # and slots, n >= 1, kets within the dims, distinct slot pairs, and one finite energy per slot on each side
+    state = _BUILDER_STATES[builder]()
+    kets, slots, energies = state._basis, state._var, np.broadcast_to(state._energy, state._basis.shape)
+    n = kets.shape[1]
+    assert kets.shape == slots.shape == (2, n) and n >= 1
+    assert kets.dtype.kind == slots.dtype.kind == "i"
+    assert ((kets >= 0) & (kets < np.array(state.dims)[:, None])).all()
+    assert len(set(zip(*slots.tolist()))) == n
+    assert np.isfinite(energies).all()
+    for side in (0, 1):
+        at = {}
+        for slot, energy in zip(slots[side].tolist(), energies[side].tolist()):
+            assert at.setdefault(slot, energy) == energy
 
 
 def test_purified_view_trace_reads_only_the_support():
