@@ -37,13 +37,10 @@ from .protocol import (
 )
 from .interference import SweepSpec, circuit_probability, closed_form_probability, sweep
 from .tempop import (
-    Constant,
     EigenReport,
-    ExpLinear,
     FactoredBipartiteState,
     apply_inverse_temp_squared,
     eigencheck_purified,
-    product_state,
     purified_thermal_state,
     residual_superposition,
     superposition_state,

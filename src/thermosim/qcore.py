@@ -13,13 +13,12 @@ reading such a state's ``amps`` first at the same moment may each get an
 equal but distinct array.
 
 Each input from outside the library is proven once, where it enters, and
-structure (dims, shapes, supports) only there: by a public constructor, by
-``basis_state`` or by ``tempop``'s ``product_state``.  A value the library
-derives reads its ``dims`` from a proven value and enters through ``_built``,
-with arrays its producer shaped itself.  A ``_store`` proves only what arithmetic
-can break, finiteness and, for a ``DensityMatrix``, unit trace, and freezes
-a copy of a public constructor's input or, without a copy, a fresh array the
-library built.  ``DensityMatrix`` is only ever a result, so it has no public
+structure (dims, shapes, supports) only there: by a public constructor or by
+``basis_state``.  A value the library derives reads its ``dims`` from a
+proven value and enters through ``_built``, with arrays its producer shaped
+itself.  A ``_store`` proves only what arithmetic can break, finiteness
+and, for a ``DensityMatrix``, unit trace, and freezes a copy of a public
+constructor's input or, without a copy, a fresh array the library built.  ``DensityMatrix`` is only ever a result, so it has no public
 constructor, nor has ``tempop``'s ``FactoredBipartiteState``; ``Operator`` is
 only ever an input, so it has no ``_store``.
 Two of the stored arrays are sparse forms checked in O(size): a
@@ -299,7 +298,9 @@ def _reduced_density(state: StateVector, kept: list[int], traced: list[int]) -> 
     When every traced column holds at most one of them (purifications,
     product states, Bell branches) no two rows share a traced basis state,
     so the result is diagonal: each row's sum of re^2 + im^2, added in
-    column order.  Any other state takes the dense Gram product.
+    column order.  Any other state takes the dense Gram product.  The route
+    is read from the sorted columns of the support alone, so no array is
+    sized by the largest traced index.
     """
     dims = state.dims
     kept_dims = tuple(dims[i] for i in kept)
@@ -311,11 +312,13 @@ def _reduced_density(state: StateVector, kept: list[int], traced: list[int]) -> 
     rows, cols = (
         np.ravel_multi_index([digits[i] for i in axes], [dims[i] for i in axes]) for axes in (kept, traced)
     )
-    if cols.size and np.bincount(cols).max() > 1:
+    noun = f"a {k}x{k} density matrix"
+    cols.sort()  # a fresh array: sorted in place, its neighbours name any repeated column
+    if (cols[1:] == cols[:-1]).any():
         psi = np.transpose(state.amps.reshape(dims), kept + traced).reshape(k, -1)
-        return _built(DensityMatrix, kept_dims, _dense(f"a {k}x{k} density matrix", _gram, psi))
+        return _built(DensityMatrix, kept_dims, _dense(noun, _gram, psi))
     # a kept row's amplitudes lie in column order in memory too, so each sum is the dense route's
-    diagonal = np.bincount(rows, weights=vals.real**2 + vals.imag**2, minlength=k).astype(np.complex128)
+    diagonal = _dense(noun, np.bincount, rows, vals.real**2 + vals.imag**2, k).astype(np.complex128)
     return _built(DensityMatrix, kept_dims, diagonal)
 
 

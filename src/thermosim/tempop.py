@@ -4,7 +4,7 @@ States handled here are finite sums of two-sided product terms,
 
     |psi> = (1/sqrt(Z)) * sum_t  L_t(x_t) * R_t(y_t) |l_t> |r_t>,
 
-where L_t and R_t are closed-form amplitude families value * e^(coeff*E + offset)
+where L_t and R_t are closed-form amplitude families value * e^(coeff*E)
 (a constant has coeff = 0) evaluated at per-side energy arguments, and
 Z = sum_t |L_t(x_t) R_t(y_t)|^2 is the terms' own sum, so every state is unit
 norm by construction.  A term's constant complex coefficient lives in its
@@ -19,30 +19,27 @@ view, the operator image, and the reports of ``eigencheck_purified`` and
 ``residual_superposition``, which read the states that
 ``purified_thermal_state`` and ``superposition_state`` make.  A state is
 only ever a result, so calling ``FactoredBipartiteState`` raises
-``TypeError``.  The three builders, ``purified_thermal_state``,
-``superposition_state`` and ``product_state``, make its term arrays, six
-(2, n) arrays of kets, slots, energies and family fields, row 0 the left side
-and row 1 the right, and reach the state through ``qcore._built``.  They hold
-its structure by construction: distinct slot pairs, one energy per slot on
-each side, and distinct kets in strictly increasing flat order.
-``product_state`` is the one way in for a caller's families, and proves
-them.  An analytic report whose Rayleigh quotient or residual is not finite
-is refused; a finite-difference one carries the NaN on to the caller.
+``TypeError``.  The two builders, ``purified_thermal_state`` and
+``superposition_state``, make its term arrays, (2, n) kets and the energies
+and family fields that broadcast against them, row 0 the left side and row 1
+the right, and reach the state through ``qcore._built``.  They hold its
+structure by construction: distinct kets in strictly increasing flat order.
+An analytic report whose Rayleigh quotient or residual is not finite is
+refused; a finite-difference one carries the NaN on to the caller.
 
 The operator is sum_k (i d/dE_k) x (-i d/dE_k): derivative slot k
 differentiates the left factor keyed to k and the right factor keyed to k.
-A term therefore responds only when both of its sides carry the same slot
-index, and the response replaces each factor by its derivative (the two
-factors of i cancel):
+Both builders key term t to slot t on both sides, so every term responds,
+and the response replaces each factor by its derivative (the two factors of
+i cancel):
 
     term  ->  L_t'(x_t) * R_t'(y_t) |l_t> |r_t>.
 
 Each family's derivative is coeff times the family, so in closed form every
 term is an eigenvector: its image is lambda_t psi_t, with lambda_t =
-coeff_L,t * coeff_R,t where both sides carry the same slot and 0 where they
-do not.  Measuring the operator gives lambda_t with probability |psi_t|^2,
-so the Rayleigh quotient is the mean of lambda under those weights and the
-residual |(A - <A>) psi| its spread.  Neither the normalization constant Z
+coeff_L,t * coeff_R,t.  Measuring the operator gives lambda_t with
+probability |psi_t|^2, so the Rayleigh quotient is the mean of lambda under
+those weights and the residual |(A - <A>) psi| its spread.  Neither the normalization constant Z
 nor the families' values are ever differentiated, even though the
 normalization of a thermal state does depend on the energies; this is what
 makes purified thermal states exact eigenvectors with eigenvalue beta^2/16
@@ -63,27 +60,12 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from math import isfinite, sqrt
-from typing import Sequence
 
 import numpy as np
 
 from .protocol import BellOutcome, ProtocolConfig
-from .qcore import ConfigurationError, StateVector, _built, _check_dims, _number, _numbers
+from .qcore import ConfigurationError, StateVector, _built, _number
 from .thermal import ThermalSpec
-
-
-@dataclass(frozen=True)
-class ExpLinear:
-    """Amplitude family value * e^(coeff*E + offset); the derivative is coeff times the amplitude."""
-
-    coeff: float
-    offset: float = 0.0
-    value: complex = 1.0 + 0j
-
-
-def Constant(value: complex) -> ExpLinear:
-    """Energy-independent amplitude ``value``: the family with coeff = 0, whose derivative vanishes."""
-    return ExpLinear(0.0, value=value)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -91,29 +73,29 @@ class FactoredBipartiteState:
     """Term arrays whose evaluated vector is unit norm by construction.
 
     The terms are held as arrays with one row per side (left, right): (2, n)
-    kets, slots and energies, and the family form value * e^(coeff*E + offset)
-    that broadcasts against (2, n), with a leading axis of 2 for ``value``
-    and ``coeff``.  Kets are distinct, so each term is exactly one
-    entry of the dense vector.  ``_store`` normalizes once and keeps the
-    per-term amplitudes over sqrt(Z) and sqrt(Z), n complex values (16 MB at
-    n = 10^6); ``_image`` and ``_evaluated`` read the operator from them and
-    the term arrays.
+    kets, and the energies and the family form value * e^(coeff*E) that
+    broadcast against them, with a leading axis of 2 for ``value`` and
+    ``coeff``.  Term t carries derivative slot t on both sides.  Kets are
+    distinct, so each term is exactly one entry of the dense vector.
+    ``_store`` normalizes once and keeps the per-term amplitudes over
+    sqrt(Z) and sqrt(Z), n complex values (16 MB at n = 10^6); ``_image``
+    and ``_evaluated`` read the operator from them and the term arrays.
 
     Only ever a result, so calling ``FactoredBipartiteState``, with or without
-    arguments, raises ``TypeError``: ``purified_thermal_state``,
-    ``superposition_state`` and ``product_state`` build it through
-    ``qcore._built``, with kets in strictly increasing flat order.
+    arguments, raises ``TypeError``: ``purified_thermal_state`` and
+    ``superposition_state`` build it through ``qcore._built``, with kets in
+    strictly increasing flat order.
     """
 
     dims: tuple[int, int]
 
     def __init__(self, *args, **kwargs) -> None:  # object's own would make an empty, field-less value
         raise TypeError("FactoredBipartiteState has no public constructor: it is a result of "
-                        "purified_thermal_state, superposition_state or product_state")
+                        "purified_thermal_state or superposition_state")
 
-    def _store(self, dims, basis, var, energy, value, coeff, offset) -> None:
+    def _store(self, dims, basis, energy, value, coeff) -> None:
         with np.errstate(over="ignore", invalid="ignore"):
-            exps = np.exp(coeff * energy + offset)
+            exps = np.exp(coeff * energy)
             psi = (value[0] * exps[0]) * (value[1] * exps[1])  # side by side: no (2, n) complex array
             z = np.abs(psi)  # squared in place: one n-float temporary at 10^6 terms, not two
             z = float(np.add.reduce(np.multiply(z, z, out=z)))
@@ -121,18 +103,18 @@ class FactoredBipartiteState:
                 raise ConfigurationError("normalization overflows or vanishes; reduce beta or energies")
             root = sqrt(z)
             psi /= root
-            vars(self).update(dims=dims, _basis=basis, _var=var, _energy=energy, _value=value, _coeff=coeff,
-                              _offset=offset, _psi=psi, _root=root)
+            vars(self).update(dims=dims, _basis=basis, _energy=energy, _value=value, _coeff=coeff, _psi=psi,
+                              _root=root)
 
     def amplitude_vector(self) -> StateVector:
         return _view(self, self._psi.copy())
 
     def _eigenvalues(self) -> np.ndarray:
-        """Each term's eigenvalue lambda_t = coeff_L,t * coeff_R,t, 0 where the two sides carry different slots."""
-        return np.where(self._var[0] == self._var[1], self._coeff[0] * self._coeff[1], 0.0)
+        """Each term's eigenvalue lambda_t = coeff_L,t * coeff_R,t, broadcasting against the n terms."""
+        return self._coeff[0] * self._coeff[1]
 
     def _image(self, h: float | None) -> np.ndarray:
-        """Each term's response L'(x)*R'(y) over sqrt(Z), 0 where the two sides carry different slots.
+        """Each term's response L'(x)*R'(y) over sqrt(Z).
 
         In closed form that is lambda_t psi_t.  With ``h`` each derivative is
         a central difference instead, whose image is numerical and not
@@ -153,9 +135,8 @@ class FactoredBipartiteState:
                 raise ConfigurationError(
                     f"finite-difference step {h:g} is below {floor:g} and cannot resolve the energies"
                 )
-            exp = lambda at: np.exp(coeff * at + self._offset)
-            slopes = self._value * ((exp(energy + h) - exp(energy - h)) / (2.0 * h))
-            return np.where(self._var[0] == self._var[1], slopes[0] * slopes[1], 0j) / self._root
+            slopes = self._value * ((np.exp(coeff * (energy + h)) - np.exp(coeff * (energy - h))) / (2.0 * h))
+            return slopes[0] * slopes[1] / self._root
 
     def _evaluated(self, h: float | None) -> tuple[float, float]:
         """The operator read from the stored terms: (rayleigh, residual).
@@ -228,54 +209,8 @@ def purified_thermal_state(spec: ThermalSpec) -> FactoredBipartiteState:
     prefactor; only this even split makes the state an exact eigenvector.
     """
     energy = np.array(spec.hamiltonian.energies)
-    slots = np.broadcast_to(np.arange(energy.size), (2, energy.size))
-    return _built(FactoredBipartiteState, (energy.size,) * 2, slots, slots, np.broadcast_to(energy, slots.shape),
-                  _UNIT, np.full((2, 1), -spec.beta / 4.0), 0.0)
-
-
-def product_state(
-    left: Sequence[ExpLinear],
-    right: Sequence[ExpLinear],
-    energies: Sequence[float],
-) -> FactoredBipartiteState:
-    """Product |a> x |b> with a_n = left[n](E_n) and b_m = right[m](E_m).
-
-    Both sides share the energy variables, so the term (n, m) carries
-    derivative slots (n, m) and only the diagonal n = m responds to the
-    operator.  Used to exhibit its non-local action.  It proves its O(d)
-    inputs, the families and the energies, reading each side once as a
-    tuple, and builds the arrays of its d^2 terms in row-major order, whose
-    slots are distinct and kets strictly increasing in flat order by
-    construction.
-    """
-    energies = _numbers("energies", energies)
-    sides = []
-    for side, families in (("left", left), ("right", right)):
-        if not hasattr(families, "__iter__"):
-            raise ConfigurationError(f"{side} families must be a sequence of ExpLinear, got {type(families).__name__}")
-        sides.append(tuple(families))  # a generator is read once, as _numbers reads the energies
-    left, right = sides
-    d = len(energies)
-    if len(left) != d or len(right) != d:
-        raise ConfigurationError("need one family per energy on each side")
-    for side, families in zip(("left", "right"), sides):
-        for n, family in enumerate(families):
-            if not isinstance(family, ExpLinear):
-                raise ConfigurationError(f"{side} family {n} must be an ExpLinear, got {type(family).__name__}")
-    if not d:
-        raise ConfigurationError("a factored state needs at least one term")
-    coeff, offset, value = (  # (2, d): row 0 the left families, row 1 the right ones
-        np.array([_numbers(f"term {noun}", [getattr(f, field) for f in side], kind) for side in (left, right)])
-        for field, noun, kind in (("coeff", "coefficient", "real"), ("offset", "offset", "real"),
-                                  ("value", "value", "complex"))
-    )
-    energy = np.array(energies)
-    if not np.isfinite(energy).all():
-        raise ConfigurationError("term energies must be finite")
-    dims = _check_dims((d, d))
-    kets = np.indices(dims).reshape(2, -1)  # term (n, m) sits on |n>|m> under slots (n, m)
-    return _built(FactoredBipartiteState, dims, kets, kets, energy[kets],
-                  *(np.take_along_axis(rows, kets, 1) for rows in (value, coeff, offset)))
+    kets = np.broadcast_to(np.arange(energy.size), (2, energy.size))
+    return _built(FactoredBipartiteState, (energy.size,) * 2, kets, energy, _UNIT, np.full((2, 1), -spec.beta / 4.0))
 
 
 def eigencheck_purified(spec: ThermalSpec, *, fd_step: float | None = None) -> EigenReport:
@@ -293,8 +228,8 @@ def _read_only(rows) -> np.ndarray:
     return arr
 
 
-# (left, right) rows of the two-term superpositions' kets and slots, shared read-only by every state:
-# the slots and the phi+ kets |00>, |11> are _DIAGONAL, the psi+ kets |01>, |10> are _CROSSED
+# (left, right) rows of the two-term superpositions' kets, shared read-only by every state:
+# the phi+ kets |00>, |11> are _DIAGONAL, the psi+ kets |01>, |10> are _CROSSED
 _DIAGONAL = _read_only(((0, 1), (0, 1)))
 _CROSSED = _read_only(((0, 1), (1, 0)))
 # the family value 1 on both sides, shared read-only by every purified state
@@ -330,9 +265,9 @@ def superposition_state(
     a, b = -cfg.spec_a.beta / 2.0, -cfg.spec_b.beta / 2.0
     # term n sits on |n>|kets_b[n]> under slot n; a pinned level is the constant e^0 (coeff 0)
     return _built(
-        FactoredBipartiteState, (2, 2), kets, _DIAGONAL, np.array((ea, [eb[k] for k in kets_b])),
+        FactoredBipartiteState, (2, 2), kets, np.array((ea, [eb[k] for k in kets_b])),
         np.array(((1.0, np.exp(1j * cfg.phi)), (1.0, 1.0))),
-        np.array(((a, 0.0 if pin else a), [0.0 if pin and k == 0 else b for k in kets_b])), 0.0,
+        np.array(((a, 0.0 if pin else a), [0.0 if pin and k == 0 else b for k in kets_b])),
     )
 
 

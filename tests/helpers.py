@@ -130,14 +130,14 @@ def eigen_report(state, fd_step, expected):
 # per-term oracle for tempop: each term of a dict of term arrays evaluated alone
 
 def family_amplitude(terms, side, t):
-    """value * e^(coeff*E + offset) of term ``t``'s family on ``side`` (0 left, 1 right), as a 1-element array.
+    """value * e^(coeff*E) of term ``t``'s family on ``side`` (0 left, 1 right), as a 1-element array.
 
     Each product is taken between 1-element arrays, so it rounds as numpy's array multiply of
     whole rows does; Python's and numpy's scalar product of two complex numbers may differ from
     it in the last bit.
     """
-    value, coeff, offset, energy = (terms[key][side][t] for key in ("values", "coeffs", "offsets", "energies"))
-    return np.array([value], dtype=complex) * np.exp(np.array([coeff * energy + offset]))
+    value, coeff, energy = (terms[key][side][t] for key in ("values", "coeffs", "energies"))
+    return np.array([value], dtype=complex) * np.exp(np.array([coeff * energy]))
 
 
 def term_amplitude(terms, t):
@@ -146,9 +146,10 @@ def term_amplitude(terms, t):
 
 
 # formula terms: the terms each tempop builder stands for, written from the formulas of its docstring as the
-# six (2, n) term arrays a state holds, nested lists with row 0 the left side and row 1 the right
+# four (2, n) term arrays a state holds, nested lists with row 0 the left side and row 1 the right; term t
+# carries derivative slot t on both sides
 
-_TERM_KEYS = ("kets", "slots", "energies", "coeffs", "offsets", "values")
+_TERM_KEYS = ("kets", "energies", "coeffs", "values")
 
 
 def term_arrays(terms):
@@ -167,15 +168,14 @@ def built_state(terms):
     order = np.argsort(np.ravel_multi_index(tuple(kets), dims), kind="stable")
     return qcore._built(FactoredBipartiteState, dims, *(
         np.asarray(terms[key], dtype=dtype)[:, order] for key, dtype in
-        (("kets", np.int64), ("slots", np.int64), ("energies", float), ("values", complex), ("coeffs", float),
-         ("offsets", float))))  # the order of FactoredBipartiteState._store's fields
+        (("kets", np.int64), ("energies", float), ("values", complex), ("coeffs", float))
+    ))  # the order of FactoredBipartiteState._store's fields
 
 
 def purified_terms(spec):
     """Term n of the purified Gibbs state: e^(-beta*E_n/4) x e^(-beta*E_n/4) |n>|n> under slot n."""
     coeff = -spec.beta / 4.0
-    return term_arrays(((n, n), (n, n), (e, e), (coeff, coeff), (0.0, 0.0), (1.0, 1.0))
-                       for n, e in enumerate(spec.hamiltonian.energies))
+    return term_arrays(((n, n), (e, e), (coeff, coeff), (1.0, 1.0)) for n, e in enumerate(spec.hamiltonian.energies))
 
 
 def superposition_terms(cfg, outcome, convention):
@@ -192,13 +192,6 @@ def superposition_terms(cfg, outcome, convention):
     for n in (0, 1):
         k = n if outcome is BellOutcome.PHI_PLUS else 1 - n
         coeffs = (0.0 if pin and n == 1 else a, 0.0 if pin and k == 0 else b)
-        terms.append(((n, k), (n, n), (ea[n], eb[k]), coeffs, (0.0, 0.0), (phases[n], 1.0)))
+        terms.append(((n, k), (ea[n], eb[k]), coeffs, (phases[n], 1.0)))
     return term_arrays(terms)
 
-
-def product_terms(left, right, energies):
-    """Term (n, m) of ``product_state(left, right, energies)``: left[n](E_n) x right[m](E_m) |n>|m>, row-major."""
-    levels = range(len(energies))
-    return term_arrays(((n, m), (n, m), (energies[n], energies[m]), (left[n].coeff, right[m].coeff),
-                        (left[n].offset, right[m].offset), (left[n].value, right[m].value))
-                       for n in levels for m in levels)

@@ -18,15 +18,12 @@ import pytest
 
 from thermosim import (
     BellOutcome,
-    Constant,
-    ExpLinear,
     ProtocolConfig,
     QuditHamiltonian,
     ThermalSpec,
     apply_inverse_temp_squared,
     partial_trace,
     post_select,
-    product_state,
     purified_thermal_state,
     purify,
     residual_superposition,
@@ -85,8 +82,6 @@ DENSE_VIEW_DIGESTS = {
     "purified d=2": "d137c5d7833f6df04822745ccc83ffc8ff0258cb5b1007dadeb8d2b8ec3cfd9d",
     "purified d=64": "333b64e384ace850f970e63cb37e8fc2cf36b85e039ea1dc87f23a84ba3b99ac",
     "purified d=1024": "7a4de83c1b1aae652556956411c7771ea02c387a9588a14964d0449ddbf24dd1",
-    "product d=3": "debecf39b61dee4debc3161b69cfaa1702185be945769dcf6140470b188a58d3",
-    "product d=4": "90675d9b9115bd6736454861e3c2039ec95f0152aaad853f793250c7c19d9293",
     "PHI_PLUS full_dependence": "82136d2702b1c162267cd4e5b62e5179935d6fbb31250764d74e0badd09cd156",
     "PHI_PLUS chosen_zero_levels": "c7f59e59dfaa8fd04ba718280eba9fcf8a684538bd38f2ae38e7303a6f397dab",
     "PSI_PLUS full_dependence": "5d8ce3d37955ef51403e912c0f188b29d041d00979a088565077fc0dc6e11f2e",
@@ -269,16 +264,6 @@ def _dense_view_states():
         energies = tuple(float(e) for e in rng.uniform(-5.0, 5.0, d))
         spec = ThermalSpec(float(rng.uniform(0.2, 2.0)), QuditHamiltonian(energies))
         states[f"purified d={d}"] = purified_thermal_state(spec)
-    states["product d=3"] = product_state(
-        [ExpLinear(-0.4, 0.3), Constant(0.5 - 0.2j), ExpLinear(0.7, value=1j)],
-        [Constant(1.1), ExpLinear(-1.2, -0.5), ExpLinear(0.25)],
-        (0.9, -1.3, 0.4),
-    )
-    states["product d=4"] = product_state(
-        [ExpLinear(0.6), Constant(-0.3j), Constant(0.8), ExpLinear(-0.9, 0.1, 0.5 + 0.5j)],
-        [ExpLinear(-0.2, 0.4), ExpLinear(1.1), Constant(0.6 + 0.1j), Constant(-1.0)],
-        (-0.7, 0.2, 1.5, -1.9),
-    )
     cfg = _CONFIGS["asymmetric"]
     for outcome in (BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS):
         for convention in ("full_dependence", "chosen_zero_levels"):

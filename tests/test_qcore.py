@@ -17,9 +17,7 @@ from thermosim import (
     HADAMARD,
     SIGMA_Z,
     ConfigurationError,
-    Constant,
     DensityMatrix,
-    ExpLinear,
     Operator,
     PHI_PLUS,
     PSI_PLUS,
@@ -38,7 +36,6 @@ from thermosim import (
     partial_trace,
     post_select,
     post_select_oracle,
-    product_state,
     purified_thermal_state,
     purify,
     sample_outcomes,
@@ -534,8 +531,8 @@ def test_a_state_too_large_to_densify_is_refused_in_one_line(monkeypatch):
 def test_a_density_matrix_too_large_to_densify_is_refused_in_one_line(route, monkeypatch):
     # each route of the partial trace; both raised numpy's raw MemoryError
     builds = _failing_dense(monkeypatch)
-    if route == "diagonal":  # 3 values spread into entries, from a state never densified
-        state, build = basis_state((3, 2), 0), np.diag
+    if route == "diagonal":  # 3 values summed, from a state never densified, before they are spread into entries
+        state, build = basis_state((3, 2), 0), np.bincount
     else:  # every column of the traced qubit is full
         state, build = StateVector((3, 2), np.full(6, 6**-0.5)), qcore._gram
     with pytest.raises(ConfigurationError, match="^a 3x3 density matrix is too large to densify$"):
@@ -552,6 +549,22 @@ def test_a_16_tib_state_is_refused_by_numpy_itself():
     with pytest.raises(ConfigurationError, match="^a state of 1099511627776 amplitudes is too large to densify$"):
         big.amps
     assert "amps" not in vars(big)
+
+
+def test_a_traced_index_past_memory_needs_no_array_of_its_size():
+    # the route was read from np.bincount(cols), an array as long as the largest traced index: 8 TiB of int64
+    # here, refused as numpy's raw MemoryError, for a 2x2 result
+    rho = partial_trace(basis_state((2, 2**40), 2**40 - 1), keep={0})
+    assert np.array_equal(rho.entries, [[1.0, 0.0], [0.0, 0.0]])
+
+
+def test_a_diagonal_too_large_to_sum_is_refused_in_one_line(monkeypatch):
+    # the diagonal route's sum over 2**40 kept rows ran before any refusal: numpy's raw 8 TiB MemoryError
+    builds = _failing_dense(monkeypatch)
+    with pytest.raises(ConfigurationError,
+                       match="^a 1099511627776x1099511627776 density matrix is too large to densify$"):
+        partial_trace(basis_state((2**40, 2), 0), keep={0})
+    assert builds == [np.bincount]
 
 
 @settings(max_examples=100, deadline=None)
@@ -679,17 +692,9 @@ def test_apply_dimension_mismatch():
 _HAM = QuditHamiltonian((5.0, 0.0))
 _SPEC = ThermalSpec(1.0, _HAM)
 _CFG = reference_config()
-_ONE = Constant(1.0)
 # a two-term state from its term arrays: (2, n) rows, row 0 the left side and row 1 the right
-_TERM_STATE = built_state(dict(kets=((0, 1), (0, 1)), slots=((0, 1), (0, 1)), energies=((0.0, 0.0), (0.0, 0.0)),
-                               coeffs=((0.0, 0.0), (0.0, 0.0)), offsets=((0.0, 0.0), (0.0, 0.0)),
-                               values=((1.0, 1.0), (1.0, 1.0))))
-
-
-def _product_state(family, side="left"):
-    """A two-level product state whose family of level 0 on ``side`` is ``family``."""
-    sides = {"left": [_ONE, _ONE], "right": [_ONE, _ONE], side: [family, _ONE]}
-    return product_state(sides["left"], sides["right"], (0.0, 1.0))
+_TERM_STATE = built_state(dict(kets=((0, 1), (0, 1)), energies=((0.0, 0.0), (0.0, 0.0)),
+                               coeffs=((0.0, 0.0), (0.0, 0.0)), values=((1.0, 1.0), (1.0, 1.0))))
 
 
 # every public numeric parameter: (its name in messages, kind, a call with the parameter set to x,
@@ -703,18 +708,6 @@ _BOUNDARIES = {
     "sample_outcomes.seed": ("seed", "integer", lambda x: sample_outcomes(_CFG, 10, x), 3, False),
     "SweepSpec.phi_points": ("phi_points (a 1-D grid)", "real", lambda x: SweepSpec(_CFG, x), (0.0, 1.0), False),
     "SweepSpec.beta_b_values": ("beta_b sweep values", "real", lambda x: SweepSpec(_CFG, (0.0,), x), (1.0, 2.0), True),
-    "product_state.energies": ("energies", "real", lambda x: product_state([_ONE, _ONE], [_ONE, _ONE], x), (0.0, 1.0),
-                               False),
-    "product_state.coeff": ("term coefficient", "real", lambda x: _product_state(ExpLinear(x)), 0.0, False),
-    "product_state.offset": ("term offset", "real", lambda x: _product_state(ExpLinear(0.0, x)), 0.0, False),
-    "product_state.value": ("term value", "complex", lambda x: _product_state(ExpLinear(0.0, value=x)), 1.0, False),
-    # each side of families is read on its own, so the right side's fields are boundaries of their own
-    "product_state.coeff[right]": (
-        "term coefficient", "real", lambda x: _product_state(ExpLinear(x), "right"), 0.0, False),
-    "product_state.offset[right]": (
-        "term offset", "real", lambda x: _product_state(ExpLinear(0.0, x), "right"), 0.0, False),
-    "product_state.value[right]": (
-        "term value", "complex", lambda x: _product_state(ExpLinear(0.0, value=x), "right"), 1.0, False),
     "eigencheck_purified.fd_step": (
         "finite-difference step", "real", lambda x: eigencheck_purified(_SPEC, fd_step=x), 1.0, True),
     "apply_inverse_temp_squared.fd_step": (

@@ -12,10 +12,8 @@ from hypothesis import strategies as st
 
 from thermosim import (
     BellOutcome,
-    Constant,
     ConfigurationError,
     EigenReport,
-    ExpLinear,
     FactoredBipartiteState,
     ProtocolConfig,
     QuditHamiltonian,
@@ -25,7 +23,6 @@ from thermosim import (
     eigencheck_purified,
     fidelity_pure,
     partial_trace,
-    product_state,
     purified_thermal_state,
     purify,
     qcore,
@@ -40,7 +37,6 @@ from helpers import (
     assert_support_invariant,
     built_state,
     eigen_report,
-    product_terms,
     purified_terms,
     random_in_regime_config,
     random_thermal_spec,
@@ -55,48 +51,20 @@ def _spec(beta, energies):
 
 
 def _arrays(kets=((0, 1), (0, 1)), **rows):
-    """The term arrays for terms on ``kets``: slots default to the kets, energies, coeffs and offsets to 0 and
-    values to 1, and a scalar row is spread over the kets' (2, n) shape."""
-    rows = {"slots": kets, "energies": 0.0, "coeffs": 0.0, "offsets": 0.0, "values": 1.0, **rows}
+    """The term arrays for terms on ``kets``: energies and coeffs default to 0 and values to 1, and a scalar row
+    is spread over the kets' (2, n) shape."""
+    rows = {"energies": 0.0, "coeffs": 0.0, "values": 1.0, **rows}
     return {"kets": kets, **{key: np.full(np.shape(kets), x) if np.isscalar(x) else x for key, x in rows.items()}}
 
 
-# --- amplitude families ---------------------------------------------------
-
-def test_exp_linear_derivative_identity():
-    # d/dE of value * e^(coeff*E + offset) is coeff times the amplitude, so on a
-    # product state the image of a responding term (n, n) is coeff_L * coeff_R * psi
-    left, right = ExpLinear(coeff=-0.35, offset=0.2), ExpLinear(coeff=0.6, offset=-0.1, value=0.5j)
-    state = product_state([left] * 3, [right] * 3, (-2.0, 0.0, 1.7))
-    psi = state.amplitude_vector().amps.reshape(3, 3)
-    for fd_step, rel in ((None, 1e-14), (1e-5, 1e-8)):
-        image = apply_inverse_temp_squared(state, fd_step=fd_step).amps.reshape(3, 3)
-        assert np.diagonal(image) == pytest.approx(-0.35 * 0.6 * np.diagonal(psi), rel=rel)
-        assert not image[~np.eye(3, dtype=bool)].any()
-
-
-def test_constant_family():
-    fam = Constant(0.5 - 0.25j)
-    assert fam == ExpLinear(0.0, 0.0, 0.5 - 0.25j)
-    # a term with a constant factor does not respond, in either mode
-    state = product_state([fam] * 2, [ExpLinear(-0.4)] * 2, (0.3, 1.1))
-    for fd_step in (None, 1e-5):
-        assert not apply_inverse_temp_squared(state, fd_step=fd_step).amps.any()
-
-
-def test_a_default_family_value_is_the_complex_one(monkeypatch):
-    # the default value is complex, so product_state checks a default product state's
-    # value rows whole, with no per-number check, and its amplitudes keep their bytes
-    family = ExpLinear(-0.4, 0.1)
-    assert type(family.value) is complex and family.value == 1
-    energies = (-1.0, 0.25, 0.5, 2.0)
-    expected = product_state([ExpLinear(-0.4, 0.1, 1.0)] * 4, [ExpLinear(0.3)] * 4, energies).amplitude_vector()
-    calls = []
-    number = qcore._number
-    monkeypatch.setattr(qcore, "_number", lambda *args: calls.append(args) or number(*args))
-    state = product_state([family] * 4, [ExpLinear(0.3)] * 4, energies)
-    assert calls == []
-    assert state.amplitude_vector().amps.tobytes() == expected.amps.tobytes()
+def _diagonal_terms(rng, d):
+    """``d`` terms on |n>|n> with coefficients and complex values drawn on both sides, about a quarter of the
+    coefficients 0 (constant families): a spread of eigenvalues and right-side values that neither builder
+    makes, for the arithmetic the builders share."""
+    energies, levels = rng.uniform(-1.5, 1.5, d), np.arange(d)
+    coeffs = np.where(rng.random((2, d)) < 0.25, 0.0, rng.uniform(-1.0, 1.0, (2, d)))
+    values = rng.normal(size=(2, d)) + 1j * rng.normal(size=(2, d))
+    return dict(kets=(levels, levels), energies=(energies, energies), coeffs=coeffs, values=values)
 
 
 # --- state construction and validation -------------------------------------
@@ -120,6 +88,9 @@ def test_factored_state_refuses_an_overflowing_family():
     terms = _arrays(energies=((1.0, 0.0), (1.0, 0.0)), coeffs=((1000.0, 1.0), (1.0, 1.0)))
     with pytest.raises(ConfigurationError, match="^normalization overflows or vanishes"):
         built_state(terms)
+    # a NaN amplitude makes a NaN normalization
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(_NORMALIZATION)}$"):
+        built_state(_arrays(values=((complex("nan"), 1.0), (1.0, 1.0))))
 
 
 @pytest.mark.filterwarnings("error")
@@ -143,7 +114,7 @@ def test_factored_state_refuses_a_subnormal_normalization():
 def test_factored_state_has_no_public_constructor(args, kwargs):
     # a factored state is only ever a result; object's own constructor would hand back a value with no terms
     with pytest.raises(TypeError, match="^FactoredBipartiteState has no public constructor: it is a result of "
-                                        "purified_thermal_state, superposition_state or product_state$"):
+                                        "purified_thermal_state or superposition_state$"):
         FactoredBipartiteState(*args, **kwargs)
 
 
@@ -267,34 +238,14 @@ def test_operator_is_symmetric_on_shared_structures():
 
         def build(values):
             levels = np.arange(d)
-            return built_state(dict(kets=(levels, levels), slots=(levels, levels), energies=(energies, energies),
-                                    coeffs=coeffs.T, offsets=np.zeros((2, d)), values=(values, np.ones(d))))
+            return built_state(dict(kets=(levels, levels), energies=(energies, energies), coeffs=coeffs.T,
+                                    values=(values, np.ones(d))))
 
         first = build(rng.normal(size=d) + 1j * rng.normal(size=d))
         second = build(rng.normal(size=d) + 1j * rng.normal(size=d))
         lhs = np.vdot(first.amplitude_vector().amps, apply_inverse_temp_squared(second).amps)
         rhs = np.vdot(second.amplitude_vector().amps, apply_inverse_temp_squared(first).amps)
         assert lhs == pytest.approx(np.conj(rhs), abs=1e-10)
-
-
-def test_operator_action_is_not_local():
-    # on a product state only the diagonal kets respond, and no diagonal
-    # operator acting on the left factor alone can reproduce that image
-    rng = np.random.default_rng(127)
-    for _ in range(10):
-        d = 3
-        energies = rng.uniform(-1.5, 1.5, d)
-        left = [ExpLinear(float(c)) for c in rng.uniform(0.2, 1.0, d)]
-        right = [ExpLinear(float(c)) for c in rng.uniform(0.2, 1.0, d)]
-        state = product_state(left, right, energies)
-        psi = state.amplitude_vector().amps.reshape(d, d)
-        image = apply_inverse_temp_squared(state).amps.reshape(d, d)
-        assert np.linalg.norm(image - np.diag(np.diag(image))) == 0.0
-        assert np.linalg.norm(image) > 0.0
-        # least-squares optimal diagonal L in (L x I)|psi>
-        lam = np.array([np.vdot(psi[n], image[n]) / np.vdot(psi[n], psi[n]) for n in range(d)])
-        gap = np.linalg.norm(image - lam[:, None] * psi)
-        assert gap > 0.1 * np.linalg.norm(image)
 
 
 # --- post-selected two-temperature states ----------------------------------
@@ -407,17 +358,6 @@ def test_purified_reports_match_dense(fd_step):
             _assert_report_matches_dense(report, purified_thermal_state(spec), fd_step)
 
 
-def test_product_state_report_matches_dense():
-    # the off-diagonal terms of a product state do not respond
-    rng = np.random.default_rng(157)
-    for _ in range(10):
-        d = int(rng.integers(2, 6))
-        left = [ExpLinear(float(c)) for c in rng.uniform(-1.0, 1.0, d)]
-        right = [ExpLinear(float(c)) for c in rng.uniform(-1.0, 1.0, d)]
-        state = product_state(left, right, rng.uniform(-1.5, 1.5, d))
-        _assert_report_matches_dense(eigen_report(state, None, None), state)
-
-
 @pytest.mark.parametrize("outcome", [BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS])
 @pytest.mark.parametrize("convention", ["full_dependence", "chosen_zero_levels"])
 def test_superposition_reports_match_dense(outcome, convention):
@@ -431,18 +371,17 @@ def test_superposition_reports_match_dense(outcome, convention):
 def _scalar_views(terms, dims, fd_step=None):
     """Dense psi and operator image of the term arrays ``terms`` on ``dims`` from the per-term oracle, term by term.
 
-    In closed form a term's image is lambda_t psi_t, with lambda_t = coeff_L * coeff_R where
-    both sides carry the same slot and 0.0 where they do not; with ``fd_step`` it is the
-    central-difference response over sqrt(Z), each family's slope being its value times the
-    difference of its exponentials.  Every product of two family values is taken between
+    In closed form a term's image is lambda_t psi_t, with lambda_t = coeff_L * coeff_R; with
+    ``fd_step`` it is the central-difference response over sqrt(Z), each family's slope being
+    its value times the difference of its exponentials.  Every product of two family values is taken between
     1-element arrays, as the oracle takes it.
     """
     def slope(side, t):
-        value, coeff, offset, energy = (terms[key][side][t] for key in ("values", "coeffs", "offsets", "energies"))
-        above, below = (np.exp(np.array([coeff * at + offset])) for at in (energy + fd_step, energy - fd_step))
+        value, coeff, energy = (terms[key][side][t] for key in ("values", "coeffs", "energies"))
+        above, below = (np.exp(np.array([coeff * at])) for at in (energy + fd_step, energy - fd_step))
         return np.array([value], dtype=complex) * ((above - below) / (2.0 * fd_step))
 
-    kets, slots, coeffs = terms["kets"], terms["slots"], terms["coeffs"]
+    kets, coeffs = terms["kets"], terms["coeffs"]
     n = len(kets[0])
     # Z summed as numpy sums the term amplitudes, in term order
     root = np.sqrt(np.add.reduce(np.abs(np.array([term_amplitude(terms, t) for t in range(n)])) ** 2))
@@ -451,13 +390,13 @@ def _scalar_views(terms, dims, fd_step=None):
     for t in range(n):
         ket = kets[0][t], kets[1][t]
         psi[ket] = term_amplitude(terms, t)
-        if fd_step is not None and slots[0][t] == slots[1][t]:
+        if fd_step is not None:
             image[ket] = (slope(0, t) * slope(1, t))[0]
     psi, image = psi / root, image / root
     if fd_step is None:
         for t in range(n):
             ket = kets[0][t], kets[1][t]
-            image[ket] = (coeffs[0][t] * coeffs[1][t] if slots[0][t] == slots[1][t] else 0.0) * psi[ket]
+            image[ket] = coeffs[0][t] * coeffs[1][t] * psi[ket]
     return psi.reshape(-1), image.reshape(-1)
 
 
@@ -469,27 +408,16 @@ def test_array_evaluation_equals_the_scalar_families():
     for _ in range(8):
         spec = random_thermal_spec(rng, beta_max=20.0, dims=(2, 64))
         states.append((purified_thermal_state(spec), purified_terms(spec)))
-    for _ in range(8):
-        d = int(rng.integers(2, 6))
-        left = [ExpLinear(float(c), float(o)) for c, o in rng.uniform(-1.0, 1.0, (d, 2))]
-        right = [Constant(complex(*rng.normal(size=2))) if n % 2 else ExpLinear(float(rng.uniform(-1, 1)))
-                 for n in range(d)]
-        energies = rng.uniform(-1.5, 1.5, d)
-        states.append((product_state(left, right, energies), product_terms(left, right, energies)))
     for outcome in (BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS):
         for convention in ("full_dependence", "chosen_zero_levels"):
             cfg = random_in_regime_config(rng)
             states.append((superposition_state(cfg, outcome, convention),
                            superposition_terms(cfg, outcome, convention)))
-    # responding families whose values are not real on either side: numpy's scalar product of two
-    # complex numbers may round differently from its array product, which the oracle takes
-    for _ in range(8):
-        d = int(rng.integers(2, 6))
-        left, right = ([ExpLinear(float(c), float(o), complex(*v)) for c, o, v in
-                        zip(rng.uniform(-1.0, 1.0, d), rng.uniform(-1.0, 1.0, d), rng.normal(size=(d, 2)))]
-                       for _ in range(2))
-        energies = rng.uniform(-1.5, 1.5, d)
-        states.append((product_state(left, right, energies), product_terms(left, right, energies)))
+    # families whose values are not real on either side, built from their term arrays: numpy's scalar
+    # product of two complex numbers may round differently from its array product, which the oracle takes
+    for _ in range(16):
+        terms = _diagonal_terms(rng, int(rng.integers(2, 6)))
+        states.append((built_state(terms), terms))
     for state, terms in states:
         for fd_step in (None, 1e-5):
             psi, image = _scalar_views(terms, state.dims, fd_step)
@@ -520,71 +448,6 @@ def test_purified_state_at_the_overflow_edge():
     assert abs(state.amplitude_vector().norm() - 1.0) <= EQ_TOL
     with pytest.raises(ConfigurationError):
         purified_thermal_state(_spec(720.0, (-1.0, 0.5)))
-
-
-def test_factored_state_messages_for_missing_terms_and_nonfinite_energies():
-    with pytest.raises(ConfigurationError, match="at least one term"):
-        product_state([], [], [])
-    with pytest.raises(ConfigurationError, match="^term energies must be finite$"):
-        product_state([Constant(1.0)] * 2, [Constant(1.0)] * 2, (0.0, float("inf")))
-    # a NaN amplitude makes a NaN normalization
-    with pytest.raises(ConfigurationError, match=f"^{re.escape(_NORMALIZATION)}$"):
-        product_state([Constant(complex("nan")), Constant(1.0)], [Constant(1.0)] * 2, (0.0, 1.0))
-
-
-def test_product_state_needs_one_family_per_energy_on_each_side():
-    # more families than energies on either side, and fewer
-    one = Constant(1.0)
-    for left, right in (([one] * 3, [one] * 2), ([one] * 2, [one] * 3), ([one], [one] * 2), ([one] * 2, [one])):
-        with pytest.raises(ConfigurationError, match="^need one family per energy on each side$"):
-            product_state(left, right, (0.0, 1.0))
-
-
-def test_product_state_reads_each_side_of_families_once():
-    # each side is read once as a tuple, as the energies are: a generator of families, a bare family and None
-    # raised a raw TypeError ("object of type 'generator' has no len()")
-    families = [ExpLinear(-0.5, 0.1), Constant(1j)]
-    want = product_state(families, families, (0.0, 1.0)).amplitude_vector().amps
-    got = product_state((f for f in families), iter(families), (0.0, 1.0)).amplitude_vector().amps
-    assert got.tobytes() == want.tobytes()
-    with pytest.raises(ConfigurationError, match="^left families must be a sequence of ExpLinear, got ExpLinear$"):
-        product_state(Constant(1.0), families, (0.0, 1.0))
-    with pytest.raises(ConfigurationError, match="^right families must be a sequence of ExpLinear, got NoneType$"):
-        product_state(families, None, (0.0, 1.0))
-
-
-@pytest.mark.parametrize("side", ["left", "right"])
-@pytest.mark.parametrize("bad", [ExpLinear(0.0), None, 2, 2.5], ids=["ExpLinear", "None", "int", "float"])
-def test_product_state_refuses_a_side_of_families_that_is_not_iterable(side, bad):
-    families = [Constant(1.0), Constant(1.0)]
-    sides = {"left": families, "right": families, side: bad}
-    with pytest.raises(ConfigurationError,
-                       match=f"^{side} families must be a sequence of ExpLinear, got {type(bad).__name__}$"):
-        product_state(sides["left"], sides["right"], (0.0, 1.0))
-
-
-def test_product_state_refuses_a_family_that_is_not_an_exp_linear():
-    # a float family raised a raw AttributeError ('float' object has no attribute 'coeff')
-    with pytest.raises(ConfigurationError, match="^left family 0 must be an ExpLinear, got float$"):
-        product_state([1.0, 2.0], [Constant(1.0)] * 2, (0.0, 1.0))
-    with pytest.raises(ConfigurationError, match="^right family 1 must be an ExpLinear, got NoneType$"):
-        product_state([Constant(1.0)] * 2, [Constant(1.0), None], (0.0, 1.0))
-
-
-def test_builders_create_no_term_objects(monkeypatch):
-    # the builders evaluate their term arrays straight from the energies;
-    # family objects exist only as product_state's input
-    def refuse(*args, **kwargs):
-        raise AssertionError("family object built on the eigen path")
-
-    monkeypatch.setattr(tempop, "ExpLinear", refuse)
-    spec = _spec(1.0, tuple(np.random.default_rng(167).uniform(-5.0, 5.0, 4096)))
-    for fd_step in (None, 1e-5):
-        assert abs(eigencheck_purified(spec, fd_step=fd_step).rayleigh - 1.0 / 16.0) <= FD_TOL
-    cfg = reference_config(phi=0.4)
-    for outcome in (BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS):
-        for convention in ("full_dependence", "chosen_zero_levels"):
-            assert residual_superposition(cfg, outcome, convention).residual >= 0.0
 
 
 # --- reports read the states their builders make -----------------------------
@@ -633,18 +496,17 @@ def test_residual_superposition_reads_the_superposition_state_bit_for_bit(outcom
 
 
 @pytest.mark.parametrize("outcome", [BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS])
-def test_superposition_kets_and_slots_are_shared_read_only(outcome):
+def test_superposition_kets_are_shared_read_only(outcome):
     cfg = reference_config(phi=0.4)
     state = superposition_state(cfg, outcome, "full_dependence")
     before = state.amplitude_vector().amps.copy()
-    for name in ("_basis", "_var"):
-        arr = getattr(state, name)
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[1, 0] = 1 - arr[1, 0]
+    kets = state._basis
+    assert not kets.flags.writeable
+    with pytest.raises(ValueError):
+        kets[1, 0] = 1 - kets[1, 0]
     again = superposition_state(cfg, outcome, "full_dependence")
     assert np.array_equal(again.amplitude_vector().amps, before)
-    assert np.array_equal(again._var, [[0, 1], [0, 1]])
+    assert np.array_equal(again._basis, [[0, 1], [0, 1]] if outcome is BellOutcome.PHI_PLUS else [[0, 1], [1, 0]])
 
 
 def test_each_report_builds_one_state_and_runs_the_exponential_once(monkeypatch):
@@ -837,21 +699,6 @@ def test_purified_state_round_trips(d, beta_gap, seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(d=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
-def test_product_state_round_trips(d, seed):
-    rng = np.random.default_rng(seed)
-
-    def family():
-        if rng.random() < 0.5:
-            return Constant(complex(*rng.normal(size=2)))
-        return ExpLinear(float(rng.uniform(-1.0, 1.0)), float(rng.uniform(-1.0, 1.0)))
-
-    left, right = [family() for _ in range(d)], [family() for _ in range(d)]
-    energies = rng.uniform(-1.5, 1.5, d)
-    _assert_formula_round_trip(product_state(left, right, energies), product_terms(left, right, energies))
-
-
-@settings(max_examples=40, deadline=None)
 @given(
     outcome=st.sampled_from((BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS)),
     convention=st.sampled_from(("full_dependence", "chosen_zero_levels")),
@@ -913,35 +760,12 @@ def test_superposition_views_match_the_scatter(outcome, convention, seed):
     _assert_views_match_the_scatter(superposition_state(cfg, outcome, convention))
 
 
-# parts of family values, away from 0 so that Z is normal; a constant's imaginary part may be a zero of either sign
-_PART = st.floats(0.1, 2.0) | st.floats(-2.0, -0.1)
-_FAMILY = st.builds(lambda re, im: Constant(complex(re, im)), _PART, _PART | st.sampled_from((0.0, -0.0))) | st.builds(
-    lambda coeff, offset, re, im: ExpLinear(coeff, offset, complex(re, im)),
-    st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), _PART, _PART,
-)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    families=st.integers(2, 5).flatmap(lambda d: st.lists(st.tuples(_FAMILY, _FAMILY), min_size=d, max_size=d)),
-    energies=st.lists(st.floats(-1.5, 1.5), min_size=5, max_size=5),
-)
-def test_product_views_match_the_scatter(families, energies):
-    left, right = zip(*families)
-    _assert_views_match_the_scatter(product_state(left, right, energies[:len(families)]))
-
-
-def test_product_views_keep_signed_zeros():
-    # constant families of either sign: the images hold -0.0
-    state = product_state((Constant(-1.0), Constant(1.0)), (Constant(-1.0), Constant(-1.0)), (0.5, 0.5))
+def test_superposition_views_keep_signed_zeros():
+    # phi+ under chosen_zero_levels pairs each negative coefficient with a pinned 0.0: both eigenvalues are
+    # -0.0, so the image holds -0.0
+    state = superposition_state(reference_config(phi=0.4), BellOutcome.PHI_PLUS, "chosen_zero_levels")
     _assert_views_match_the_scatter(state)
     assert np.signbit(apply_inverse_temp_squared(state).amps.view(float)).any()
-
-
-def _product_families(rng, d):
-    """``d`` complex-valued ExpLinear families drawn from ``rng``."""
-    return [ExpLinear(float(c), float(o), complex(*v))
-            for c, o, v in zip(rng.uniform(-1.0, 1.0, d), rng.uniform(-1.0, 1.0, d), rng.normal(size=(d, 2)))]
 
 
 def _purified(d):
@@ -949,20 +773,14 @@ def _purified(d):
     return lambda: purified_thermal_state(_spec(0.9, tuple(rng.uniform(-5.0, 5.0, d))))
 
 
-def _product(d):
-    rng = np.random.default_rng(311 + d)
-    return lambda: product_state(_product_families(rng, d), _product_families(rng, d), rng.uniform(-1.5, 1.5, d))
-
-
 def _superposed(phi, outcome, convention):
     return lambda: superposition_state(reference_config(phi), outcome, convention)
 
 
-# a state of every builder, by name: purified states and complex-valued product states at several d, and
-# phi+ and psi+ under both conventions at two phases
+# a state of every builder, by name: purified states at several d, and phi+ and psi+ under both conventions
+# at two phases
 _BUILDER_STATES = {
     **{f"purified d={d}": _purified(d) for d in (2, 3, 64, 1024)},
-    **{f"product d={d}": _product(d) for d in (2, 5, 40)},
     **{f"{outcome.name} {convention} phi={phi}": _superposed(phi, outcome, convention)
        for phi in (0.0, 0.4) for outcome in (BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS)
        for convention in ("full_dependence", "chosen_zero_levels")},
@@ -985,20 +803,17 @@ def test_every_builder_emits_its_kets_in_increasing_flat_order(builder, view):
 
 @pytest.mark.parametrize("builder", list(_BUILDER_STATES))
 def test_every_builder_holds_the_term_structure_by_construction(builder):
-    # no constructor proves a state's terms, so each builder must emit them well formed: (2, n) integer kets
-    # and slots, n >= 1, kets within the dims, distinct slot pairs, and one finite energy per slot on each side
+    # no constructor proves a state's terms, so each builder must emit them well formed: (2, n) integer kets,
+    # n >= 1, distinct and within the dims, and finite energies and family fields that broadcast against them
     state = _BUILDER_STATES[builder]()
-    kets, slots, energies = state._basis, state._var, np.broadcast_to(state._energy, state._basis.shape)
+    kets = state._basis
     n = kets.shape[1]
-    assert kets.shape == slots.shape == (2, n) and n >= 1
-    assert kets.dtype.kind == slots.dtype.kind == "i"
+    assert kets.shape == (2, n) and n >= 1
+    assert kets.dtype.kind == "i"
     assert ((kets >= 0) & (kets < np.array(state.dims)[:, None])).all()
-    assert len(set(zip(*slots.tolist()))) == n
-    assert np.isfinite(energies).all()
-    for side in (0, 1):
-        at = {}
-        for slot, energy in zip(slots[side].tolist(), energies[side].tolist()):
-            assert at.setdefault(slot, energy) == energy
+    assert len(set(zip(*kets.tolist()))) == n
+    assert np.broadcast_shapes(state._energy.shape, state._coeff.shape, state._value.shape, kets.shape) == (2, n)
+    assert np.isfinite(state._energy).all()
 
 
 def test_purified_view_trace_reads_only_the_support():
@@ -1041,9 +856,9 @@ def _superposition_of(outcome, convention, seed):
     return superposition_state(cfg, outcome, convention), superposition_terms(cfg, outcome, convention)
 
 
-def _product_of(families, energies):
-    left, right, energies = *zip(*families), energies[:len(families)]
-    return product_state(left, right, energies), product_terms(left, right, energies)
+def _diagonal_of(d, seed):
+    terms = _diagonal_terms(np.random.default_rng(seed), d)
+    return built_state(terms), terms
 
 
 # (state, its formula terms) pairs
@@ -1051,10 +866,8 @@ _STATES = st.one_of(
     st.builds(_purified_of, st.integers(2, 64), st.floats(0.0, 20.0), st.integers(0, 2**32 - 1)),
     st.builds(_superposition_of, st.sampled_from((BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS)),
               st.sampled_from(("full_dependence", "chosen_zero_levels")), st.integers(0, 2**32 - 1)),
-    # the product's terms (n, m) with n != m carry off-diagonal slots; _FAMILY draws constants too
-    st.builds(_product_of,
-              st.integers(2, 5).flatmap(lambda d: st.lists(st.tuples(_FAMILY, _FAMILY), min_size=d, max_size=d)),
-              st.lists(st.floats(-1.5, 1.5), min_size=5, max_size=5)),
+    # terms built from their arrays, each with its own eigenvalue, constants among them
+    st.builds(_diagonal_of, st.integers(2, 5), st.integers(0, 2**32 - 1)),
 )
 
 
@@ -1068,8 +881,8 @@ def test_spectral_report_matches_the_vector_form(case):
     rayleigh = math.fsum(np.concatenate((psi.real * image.real, psi.imag * image.imag)))
     r = image - rayleigh * psi
     residual = math.sqrt(math.fsum(np.concatenate((r.real**2, r.imag**2))))
-    coeffs, slots = np.asarray(terms["coeffs"]), np.asarray(terms["slots"])
-    lam = max(np.abs(coeffs[0] * coeffs[1])[slots[0] == slots[1]], default=0.0)
+    coeffs = np.asarray(terms["coeffs"])
+    lam = np.abs(coeffs[0] * coeffs[1]).max()
     tol = 1e-15 * max(1.0, lam)
     report = eigen_report(state, None, None)
     assert abs(report.rayleigh - rayleigh) <= tol
