@@ -769,20 +769,30 @@ def test_superposition_views_keep_signed_zeros():
 
 
 def _purified(d):
-    rng = np.random.default_rng(211 + d)
-    return lambda: purified_thermal_state(_spec(0.9, tuple(rng.uniform(-5.0, 5.0, d))))
+    return lambda: _purified_of(d, 0.9, 211 + d)
 
 
-def _superposed(phi, outcome, convention):
-    return lambda: superposition_state(reference_config(phi), outcome, convention)
+def _superposed(config, outcome, convention):
+    def build():
+        cfg = config()
+        return superposition_state(cfg, outcome, convention), superposition_terms(cfg, outcome, convention)
+    return build
 
 
-# a state of every builder, by name: purified states at several d, and phi+ and psi+ under both conventions
-# at two phases
+def _asymmetric():
+    """Unequal betas on the two sides, so each full_dependence term's coeff_L differs from its coeff_R."""
+    return ProtocolConfig(_spec(2.3, (1.7, 0.0)), _spec(0.6, (0.0, -2.1)), 2.0)
+
+
+_SUPERPOSED_CONFIGS = {"phi=0.0": lambda: reference_config(0.0), "phi=0.4": lambda: reference_config(0.4),
+                       "asymmetric phi=2.0": _asymmetric}
+
+# a state of every builder with its formula terms, by name: purified states at several d, and phi+ and psi+
+# under both conventions at two phases of the reference config and on the asymmetric one
 _BUILDER_STATES = {
     **{f"purified d={d}": _purified(d) for d in (2, 3, 64, 1024)},
-    **{f"{outcome.name} {convention} phi={phi}": _superposed(phi, outcome, convention)
-       for phi in (0.0, 0.4) for outcome in (BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS)
+    **{f"{outcome.name} {convention} {name}": _superposed(config, outcome, convention)
+       for name, config in _SUPERPOSED_CONFIGS.items() for outcome in (BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS)
        for convention in ("full_dependence", "chosen_zero_levels")},
 }
 
@@ -798,14 +808,14 @@ _VIEWS = {
 def test_every_builder_emits_its_kets_in_increasing_flat_order(builder, view):
     # the views hand the kets' flat indices to StateVector unsorted, so every builder must emit them strictly
     # increasing: each view of each builder's state holds the support invariant
-    assert_support_invariant(_VIEWS[view](_BUILDER_STATES[builder]()))
+    assert_support_invariant(_VIEWS[view](_BUILDER_STATES[builder]()[0]))
 
 
 @pytest.mark.parametrize("builder", list(_BUILDER_STATES))
 def test_every_builder_holds_the_term_structure_by_construction(builder):
     # no constructor proves a state's terms, so each builder must emit them well formed: (2, n) integer kets,
     # n >= 1, distinct and within the dims, and finite energies and family fields that broadcast against them
-    state = _BUILDER_STATES[builder]()
+    state, _ = _BUILDER_STATES[builder]()
     kets = state._basis
     n = kets.shape[1]
     assert kets.shape == (2, n) and n >= 1
@@ -814,6 +824,45 @@ def test_every_builder_holds_the_term_structure_by_construction(builder):
     assert len(set(zip(*kets.tolist()))) == n
     assert np.broadcast_shapes(state._energy.shape, state._coeff.shape, state._value.shape, kets.shape) == (2, n)
     assert np.isfinite(state._energy).all()
+    assert state._value.dtype == complex
+
+
+@pytest.mark.parametrize("builder", list(_BUILDER_STATES))
+def test_every_builder_equals_its_formula_terms(builder):
+    # the terms of the builder's docstring, built as they stand, give its state bit for bit
+    _assert_formula_round_trip(*_BUILDER_STATES[builder]())
+
+
+@pytest.mark.parametrize("builder", list(_BUILDER_STATES))
+def test_every_builder_evaluates_as_the_scalar_families(builder):
+    # every term responds: the analytic image is coeff_L,t * coeff_R,t * psi_t on each ket, and the fd image
+    # the product of the two sides' central differences, as the per-term oracle evaluates them
+    state, terms = _BUILDER_STATES[builder]()
+    for fd_step in (None, 1e-5):
+        psi, image = _scalar_views(terms, state.dims, fd_step)
+        assert np.array_equal(state.amplitude_vector().amps, psi)
+        assert np.array_equal(apply_inverse_temp_squared(state, fd_step=fd_step).amps, image)
+
+
+@pytest.mark.parametrize("builder", list(_BUILDER_STATES))
+def test_every_builder_reports_as_its_dense_views(builder):
+    state, _ = _BUILDER_STATES[builder]()
+    for fd_step in (None, 1e-5):
+        _assert_report_matches_dense(eigen_report(state, fd_step, None), state, fd_step)
+
+
+@pytest.mark.parametrize("builder", list(_BUILDER_STATES))
+def test_every_builder_views_match_the_scatter(builder):
+    _assert_views_match_the_scatter(_BUILDER_STATES[builder]()[0])
+
+
+@pytest.mark.parametrize("builder", list(_BUILDER_STATES))
+def test_every_builder_fd_image_follows_the_analytic_image(builder):
+    # a constant family's central difference is exactly 0, as its closed-form derivative is
+    state, _ = _BUILDER_STATES[builder]()
+    analytic = apply_inverse_temp_squared(state).amps
+    fd = apply_inverse_temp_squared(state, fd_step=1e-5).amps
+    assert np.max(np.abs(analytic - fd)) < FD_TOL
 
 
 def test_purified_view_trace_reads_only_the_support():
