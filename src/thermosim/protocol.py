@@ -53,8 +53,8 @@ _BELL_VECTORS = {
 }
 
 
-# the flat indices of a branch's two kets, shared by every post-selected state:
-# phi on |00> and |11>, psi on |01> and |10>
+# the flat indices of a branch's two kets, shared read-only by every post-selected state and by
+# tempop's superposition states and their views: phi on |00> and |11>, psi on |01> and |10>
 _KETS = np.array([[0, 3], [1, 2]])
 _KETS.setflags(write=False)
 

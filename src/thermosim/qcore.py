@@ -30,7 +30,8 @@ and their flat indices (None for every index), and its ``amps`` property is
 the library's only densifier; the diagonal partial trace reads the stored
 values, of either kind, through ``np.flatnonzero``.  A dense array numpy
 cannot allocate (a state's ``amps``, a tensor product, a density matrix's
-``entries``) is refused in one line, by ``_dense``.
+``entries``), or whose byte count numpy cannot even size, is refused in one
+line, by ``_dense``.
 
 Numeric input has one rule, ``_number`` for a value and ``_numbers`` for a
 sequence, at every public boundary: Python and numpy int, float and complex
@@ -115,7 +116,10 @@ def _dense(noun: str, build, *args) -> np.ndarray:
     """``build(*args)``, a dense array; one numpy cannot allocate is refused as "<noun> is too large to densify"."""
     try:
         return build(*args)
-    except MemoryError:
+    except (MemoryError, ValueError) as err:
+        # numpy refuses a byte count past the largest intp with this ValueError, before allocating anything
+        if isinstance(err, ValueError) and not str(err).startswith("array is too big"):
+            raise
         raise ConfigurationError(f"{noun} is too large to densify") from None
 
 
@@ -123,9 +127,12 @@ def _built(cls, *fields):
     """A ``cls`` value checked by its ``_store(*fields)`` alone, skipping the public constructor.
 
     ``fields`` are proven dims, a tuple of Python ints of at least 2, then
-    fresh arrays no caller holds, taken over without a copy, whose shapes
-    and supports the caller holds by construction; ``_store`` proves only
-    their values.
+    arrays taken over without a copy, whose shapes and supports the caller
+    holds by construction; ``_store`` proves only their values.  Each array
+    is either fresh, held by no caller, or read-only and shared: ``protocol``'s
+    branch kets are the supports of post-selected and superposition states,
+    a factored state's support is also its views', and ``tempop``'s unit
+    family value is every purified state's.
     """
     value = object.__new__(cls)
     value._store(*fields)

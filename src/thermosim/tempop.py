@@ -20,10 +20,11 @@ view, the operator image, and the reports of ``eigencheck_purified`` and
 ``purified_thermal_state`` and ``superposition_state`` make.  A state is
 only ever a result, so calling ``FactoredBipartiteState`` raises
 ``TypeError``.  The two builders, ``purified_thermal_state`` and
-``superposition_state``, make its term arrays, (2, n) kets and the energies
-and family fields that broadcast against them, row 0 the left side and row 1
-the right, and reach the state through ``qcore._built``.  They hold its
-structure by construction: distinct kets in strictly increasing flat order.
+``superposition_state``, make its support, the terms' (n,) flat kets in the
+form ``StateVector`` keeps, and the energies and family fields, row 0 the
+left side and row 1 the right, and reach the state through ``qcore._built``.
+They hold its structure by construction: a strictly increasing support, so
+distinct kets.  The views hand that support on to ``StateVector`` as it is.
 An analytic report whose Rayleigh quotient or residual is not finite is
 refused; a finite-difference one carries the NaN on to the caller.
 
@@ -63,7 +64,7 @@ from math import isfinite, sqrt
 
 import numpy as np
 
-from .protocol import BellOutcome, ProtocolConfig
+from .protocol import _KETS, BellOutcome, ProtocolConfig
 from .qcore import ConfigurationError, StateVector, _built, _number
 from .thermal import ThermalSpec
 
@@ -72,19 +73,20 @@ from .thermal import ThermalSpec
 class FactoredBipartiteState:
     """Term arrays whose evaluated vector is unit norm by construction.
 
-    The terms are held as arrays with one row per side (left, right): (2, n)
-    kets, and the energies and the family form value * e^(coeff*E) that
-    broadcast against them, with a leading axis of 2 for ``value`` and
-    ``coeff``.  Term t carries derivative slot t on both sides.  Kets are
-    distinct, so each term is exactly one entry of the dense vector.
-    ``_store`` normalizes once and keeps the per-term amplitudes over
-    sqrt(Z) and sqrt(Z), n complex values (16 MB at n = 10^6); ``_image``
-    and ``_evaluated`` read the operator from them and the term arrays.
+    The terms' kets are held once, as ``_at``: their (n,) flat indices,
+    strictly increasing, the support form of ``StateVector``, frozen by
+    ``_store`` and shared as it is by every view.  The energies and the
+    family form value * e^(coeff*E) are held with one row per side (left,
+    right), broadcasting to (2, n).  Term t carries derivative slot t on
+    both sides.  Kets are distinct, so each term is exactly one entry of
+    the dense vector.  ``_store`` normalizes once and keeps the per-term
+    amplitudes over sqrt(Z) and sqrt(Z), n complex values (16 MB at
+    n = 10^6); ``_image`` and ``_evaluated`` read the operator from them
+    and the term arrays.
 
     Only ever a result, so calling ``FactoredBipartiteState``, with or without
     arguments, raises ``TypeError``: ``purified_thermal_state`` and
-    ``superposition_state`` build it through ``qcore._built``, with kets in
-    strictly increasing flat order.
+    ``superposition_state`` build it through ``qcore._built``.
     """
 
     dims: tuple[int, int]
@@ -93,7 +95,7 @@ class FactoredBipartiteState:
         raise TypeError("FactoredBipartiteState has no public constructor: it is a result of "
                         "purified_thermal_state or superposition_state")
 
-    def _store(self, dims, basis, energy, value, coeff) -> None:
+    def _store(self, dims, at, energy, value, coeff) -> None:
         with np.errstate(over="ignore", invalid="ignore"):
             exps = np.exp(coeff * energy)
             psi = (value[0] * exps[0]) * (value[1] * exps[1])  # side by side: no (2, n) complex array
@@ -103,11 +105,12 @@ class FactoredBipartiteState:
                 raise ConfigurationError("normalization overflows or vanishes; reduce beta or energies")
             root = sqrt(z)
             psi /= root
-            vars(self).update(dims=dims, _basis=basis, _energy=energy, _value=value, _coeff=coeff, _psi=psi,
+            at.setflags(write=False)
+            vars(self).update(dims=dims, _at=at, _energy=energy, _value=value, _coeff=coeff, _psi=psi,
                               _root=root)
 
     def amplitude_vector(self) -> StateVector:
-        return _view(self, self._psi.copy())
+        return _built(StateVector, self.dims, self._psi.copy(), self._at)
 
     def _eigenvalues(self) -> np.ndarray:
         """Each term's eigenvalue lambda_t = coeff_L,t * coeff_R,t, broadcasting against the n terms."""
@@ -163,17 +166,6 @@ class FactoredBipartiteState:
             return rayleigh, sqrt(np.add.reduce(r * r))
 
 
-def _view(state: FactoredBipartiteState, values: np.ndarray) -> StateVector:
-    """The fresh per-term ``values`` at their kets' flat indices: a support-form view of the ``dims`` vector.
-
-    Every value is kept, a signed zero too, so the dense ``amps`` holds the
-    bytes of a zero-filled array with the values scattered onto their kets.
-    Every builder emits its kets in strictly increasing flat order, the
-    support that ``StateVector`` takes on trust.
-    """
-    return _built(StateVector, state.dims, values, np.ravel_multi_index(tuple(state._basis), state.dims))
-
-
 @dataclass(frozen=True)
 class EigenReport:
     """Rayleigh quotient, residual norm, and the analytic value when known."""
@@ -191,7 +183,7 @@ def apply_inverse_temp_squared(state: FactoredBipartiteState, *, fd_step: float 
     returned vector is an operator image and is generally not normalized (it
     is zero whenever every responding term contains a constant factor).
     """
-    return _view(state, state._image(fd_step))
+    return _built(StateVector, state.dims, state._image(fd_step), state._at)
 
 
 def _eigen_report(state: FactoredBipartiteState, fd_step: float | None, expected: float | None) -> EigenReport:
@@ -208,9 +200,9 @@ def purified_thermal_state(spec: ThermalSpec) -> FactoredBipartiteState:
     Term n is e^(-beta*E_n/4) x e^(-beta*E_n/4) |n>|n> with the constant 1/sqrt(Z)
     prefactor; only this even split makes the state an exact eigenvector.
     """
-    energy = np.array(spec.hamiltonian.energies)
-    kets = np.broadcast_to(np.arange(energy.size), (2, energy.size))
-    return _built(FactoredBipartiteState, (energy.size,) * 2, kets, energy, _UNIT, np.full((2, 1), -spec.beta / 4.0))
+    d = spec.hamiltonian.dim
+    energy, coeff = np.array(spec.hamiltonian.energies), np.full((2, 1), -spec.beta / 4.0)
+    return _built(FactoredBipartiteState, (d, d), np.arange(d) * (d + 1), energy, _UNIT, coeff)
 
 
 def eigencheck_purified(spec: ThermalSpec, *, fd_step: float | None = None) -> EigenReport:
@@ -222,18 +214,9 @@ def eigencheck_purified(spec: ThermalSpec, *, fd_step: float | None = None) -> E
     return _eigen_report(purified_thermal_state(spec), fd_step, expected)
 
 
-def _read_only(rows) -> np.ndarray:
-    arr = np.array(rows)
-    arr.flags.writeable = False
-    return arr
-
-
-# (left, right) rows of the two-term superpositions' kets, shared read-only by every state:
-# the phi+ kets |00>, |11> are _DIAGONAL, the psi+ kets |01>, |10> are _CROSSED
-_DIAGONAL = _read_only(((0, 1), (0, 1)))
-_CROSSED = _read_only(((0, 1), (1, 0)))
 # the family value 1 on both sides, shared read-only by every purified state
-_UNIT = _read_only(((1.0 + 0j,), (1.0 + 0j,)))
+_UNIT = np.ones((2, 1), dtype=complex)
+_UNIT.setflags(write=False)
 
 
 def superposition_state(
@@ -248,9 +231,9 @@ def superposition_state(
     the purification phase e^(i*phi) as its value, as ``purify`` puts it.
     """
     if outcome is BellOutcome.PHI_PLUS:
-        kets_b, kets = (0, 1), _DIAGONAL
+        kets_b, at = (0, 1), _KETS[0]
     elif outcome is BellOutcome.PSI_PLUS:
-        kets_b, kets = (1, 0), _CROSSED
+        kets_b, at = (1, 0), _KETS[1]
     else:
         raise ConfigurationError(f"unsupported outcome {outcome} for residual analysis")
     if convention not in ("full_dependence", "chosen_zero_levels"):
@@ -265,7 +248,7 @@ def superposition_state(
     a, b = -cfg.spec_a.beta / 2.0, -cfg.spec_b.beta / 2.0
     # term n sits on |n>|kets_b[n]> under slot n; a pinned level is the constant e^0 (coeff 0)
     return _built(
-        FactoredBipartiteState, (2, 2), kets, np.array((ea, [eb[k] for k in kets_b])),
+        FactoredBipartiteState, (2, 2), at, np.array((ea, [eb[k] for k in kets_b])),
         np.array(((1.0, np.exp(1j * cfg.phi)), (1.0, 1.0))),
         np.array(((a, 0.0 if pin else a), [0.0 if pin and k == 0 else b for k in kets_b])),
     )

@@ -160,15 +160,17 @@ def term_arrays(terms):
 def built_state(terms):
     """The state of the term arrays ``terms``, reached through ``qcore._built`` as the builders reach it.
 
-    The terms are sorted by flat ket, the order the builders emit and the views take on trust, and the
-    dims are one past each side's largest ket.
+    The (left, right) kets are raveled to their flat indices and the terms sorted by them, so the support is
+    strictly increasing, as the builders emit it and the views take it on trust; the dims are one past each
+    side's largest ket.
     """
     kets = np.asarray(terms["kets"], dtype=np.int64)
     dims = tuple(int(top) + 1 for top in kets.max(axis=1))
-    order = np.argsort(np.ravel_multi_index(tuple(kets), dims), kind="stable")
-    return qcore._built(FactoredBipartiteState, dims, *(
+    at = np.ravel_multi_index(tuple(kets), dims)
+    order = np.argsort(at, kind="stable")
+    return qcore._built(FactoredBipartiteState, dims, at[order], *(
         np.asarray(terms[key], dtype=dtype)[:, order] for key, dtype in
-        (("kets", np.int64), ("energies", float), ("values", complex), ("coeffs", float))
+        (("energies", float), ("values", complex), ("coeffs", float))
     ))  # the order of FactoredBipartiteState._store's fields
 
 

@@ -525,6 +525,16 @@ def test_a_state_too_large_to_densify_is_refused_in_one_line(monkeypatch):
             route()
         assert builds == [build], name
     assert "amps" not in vars(sparse) and "amps" not in vars(three)
+    monkeypatch.undo()
+    # 2**62 amplitudes, a byte count past the largest intp: numpy raised its raw ValueError, allocating nothing
+    huge = basis_state((2**31, 2**31), 0)
+    with pytest.raises(ConfigurationError, match=f"^a state of {2**62} amplitudes is too large to densify$"):
+        huge.amps
+    assert "amps" not in vars(huge)
+    # any other ValueError of a build is not a refusal
+    with pytest.raises(ValueError, match="negative") as raised:
+        qcore._dense("a state of 1 amplitudes", np.bincount, np.array([-1]))
+    assert type(raised.value) is ValueError
 
 
 @pytest.mark.parametrize("route", ["diagonal", "gram"])
@@ -539,6 +549,12 @@ def test_a_density_matrix_too_large_to_densify_is_refused_in_one_line(route, mon
         partial_trace(state, keep={0})
     assert builds == [build]
     assert route == "gram" or "amps" not in vars(state)
+    if route == "diagonal":  # 2**61 diagonal values, a byte count past the largest intp: numpy's raw ValueError
+        monkeypatch.undo()
+        huge = basis_state((2**61, 2), 0)
+        with pytest.raises(ConfigurationError, match=f"^a {2**61}x{2**61} density matrix is too large to densify$"):
+            partial_trace(huge, keep={0})
+        assert "amps" not in vars(huge)
 
 
 def test_a_16_tib_state_is_refused_by_numpy_itself():
@@ -847,6 +863,7 @@ _PRIVATE_IMPORTS = {
     ("cli", "interference", "_readout_probability"),
     ("protocol", "thermal", "_positive_qubit_weights"),
     ("interference", "thermal", "_positive_qubit_weights"),
+    ("tempop", "protocol", "_KETS"),
 }
 
 

@@ -500,13 +500,14 @@ def test_superposition_kets_are_shared_read_only(outcome):
     cfg = reference_config(phi=0.4)
     state = superposition_state(cfg, outcome, "full_dependence")
     before = state.amplitude_vector().amps.copy()
-    kets = state._basis
+    kets = state._at
     assert not kets.flags.writeable
     with pytest.raises(ValueError):
-        kets[1, 0] = 1 - kets[1, 0]
+        kets[0] = 3 - kets[0]
     again = superposition_state(cfg, outcome, "full_dependence")
     assert np.array_equal(again.amplitude_vector().amps, before)
-    assert np.array_equal(again._basis, [[0, 1], [0, 1]] if outcome is BellOutcome.PHI_PLUS else [[0, 1], [1, 0]])
+    assert np.array_equal(again._at, [0, 3] if outcome is BellOutcome.PHI_PLUS else [1, 2])
+    assert np.shares_memory(again._at, kets)
 
 
 def test_each_report_builds_one_state_and_runs_the_exponential_once(monkeypatch):
@@ -714,10 +715,10 @@ def test_superposition_state_round_trips(outcome, convention, seed):
 # --- support-form views: the bytes of the zero-filled dense view ---------------
 
 def _scattered(state, values):
-    """The view as the dense route built it: a zero-filled (d, d) array with each term value on its ket."""
-    arr = np.zeros(state.dims, dtype=np.complex128)
-    arr[tuple(state._basis)] = values
-    return arr.reshape(-1)
+    """The view as the dense route built it: a zero-filled d*d array with each term value on its flat ket."""
+    arr = np.zeros(math.prod(state.dims), dtype=np.complex128)
+    arr[state._at] = values
+    return arr
 
 
 def _traced(state, keep, unit):
@@ -813,18 +814,30 @@ def test_every_builder_emits_its_kets_in_increasing_flat_order(builder, view):
 
 @pytest.mark.parametrize("builder", list(_BUILDER_STATES))
 def test_every_builder_holds_the_term_structure_by_construction(builder):
-    # no constructor proves a state's terms, so each builder must emit them well formed: (2, n) integer kets,
-    # n >= 1, distinct and within the dims, and finite energies and family fields that broadcast against them
+    # no constructor proves a state's terms, so each builder must emit them well formed: an (n,) integer
+    # support, n >= 1, strictly increasing (so distinct kets) and within the dims, and finite energies and
+    # family fields whose rows broadcast to (2, n)
     state, _ = _BUILDER_STATES[builder]()
-    kets = state._basis
-    n = kets.shape[1]
-    assert kets.shape == (2, n) and n >= 1
-    assert kets.dtype.kind == "i"
-    assert ((kets >= 0) & (kets < np.array(state.dims)[:, None])).all()
-    assert len(set(zip(*kets.tolist()))) == n
-    assert np.broadcast_shapes(state._energy.shape, state._coeff.shape, state._value.shape, kets.shape) == (2, n)
+    at = state._at
+    n = at.size
+    assert at.shape == (n,) and n >= 1
+    assert at.dtype.kind == "i"
+    assert at[0] >= 0 and at[-1] < math.prod(state.dims)
+    assert (at[1:] > at[:-1]).all()
+    assert np.broadcast_shapes(state._energy.shape, state._coeff.shape, state._value.shape, (2, n)) == (2, n)
     assert np.isfinite(state._energy).all()
     assert state._value.dtype == complex
+
+
+@pytest.mark.parametrize("builder", list(_BUILDER_STATES))
+def test_every_builder_support_is_its_formula_kets_shared_by_its_views(builder):
+    # the support is the formula terms' (left, right) kets raveled to flat indices, in term order, and every
+    # view holds that very read-only array: none computes an index array of its own
+    state, terms = _BUILDER_STATES[builder]()
+    assert np.array_equal(state._at, np.ravel_multi_index(tuple(np.array(terms["kets"])), state.dims))
+    assert not state._at.flags.writeable
+    for view in _VIEWS.values():
+        assert view(state)._at is state._at
 
 
 @pytest.mark.parametrize("builder", list(_BUILDER_STATES))
