@@ -8,9 +8,10 @@ Three subcommands::
 
 Reports are JSON on stdout; interference sweeps are written as CSV.  All floats are
 rendered with 9 significant digits so identical invocations on the same numpy build and
-numpy CPU dispatch (which picks the finite-difference route's ``np.exp`` kernel by
-instruction set) produce byte-identical output at any BLAS thread count.  Exit codes: 0 success, 1 configuration or I/O error
-(one-line diagnostic on stderr), 2 numerical assertion failure.
+numpy CPU dispatch (which picks by instruction set the ``np.exp`` kernel of the qubit
+weights and of the finite-difference route) produce byte-identical output at any BLAS
+thread count.  Exit codes: 0 success, 1 configuration or I/O error (one-line diagnostic
+on stderr), 2 numerical assertion failure.
 """
 
 from __future__ import annotations
@@ -62,7 +63,9 @@ def load_config(path: str | Path) -> ProtocolConfig:
         raise ConfigurationError(f"config {path} is not UTF-8 text: {exc}") from exc
     try:
         doc = json.loads(raw, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
+    except ConfigurationError:  # a ValueError too: _unique_keys' refusal keeps its words
+        raise
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal past sys.get_int_max_str_digits()
         raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
     except RecursionError:
         raise ConfigurationError(f"config {path} nests too deeply to parse") from None

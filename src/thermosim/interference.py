@@ -21,14 +21,13 @@ kept for comparison because the two differ by exactly that factor).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isfinite
 
 import numpy as np
 
 from . import qcore
 from .protocol import BellOutcome, ProtocolConfig, _branch, post_select_oracle, success_probability
 from .qcore import ConfigurationError, _numbers
-from .thermal import _positive_qubit_weights
+from .thermal import ThermalSpec, _qubit_weights
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,7 +35,11 @@ class SweepSpec:
     """Grid of phase values, optionally crossed with a beta_B axis.
 
     ``phi_points`` is stored as a read-only float64 copy of the caller's
-    points.  Specs compare by identity.
+    points.  Each beta_B value ``b`` is read as ``ThermalSpec(b,
+    cfg.spec_b.hamiltonian)``, so the axis takes the betas every spec takes,
+    0 among them, and a value whose Gibbs weight underflows is refused by
+    its own name (``beta_b sweep value 1000.0 has a Gibbs weight that
+    underflows...``).  Specs compare by identity.
     """
 
     cfg: ProtocolConfig
@@ -55,11 +58,11 @@ class SweepSpec:
         weights_b = self.cfg.weights()[1]
         if self.beta_b_values is not None:
             betas = _numbers("beta_b sweep values", self.beta_b_values)
-            if not (betas and all(isfinite(b) and b > 0.0 for b in betas)):
-                raise ConfigurationError("beta_b sweep values must be a nonempty sequence of positive, finite numbers")
-            levels = self.cfg.spec_b.hamiltonian.energies
-            weights = _positive_qubit_weights(*(("spec_b", b, levels) for b in betas))
-            weights_b = np.array(weights).reshape(-1, 2).T[..., None]  # (w0, w1), each of shape (len(betas), 1)
+            if not betas:
+                raise ConfigurationError("beta_b sweep values must be a nonempty sequence")
+            hamiltonian = self.cfg.spec_b.hamiltonian
+            weights = [_qubit_weights(f"beta_b sweep value {b!r}", ThermalSpec(b, hamiltonian)) for b in betas]
+            weights_b = np.array(weights).T[..., None]  # (w0, w1), each of shape (len(betas), 1)
             object.__setattr__(self, "beta_b_values", betas)
         object.__setattr__(self, "_weights_b", weights_b)
 
@@ -79,11 +82,6 @@ def circuit_probability(cfg: ProtocolConfig) -> float:
     h = qcore.HADAMARD.entries
     prob = float((h @ rho_a @ h.conj().T)[0, 0].real)
     return min(max(prob, 0.0), 1.0)  # roundoff guard
-
-
-def _cross_coefficient(cfg: ProtocolConfig) -> float:
-    (p0, p1), (f0, f1) = cfg.weights()
-    return np.sqrt(p0 * f0) * np.sqrt(p1 * f1) / success_probability(cfg, "phi")
 
 
 def closed_form_probability(cfg: ProtocolConfig, convention: str = "corrected") -> float:
@@ -106,7 +104,9 @@ def _closed_form(cfg: ProtocolConfig, convention: str, phi):
     factors = {"corrected": 2.0, "paper": 1.0}
     if convention not in factors:
         raise ConfigurationError(f"convention must be 'paper' or 'corrected', got {convention!r}")
-    return 0.5 * (1.0 + factors[convention] * _cross_coefficient(cfg) * np.cos(phi))
+    (p0, p1), (f0, f1) = cfg.weights()
+    cross = np.sqrt(p0 * f0) * np.sqrt(p1 * f1) / success_probability(cfg, "phi")
+    return 0.5 * (1.0 + factors[convention] * cross * np.cos(phi))
 
 
 def _readout_probability(p, f, phi) -> np.ndarray:

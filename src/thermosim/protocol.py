@@ -24,7 +24,7 @@ import numpy as np
 
 from . import qcore
 from .qcore import ConfigurationError, StateVector, _built, _number
-from .thermal import ThermalSpec, _positive_qubit_weights, purify
+from .thermal import ThermalSpec, _qubit_weights, purify
 
 
 class BellOutcome(enum.Enum):
@@ -80,13 +80,7 @@ class ProtocolConfig:
     _weights: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        names, specs = ("spec_a", "spec_b"), (self.spec_a, self.spec_b)
-        for name, spec in zip(names, specs):
-            if not isinstance(spec, ThermalSpec):
-                raise ConfigurationError(f"{name} must be a ThermalSpec, got {type(spec).__name__}")
-            if spec.hamiltonian.dim != 2:
-                raise ConfigurationError(f"{name} must describe a qubit")
-        weights = _positive_qubit_weights(*((n, s.beta, s.hamiltonian.energies) for n, s in zip(names, specs)))
+        weights = _qubit_weights("spec_a", self.spec_a), _qubit_weights("spec_b", self.spec_b)
         phi = _number("phi", self.phi)
         if not isfinite(phi):
             raise ConfigurationError("phi must be finite")

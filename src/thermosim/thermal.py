@@ -79,33 +79,30 @@ def _shifted_gibbs(beta: float, energies) -> tuple[np.ndarray, float]:
     return shifted / total, float(total)
 
 
-_UNDERFLOW = "{} has a Gibbs weight that underflows to zero; reduce beta or the energy gap"
+def _qubit_weights(name: str, spec) -> tuple[float, float]:
+    """Gibbs weights (w0, w1) of the qubit ``spec``, as Python floats; ``name`` names it in refusals.
 
-
-def _positive_qubit_weights(*qubits) -> tuple[tuple[float, float], ...]:
-    """Gibbs weights (w0, w1) of each (name, beta, levels) qubit, as Python floats.
-
-    The weights of :func:`_shifted_gibbs`, bit for bit: each exponent
-    -beta*(E - E_min), each sum and each division is one IEEE-754 operation
-    that Python rounds as numpy does, so only the exponentials, all in one
+    Refuses a ``spec`` that is not a :class:`ThermalSpec` of a qubit.  The
+    weights are :func:`_shifted_gibbs`', bit for bit: each exponent
+    -beta*(E - E_min), the sum and each division is one IEEE-754 operation
+    that Python rounds as numpy does, so only the two exponentials, in one
     call, go through numpy.  An exponent that overflows is -inf in Python
-    floats, with no warning, and its weight 0.0.  Refuses the first qubit
-    whose weight underflows to 0.0 by its name, since the post-selection and
-    the read-out divide by every weight.
+    floats, with no warning, and its weight 0.0.  Refuses a weight that
+    underflows to 0.0, since the post-selection and the read-out divide by
+    every weight.
     """
-    exponents = []
-    for _, beta, (e0, e1) in qubits:
-        low = min(e0, e1)
-        exponents += (-beta * (e0 - low), -beta * (e1 - low))
-    shifted = np.exp(exponents).tolist()
-    weights = []
-    for (name, _, _), w0, w1 in zip(qubits, shifted[::2], shifted[1::2]):
-        total = w0 + w1
-        w0, w1 = w0 / total, w1 / total
-        if not (w0 > 0.0 and w1 > 0.0):
-            raise ConfigurationError(_UNDERFLOW.format(name))
-        weights.append((w0, w1))
-    return tuple(weights)
+    if not isinstance(spec, ThermalSpec):
+        raise ConfigurationError(f"{name} must be a ThermalSpec, got {type(spec).__name__}")
+    if spec.hamiltonian.dim != 2:
+        raise ConfigurationError(f"{name} must describe a qubit")
+    beta, (e0, e1) = spec.beta, spec.hamiltonian.energies
+    low = min(e0, e1)
+    w0, w1 = np.exp([-beta * (e0 - low), -beta * (e1 - low)]).tolist()
+    total = w0 + w1
+    w0, w1 = w0 / total, w1 / total
+    if not (w0 > 0.0 and w1 > 0.0):
+        raise ConfigurationError(f"{name} has a Gibbs weight that underflows to zero; reduce beta or the energy gap")
+    return w0, w1
 
 
 def gibbs_weights(spec: ThermalSpec) -> GibbsWeights:

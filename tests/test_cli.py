@@ -498,6 +498,17 @@ def test_config_integer_beyond_float64_exits_one(capsys, tmp_path):
     path.write_text('{"beta_a":1' + "0" * 400 + ',"beta_b":1.0,"energies_a":[5.0,0.0],"energies_b":[0.0,1.0],"phi":0.0}')
     code, out, err = run_cli(capsys, ["protocol", "--config", str(path)])
     assert (code, out, err) == (1, "", "error: config field 'beta_a' must fit in float64\n")
+    # past sys.get_int_max_str_digits() (4300 by default) json.loads raises a plain ValueError, not a
+    # JSONDecodeError; it printed a traceback
+    longer = tmp_path / "longer.json"
+    longer.write_text('{"beta_a":1' + "0" * 4999 + ',"beta_b":1.0,"energies_a":[5.0,0.0],"energies_b":[0.0,1.0],"phi":0.0}')
+    csv = tmp_path / "longer.csv"
+    for argv in (["protocol"], ["interference", "--phi-steps", "5", "--out", str(csv)]):
+        code, out, err = run_cli(capsys, [*argv, "--config", str(longer)])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: config {longer} is not valid JSON: Exceeds the limit (")
+        assert "value has 5000 digits" in err and err.count("\n") == 1 and err.endswith("\n")
+        assert not csv.exists()
 
 
 def test_eigencheck_overflowing_normalization_exits_one():

@@ -159,16 +159,30 @@ def test_sweep_spec_validation():
     for phis in ((0.0, float("nan")), (float("inf"),)):
         with pytest.raises(ConfigurationError, match="finite"):
             SweepSpec(reference_config(), phis)
-    for betas in ((), (1.0, 0.0), (float("nan"),), (float("inf"),)):
-        with pytest.raises(ConfigurationError, match="^beta_b sweep values must be a nonempty sequence of positive"):
+    with pytest.raises(ConfigurationError, match="^beta_b sweep values must be a nonempty sequence$"):
+        SweepSpec(reference_config(), (0.0,), beta_b_values=())
+    # each axis value is read as a ThermalSpec, so it takes that spec's rule and its message
+    for betas in ((1.0, float("nan")), (float("inf"),), (0.5, -1.0), (-0.0, -1e-300)):
+        with pytest.raises(ConfigurationError, match=f"^beta must be finite and nonnegative, got {betas[-1]!r}$"):
             SweepSpec(reference_config(), (0.0,), beta_b_values=betas)
     for betas in ((True,), (1.0, "2.0")):
         with pytest.raises(ConfigurationError, match=f"^beta_b sweep values must be real, got {betas[-1]!r}$"):
             SweepSpec(reference_config(), (0.0,), beta_b_values=betas)
     assert SweepSpec(reference_config(), (0.0,), beta_b_values=(np.float32(0.5), 2)).beta_b_values == (0.5, 2.0)
     # the reference B gap is 1, so e^(-1000) underflows to 0.0
-    with pytest.raises(ConfigurationError, match="spec_b has a Gibbs weight that underflows"):
+    with pytest.raises(ConfigurationError, match="^beta_b sweep value 1000.0 has a Gibbs weight that underflows"):
         SweepSpec(reference_config(), (0.0,), beta_b_values=(1.0, 1000.0))
+
+
+def test_an_underflowing_axis_value_is_refused_by_its_own_name():
+    # the config's spec_b is fine; the refusal names the first axis value whose B weight is 0.0
+    cfg = reference_config()
+    for betas, named in (((1.0, 1000.0), "1000.0"), ((800.0, 2.0, 1000.0), "800.0"), ((1e308,), "1e+308")):
+        with pytest.raises(ConfigurationError) as refused:
+            SweepSpec(cfg, (0.0, 1.0), betas)
+        assert str(refused.value) == (
+            f"beta_b sweep value {named} has a Gibbs weight that underflows to zero; reduce beta or the energy gap"
+        )
 
 
 def test_sweep_spec_keeps_a_read_only_copy_of_the_grid():
@@ -277,6 +291,21 @@ def test_kernel_takes_a_zero_dimensional_phase():
         got = _readout_probability(p, f, phi)
         assert type(got) is np.ndarray and got.shape == () and got.tobytes() == want.tobytes()
     assert abs(float(got) - circuit_probability(cfg)) <= _KERNEL_CIRCUIT_TOL
+
+
+def test_an_infinite_temperature_axis_row_is_the_circuit_at_beta_b_zero():
+    # beta_B = 0, which every ThermalSpec takes, is a valid axis value: B's weights are (1/2, 1/2)
+    cfg = reference_config(0.4)
+    phis = np.linspace(0.0, 2 * np.pi, 9)
+    spec = SweepSpec(cfg, phis, (0.0, 1.0))
+    assert spec.beta_b_values == (0.0, 1.0)
+    hot = ProtocolConfig(cfg.spec_a, ThermalSpec(0.0, cfg.spec_b.hamiltonian))
+    assert hot.weights()[1] == (0.5, 0.5)
+    rows = [(phi, p) for phi, beta_b, p in sweep(spec) if beta_b == 0.0]
+    assert [phi for phi, _ in rows] == phis.tolist()
+    for phi, got in rows:
+        want = circuit_probability(ProtocolConfig(cfg.spec_a, hot.spec_b, phi))
+        assert abs(got - want) <= _KERNEL_CIRCUIT_TOL
 
 
 def test_scalar_circuit_shares_no_branch_kernel_with_the_batched_kernel(monkeypatch):

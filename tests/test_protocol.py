@@ -64,10 +64,10 @@ def test_config_rejects_underflowing_weights():
     frozen_out = ThermalSpec(200.0, QuditHamiltonian((5.0, 0.0)))  # beta*gap = 1000
     hot = ThermalSpec(1e300, QuditHamiltonian((1e10, 0.0)))  # beta*gap = 1e310 overflows, with no numpy warning
     qubit = ThermalSpec(1.0, QuditHamiltonian((0.0, 1.0)))
-    # the refusal names the spec, spec_a first when both underflow
+    # the refusal names the spec, spec_a first when both underflow; spec_a is proven whole before spec_b is read
     cases = (
         (frozen_out, qubit, "spec_a"), (qubit, frozen_out, "spec_b"), (frozen_out, frozen_out, "spec_a"),
-        (hot, qubit, "spec_a"), (qubit, hot, "spec_b"),
+        (hot, qubit, "spec_a"), (qubit, hot, "spec_b"), (frozen_out, "x", "spec_a"),
     )
     for a, b, name in cases:
         with pytest.raises(ConfigurationError, match=f"^{name} has a Gibbs weight that underflows to zero"):
@@ -91,22 +91,23 @@ def test_config_refuses_a_phase_that_is_not_finite(phi):
 
 def test_config_weights_are_one_gibbs_call_with_the_per_spec_bytes(monkeypatch):
     qubits, exponents = [], []
-    helper, numpy_exp = protocol._positive_qubit_weights, np.exp
+    helper, numpy_exp = protocol._qubit_weights, np.exp
 
-    def recorded(*args):
-        qubits.append(args)
-        return helper(*args)
+    def recorded(name, spec):
+        qubits.append(name)
+        exponents.append([])
+        return helper(name, spec)
 
     def exp(x):
-        exponents.append(len(x))
+        exponents[-1].append(len(x))
         return numpy_exp(x)
 
-    monkeypatch.setattr(protocol, "_positive_qubit_weights", recorded)
+    monkeypatch.setattr(protocol, "_qubit_weights", recorded)
     monkeypatch.setattr(protocol.np, "exp", exp)
     reference_config()
-    # both qubits in one call, spec_a first, and their four exponentials in one numpy call
-    assert [[name for name, _, _ in args] for args in qubits] == [["spec_a", "spec_b"]]
-    assert exponents == [4]
+    # one call per qubit, spec_a first, and each qubit's two exponentials in one numpy call
+    assert qubits == ["spec_a", "spec_b"]
+    assert exponents == [[2], [2]]
     monkeypatch.undo()
     rng = np.random.default_rng(61)
     for k in range(200):
@@ -134,22 +135,23 @@ def _random_qubit(rng, k):
 def test_qubit_weights_are_the_kernel_bits():
     rng = np.random.default_rng(19)
     drawn = [_random_qubit(rng, k) for k in range(2000)]
-    for i in range(0, len(drawn), 2):
-        qubits = [(f"q{j}", beta, levels) for j, (beta, levels) in enumerate(drawn[i:i + 2])]
-        kernel = [thermal._shifted_gibbs(beta, levels)[0].tolist() for _, beta, levels in qubits]
-        underflows = [name for (name, _, _), w in zip(qubits, kernel) if min(w) == 0.0]
-        if underflows:
-            # the first qubit with a zero weight is refused, by its name
-            with pytest.raises(ConfigurationError, match=f"^{underflows[0]} has a Gibbs weight that underflows"):
-                protocol._positive_qubit_weights(*qubits)
+    for k, (beta, levels) in enumerate(drawn):
+        spec = ThermalSpec(beta, QuditHamiltonian(levels))
+        kernel = thermal._shifted_gibbs(beta, levels)[0].tolist()
+        if min(kernel) == 0.0:
+            # a qubit with a zero weight is refused, by its name
+            with pytest.raises(ConfigurationError, match=f"^q{k} has a Gibbs weight that underflows"):
+                protocol._qubit_weights(f"q{k}", spec)
             continue
-        got = protocol._positive_qubit_weights(*qubits)
-        assert [[w.hex() for w in pair] for pair in got] == [[w.hex() for w in pair] for pair in kernel]
+        got = protocol._qubit_weights(f"q{k}", spec)
+        assert type(got) is tuple and all(type(w) is float for w in got)
+        assert [w.hex() for w in got] == [w.hex() for w in kernel]
     assert 0 < sum(min(thermal._shifted_gibbs(beta, levels)[0]) == 0.0 for beta, levels in drawn)
-    fine, frozen = (1.0, (0.0, 1.0)), (200.0, (5.0, 0.0))
-    for first, second, name in ((fine, frozen, "b"), (frozen, fine, "a"), (frozen, frozen, "a")):
+    fine, frozen = ThermalSpec(1.0, QuditHamiltonian((0.0, 1.0))), ThermalSpec(200.0, QuditHamiltonian((5.0, 0.0)))
+    for name in ("a", "spec_b"):
+        protocol._qubit_weights(name, fine)
         with pytest.raises(ConfigurationError, match=f"^{name} has a Gibbs weight that underflows"):
-            protocol._positive_qubit_weights(("a", *first), ("b", *second))
+            protocol._qubit_weights(name, frozen)
 
 
 def test_joint_state_symmetric_case_is_uniform():
@@ -380,7 +382,7 @@ def test_config_computes_its_weights_once(monkeypatch):
         return wrapper
 
     for module in (thermal, protocol, interference):
-        for name in ("gibbs_weights", "_shifted_gibbs", "_positive_qubit_weights"):
+        for name in ("gibbs_weights", "_shifted_gibbs", "_qubit_weights"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(getattr(module, name)))
     cfg = reference_config(0.4)

@@ -861,8 +861,8 @@ _PRIVATE_IMPORTS = {
     ("interference", "protocol", "_branch"),
     ("cli", "interference", "_closed_form"),
     ("cli", "interference", "_readout_probability"),
-    ("protocol", "thermal", "_positive_qubit_weights"),
-    ("interference", "thermal", "_positive_qubit_weights"),
+    ("protocol", "thermal", "_qubit_weights"),
+    ("interference", "thermal", "_qubit_weights"),
     ("tempop", "protocol", "_KETS"),
 }
 
