@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from collections import Counter
 from math import isfinite
@@ -179,14 +178,26 @@ def cmd_eigencheck(args: argparse.Namespace) -> int:
     return 0
 
 
+class _NegativeNumbers:
+    """argparse's negative-number matcher: a string that starts with "-" and that ``float()`` reads."""
+
+    @staticmethod
+    def match(text: str) -> bool:
+        try:
+            float(text)
+        except ValueError:
+            return False
+        return text.startswith("-")
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad usage by default; 2 is reserved for numerical
     # assertion failures here, so bad usage maps to the config-error code 1
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        # argparse reads only plain decimals such as -0.001 as negative numbers; -1e-3 and -inf
-        # would be taken for options, so a negative value could not reach its own diagnostic
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-inf(inity)?$", re.I)
+        # argparse reads only plain decimals such as -0.001 as negative numbers; -1e-3, -inf, -nan
+        # and -1_0 would be taken for options, so a negative value could not reach its own diagnostic
+        self._negative_number_matcher = _NegativeNumbers
 
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)

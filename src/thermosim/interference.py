@@ -32,20 +32,22 @@ from .thermal import ThermalSpec, _qubit_weights
 
 @dataclass(frozen=True, eq=False)
 class SweepSpec:
-    """Grid of phase values, optionally crossed with a beta_B axis.
+    """Grid of phase values crossed with a beta_B axis.
 
     ``phi_points`` is stored as a read-only float64 copy of the caller's
-    points.  Each beta_B value ``b`` is read as ``ThermalSpec(b,
-    cfg.spec_b.hamiltonian)``, so the axis takes the betas every spec takes,
-    0 among them, and a value whose Gibbs weight underflows is refused by
-    its own name (``beta_b sweep value 1000.0 has a Gibbs weight that
-    underflows...``).  Specs compare by identity.
+    points.  ``beta_b_values`` defaults to the config's own beta_B, the
+    one-value axis ``(cfg.spec_b.beta,)``; after construction it is always a
+    nonempty tuple of floats.  Each beta_B value ``b`` is read as
+    ``ThermalSpec(b, cfg.spec_b.hamiltonian)``, so the axis takes the betas
+    every spec takes, 0 among them, and a value whose Gibbs weight underflows
+    is refused by its own name (``beta_b sweep value 1000.0 has a Gibbs
+    weight that underflows...``).  Specs compare by identity.
     """
 
     cfg: ProtocolConfig
     phi_points: np.ndarray
     beta_b_values: tuple[float, ...] | None = None
-    _weights_b: tuple = field(init=False, repr=False)  # B weights on the beta_B axis
+    _weights_b: np.ndarray = field(init=False, repr=False)  # (w0, w1), each of shape (len(beta_b_values), 1)
 
     def __post_init__(self) -> None:
         phis = np.array(_numbers("phi_points (a 1-D grid)", self.phi_points), dtype=float)
@@ -55,16 +57,14 @@ class SweepSpec:
         object.__setattr__(self, "phi_points", phis)
         if not isinstance(self.cfg, ProtocolConfig):
             raise ConfigurationError(f"cfg must be a ProtocolConfig, got {type(self.cfg).__name__}")
-        weights_b = self.cfg.weights()[1]
-        if self.beta_b_values is not None:
-            betas = _numbers("beta_b sweep values", self.beta_b_values)
-            if not betas:
-                raise ConfigurationError("beta_b sweep values must be a nonempty sequence")
-            hamiltonian = self.cfg.spec_b.hamiltonian
-            weights = [_qubit_weights(f"beta_b sweep value {b!r}", ThermalSpec(b, hamiltonian)) for b in betas]
-            weights_b = np.array(weights).T[..., None]  # (w0, w1), each of shape (len(betas), 1)
-            object.__setattr__(self, "beta_b_values", betas)
-        object.__setattr__(self, "_weights_b", weights_b)
+        betas = self.beta_b_values
+        betas = _numbers("beta_b sweep values", (self.cfg.spec_b.beta,) if betas is None else betas)
+        if not betas:
+            raise ConfigurationError("beta_b sweep values must be a nonempty sequence")
+        hamiltonian = self.cfg.spec_b.hamiltonian
+        weights = [_qubit_weights(f"beta_b sweep value {b!r}", ThermalSpec(b, hamiltonian)) for b in betas]
+        object.__setattr__(self, "beta_b_values", betas)
+        object.__setattr__(self, "_weights_b", np.array(weights).T[..., None])
 
 
 def circuit_probability(cfg: ProtocolConfig) -> float:
@@ -129,18 +129,16 @@ def _readout_probability(p, f, phi) -> np.ndarray:
     return np.minimum(prob, 1.0, out=np.asarray(prob))
 
 
-def sweep(spec: SweepSpec) -> list[tuple]:
+def sweep(spec: SweepSpec) -> list[tuple[float, float, float]]:
     """Fringe probabilities over the grid, computed by circuit simulation.
 
-    Rows are (phi, probability), or (phi, beta_b, probability) when a beta_B
-    axis is present, each a Python float; the outer loop runs over beta_B,
-    the inner over phi, and rows are emitted in that deterministic order.
-    The whole grid is one call of the batched circuit simulation.
+    Rows are (phi, beta_b, probability), each a Python float; the outer loop
+    runs over beta_B, the inner over phi, and rows are emitted in that
+    deterministic order.  The whole grid is one call of the batched circuit
+    simulation.
     """
     probs = _readout_probability(spec.cfg.weights()[0], spec._weights_b, spec.phi_points)
     phis = spec.phi_points.tolist()
-    if spec.beta_b_values is None:
-        return list(zip(phis, probs.tolist()))
     return [
         (phi, beta_b, prob)
         for beta_b, row in zip(spec.beta_b_values, probs.tolist())

@@ -64,7 +64,7 @@ from math import isfinite, sqrt
 
 import numpy as np
 
-from .protocol import _KETS, BellOutcome, ProtocolConfig
+from .protocol import _KETS, BellOutcome, ProtocolConfig, _check_outcome
 from .qcore import ConfigurationError, StateVector, _built, _number
 from .thermal import ThermalSpec
 
@@ -229,7 +229,9 @@ def superposition_state(
     the terms sit on |00> and |11>; for psi+ on |01> and |10>, where the
     A level n is paired with the B level 1 - n.  Term 1's A factor carries
     the purification phase e^(i*phi) as its value, as ``purify`` puts it.
+    A value that is not a :class:`BellOutcome` gets ``post_select``'s refusal.
     """
+    _check_outcome(outcome)
     if outcome is BellOutcome.PHI_PLUS:
         kets_b, at = (0, 1), _KETS[0]
     elif outcome is BellOutcome.PSI_PLUS:

@@ -374,19 +374,25 @@ def test_eigencheck_invalid_beta_exits_one(capsys, beta):
     assert err.startswith("error:") and err.count("\n") == 1 and "beta" in err
 
 
+# the diagnostic each float option's value gets, {} the value as float() reads it
+_FLOAT_OPTION_DIAGNOSTICS = {
+    "--beta": "beta must be finite and nonnegative, got {}",
+    "--fd-step": "finite-difference step must be finite and positive",
+    "--assert-tol": "--assert-tol must be finite and nonnegative",
+}
+
+
 @pytest.mark.parametrize("option, value", [
     ("--beta", "-1e-3"), ("--beta", "-2.5E+1"), ("--beta", "-inf"),
     ("--fd-step", "-1e-5"), ("--assert-tol", "-1e-3"),
-])
+] + [(option, value) for option in _FLOAT_OPTION_DIAGNOSTICS for value in ("-nan", "-1_0")])
 def test_negative_values_read_the_same_in_either_form(capsys, option, value):
-    # argparse took "-1e-3" for an option; "--beta -1e-3" must reach the same diagnostic as "--beta=-1e-3"
+    # argparse took "-1e-3", "-nan" and "-1_0" (-10.0) for options; "--beta -1e-3" must reach
+    # the same diagnostic as "--beta=-1e-3"
     base = ["eigencheck", "--dim", "8"] + ([] if option == "--beta" else ["--beta", "0.7"])
-    spaced = run_cli(capsys, base + [option, value])
-    joined = run_cli(capsys, base + [f"{option}={value}"])
-    assert spaced == joined
-    code, out, err = spaced
-    assert code == 1 and out == "" and err.startswith("error:") and err.count("\n") == 1
-    assert "usage" not in err and "expected one argument" not in err
+    refusal = (1, "", f"error: {_FLOAT_OPTION_DIAGNOSTICS[option].format(float(value))}\n")
+    assert run_cli(capsys, base + [option, value]) == refusal
+    assert run_cli(capsys, base + [f"{option}={value}"]) == refusal
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
@@ -445,6 +451,8 @@ def test_bad_usage_exits_one(capsys):
     assert code == 1
     code, _, _ = run_cli(capsys, ["unknown-command"])
     assert code == 1
+    code, _, err = run_cli(capsys, ["eigencheck", "--dim", "8", "--beta", "-x"])  # float() refuses "-x"
+    assert code == 1 and err.endswith("error: argument --beta: expected one argument\n")
 
 
 def _run_module(argv):

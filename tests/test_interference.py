@@ -43,7 +43,7 @@ def test_bell_state_gives_certain_outcome():
         ThermalSpec(2.20500834743658, QuditHamiltonian((0.0, 0.7516343672062027))),
         2.1929547198505437e-08,
     )
-    assert sweep(SweepSpec(near_one, (near_one.phi,)))[0][1] <= 1.0
+    assert sweep(SweepSpec(near_one, (near_one.phi,)))[0][2] <= 1.0
 
 
 def test_circuit_reference_value():
@@ -118,8 +118,8 @@ def test_visibility_bound():
 def test_sweep_reference_rows():
     spec = SweepSpec(reference_config(), (0.0, np.pi / 2, np.pi))
     rows = sweep(spec)
-    assert [phi for phi, _ in rows] == [0.0, np.pi / 2, np.pi]
-    probs = [p for _, p in rows]
+    assert [(phi, beta_b) for phi, beta_b, _ in rows] == [(0.0, 1.0), (np.pi / 2, 1.0), (np.pi, 1.0)]
+    probs = [p for _, _, p in rows]
     np.testing.assert_allclose(probs, [REF_CIRCUIT_P0, 0.5, 1 - REF_CIRCUIT_P0], atol=1e-12)
     assert abs(probs[0] + probs[2] - 1.0) < EQ_TOL
 
@@ -127,7 +127,20 @@ def test_sweep_reference_rows():
 def test_sweep_single_point():
     rows = sweep(SweepSpec(reference_config(), (np.pi / 2,)))
     assert len(rows) == 1
-    assert rows[0][1] == pytest.approx(0.5, abs=EQ_TOL)
+    assert rows[0][:2] == (np.pi / 2, 1.0)
+    assert rows[0][2] == pytest.approx(0.5, abs=EQ_TOL)
+
+
+def test_a_sweep_without_an_axis_sweeps_the_configs_own_beta_b():
+    # the default axis is (cfg.spec_b.beta,), read through the same code as an explicit one
+    phis = np.linspace(0.0, 2 * np.pi, 7)
+    for cfg in (reference_config(0.4), random_protocol_config(np.random.default_rng(101))):
+        spec = SweepSpec(cfg, phis)
+        assert spec.beta_b_values == (cfg.spec_b.beta,) and spec._weights_b.shape == (2, 1, 1)
+        rows = sweep(spec)
+        assert np.array(rows).tobytes() == np.array(sweep(SweepSpec(cfg, phis, (cfg.spec_b.beta,)))).tobytes()
+        assert [(phi, beta_b) for phi, beta_b, _ in rows] == [(phi, cfg.spec_b.beta) for phi in phis.tolist()]
+        assert all(type(x) is float for row in rows for x in row)
 
 
 def test_sweep_beta_axis_row_order_and_values():
@@ -197,9 +210,9 @@ def test_sweep_spec_keeps_a_read_only_copy_of_the_grid():
     assert sweep(spec) == rows
     assert [phi for phi, _, _ in rows] == [0.0, 1.0 / 3.0, np.pi] * 2
     assert all(type(x) is float for row in rows for x in row)
-    flat = sweep(SweepSpec(reference_config(), [0.1, 2.0]))
-    assert [phi for phi, _ in flat] == [0.1, 2.0]
-    assert all(type(x) is float for row in flat for x in row)
+    default = sweep(SweepSpec(reference_config(), [0.1, 2.0]))
+    assert [(phi, beta_b) for phi, beta_b, _ in default] == [(0.1, 1.0), (2.0, 1.0)]
+    assert all(type(x) is float for row in default for x in row)
 
 
 def test_sweep_specs_compare_by_identity():
@@ -235,7 +248,7 @@ def test_kernel_memory_is_bounded_per_grid_point(betas_b):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert probs.size == phis.size * (1 if betas_b is None else len(betas_b))
+    assert probs.shape == (len(spec.beta_b_values), phis.size)
     assert peak <= 64 * probs.size
 
 
@@ -275,6 +288,9 @@ def test_kernel_matches_scalar_circuit(levels_a, levels_b, beta_gap_a, beta_gaps
     spec = SweepSpec(cfg, phis, betas_b)
     grid = _readout_probability(cfg.weights()[0], spec._weights_b, spec.phi_points)  # as sweep calls it
     assert grid.shape == (len(betas_b), len(phis))
+    # without an axis the sweep reads cfg's own beta_B, betas_b[0]: the first row, bit for bit
+    default = [p for _, _, p in sweep(SweepSpec(cfg, phis))]
+    assert np.array(default).tobytes() == grid[0].tobytes()
     for row, beta_b in zip(grid, betas_b):
         spec_b = ThermalSpec(beta_b, QuditHamiltonian(levels_b))
         for got, phi in zip(row, phis):
@@ -321,5 +337,5 @@ def test_scalar_circuit_shares_no_branch_kernel_with_the_batched_kernel(monkeypa
     monkeypatch.setattr(interference, "_branch", slipped)
     cfg = reference_config(0.4)
     spec = SweepSpec(cfg, (cfg.phi,))
-    (got,) = _readout_probability(cfg.weights()[0], spec._weights_b, spec.phi_points)  # as sweep calls it
+    ((got,),) = _readout_probability(cfg.weights()[0], spec._weights_b, spec.phi_points)  # as sweep calls it
     assert abs(got - circuit_probability(cfg)) > 1e-9

@@ -864,6 +864,7 @@ _PRIVATE_IMPORTS = {
     ("protocol", "thermal", "_qubit_weights"),
     ("interference", "thermal", "_qubit_weights"),
     ("tempop", "protocol", "_KETS"),
+    ("tempop", "protocol", "_check_outcome"),
 }
 
 

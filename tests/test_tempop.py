@@ -23,6 +23,7 @@ from thermosim import (
     eigencheck_purified,
     fidelity_pure,
     partial_trace,
+    post_select,
     purified_thermal_state,
     purify,
     qcore,
@@ -602,9 +603,15 @@ def test_eigencheck_refusals_keep_their_messages_and_precedence():
 def test_residual_refusals_keep_their_messages_and_precedence():
     cfg = reference_config(phi=0.4)
     unpinned = ProtocolConfig(_spec(1.0, (5.0, 0.3)), cfg.spec_b, 0.4)
-    # the outcome first, then the convention, then the pinned levels
+    # the outcome first, then the convention, then the pinned levels; a value that is not a
+    # BellOutcome, the string "phi_plus" among them, gets post_select's refusal
     for c in (cfg, unpinned):
         for convention in ("full_dependence", "chosen_zero_levels", "frozen"):
+            for bad in ("phi_plus", None):
+                refusal = _refusal(lambda: post_select(c, bad))
+                assert refusal == f"outcome must be a BellOutcome, got {bad!r}"
+                assert _refusal(lambda: residual_superposition(c, bad, convention)) == refusal
+                assert _refusal(lambda: superposition_state(c, bad, convention)) == refusal
             assert _refusal(lambda: residual_superposition(c, BellOutcome.PHI_MINUS, convention)) == (
                 f"unsupported outcome {BellOutcome.PHI_MINUS} for residual analysis"
             )
