@@ -6,12 +6,13 @@ Three subcommands::
     thermosim interference --config FILE --phi-steps K --out FILE [--convention paper|corrected]
     thermosim eigencheck   --dim D --beta B [--fd-step H] [--assert-tol T]
 
-Reports are JSON on stdout; interference sweeps are written as CSV.  All floats are
-rendered with 9 significant digits so identical invocations on the same numpy build and
-numpy CPU dispatch (which picks by instruction set the ``np.exp`` kernel of the qubit
-weights and of the finite-difference route) produce byte-identical output at any BLAS
-thread count.  Exit codes: 0 success, 1 configuration or I/O error (one-line diagnostic
-on stderr), 2 numerical assertion failure.
+Reports are strict JSON on stdout, a NaN or inf value written as null; interference
+sweeps are written as CSV.  All finite floats are rendered with 9 significant digits so
+identical invocations on the same numpy build and numpy CPU dispatch (which picks by
+instruction set the ``np.exp`` kernel of the qubit weights and of the finite-difference
+route) produce byte-identical output at any BLAS thread count.  Exit codes: 0 success,
+1 configuration or I/O error (one-line diagnostic on stderr), 2 numerical assertion
+failure.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .interference import _closed_form, _readout_probability
 from .protocol import OUTCOME_ORDER, ProtocolConfig, post_select, sample_outcomes, success_probability
-from .qcore import ConfigurationError, _number
+from .qcore import ConfigurationError
 from .tempop import eigencheck_purified
 from .thermal import QuditHamiltonian, ThermalSpec
 
@@ -38,11 +39,12 @@ _CONFIG_FIELDS = ("beta_a", "beta_b", "energies_a", "energies_b", "phi")
 MAX_POINTS = 10**6
 
 
-def _as_number(value, name: str) -> float:
-    value = _number(f"config field {name!r}", value)
-    if not isfinite(value):
-        raise ConfigurationError(f"config field {name!r} must be finite")
-    return value
+def _field(name: str, build, *args):
+    """``build(*args)``, a refusal re-raised with the config field ``name`` in front."""
+    try:
+        return build(*args)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"config field {name!r}: {exc}") from None
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -53,7 +55,16 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 def load_config(path: str | Path) -> ProtocolConfig:
-    """Parse a flat JSON config with exactly the ``_CONFIG_FIELDS``, each once."""
+    """Parse a flat JSON config with exactly the ``_CONFIG_FIELDS``, each once.
+
+    Only the document's shape is checked here.  Each field's value goes as it
+    is to the library's own rule: ``energies_*`` to :class:`QuditHamiltonian`,
+    ``beta_*`` to :class:`ThermalSpec`, whose refusals are prefixed with the
+    field's name (``config field 'beta_a': beta must be finite and
+    nonnegative, got -1.0``), and both specs and ``phi`` to
+    :class:`ProtocolConfig`, whose refusals already name ``spec_a``,
+    ``spec_b`` or ``phi``.
+    """
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -76,25 +87,17 @@ def load_config(path: str | Path) -> ProtocolConfig:
         raise ConfigurationError(
             f"config keys mismatch: unknown {unknown or 'none'}, missing {missing or 'none'}"
         )
-    fields = {}
-    for name in ("energies_a", "energies_b"):
-        values = doc[name]
-        if not isinstance(values, list) or len(values) != 2:
-            raise ConfigurationError(f"config field {name!r} must be a list of 2 numbers")
-        fields[name] = tuple(_as_number(v, name) for v in values)
-    for name in ("beta_a", "beta_b", "phi"):
-        fields[name] = _as_number(doc[name], name)
-    return ProtocolConfig(
-        ThermalSpec(fields["beta_a"], QuditHamiltonian(fields["energies_a"])),
-        ThermalSpec(fields["beta_b"], QuditHamiltonian(fields["energies_b"])),
-        fields["phi"],
-    )
+    specs = []
+    for side in "ab":
+        hamiltonian = _field(f"energies_{side}", QuditHamiltonian, doc[f"energies_{side}"])
+        specs.append(_field(f"beta_{side}", ThermalSpec, doc[f"beta_{side}"], hamiltonian))
+    return ProtocolConfig(*specs, doc["phi"])
 
 
 def _rounded(obj):
-    """Recursively round floats to 9 significant digits for stable output."""
+    """Recursively round floats to 9 significant digits for stable output; a NaN or inf is None (JSON null)."""
     if isinstance(obj, float):
-        return float(f"{obj:.9g}")
+        return float(f"{obj:.9g}") if isfinite(obj) else None
     if isinstance(obj, dict):
         return {k: _rounded(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -8,6 +8,7 @@ explicit circuit unitaries) and are frozen here as expected values.
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from thermosim import (
     BellOutcome, EigenReport, FactoredBipartiteState, Operator, ProtocolConfig, QuditHamiltonian, ThermalSpec, qcore,
@@ -27,6 +28,18 @@ REF_BRANCH_NORM_SQ_PHI = 0.2720343026130907
 REF_BRANCH_NORM_SQ_PSI = 0.7279656973869094
 REF_CIRCUIT_P0 = 0.6329011144170397     # read-out probability at phi = 0
 REF_PAPER_CONVENTION_P0 = 0.5664505572085199       # halved cross term, phi = 0
+
+
+# beta times the level gap, log-uniform up to 700, below the ~745 underflow edge
+_BETA_GAP = st.floats(math.log(1e-3), math.log(700.0)).map(math.exp)
+# a hypothesis draw of one qubit, (offset, gap, descending, beta * gap), whose spec qubit_spec builds
+QUBIT = st.tuples(st.floats(-5.0, 5.0), st.floats(0.1, 6.0), st.booleans(), _BETA_GAP)
+
+
+def qubit_spec(draw) -> ThermalSpec:
+    offset, gap, descending, beta_gap = draw
+    levels = (offset + gap, offset) if descending else (offset, offset + gap)
+    return ThermalSpec(beta_gap / gap, QuditHamiltonian(levels))
 
 
 def reference_config(phi: float = 0.0) -> ProtocolConfig:

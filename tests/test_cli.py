@@ -7,12 +7,14 @@ from itertools import zip_longest
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from thermosim import EigenReport, circuit_probability, closed_form_probability
+from thermosim import EigenReport, ProtocolConfig, circuit_probability, closed_form_probability
 from thermosim.cli import load_config, main
 from thermosim.qcore import ConfigurationError
 
-from helpers import REF_CIRCUIT_P0, REF_PAPER_CONVENTION_P0, REF_PROB_PHI
+from helpers import QUBIT, REF_CIRCUIT_P0, REF_PAPER_CONVENTION_P0, REF_PROB_PHI, qubit_spec
 
 REF_CONFIG_JSON = '{"beta_a":1.0,"beta_b":1.0,"energies_a":[5.0,0.0],"energies_b":[0.0,1.0],"phi":0.0}'
 
@@ -74,6 +76,64 @@ def test_many_repeated_keys_are_refused_in_linear_time(capsys, tmp_path):
     code, out, err = run_cli(capsys, ["protocol", "--config", path])
     assert time.perf_counter() - start < 10.0
     assert (code, out, err) == (1, "", "error: config repeats keys ['k00003', 'k00007']\n")
+
+
+@settings(max_examples=25, deadline=None)
+@given(a=QUBIT, b=QUBIT, phi=st.floats(allow_nan=False, allow_infinity=False))
+def test_load_config_hands_each_field_to_the_constructors_as_it_is(tmp_path_factory, a, b, phi):
+    spec_a, spec_b = qubit_spec(a), qubit_spec(b)
+    doc = {"beta_a": spec_a.beta, "beta_b": spec_b.beta, "energies_a": list(spec_a.hamiltonian.energies),
+           "energies_b": list(spec_b.hamiltonian.energies), "phi": phi}
+    path = tmp_path_factory.mktemp("drawn") / "drawn.json"
+    path.write_text(json.dumps(doc))
+    assert load_config(path) == ProtocolConfig(spec_a, spec_b, phi)
+
+
+# each config value goes to the library's own rule; a QuditHamiltonian or ThermalSpec refusal is prefixed
+# with its field, and ProtocolConfig's already names spec_a, spec_b or phi
+_FIELD_REFUSALS = [
+    ("beta_a", '"x"', "config field 'beta_a': beta must be real, got 'x'"),
+    ("beta_a", "true", "config field 'beta_a': beta must be real, got True"),
+    ("beta_a", "Infinity", "config field 'beta_a': beta must be finite and nonnegative, got inf"),
+    ("beta_a", "-1", "config field 'beta_a': beta must be finite and nonnegative, got -1.0"),
+    ("beta_b", "null", "config field 'beta_b': beta must be real, got None"),
+    ("beta_b", "false", "config field 'beta_b': beta must be real, got False"),
+    ("beta_b", "NaN", "config field 'beta_b': beta must be finite and nonnegative, got nan"),
+    ("beta_b", "-1e-300", "config field 'beta_b': beta must be finite and nonnegative, got -1e-300"),
+    ("energies_a", '"x"', "config field 'energies_a': energies must be real, got 'x'"),
+    ("energies_a", "[true, 0.0]", "config field 'energies_a': energies must be real, got True"),
+    ("energies_a", "[Infinity, 0.0]", "config field 'energies_a': energies must be finite"),
+    ("energies_a", "[1e308, -1e308]", "config field 'energies_a': energy span overflows float64"),
+    ("energies_a", "[5.0]", "config field 'energies_a': a Hamiltonian needs at least two levels"),
+    ("energies_a", "[0.0, 1.0, 2.0]", "spec_a must describe a qubit"),
+    ("energies_b", '["x", 1.0]', "config field 'energies_b': energies must be real, got 'x'"),
+    ("energies_b", "true", "config field 'energies_b': energies must be real, got True"),
+    ("energies_b", "[0.0, NaN]", "config field 'energies_b': energies must be finite"),
+    ("energies_b", "[-1e308, 1e308]", "config field 'energies_b': energy span overflows float64"),
+    ("energies_b", "[]", "config field 'energies_b': a Hamiltonian needs at least two levels"),
+    ("energies_b", "[0.0, 1.0, 2.0]", "spec_b must describe a qubit"),
+    ("energies_b", "[0.0, 1" + "0" * 400 + "]", "config field 'energies_b': energies must fit in float64"),
+    ("phi", '"x"', "phi must be real, got 'x'"),
+    ("phi", "true", "phi must be real, got True"),
+    ("phi", "NaN", "phi must be finite"),
+    ("phi", "-1e400", "phi must be finite"),  # JSON reads a float literal past float64 as -inf
+    ("phi", "1" + "0" * 400, "phi must fit in float64"),
+]
+
+
+@pytest.mark.parametrize(
+    "field, value, message", [pytest.param(*case, id=f"{case[0]}={case[1][:16]}") for case in _FIELD_REFUSALS]
+)
+@pytest.mark.parametrize("command", ["protocol", "interference"])
+def test_config_value_refusals_name_their_field(capsys, tmp_path, command, field, value, message):
+    doc = json.loads(REF_CONFIG_JSON)
+    text = "{" + ",".join(f'"{k}":{value if k == field else json.dumps(v)}' for k, v in doc.items()) + "}"
+    csv = tmp_path / "bad.csv"
+    argv = [command, "--config", _write_config(tmp_path / "bad.json", text)]
+    if command == "interference":
+        argv += ["--phi-steps", "5", "--out", str(csv)]
+    assert run_cli(capsys, argv) == (1, "", f"error: {message}\n")
+    assert not csv.exists()
 
 
 @pytest.mark.parametrize("payload", _MALFORMED_CONFIGS)
@@ -483,7 +543,7 @@ def test_overflowing_level_span_exits_one(tmp_path, beta_a):
     proc = _run_module(["protocol", "--config", str(path)])
     assert proc.returncode == 1
     assert proc.stdout == ""
-    assert proc.stderr == "error: energy span overflows float64\n"
+    assert proc.stderr == "error: config field 'energies_a': energy span overflows float64\n"
 
 
 @pytest.mark.parametrize("command", ["protocol", "interference"])
@@ -505,7 +565,7 @@ def test_config_integer_beyond_float64_exits_one(capsys, tmp_path):
     path = tmp_path / "huge.json"
     path.write_text('{"beta_a":1' + "0" * 400 + ',"beta_b":1.0,"energies_a":[5.0,0.0],"energies_b":[0.0,1.0],"phi":0.0}')
     code, out, err = run_cli(capsys, ["protocol", "--config", str(path)])
-    assert (code, out, err) == (1, "", "error: config field 'beta_a' must fit in float64\n")
+    assert (code, out, err) == (1, "", "error: config field 'beta_a': beta must fit in float64\n")
     # past sys.get_int_max_str_digits() (4300 by default) json.loads raises a plain ValueError, not a
     # JSONDecodeError; it printed a traceback
     longer = tmp_path / "longer.json"
@@ -527,12 +587,18 @@ def test_eigencheck_overflowing_normalization_exits_one():
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
 
 
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
 def test_eigencheck_overflowing_finite_difference_exits_two():
     # e^(E + h) overflows at this step: one error line, no numpy warning first
     proc = _run_module(["eigencheck", "--dim", "4", "--beta", "1", "--fd-step", "1e300", "--assert-tol", "1e-6"])
     assert proc.returncode == 2
-    assert np.isnan(json.loads(proc.stdout)["finite_difference"]["residual"])
-    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    # the NaN report values are rendered as null, which a strict parser reads, not as the token NaN
+    head = json.loads(proc.stdout, parse_constant=_refuse_constant)["finite_difference"]
+    assert head["rayleigh"] is None and head["residual"] is None and head["expected"] == 0.0625
+    assert proc.stderr == "error: finite-difference residual nan exceeds 1.000e-06\n"
 
 
 def test_module_entry_point(ref_config_path):

@@ -30,11 +30,13 @@ from thermosim import interference, protocol, thermal
 from thermosim.qcore import EQ_TOL
 
 from helpers import (
+    QUBIT,
     REF_BRANCH_NORM_SQ_PHI,
     REF_PROB_PHI,
     REF_PROB_PSI,
     reference_config,
     random_in_regime_config,
+    qubit_spec,
     random_protocol_config,
     symmetric_config,
 )
@@ -336,21 +338,10 @@ def test_sampling_accepts_numpy_integers():
     assert sum(counts.values()) == 5
 
 
-# beta times the level gap, log-uniform up to 700, below the ~745 underflow edge
-_BETA_GAP = st.floats(math.log(1e-3), math.log(700.0)).map(math.exp)
-_QUBIT = st.tuples(st.floats(-5.0, 5.0), st.floats(0.1, 6.0), st.booleans(), _BETA_GAP)
-
-
-def _qubit_spec(draw):
-    offset, gap, descending, beta_gap = draw
-    levels = (offset + gap, offset) if descending else (offset, offset + gap)
-    return ThermalSpec(beta_gap / gap, QuditHamiltonian(levels))
-
-
 @settings(max_examples=80, deadline=None)
-@given(a=_QUBIT, b=_QUBIT, phi=st.floats(allow_nan=False, allow_infinity=False))
+@given(a=QUBIT, b=QUBIT, phi=st.floats(allow_nan=False, allow_infinity=False))
 def test_post_select_reads_the_branch_kernel(a, b, phi):
-    cfg = ProtocolConfig(_qubit_spec(a), _qubit_spec(b), phi)
+    cfg = ProtocolConfig(qubit_spec(a), qubit_spec(b), phi)
     p, (f0, f1) = cfg.weights()
     phase = np.exp(1j * phi)
     branches = {"phi": protocol._branch(p, (f0, f1), phase), "psi": protocol._branch(p, (f1, f0), phase)}
@@ -430,9 +421,9 @@ def test_post_selection_refuses_a_non_outcome(route, outcome):
 
 
 @settings(max_examples=80, deadline=None)
-@given(a=_QUBIT, b=_QUBIT, phi=st.floats(0.0, 2 * math.pi))
+@given(a=QUBIT, b=QUBIT, phi=st.floats(0.0, 2 * math.pi))
 def test_every_route_is_finite_and_sums_to_one(a, b, phi):
-    cfg = ProtocolConfig(_qubit_spec(a), _qubit_spec(b), phi)
+    cfg = ProtocolConfig(qubit_spec(a), qubit_spec(b), phi)
     probabilities = [post_select(cfg, o).probability for o in OUTCOME_ORDER]
     assert all(math.isfinite(p) for p in probabilities)
     assert abs(sum(probabilities) - 1.0) <= EQ_TOL
