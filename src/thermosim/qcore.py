@@ -211,8 +211,10 @@ class DensityMatrix:
     diagonal of squared magnitudes, or the Gram matrix psi psi^dagger),
     shaped by construction.  A diagonal arrives as its d values, checked
     finite and of unit sum in O(d) before they are spread into ``entries``
-    once.  ``entries`` is always a dense, read-only d x d array; one numpy
-    cannot allocate is refused in one line.
+    once.  ``entries`` is always a dense, read-only d x d array of the
+    values' dtype: real float64 for a diagonal, which is real (a Gibbs state
+    or a diagonal partial trace), and complex128 for the Gram matrix.  One
+    numpy cannot allocate is refused in one line.
     """
 
     dims: tuple[int, ...]
@@ -305,9 +307,10 @@ def _reduced_density(state: StateVector, kept: list[int], traced: list[int]) -> 
     When every traced column holds at most one of them (purifications,
     product states, Bell branches) no two rows share a traced basis state,
     so the result is diagonal: each row's sum of re^2 + im^2, added in
-    column order.  Any other state takes the dense Gram product.  The route
-    is read from the sorted columns of the support alone, so no array is
-    sized by the largest traced index.
+    column order, handed over as real float64 values.  Any other state takes
+    the dense complex Gram product.  The route is read from the sorted
+    columns of the support alone, so no array is sized by the largest traced
+    index.
     """
     dims = state.dims
     kept_dims = tuple(dims[i] for i in kept)
@@ -325,8 +328,7 @@ def _reduced_density(state: StateVector, kept: list[int], traced: list[int]) -> 
         psi = np.transpose(state.amps.reshape(dims), kept + traced).reshape(k, -1)
         return _built(DensityMatrix, kept_dims, _dense(noun, _gram, psi))
     # a kept row's amplitudes lie in column order in memory too, so each sum is the dense route's
-    diagonal = _dense(noun, np.bincount, rows, vals.real**2 + vals.imag**2, k).astype(np.complex128)
-    return _built(DensityMatrix, kept_dims, diagonal)
+    return _built(DensityMatrix, kept_dims, _dense(noun, np.bincount, rows, vals.real**2 + vals.imag**2, k))
 
 
 def _gram(psi: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ is the infinite-temperature limit; ``beta = inf`` is rejected.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from math import isfinite, log
 
@@ -17,11 +18,16 @@ from .qcore import ConfigurationError, DensityMatrix, StateVector, _built, _numb
 
 @dataclass(frozen=True)
 class QuditHamiltonian:
-    """Ordered energy levels of one subsystem; degeneracies are allowed."""
+    """Ordered energy levels of one subsystem; degeneracies are allowed.
+
+    A set or a mapping has no level order of its own, so it is refused.
+    """
 
     energies: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        if isinstance(self.energies, (Set, Mapping)):
+            raise ConfigurationError(f"energies must be an ordered sequence, got {type(self.energies).__name__}")
         energies = _numbers("energies", self.energies)
         if len(energies) < 2:
             raise ConfigurationError("a Hamiltonian needs at least two levels")
@@ -115,12 +121,12 @@ def thermal_density(spec: ThermalSpec) -> DensityMatrix:
     """Gibbs state, diagonal in the energy eigenbasis.
 
     A real diagonal of nonnegative weights is Hermitian and positive
-    semidefinite by construction.  The d weights themselves are handed over
-    and checked, finite and of unit sum, in O(d); ``entries`` is still the
-    dense d x d matrix.
+    semidefinite by construction.  The d float64 weights themselves are
+    handed over and checked, finite and of unit sum, in O(d); ``entries`` is
+    still the dense d x d matrix, real float64 like the weights.
     """
     weights, _ = _shifted_gibbs(spec.beta, spec.hamiltonian.energies)
-    return _built(DensityMatrix, (spec.hamiltonian.dim,), weights.astype(np.complex128))
+    return _built(DensityMatrix, (spec.hamiltonian.dim,), weights)
 
 
 def purify(spec: ThermalSpec, phase: float = 0.0) -> StateVector:

@@ -106,6 +106,7 @@ _FIELD_REFUSALS = [
     ("energies_a", "[1e308, -1e308]", "config field 'energies_a': energy span overflows float64"),
     ("energies_a", "[5.0]", "config field 'energies_a': a Hamiltonian needs at least two levels"),
     ("energies_a", "[0.0, 1.0, 2.0]", "spec_a must describe a qubit"),
+    ("energies_a", '{"5.0": 1, "0.0": 2}', "config field 'energies_a': energies must be an ordered sequence, got dict"),
     ("energies_b", '["x", 1.0]', "config field 'energies_b': energies must be real, got 'x'"),
     ("energies_b", "true", "config field 'energies_b': energies must be real, got True"),
     ("energies_b", "[0.0, NaN]", "config field 'energies_b': energies must be finite"),

@@ -70,7 +70,7 @@ RESIDUAL_DIGESTS = {
 }
 
 DENSITY_DIGESTS = {
-    # sha256 of the concatenated ``entries.tobytes()`` over eight 1024-level sets
+    # sha256 of the concatenated ``entries.astype(np.complex128).tobytes()`` over eight 1024-level sets
     # (rng [7, 2]), so signed zeros count too; recorded from the Gram-matrix trace
     "thermal_density": "de689f47e1f347c4b1290b26d19a9960fd3cd6f1da6261011bccf9eb6d462d78",
     "purify round trip": "8b5a47094155ca8f219189fe26b57362990cb304b4dc3bdabdb86c098ff6fecf",
@@ -241,8 +241,11 @@ def test_large_d_density_bytes_are_unchanged():
     digests = {name: hashlib.sha256() for name in DENSITY_DIGESTS}
     for energies, beta in zip(levels, rng.uniform(0.2, 2.0, 8)):
         spec = ThermalSpec(float(beta), QuditHamiltonian(energies))
-        digests["thermal_density"].update(thermal_density(spec).entries.tobytes())
-        digests["purify round trip"].update(partial_trace(purify(spec), keep={1}).entries.tobytes())
+        for name, rho in (("thermal_density", thermal_density(spec)),
+                          ("purify round trip", partial_trace(purify(spec), keep={1}))):
+            assert rho.entries.dtype == np.float64, name  # real values, stored real
+            # the digests were recorded on complex entries: the cast is exact, so the values are unchanged
+            digests[name].update(rho.entries.astype(np.complex128).tobytes())
     assert {name: h.hexdigest() for name, h in digests.items()} == DENSITY_DIGESTS
 
 

@@ -349,8 +349,8 @@ def _sparse_column_states(draw):
 
 def _assert_route_matches_gram(got, psi, exact):
     want = psi @ psi.conj().T
-    if exact:
-        assert got.tobytes() == want.tobytes()
+    if exact:  # a diagonal route's real values, cast to complex, are the Gram matrix's bit for bit
+        assert np.asarray(got, complex).tobytes() == want.tobytes()
     else:  # each entry within EQ_TOL of the scale |want_ii * want_jj|^(1/2) that bounds it
         scale = np.sqrt(np.abs(np.diagonal(want)))
         assert np.all(np.abs(got - want) <= EQ_TOL * np.outer(scale, scale))
@@ -373,11 +373,14 @@ def test_diagonal_partial_trace_matches_the_gram_matrix(case):
         with mock.patch.object(qcore, "_built", lambda cls, dims, array: array):
             got = qcore._reduced_density(StateVector(dims, flat(psi)), keep, traced)
         assert (got.ndim == 2) == collide  # the diagonal route hands over the (k,) diagonal
+        route_dtype = np.complex128 if collide else np.float64  # the Gram matrix is complex, a diagonal real
+        assert got.dtype == route_dtype
         _assert_route_matches_gram(got if collide else np.diag(got), psi, purification or collide)
         assert gram.called == collide
         # the same amplitudes, unit norm, traced through the public route
         unit = psi / np.linalg.norm(psi)
         rho = partial_trace(StateVector(dims, flat(unit)), keep)
+        assert rho.entries.dtype == route_dtype
         _assert_route_matches_gram(rho.entries, unit, purification)
         assert gram.call_count == 2 * collide
 

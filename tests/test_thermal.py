@@ -1,3 +1,4 @@
+import tracemalloc
 from math import fsum, isclose, isinf, isnan, log
 
 import numpy as np
@@ -37,6 +38,18 @@ def test_hamiltonian_validation():
     for bad in ("0", True, np.True_):
         with pytest.raises(ConfigurationError, match=f"^energies must be real, got {bad!r}$"):
             QuditHamiltonian((1.0, bad))
+
+
+@pytest.mark.parametrize("levels, kind", [
+    ({3.0, 1.0, 2.0}, "set"),  # read in hash order, not the caller's
+    (frozenset((0.0, 1.0)), "frozenset"),
+    ({5.0: "x", 0.0: "y"}, "dict"),  # its keys were taken as the levels
+])
+def test_unordered_levels_are_refused(levels, kind):
+    with pytest.raises(ConfigurationError, match=f"^energies must be an ordered sequence, got {kind}$"):
+        QuditHamiltonian(levels)
+    # a sequence of the same levels is accepted, in its own order
+    assert QuditHamiltonian(tuple(levels)).energies == tuple(levels)
 
 
 @pytest.mark.parametrize("beta", [0.0, 1.0])
@@ -249,6 +262,24 @@ def test_derived_density_entries_are_the_unvalidated_expressions():
         state = purify(spec)
         psi = np.transpose(state.amps.reshape(1024, 1024), [1, 0]).reshape(1024, -1)
         assert np.array_equal(partial_trace(state, keep={1}).entries, psi @ psi.conj().T)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(thermal_density, id="thermal_density"),
+    pytest.param(lambda spec: partial_trace(purify(spec), keep={1}), id="purify round trip"),
+])
+def test_real_density_matrices_allocate_one_real_matrix(build):
+    # a Gibbs state and its purification's trace are real: one dense float64 d x d matrix, 8 bytes an entry
+    d = 1024
+    spec = ThermalSpec(0.8, QuditHamiltonian(tuple(np.random.default_rng(5).uniform(-5.0, 5.0, d))))
+    tracemalloc.start()
+    try:
+        rho = build(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * d**2 + 2**20
+    assert rho.entries.shape == (d, d) and not rho.entries.flags.writeable
 
 
 def test_builders_skip_the_weights_report(monkeypatch):
