@@ -166,6 +166,7 @@ def cmd_eigencheck(args: argparse.Namespace) -> int:
     if args.fd_step is not None:
         heads["finite_difference"] = {"step": args.fd_step}
     checks = {key: eigencheck_purified(spec, fd_step=head.get("step")) for key, head in heads.items()}
+    del spec  # its level tuple and array, 16 MB at 10^6 levels, need not live through the report
     report = {"dim": args.dim, "beta": args.beta, "energies": levels}
     for key, check in checks.items():
         report[key] = {**heads[key], "rayleigh": check.rayleigh, "expected": check.expected, "residual": check.residual}

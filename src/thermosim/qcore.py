@@ -131,8 +131,10 @@ def _built(cls, *fields):
     holds by construction; ``_store`` proves only their values.  Each array
     is either fresh, held by no caller, or read-only and shared: ``protocol``'s
     branch kets are the supports of post-selected and superposition states,
-    a factored state's support is also its views', and ``tempop``'s unit
-    family value is every purified state's.
+    a factored state's support is also its views', ``tempop``'s unit family
+    value is every purified state's, a ``QuditHamiltonian``'s level array
+    is the energies of its purified states, and a ``ThermalSpec``'s Gibbs
+    weights are the diagonal its Gibbs states are spread from.
     """
     value = object.__new__(cls)
     value._store(*fields)

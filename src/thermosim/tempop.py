@@ -25,6 +25,10 @@ form ``StateVector`` keeps, and the energies and family fields, row 0 the
 left side and row 1 the right, and reach the state through ``qcore._built``.
 They hold its structure by construction: a strictly increasing support, so
 distinct kets.  The views hand that support on to ``StateVector`` as it is.
+A purified state's energies are its Hamiltonian's read-only float64 level
+array, built at most once and shared by every purified state of that
+Hamiltonian (two threads reading it first at the same moment may each build
+an equal copy).
 An analytic report whose Rayleigh quotient or residual is not finite is
 refused; a finite-difference one carries the NaN on to the caller.
 
@@ -66,7 +70,7 @@ import numpy as np
 
 from .protocol import _KETS, BellOutcome, ProtocolConfig, _check_outcome
 from .qcore import ConfigurationError, StateVector, _built, _number
-from .thermal import ThermalSpec
+from .thermal import ThermalSpec, _check_spec
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -199,14 +203,17 @@ def purified_thermal_state(spec: ThermalSpec) -> FactoredBipartiteState:
 
     Term n is e^(-beta*E_n/4) x e^(-beta*E_n/4) |n>|n> with the constant 1/sqrt(Z)
     prefactor; only this even split makes the state an exact eigenvector.
+    The state's energies are the Hamiltonian's own read-only level array,
+    shared with every other state of it, not a copy.
     """
-    d = spec.hamiltonian.dim
-    energy, coeff = np.array(spec.hamiltonian.energies), np.full((2, 1), -spec.beta / 4.0)
-    return _built(FactoredBipartiteState, (d, d), np.arange(d) * (d + 1), energy, _UNIT, coeff)
+    _check_spec("spec", spec)
+    d, coeff = spec.hamiltonian.dim, np.full((2, 1), -spec.beta / 4.0)
+    return _built(FactoredBipartiteState, (d, d), np.arange(d) * (d + 1), spec.hamiltonian._levels, _UNIT, coeff)
 
 
 def eigencheck_purified(spec: ThermalSpec, *, fd_step: float | None = None) -> EigenReport:
     """Verify that the purified Gibbs state has eigenvalue beta^2/16, reading ``purified_thermal_state``."""
+    _check_spec("spec", spec)
     try:
         expected = spec.beta**2 / 16.0
     except OverflowError:  # once beta passes about 1.3e154

@@ -197,6 +197,18 @@ _CONFIGS = {
 }
 
 
+# a config whose qubit weights follow the float64 ``np.exp`` kernel numpy dispatches to: at
+# beta*gap = 0.5*2.3 the AVX-512 and AVX2 exponentials differ by 1 ulp (found by a search over
+# one-decimal qubits), so this gate sees a move of the qubit weights' exponential
+_DISPATCH_CONFIG = ProtocolConfig(
+    ThermalSpec(0.5, QuditHamiltonian((2.3, 0.0))),
+    ThermalSpec(1.0, QuditHamiltonian((0.0, 1.0))),
+)
+
+# sha256 of float.hex of the four qubit weights (p0, p1, f0, f1) of ``_DISPATCH_CONFIG``
+QUBIT_WEIGHT_DIGEST = "e89f6446b6c8aafee7a0558097b691872d2570fe181321acb713f4cc6002f57d"
+
+
 def _hex(value):
     return "None" if value is None else float.hex(value)
 
@@ -209,6 +221,11 @@ def _golden_configs(tmp_path):
         path.write_text(text)
         configs[name] = load_config(path)
     return {**configs, **_CONFIGS}
+
+
+def test_qubit_weights_are_unchanged():
+    weights = _DISPATCH_CONFIG.weights()
+    assert _digest(" ".join(_hex(w) for pair in weights for w in pair)) == QUBIT_WEIGHT_DIGEST
 
 
 def test_post_selected_states_are_unchanged(tmp_path):

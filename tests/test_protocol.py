@@ -22,6 +22,7 @@ from thermosim import (
     post_select,
     post_select_oracle,
     purify,
+    residual_superposition,
     sample_outcomes,
     success_probability,
     thermal_density,
@@ -386,6 +387,20 @@ def test_config_computes_its_weights_once(monkeypatch):
     sample_outcomes(cfg, 1000, seed=3)
     interference.closed_form_probability(cfg)
     assert calls == []
+
+
+def test_qubit_paths_never_build_a_level_array_or_gibbs_weights():
+    # the qubit weights are read from the energies tuple as Python floats; no array is built for two levels
+    cfg = reference_config(0.4)
+    for outcome in OUTCOME_ORDER:
+        post_select(cfg, outcome)
+    sample_outcomes(cfg, 1000, seed=3)
+    interference.sweep(interference.SweepSpec(cfg, np.linspace(0.0, 2.0 * np.pi, 11), (0.5, 1.0)))
+    for outcome in (BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS):
+        for convention in ("full_dependence", "chosen_zero_levels"):
+            residual_superposition(cfg, outcome, convention)
+    for spec in (cfg.spec_a, cfg.spec_b):
+        assert "_levels" not in vars(spec.hamiltonian) and "_gibbs" not in vars(spec)
 
 
 def test_probabilities_form_no_branch_amplitudes(monkeypatch):

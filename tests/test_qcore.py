@@ -868,6 +868,7 @@ _PRIVATE_IMPORTS = {
     ("interference", "thermal", "_qubit_weights"),
     ("tempop", "protocol", "_KETS"),
     ("tempop", "protocol", "_check_outcome"),
+    ("tempop", "thermal", "_check_spec"),
 }
 
 

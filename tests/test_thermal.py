@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import fields, replace
 from math import fsum, isclose, isinf, isnan, log
 
 import numpy as np
@@ -10,8 +11,10 @@ from thermosim import (
     ConfigurationError,
     QuditHamiltonian,
     ThermalSpec,
+    eigencheck_purified,
     gibbs_weights,
     partial_trace,
+    purified_thermal_state,
     purify,
     thermal_density,
 )
@@ -29,15 +32,30 @@ from helpers import (
 )
 
 
-def test_hamiltonian_validation():
-    with pytest.raises(ConfigurationError):
+# the level checks run in Python floats on few levels and as numpy reductions on many: both routes
+_BOTH_ROUTES = pytest.mark.parametrize("n", [2, thermal._ARRAY_CHECKS], ids=["python floats", "level array"])
+
+
+def _padded(levels, n):
+    """``levels`` followed by zeros up to ``n`` levels, so that the checks take the route of ``n`` levels."""
+    return tuple(levels) + (0.0,) * (n - len(levels))
+
+
+@_BOTH_ROUTES
+def test_hamiltonian_validation(n):
+    assert ("_levels" in vars(QuditHamiltonian(_padded((0.0, 1.0), n)))) == (n >= thermal._ARRAY_CHECKS)
+    with pytest.raises(ConfigurationError, match="^a Hamiltonian needs at least two levels$"):
         QuditHamiltonian((1.0,))
-    with pytest.raises(ConfigurationError):
-        QuditHamiltonian((0.0, np.nan))
+    for bad in ((0.0, np.nan), (np.nan, 0.0), (0.0, np.inf), (-np.inf, 0.0), (np.inf, -np.inf), (np.nan, np.inf)):
+        with pytest.raises(ConfigurationError, match="^energies must be finite$"):
+            QuditHamiltonian(_padded(bad, n))
     # float() would read these as 0.0 and 1.0
     for bad in ("0", True, np.True_):
         with pytest.raises(ConfigurationError, match=f"^energies must be real, got {bad!r}$"):
-            QuditHamiltonian((1.0, bad))
+            QuditHamiltonian(_padded((1.0, bad), n))
+    # a sum past float64 proves no level infinite: these levels and their spans are finite
+    for big in ((1.7e308, 1.7e308), (-1.7e308, -1.7e308)):
+        assert QuditHamiltonian(_padded(big, n)).energies == _padded(big, n)
 
 
 @pytest.mark.parametrize("levels, kind", [
@@ -52,15 +70,16 @@ def test_unordered_levels_are_refused(levels, kind):
     assert QuditHamiltonian(tuple(levels)).energies == tuple(levels)
 
 
+@_BOTH_ROUTES
 @pytest.mark.parametrize("beta", [0.0, 1.0])
-def test_overflowing_level_span_is_refused(beta):
+def test_overflowing_level_span_is_refused(beta, n):
     # E_max - E_min overflows to inf, which the min-shifted kernel would scale by beta (NaN at beta = 0)
     for levels in ((1e308, -1e308), (-1.7e308, 0.0, 1.7e308)):
         with pytest.raises(ConfigurationError, match="^energy span overflows float64$"):
-            ThermalSpec(beta, QuditHamiltonian(levels))
+            ThermalSpec(beta, QuditHamiltonian(_padded(levels, n)))
     # the widest finite span is accepted, with uniform weights at infinite temperature
-    weights = gibbs_weights(ThermalSpec(beta, QuditHamiltonian((8e307, -8e307)))).weights
-    assert weights == ((0.5, 0.5) if beta == 0.0 else (0.0, 1.0))
+    weights = gibbs_weights(ThermalSpec(beta, QuditHamiltonian(_padded((8e307, -8e307), n)))).weights
+    assert weights == ((1.0 / n,) * n if beta == 0.0 else _padded((0.0, 1.0), n))
 
 
 def test_spec_rejects_bad_beta():
@@ -280,6 +299,76 @@ def test_real_density_matrices_allocate_one_real_matrix(build):
         tracemalloc.stop()
     assert peak <= 8 * d**2 + 2**20
     assert rho.entries.shape == (d, d) and not rho.entries.flags.writeable
+
+
+@pytest.mark.parametrize("reader", [
+    thermal_density, purify, gibbs_weights, eigencheck_purified, purified_thermal_state,
+])
+def test_a_spec_that_is_not_a_thermal_spec_is_refused_in_one_line(reader):
+    # each read a field of its argument first, and raised a raw AttributeError
+    for spec, name in (("spec", "str"), (None, "NoneType"), (QuditHamiltonian((0.0, 1.0)), "QuditHamiltonian")):
+        with pytest.raises(ConfigurationError, match=f"^spec must be a ThermalSpec, got {name}$"):
+            reader(spec)
+
+
+@pytest.mark.parametrize("n", [3, thermal._ARRAY_CHECKS])
+def test_each_spec_evaluates_its_gibbs_weights_once(monkeypatch, n):
+    calls = []
+    kernel = thermal._shifted_gibbs
+
+    def counted(beta, energies):
+        calls.append(beta)
+        return kernel(beta, energies)
+
+    monkeypatch.setattr(thermal, "_shifted_gibbs", counted)
+    hamiltonian = QuditHamiltonian(tuple(np.linspace(-2.0, 3.0, n).tolist()))
+    specs = ThermalSpec(0.8, hamiltonian), ThermalSpec(0.8, hamiltonian), ThermalSpec(1.5, hamiltonian)
+    for spec in specs:
+        for _ in range(2):
+            thermal_density(spec)
+            purify(spec)
+            gibbs_weights(spec)
+    assert calls == [0.8, 0.8, 1.5]  # one per spec: equal specs evaluate their own
+
+
+@pytest.mark.parametrize("n", [2, thermal._ARRAY_CHECKS - 1, thermal._ARRAY_CHECKS, 1024])
+def test_the_shared_level_array_and_weights_are_read_only_and_bit_identical(n):
+    energies = tuple(np.random.default_rng([11, n]).uniform(-5.0, 5.0, n).tolist())
+    spec = ThermalSpec(0.8, QuditHamiltonian(energies))
+    levels, (weights, total) = spec.hamiltonian._levels, spec._gibbs
+    fresh, fresh_total = thermal._shifted_gibbs(spec.beta, energies)
+    assert levels.dtype == weights.dtype == np.float64
+    assert not (levels.flags.writeable or weights.flags.writeable)
+    assert list(map(float.hex, levels.tolist())) == list(map(float.hex, np.array(energies).tolist()))
+    assert list(map(float.hex, weights.tolist())) == list(map(float.hex, fresh.tolist()))
+    assert float.hex(total) == float.hex(fresh_total)
+    with pytest.raises(ValueError):
+        weights[0] = 0.5
+    # every reader shares the one array of each, and reads the same values
+    assert spec.hamiltonian._levels is levels and spec._gibbs[0] is weights
+    assert purified_thermal_state(spec)._energy is levels
+    assert np.array_equal(thermal_density(spec).entries, np.diag(fresh))
+    assert gibbs_weights(spec).weights == tuple(fresh.tolist())
+
+
+@pytest.mark.parametrize("n", [2, 100])
+def test_the_cached_arrays_leave_equality_hash_and_replace_as_they_were(n):
+    energies = tuple(np.random.default_rng([13, n]).uniform(-5.0, 5.0, n).tolist())
+    read, fresh = (ThermalSpec(0.8, QuditHamiltonian(energies)) for _ in range(2))
+    thermal_density(read)  # fills read's caches, not fresh's
+    assert "_gibbs" in vars(read) and "_gibbs" not in vars(fresh)
+    assert read == fresh and hash(read) == hash(fresh) and len({read, fresh}) == 1
+    assert read.hamiltonian == fresh.hamiltonian and hash(read.hamiltonian) == hash(fresh.hamiltonian)
+    assert repr(read) == repr(fresh)
+    assert [f.name for f in fields(read)] == ["beta", "hamiltonian"]
+    assert [f.name for f in fields(read.hamiltonian)] == ["energies"]
+    assert replace(read) == read and replace(read.hamiltonian) == read.hamiltonian
+    hotter = replace(read, beta=0.4)  # a new spec evaluates its own weights
+    assert hotter != read and "_gibbs" not in vars(hotter) and hotter.hamiltonian is read.hamiltonian
+    assert gibbs_weights(hotter) == gibbs_weights(ThermalSpec(0.4, QuditHamiltonian(energies)))
+    reversed_levels = replace(read.hamiltonian, energies=energies[::-1])
+    assert reversed_levels != read.hamiltonian
+    assert reversed_levels._levels.tolist() == list(energies[::-1])
 
 
 def test_builders_skip_the_weights_report(monkeypatch):
