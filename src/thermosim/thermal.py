@@ -4,9 +4,9 @@ Energies are dimensionless and the Boltzmann constant is fixed to 1, so the
 inverse temperature ``beta`` carries units of inverse energy.  ``beta = 0``
 is the infinite-temperature limit; ``beta = inf`` is rejected.
 
-A Hamiltonian's levels are read as Python floats once, by its checks, and
-as one read-only float64 array at most once: by the checks themselves past
-``_ARRAY_CHECKS`` levels, otherwise on the first read.  A spec's Gibbs
+A Hamiltonian's levels are checked once and converted to one read-only
+float64 array at most once: by the checks themselves from ``_ARRAY_CHECKS``
+levels on, otherwise on the first read.  A spec's Gibbs
 weights and Z are likewise evaluated at most once, on the first read, and
 shared read-only by ``thermal_density``, ``purify`` and ``gibbs_weights``;
 ``tempop``'s purified states share the level array.  Two threads reading
