@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qcore
-from .protocol import BellOutcome, ProtocolConfig, _branch, post_select_oracle, success_probability
+from .protocol import BellOutcome, ProtocolConfig, _branch, _check_cfg, post_select_oracle, success_probability
 from .qcore import ConfigurationError, _numbers
 from .thermal import ThermalSpec, _qubit_weights
 
@@ -55,8 +55,7 @@ class SweepSpec:
             raise ConfigurationError("phi_points must be a nonempty 1-D sequence of finite numbers")
         phis.flags.writeable = False
         object.__setattr__(self, "phi_points", phis)
-        if not isinstance(self.cfg, ProtocolConfig):
-            raise ConfigurationError(f"cfg must be a ProtocolConfig, got {type(self.cfg).__name__}")
+        _check_cfg(self.cfg)
         betas = self.beta_b_values
         betas = _numbers("beta_b sweep values", (self.cfg.spec_b.beta,) if betas is None else betas)
         if not betas:
@@ -92,6 +91,7 @@ def closed_form_probability(cfg: ProtocolConfig, convention: str = "corrected") 
     directly.  The "corrected" convention carries the factor 2 produced by
     the circuit; "paper" omits it.
     """
+    _check_cfg(cfg)  # before cfg.phi is read
     return _closed_form(cfg, convention, cfg.phi)
 
 

@@ -45,29 +45,35 @@ OUTCOME_ORDER = (
     BellOutcome.PSI_MINUS,
 )
 
-_BELL_VECTORS = {
-    BellOutcome.PHI_PLUS: qcore.PHI_PLUS,
-    BellOutcome.PHI_MINUS: qcore.PHI_MINUS,
-    BellOutcome.PSI_PLUS: qcore.PSI_PLUS,
-    BellOutcome.PSI_MINUS: qcore.PSI_MINUS,
-}
-
-
 # the flat indices of a branch's two kets, shared read-only by every post-selected state and by
 # tempop's superposition states and their views: phi on |00> and |11>, psi on |01> and |10>
 _KETS = np.array([[0, 3], [1, 2]])
 _KETS.setflags(write=False)
 
+# the one outcome decision: each outcome's row of _KETS (0 phi, 1 psi, whose B weights and levels
+# are reversed), the sign of its second term and its Bell vector
+_OUTCOMES = {
+    BellOutcome.PHI_PLUS: (0, 1.0, qcore.PHI_PLUS),
+    BellOutcome.PHI_MINUS: (0, -1.0, qcore.PHI_MINUS),
+    BellOutcome.PSI_PLUS: (1, 1.0, qcore.PSI_PLUS),
+    BellOutcome.PSI_MINUS: (1, -1.0, qcore.PSI_MINUS),
+}
 
-def _check_outcome(outcome) -> None:
-    # the string "phi_plus" would otherwise pass post_select as psi- and fail the look-ups raw
-    if not isinstance(outcome, BellOutcome):
+
+def _outcome_row(outcome) -> tuple[int, float, StateVector]:
+    """``outcome``'s (pair, sign, Bell vector) in ``_OUTCOMES``; any other value is refused."""
+    if not isinstance(outcome, BellOutcome):  # the string "phi_plus" would otherwise fail the look-up raw
         raise ConfigurationError(f"outcome must be a BellOutcome, got {outcome!r}")
+    return _OUTCOMES[outcome]
+
+
+def _check_cfg(cfg) -> None:
+    if not isinstance(cfg, ProtocolConfig):  # a str would otherwise fail on its first attribute raw
+        raise ConfigurationError(f"cfg must be a ProtocolConfig, got {type(cfg).__name__}")
 
 
 def bell_state(outcome: BellOutcome) -> StateVector:
-    _check_outcome(outcome)
-    return _BELL_VECTORS[outcome]
+    return _outcome_row(outcome)[2]
 
 
 @dataclass(frozen=True)
@@ -117,19 +123,18 @@ class PostSelectionResult:
 
 def joint_state(cfg: ProtocolConfig) -> StateVector:
     """Four-qubit state purify(A) x purify(B) on the register (A', A, B', B)."""
+    _check_cfg(cfg)
     return qcore.tensor_product(purify(cfg.spec_a, cfg.phi), purify(cfg.spec_b))
 
 
 def post_select(cfg: ProtocolConfig, outcome: BellOutcome) -> PostSelectionResult:
     """Analytic outcome probability and normalized post-selected AB state."""
-    _check_outcome(outcome)
-    phi_pair = outcome in (BellOutcome.PHI_PLUS, BellOutcome.PHI_MINUS)
-    p, (f0, f1) = cfg.weights()
-    first, second = _branch(p, (f0, f1) if phi_pair else (f1, f0), np.exp(1j * cfg.phi))
-    sign = 1.0 if outcome in (BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS) else -1.0
+    pair, sign, _ = _outcome_row(outcome)
+    probability = 0.5 * success_probability(cfg, ("phi", "psi")[pair])  # refuses a cfg that is not a ProtocolConfig
+    p, f = cfg.weights()
+    first, second = _branch(p, (f[pair], f[1 - pair]), np.exp(1j * cfg.phi))
     values = np.array([first, sign * second], dtype=np.complex128)
-    probability = 0.5 * success_probability(cfg, "phi" if phi_pair else "psi")
-    return PostSelectionResult(outcome, probability, _built(StateVector, (2, 2), values, _KETS[0 if phi_pair else 1]))
+    return PostSelectionResult(outcome, probability, _built(StateVector, (2, 2), values, _KETS[pair]))
 
 
 def post_select_oracle(cfg: ProtocolConfig, outcome: BellOutcome) -> PostSelectionResult:
@@ -155,6 +160,7 @@ def success_probability(cfg: ProtocolConfig, branch: str) -> float:
     or "psi" (outcomes psi+/-, probability p0 f1 + p1 f0).  This is the one
     branch-probability formula, on the Python floats of ``cfg.weights()``.
     """
+    _check_cfg(cfg)
     (p0, p1), (f0, f1) = cfg.weights()
     if branch == "phi":
         return p0 * f0 + p1 * f1

@@ -51,6 +51,9 @@ makes purified thermal states exact eigenvectors with eigenvalue beta^2/16
 (each side carries e^(-beta*E/4), an even split of the purification
 amplitude e^(-beta*E/2)), and their reports exactly beta^2/16 and 0.
 
+``superposition_state`` builds the post-selected state of each of the four
+Bell outcomes: phi+/- on the kets (0, 3), psi+/- on (1, 2) with B's levels
+reversed, and term 1's A value e^(i*phi) negated for phi- and psi-.
 For post-selected two-temperature states the operator's slot-to-energy
 mapping is a convention choice.  ``residual_superposition`` exposes two:
 "full_dependence" keeps all four energy levels as formal variables and pairs
@@ -68,7 +71,7 @@ from math import isfinite, sqrt
 
 import numpy as np
 
-from .protocol import _KETS, BellOutcome, ProtocolConfig, _check_outcome
+from .protocol import _KETS, BellOutcome, ProtocolConfig, _check_cfg, _outcome_row
 from .qcore import ConfigurationError, StateVector, _built, _number
 from .thermal import ThermalSpec, _check_spec
 
@@ -232,33 +235,31 @@ def superposition_state(
     """Post-selected AB state rebuilt as a factored bipartite state.
 
     Term n pairs the A-side Boltzmann factor e^(-beta_A*E/2) with the B-side
-    factor e^(-beta_B*E'/2) under derivative slot n.  For the phi+ outcome
-    the terms sit on |00> and |11>; for psi+ on |01> and |10>, where the
-    A level n is paired with the B level 1 - n.  Term 1's A factor carries
-    the purification phase e^(i*phi) as its value, as ``purify`` puts it.
-    A value that is not a :class:`BellOutcome` gets ``post_select``'s refusal.
+    factor e^(-beta_B*E'/2) under derivative slot n.  Every Bell outcome is
+    built, from ``protocol``'s one outcome table.  For phi+ and phi- the terms
+    sit on the flat kets (0, 3), |00> and |11>; for psi+ and psi- on (1, 2),
+    |01> and |10>, where the A level n is paired with the B level 1 - n.
+    Term 1's A factor carries the purification phase e^(i*phi) as its value,
+    as ``purify`` puts it, times the outcome's sign: -e^(i*phi) for phi- and
+    psi-, which are phi+ and psi+ with sigma_z on B.  A value that is not a
+    :class:`BellOutcome` gets ``post_select``'s refusal.
     """
-    _check_outcome(outcome)
-    if outcome is BellOutcome.PHI_PLUS:
-        kets_b, at = (0, 1), _KETS[0]
-    elif outcome is BellOutcome.PSI_PLUS:
-        kets_b, at = (1, 0), _KETS[1]
-    else:
-        raise ConfigurationError(f"unsupported outcome {outcome} for residual analysis")
+    pair, sign, _ = _outcome_row(outcome)
     if convention not in ("full_dependence", "chosen_zero_levels"):
         raise ConfigurationError(
             f"convention must be 'full_dependence' or 'chosen_zero_levels', got {convention!r}"
         )
+    _check_cfg(cfg)
     ea = cfg.spec_a.hamiltonian.energies
     eb = cfg.spec_b.hamiltonian.energies
     pin = convention == "chosen_zero_levels"
     if pin and (ea[1] != 0.0 or eb[0] != 0.0):
         raise ConfigurationError("chosen_zero_levels applies only when E1 = 0 and E0' = 0")
-    a, b = -cfg.spec_a.beta / 2.0, -cfg.spec_b.beta / 2.0
+    a, b, kets_b = -cfg.spec_a.beta / 2.0, -cfg.spec_b.beta / 2.0, (pair, 1 - pair)
     # term n sits on |n>|kets_b[n]> under slot n; a pinned level is the constant e^0 (coeff 0)
     return _built(
-        FactoredBipartiteState, (2, 2), at, np.array((ea, [eb[k] for k in kets_b])),
-        np.array(((1.0, np.exp(1j * cfg.phi)), (1.0, 1.0))),
+        FactoredBipartiteState, (2, 2), _KETS[pair], np.array((ea, [eb[k] for k in kets_b])),
+        np.array(((1.0, sign * np.exp(1j * cfg.phi)), (1.0, 1.0))),
         np.array(((a, 0.0 if pin else a), [0.0 if pin and k == 0 else b for k in kets_b])),
     )
 
@@ -268,9 +269,12 @@ def residual_superposition(
 ) -> EigenReport:
     """Rayleigh quotient and residual of a post-selected two-temperature state, reading ``superposition_state``.
 
-    Under "full_dependence" every term responds with the same factor
-    beta_A*beta_B/4, which is reported as the expected value; under
-    "chosen_zero_levels" no analytic value is claimed.
+    All four outcomes are reported.  Under "full_dependence" every term
+    responds with the same factor beta_A*beta_B/4, which is reported as the
+    expected value; under "chosen_zero_levels" no analytic value is claimed.
+    The sign of a minus outcome's term 1 changes no term's weight or
+    eigenvalue, so phi- reports phi+'s values and psi- reports psi+'s, bit
+    for bit.
     """
     state = superposition_state(cfg, outcome, convention)
     expected = cfg.spec_a.beta * cfg.spec_b.beta / 4.0 if convention == "full_dependence" else None

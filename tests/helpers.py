@@ -194,18 +194,19 @@ def purified_terms(spec):
 
 
 def superposition_terms(cfg, outcome, convention):
-    """Term n of a post-selected phi+ or psi+ state: e^(-beta_A*E_n/2) x e^(-beta_B*E'_k/2) |n>|k> under slot n.
+    """Term n of a post-selected state: e^(-beta_A*E_n/2) x e^(-beta_B*E'_k/2) |n>|k> under slot n.
 
-    k is n for phi+ and 1 - n for psi+; term 1's A family carries the value e^(i*phi).  Under
-    "chosen_zero_levels" the pinned levels E1 and E0' are constants (coeff 0).
+    k is n for phi+/- and 1 - n for psi+/-; term 1's A family carries the value e^(i*phi), negated for
+    phi- and psi-.  Under "chosen_zero_levels" the pinned levels E1 and E0' are constants (coeff 0).
     """
     pin = convention == "chosen_zero_levels"
     a, b = -cfg.spec_a.beta / 2.0, -cfg.spec_b.beta / 2.0
     ea, eb = cfg.spec_a.hamiltonian.energies, cfg.spec_b.hamiltonian.energies
-    phases = (1.0, np.exp(1j * cfg.phi))
+    minus = outcome in (BellOutcome.PHI_MINUS, BellOutcome.PSI_MINUS)
+    phases = (1.0, -np.exp(1j * cfg.phi) if minus else np.exp(1j * cfg.phi))
     terms = []
     for n in (0, 1):
-        k = n if outcome is BellOutcome.PHI_PLUS else 1 - n
+        k = n if outcome in (BellOutcome.PHI_PLUS, BellOutcome.PHI_MINUS) else 1 - n
         coeffs = (0.0 if pin and n == 1 else a, 0.0 if pin and k == 0 else b)
         terms.append(((n, k), (ea[n], eb[k]), coeffs, (phases[n], 1.0)))
     return term_arrays(terms)

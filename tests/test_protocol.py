@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermosim import (
+    CNOT,
+    HADAMARD,
     SIGMA_Z,
     BellOutcome,
     ConfigurationError,
@@ -22,9 +24,13 @@ from thermosim import (
     post_select,
     post_select_oracle,
     purify,
+    SweepSpec,
+    circuit_probability,
+    closed_form_probability,
     residual_superposition,
     sample_outcomes,
     success_probability,
+    superposition_state,
     thermal_density,
 )
 from thermosim import interference, protocol, thermal
@@ -445,3 +451,53 @@ def test_every_route_is_finite_and_sums_to_one(a, b, phi):
     assert abs(success_probability(cfg, "phi") + success_probability(cfg, "psi") - 1.0) <= EQ_TOL
     for spec in (cfg.spec_a, cfg.spec_b):
         assert abs(purify(spec).norm() - 1.0) <= EQ_TOL
+
+
+_READERS = {
+    "post_select": lambda cfg: post_select(cfg, BellOutcome.PHI_PLUS),
+    "post_select_oracle": lambda cfg: post_select_oracle(cfg, BellOutcome.PHI_PLUS),
+    "success_probability": lambda cfg: success_probability(cfg, "phi"),
+    "sample_outcomes": lambda cfg: sample_outcomes(cfg, 10, 1),
+    "joint_state": joint_state,
+    "superposition_state": lambda cfg: superposition_state(cfg, BellOutcome.PHI_PLUS, "full_dependence"),
+    "residual_superposition": lambda cfg: residual_superposition(cfg, BellOutcome.PHI_PLUS, "full_dependence"),
+    "circuit_probability": circuit_probability,
+    "closed_form_probability": closed_form_probability,
+    "SweepSpec": lambda cfg: SweepSpec(cfg, [0.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_READERS))
+@pytest.mark.parametrize("cfg, got", [("cfg.json", "str"), (None, "NoneType"), (symmetric_config().spec_a, "ThermalSpec")],
+                         ids=["str", "None", "ThermalSpec"])
+def test_every_reader_refuses_a_config_that_is_not_a_protocol_config(reader, cfg, got):
+    # each reader but SweepSpec raised a raw AttributeError ('str' object has no attribute 'weights')
+    with pytest.raises(ConfigurationError, match=f"^cfg must be a ProtocolConfig, got {got}$"):
+        _READERS[reader](cfg)
+    _READERS[reader](reference_config())
+
+
+def _readout_at(cfg, outcome, phi):
+    """P(A = 0) of ``outcome``'s post-selected state at phase ``phi``, by circuit_probability's machinery."""
+    state = post_select(ProtocolConfig(cfg.spec_a, cfg.spec_b, phi), outcome).state
+    rho_a = partial_trace(apply(CNOT, state, targets=(0, 1)), keep={0}).entries
+    h = HADAMARD.entries
+    return float((h @ rho_a @ h.conj().T)[0, 0].real)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=QUBIT, b=QUBIT)
+def test_every_outcome_shows_the_visibility_law(a, b):
+    # V_o = sech(x_o): x = (beta_A dE_A + beta_B dE_B)/2 for phi+/-, (beta_A dE_A - beta_B dE_B)/2 for
+    # psi+/-, with dE = E0 - E1; weighted by the outcome probabilities they sum to the product of the
+    # one-sided visibilities sech(beta_A dE_A / 2) sech(beta_B dE_B / 2)
+    cfg = ProtocolConfig(qubit_spec(a), qubit_spec(b))
+    x_a, x_b = (spec.beta * (spec.hamiltonian.energies[0] - spec.hamiltonian.energies[1]) / 2.0
+                for spec in (cfg.spec_a, cfg.spec_b))
+    weighted = 0.0
+    for outcome in OUTCOME_ORDER:
+        visibility = abs(_readout_at(cfg, outcome, 0.0) - _readout_at(cfg, outcome, math.pi))
+        psi = outcome in (BellOutcome.PSI_PLUS, BellOutcome.PSI_MINUS)
+        assert abs(visibility - 1.0 / math.cosh(x_a - x_b if psi else x_a + x_b)) <= EQ_TOL
+        weighted += post_select(cfg, outcome).probability * visibility
+    assert abs(weighted - 1.0 / (math.cosh(x_a) * math.cosh(x_b))) <= EQ_TOL

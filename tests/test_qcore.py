@@ -866,8 +866,10 @@ _PRIVATE_IMPORTS = {
     ("cli", "interference", "_readout_probability"),
     ("protocol", "thermal", "_qubit_weights"),
     ("interference", "thermal", "_qubit_weights"),
+    ("interference", "protocol", "_check_cfg"),
     ("tempop", "protocol", "_KETS"),
-    ("tempop", "protocol", "_check_outcome"),
+    ("tempop", "protocol", "_check_cfg"),
+    ("tempop", "protocol", "_outcome_row"),
     ("tempop", "thermal", "_check_spec"),
 }
 

@@ -11,6 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermosim import (
+    OUTCOME_ORDER,
+    SIGMA_Z,
     BellOutcome,
     ConfigurationError,
     EigenReport,
@@ -19,6 +21,7 @@ from thermosim import (
     QuditHamiltonian,
     StateVector,
     ThermalSpec,
+    apply,
     apply_inverse_temp_squared,
     eigencheck_purified,
     fidelity_pure,
@@ -296,7 +299,7 @@ def test_superposition_state_matches_post_selection():
     from thermosim import post_select
 
     rng = np.random.default_rng(139)
-    for outcome in (BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS):
+    for outcome in OUTCOME_ORDER:
         for _ in range(10):
             cfg = random_in_regime_config(rng)
             factored = superposition_state(cfg, outcome, "full_dependence")
@@ -326,8 +329,10 @@ def test_purified_thermal_through_superposition_path():
 
 def test_superposition_state_error_paths():
     cfg = reference_config()
-    with pytest.raises(ConfigurationError):
-        residual_superposition(cfg, BellOutcome.PHI_MINUS, "full_dependence")
+    # phi- and psi- are built too, and each reports its plus outcome's values
+    for minus, plus in _MINUS_PLUS:
+        report = residual_superposition(cfg, minus, "full_dependence")
+        assert report == residual_superposition(cfg, plus, "full_dependence")
     with pytest.raises(ConfigurationError):
         residual_superposition(cfg, BellOutcome.PHI_PLUS, "frozen")
     from dataclasses import replace
@@ -359,7 +364,7 @@ def test_purified_reports_match_dense(fd_step):
             _assert_report_matches_dense(report, purified_thermal_state(spec), fd_step)
 
 
-@pytest.mark.parametrize("outcome", [BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS])
+@pytest.mark.parametrize("outcome", OUTCOME_ORDER)
 @pytest.mark.parametrize("convention", ["full_dependence", "chosen_zero_levels"])
 def test_superposition_reports_match_dense(outcome, convention):
     rng = np.random.default_rng(163)
@@ -612,21 +617,44 @@ def test_residual_refusals_keep_their_messages_and_precedence():
                 assert refusal == f"outcome must be a BellOutcome, got {bad!r}"
                 assert _refusal(lambda: residual_superposition(c, bad, convention)) == refusal
                 assert _refusal(lambda: superposition_state(c, bad, convention)) == refusal
-            assert _refusal(lambda: residual_superposition(c, BellOutcome.PHI_MINUS, convention)) == (
-                f"unsupported outcome {BellOutcome.PHI_MINUS} for residual analysis"
+        # every outcome is built, so each one passes on to the convention's refusal
+        for outcome in OUTCOME_ORDER:
+            assert _refusal(lambda: residual_superposition(c, outcome, "frozen")) == (
+                "convention must be 'full_dependence' or 'chosen_zero_levels', got 'frozen'"
             )
-        assert _refusal(lambda: residual_superposition(c, BellOutcome.PSI_PLUS, "frozen")) == (
-            "convention must be 'full_dependence' or 'chosen_zero_levels', got 'frozen'"
-        )
-    for outcome in (BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS):
+    for outcome in OUTCOME_ORDER:
         assert _refusal(lambda: residual_superposition(unpinned, outcome, "chosen_zero_levels")) == _PIN
         assert _refusal(lambda: superposition_state(unpinned, outcome, "chosen_zero_levels")) == _PIN
         residual_superposition(unpinned, outcome, "full_dependence")
-    # psi+ pairs E0 = -5 with E1' = -5, so one term's |w L R|^2 is e^(1000) and Z overflows
+    # psi+/- pair E0 = -5 with E1' = -5, so one term's |w L R|^2 is e^(1000) and Z overflows
     deep = ProtocolConfig(_spec(100.0, (-5.0, 0.0)), _spec(100.0, (0.0, -5.0)), 0.4)
-    for convention in ("full_dependence", "chosen_zero_levels"):
-        assert _refusal(lambda: residual_superposition(deep, BellOutcome.PSI_PLUS, convention)) == _NORMALIZATION
-        assert _refusal(lambda: superposition_state(deep, BellOutcome.PSI_PLUS, convention)) == _NORMALIZATION
+    for outcome in (BellOutcome.PSI_PLUS, BellOutcome.PSI_MINUS):
+        for convention in ("full_dependence", "chosen_zero_levels"):
+            assert _refusal(lambda: residual_superposition(deep, outcome, convention)) == _NORMALIZATION
+            assert _refusal(lambda: superposition_state(deep, outcome, convention)) == _NORMALIZATION
+
+
+_MINUS_PLUS = ((BellOutcome.PHI_MINUS, BellOutcome.PHI_PLUS), (BellOutcome.PSI_MINUS, BellOutcome.PSI_PLUS))
+
+
+@pytest.mark.parametrize("convention", ["full_dependence", "chosen_zero_levels"])
+def test_minus_outcomes_are_the_plus_states_with_sigma_z_on_b(convention):
+    # phi- is phi+ with sigma_z on B, and psi- is psi+ with sigma_z on B up to a global sign: the
+    # sign sits on term 1's A value, so no term's weight or eigenvalue moves
+    rng = np.random.default_rng(197)
+    for _ in range(200):
+        cfg = random_in_regime_config(rng)
+        states = {o: superposition_state(cfg, o, convention).amplitude_vector() for o in OUTCOME_ORDER}
+        for outcome in (BellOutcome.PHI_MINUS, BellOutcome.PSI_MINUS):
+            assert np.max(np.abs(states[outcome].amps - post_select(cfg, outcome).state.amps)) <= EQ_TOL
+        for (minus, plus), sign in zip(_MINUS_PLUS, (1.0, -1.0)):
+            assert np.array_equal(states[minus].amps, sign * apply(SIGMA_Z, states[plus], targets=(1,)).amps)
+    for _ in range(300):
+        cfg = _bell_config(rng)  # beta*|gap| up to 700: some configs are refused, each pair alike
+        for minus, plus in _MINUS_PLUS:
+            assert _outcome(lambda: residual_superposition(cfg, minus, convention)) == _outcome(
+                lambda: residual_superposition(cfg, plus, convention)
+            )
 
 
 @pytest.mark.filterwarnings("error")
@@ -708,7 +736,7 @@ def test_purified_state_round_trips(d, beta_gap, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    outcome=st.sampled_from((BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS)),
+    outcome=st.sampled_from(OUTCOME_ORDER),
     convention=st.sampled_from(("full_dependence", "chosen_zero_levels")),
     seed=st.integers(0, 2**32 - 1),
 )
