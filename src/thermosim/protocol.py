@@ -37,13 +37,8 @@ class BellOutcome(enum.Enum):
 # the largest sample count: the multinomial draw counts in 64-bit integers
 MAX_SAMPLES = 2**63 - 1
 
-# fixed ordering of the outcomes in reports and in the sampler's draw, for cross-run determinism
-OUTCOME_ORDER = (
-    BellOutcome.PHI_PLUS,
-    BellOutcome.PHI_MINUS,
-    BellOutcome.PSI_PLUS,
-    BellOutcome.PSI_MINUS,
-)
+# fixed ordering of the outcomes in reports and in the sampler's draw, for cross-run determinism: the enum's own
+OUTCOME_ORDER = tuple(BellOutcome)
 
 # the flat indices of a branch's two kets, shared read-only by every post-selected state and by
 # tempop's superposition states and their views: phi on |00> and |11>, psi on |01> and |10>
@@ -172,7 +167,8 @@ def success_probability(cfg: ProtocolConfig, branch: str) -> float:
 def sample_outcomes(cfg: ProtocolConfig, n: int, seed: int) -> dict[BellOutcome, int]:
     """Draw ``n`` Bell outcomes from the analytic distribution.
 
-    One multinomial draw over the fixed outcome ordering with a seeded
+    One multinomial draw over the fixed outcome ordering, each outcome's
+    probability its branch's in the outcome table, with a seeded
     generator, so identical (cfg, n, seed) always produce identical counts;
     its cost does not grow with ``n``, which may be up to ``MAX_SAMPLES``.
     """
@@ -181,6 +177,6 @@ def sample_outcomes(cfg: ProtocolConfig, n: int, seed: int) -> dict[BellOutcome,
         raise ConfigurationError(f"sample count must be between 1 and {MAX_SAMPLES}")
     if seed < 0:
         raise ConfigurationError("seed must be nonnegative")
-    phi, psi = (0.5 * success_probability(cfg, branch) for branch in ("phi", "psi"))
-    counts = np.random.default_rng(seed).multinomial(n, [phi, phi, psi, psi])
+    branch = [0.5 * success_probability(cfg, name) for name in ("phi", "psi")]
+    counts = np.random.default_rng(seed).multinomial(n, [branch[_OUTCOMES[o][0]] for o in OUTCOME_ORDER])
     return dict(zip(OUTCOME_ORDER, counts.tolist()))

@@ -7,22 +7,24 @@ States handled here are finite sums of two-sided product terms,
 where L_t and R_t are closed-form amplitude families value * e^(coeff*E)
 (a constant has coeff = 0) evaluated at per-side energy arguments, and
 Z = sum_t |L_t(x_t) R_t(y_t)|^2 is the terms' own sum, so every state is unit
-norm by construction.  A term's constant complex coefficient lives in its
-families' values, by convention the left one's.  Z is evaluated, never
-differentiated, and must be a normal float: finite and at least
-``sys.float_info.min``.  A state holds its terms as arrays and normalizes
-them once, when it is made: one array exponential gives both sides' family
-values, their products the per-term amplitudes, and those Z.  Of the values
-it keeps only the amplitudes over sqrt(Z) and sqrt(Z), n complex values for
-n terms (16 MB at n = 10^6).  Every value is read from a state: the dense
-view, the operator image, and the reports of ``eigencheck_purified`` and
-``residual_superposition``, which read the states that
+norm by construction.  A state holds each term's constant complex
+coefficient once, as one value, the product of its two families' values.
+Z is evaluated, never differentiated, and must be a normal float: finite
+and at least ``sys.float_info.min``.  A state holds its terms as arrays and
+normalizes them once, when it is made: one array exponential gives the
+family exponentials, a family shared by both sides evaluated once, their
+products with the term values the per-term amplitudes, and those Z.  Of
+the values it keeps only the amplitudes over sqrt(Z) and sqrt(Z), n complex
+values for n terms (16 MB at n = 10^6).  Every value is read from a state:
+the dense view, the operator image, and the reports of ``eigencheck_purified``
+and ``residual_superposition``, which read the states that
 ``purified_thermal_state`` and ``superposition_state`` make.  A state is
 only ever a result, so calling ``FactoredBipartiteState`` raises
 ``TypeError``.  The two builders, ``purified_thermal_state`` and
 ``superposition_state``, make its support, the terms' (n,) flat kets in the
-form ``StateVector`` keeps, and the energies and family fields, row 0 the
-left side and row 1 the right, and reach the state through ``qcore._built``.
+form ``StateVector`` keeps, the term values, and the energies and family
+coefficients, row 0 the left side and row -1 the right, one row where both
+sides share a family, and reach the state through ``qcore._built``.
 They hold its structure by construction: a strictly increasing support, so
 distinct kets.  The views hand that support on to ``StateVector`` as it is.
 A purified state's energies are its Hamiltonian's read-only float64 level
@@ -53,7 +55,7 @@ amplitude e^(-beta*E/2)), and their reports exactly beta^2/16 and 0.
 
 ``superposition_state`` builds the post-selected state of each of the four
 Bell outcomes: phi+/- on the kets (0, 3), psi+/- on (1, 2) with B's levels
-reversed, and term 1's A value e^(i*phi) negated for phi- and psi-.
+reversed, and term 1's value e^(i*phi) negated for phi- and psi-.
 For post-selected two-temperature states the operator's slot-to-energy
 mapping is a convention choice.  ``residual_superposition`` exposes two:
 "full_dependence" keeps all four energy levels as formal variables and pairs
@@ -82,14 +84,16 @@ class FactoredBipartiteState:
 
     The terms' kets are held once, as ``_at``: their (n,) flat indices,
     strictly increasing, the support form of ``StateVector``, frozen by
-    ``_store`` and shared as it is by every view.  The energies and the
-    family form value * e^(coeff*E) are held with one row per side (left,
-    right), broadcasting to (2, n).  Term t carries derivative slot t on
-    both sides.  Kets are distinct, so each term is exactly one entry of
-    the dense vector.  ``_store`` normalizes once and keeps the per-term
-    amplitudes over sqrt(Z) and sqrt(Z), n complex values (16 MB at
-    n = 10^6); ``_image`` and ``_evaluated`` read the operator from them
-    and the term arrays.
+    ``_store`` and shared as it is by every view.  Each term's value is one
+    complex number, broadcasting to (n,).  The energies and the family
+    coefficients are held with one row per side, row 0 the left and row -1
+    the right, broadcasting to (2, n), or to (1, n) when both sides share
+    one family, which is then exponentiated once.  Term t carries
+    derivative slot t on both sides.  Kets are distinct, so each term is
+    exactly one entry of the dense vector.  ``_store`` normalizes once and
+    keeps the per-term amplitudes over sqrt(Z) and sqrt(Z), n complex values
+    (16 MB at n = 10^6); ``_image`` and ``_evaluated`` read the operator from
+    them and the term arrays.
 
     Only ever a result, so calling ``FactoredBipartiteState``, with or without
     arguments, raises ``TypeError``: ``purified_thermal_state`` and
@@ -105,7 +109,7 @@ class FactoredBipartiteState:
     def _store(self, dims, at, energy, value, coeff) -> None:
         with np.errstate(over="ignore", invalid="ignore"):
             exps = np.exp(coeff * energy)
-            psi = (value[0] * exps[0]) * (value[1] * exps[1])  # side by side: no (2, n) complex array
+            psi = value * exps[0] * exps[-1]  # side by side: no (2, n) complex array
             z = np.abs(psi)  # squared in place: one n-float temporary at 10^6 terms, not two
             z = float(np.add.reduce(np.multiply(z, z, out=z)))
             if not (isfinite(z) and z >= sys.float_info.min):  # a subnormal Z has lost the digits unit norm needs
@@ -121,7 +125,7 @@ class FactoredBipartiteState:
 
     def _eigenvalues(self) -> np.ndarray:
         """Each term's eigenvalue lambda_t = coeff_L,t * coeff_R,t, broadcasting against the n terms."""
-        return self._coeff[0] * self._coeff[1]
+        return self._coeff[0] * self._coeff[-1]
 
     def _image(self, h: float | None) -> np.ndarray:
         """Each term's response L'(x)*R'(y) over sqrt(Z).
@@ -145,8 +149,8 @@ class FactoredBipartiteState:
                 raise ConfigurationError(
                     f"finite-difference step {h:g} is below {floor:g} and cannot resolve the energies"
                 )
-            slopes = self._value * ((np.exp(coeff * (energy + h)) - np.exp(coeff * (energy - h))) / (2.0 * h))
-            return slopes[0] * slopes[1] / self._root
+            slopes = (np.exp(coeff * (energy + h)) - np.exp(coeff * (energy - h))) / (2.0 * h)
+            return self._value * slopes[0] * slopes[-1] / self._root
 
     def _evaluated(self, h: float | None) -> tuple[float, float]:
         """The operator read from the stored terms: (rayleigh, residual).
@@ -206,12 +210,15 @@ def purified_thermal_state(spec: ThermalSpec) -> FactoredBipartiteState:
 
     Term n is e^(-beta*E_n/4) x e^(-beta*E_n/4) |n>|n> with the constant 1/sqrt(Z)
     prefactor; only this even split makes the state an exact eigenvector.
-    The state's energies are the Hamiltonian's own read-only level array,
-    shared with every other state of it, not a copy.
+    Both sides share that one family, given as one (1, 1) coefficient and
+    evaluated once, and every term's value is 1.  The state's energies are
+    the Hamiltonian's own read-only level array, shared with every other
+    state of it, not a copy.
     """
     _check_spec("spec", spec)
-    d, coeff = spec.hamiltonian.dim, np.full((2, 1), -spec.beta / 4.0)
-    return _built(FactoredBipartiteState, (d, d), np.arange(d) * (d + 1), spec.hamiltonian._levels, _UNIT, coeff)
+    d, coeff = spec.hamiltonian.dim, np.full((1, 1), -spec.beta / 4.0)
+    return _built(FactoredBipartiteState, (d, d), np.arange(d) * (d + 1), spec.hamiltonian._levels,
+                  np.ones(1, dtype=complex), coeff)
 
 
 def eigencheck_purified(spec: ThermalSpec, *, fd_step: float | None = None) -> EigenReport:
@@ -224,11 +231,6 @@ def eigencheck_purified(spec: ThermalSpec, *, fd_step: float | None = None) -> E
     return _eigen_report(purified_thermal_state(spec), fd_step, expected)
 
 
-# the family value 1 on both sides, shared read-only by every purified state
-_UNIT = np.ones((2, 1), dtype=complex)
-_UNIT.setflags(write=False)
-
-
 def superposition_state(
     cfg: ProtocolConfig, outcome: BellOutcome, convention: str
 ) -> FactoredBipartiteState:
@@ -239,10 +241,10 @@ def superposition_state(
     built, from ``protocol``'s one outcome table.  For phi+ and phi- the terms
     sit on the flat kets (0, 3), |00> and |11>; for psi+ and psi- on (1, 2),
     |01> and |10>, where the A level n is paired with the B level 1 - n.
-    Term 1's A factor carries the purification phase e^(i*phi) as its value,
-    as ``purify`` puts it, times the outcome's sign: -e^(i*phi) for phi- and
-    psi-, which are phi+ and psi+ with sigma_z on B.  A value that is not a
-    :class:`BellOutcome` gets ``post_select``'s refusal.
+    Term 1's value is the purification phase e^(i*phi) of its A factor, as
+    ``purify`` puts it, times the outcome's sign: -e^(i*phi) for phi- and
+    psi-, which are phi+ and psi+ with sigma_z on B; term 0's is 1.  A
+    value that is not a :class:`BellOutcome` gets ``post_select``'s refusal.
     """
     pair, sign, _ = _outcome_row(outcome)
     if convention not in ("full_dependence", "chosen_zero_levels"):
@@ -259,7 +261,7 @@ def superposition_state(
     # term n sits on |n>|kets_b[n]> under slot n; a pinned level is the constant e^0 (coeff 0)
     return _built(
         FactoredBipartiteState, (2, 2), _KETS[pair], np.array((ea, [eb[k] for k in kets_b])),
-        np.array(((1.0, sign * np.exp(1j * cfg.phi)), (1.0, 1.0))),
+        np.array((1.0, sign * np.exp(1j * cfg.phi))),
         np.array(((a, 0.0 if pin else a), [0.0 if pin and k == 0 else b for k in kets_b])),
     )
 

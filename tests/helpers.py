@@ -142,20 +142,26 @@ def eigen_report(state, fd_step, expected):
 
 # per-term oracle for tempop: each term of a dict of term arrays evaluated alone
 
-def family_amplitude(terms, side, t):
-    """value * e^(coeff*E) of term ``t``'s family on ``side`` (0 left, 1 right), as a 1-element array.
+def term_value(terms, t):
+    """Term ``t``'s one constant value, the product of its two families' values, as a 1-element array.
 
     Each product is taken between 1-element arrays, so it rounds as numpy's array multiply of
     whole rows does; Python's and numpy's scalar product of two complex numbers may differ from
     it in the last bit.
     """
-    value, coeff, energy = (terms[key][side][t] for key in ("values", "coeffs", "energies"))
-    return np.array([value], dtype=complex) * np.exp(np.array([coeff * energy]))
+    left, right = (np.array([terms["values"][side][t]], dtype=complex) for side in (0, 1))
+    return left * right
+
+
+def family_exponential(terms, side, t):
+    """e^(coeff*E) of term ``t``'s family on ``side`` (0 left, 1 right), as a 1-element array."""
+    coeff, energy = (terms[key][side][t] for key in ("coeffs", "energies"))
+    return np.exp(np.array([coeff * energy]))
 
 
 def term_amplitude(terms, t):
-    """L(x) * R(y) of term ``t`` of ``terms``."""
-    return complex((family_amplitude(terms, 0, t) * family_amplitude(terms, 1, t))[0])
+    """L(x) * R(y) of term ``t`` of ``terms``: its one value times its two families' exponentials."""
+    return complex((term_value(terms, t) * family_exponential(terms, 0, t) * family_exponential(terms, 1, t))[0])
 
 
 # formula terms: the terms each tempop builder stands for, written from the formulas of its docstring as the
@@ -175,16 +181,16 @@ def built_state(terms):
 
     The (left, right) kets are raveled to their flat indices and the terms sorted by them, so the support is
     strictly increasing, as the builders emit it and the views take it on trust; the dims are one past each
-    side's largest ket.
+    side's largest ket.  Each term's one value is the product of its two families' values.
     """
     kets = np.asarray(terms["kets"], dtype=np.int64)
     dims = tuple(int(top) + 1 for top in kets.max(axis=1))
     at = np.ravel_multi_index(tuple(kets), dims)
     order = np.argsort(at, kind="stable")
-    return qcore._built(FactoredBipartiteState, dims, at[order], *(
-        np.asarray(terms[key], dtype=dtype)[:, order] for key, dtype in
-        (("energies", float), ("values", complex), ("coeffs", float))
-    ))  # the order of FactoredBipartiteState._store's fields
+    energy, values, coeff = (np.asarray(terms[key], dtype=dtype)[:, order] for key, dtype in
+                             (("energies", float), ("values", complex), ("coeffs", float)))
+    # the order of FactoredBipartiteState._store's fields
+    return qcore._built(FactoredBipartiteState, dims, at[order], energy, values[0] * values[1], coeff)
 
 
 def purified_terms(spec):

@@ -299,6 +299,25 @@ def test_sampling_tracks_analytic_distribution():
         assert abs(counts[outcome] - n * p) <= 5 * np.sqrt(n * p * (1 - p))
 
 
+@pytest.mark.parametrize("order", [
+    pytest.param(tuple(reversed(OUTCOME_ORDER)), id="reversed"),
+    pytest.param(OUTCOME_ORDER[2:] + OUTCOME_ORDER[:2], id="psi first"),
+    pytest.param(OUTCOME_ORDER[::2] + OUTCOME_ORDER[1::2], id="interleaved"),
+])
+def test_sampling_pairs_each_count_with_its_own_outcome(monkeypatch, order):
+    # the draw reads each outcome's branch from the outcome table, so whatever the reporting order, an
+    # outcome's count follows its own probability: here psi+/- are about 3e-7 each and phi+/- about 1/2
+    monkeypatch.setattr(protocol, "OUTCOME_ORDER", order)
+    spec = ThermalSpec(3.0, QuditHamiltonian((5.0, 0.0)))
+    cfg = ProtocolConfig(spec, spec)
+    n = 10**6
+    counts = sample_outcomes(cfg, n, seed=5)
+    assert list(counts) == list(order)
+    for outcome in order:
+        p = post_select(cfg, outcome).probability
+        assert abs(counts[outcome] - n * p) <= 5 * np.sqrt(n * p * (1 - p)) + 1
+
+
 def test_sampling_is_deterministic_per_seed():
     cfg = reference_config()
     first = sample_outcomes(cfg, 5000, seed=77)

@@ -2,6 +2,7 @@ import ast
 import math
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -47,6 +48,7 @@ from helpers import (
     reference_config,
     superposition_terms,
     term_amplitude,
+    term_value,
 )
 
 
@@ -378,14 +380,14 @@ def _scalar_views(terms, dims, fd_step=None):
     """Dense psi and operator image of the term arrays ``terms`` on ``dims`` from the per-term oracle, term by term.
 
     In closed form a term's image is lambda_t psi_t, with lambda_t = coeff_L * coeff_R; with
-    ``fd_step`` it is the central-difference response over sqrt(Z), each family's slope being
-    its value times the difference of its exponentials.  Every product of two family values is taken between
+    ``fd_step`` it is the central-difference response over sqrt(Z), the term's value times each
+    family's slope, the difference of its exponentials.  Every product is taken between
     1-element arrays, as the oracle takes it.
     """
     def slope(side, t):
-        value, coeff, energy = (terms[key][side][t] for key in ("values", "coeffs", "energies"))
+        coeff, energy = (terms[key][side][t] for key in ("coeffs", "energies"))
         above, below = (np.exp(np.array([coeff * at])) for at in (energy + fd_step, energy - fd_step))
-        return np.array([value], dtype=complex) * ((above - below) / (2.0 * fd_step))
+        return (above - below) / (2.0 * fd_step)
 
     kets, coeffs = terms["kets"], terms["coeffs"]
     n = len(kets[0])
@@ -397,7 +399,7 @@ def _scalar_views(terms, dims, fd_step=None):
         ket = kets[0][t], kets[1][t]
         psi[ket] = term_amplitude(terms, t)
         if fd_step is not None:
-            image[ket] = (slope(0, t) * slope(1, t))[0]
+            image[ket] = (term_value(terms, t) * slope(0, t) * slope(1, t))[0]
     psi, image = psi / root, image / root
     if fd_step is None:
         for t in range(n):
@@ -445,6 +447,22 @@ def test_eigen_path_builds_no_dense_array(monkeypatch):
     for outcome in (BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS):
         for convention in ("full_dependence", "chosen_zero_levels"):
             residual_superposition(cfg, outcome, convention)
+
+
+def test_analytic_eigencheck_peak_is_five_and_a_half_level_arrays():
+    # the purified state's one shared family is exponentiated once, n floats, and each term carries one
+    # value, so the analytic eigencheck's own peak stays at or below 5.5 float64 arrays of the d levels; the
+    # spec and its Hamiltonian, whose level array it builds at this d, are made before tracing starts
+    d = 10**5
+    spec = _spec(0.7, tuple(np.random.default_rng(181).uniform(-5.0, 5.0, d)))
+    tracemalloc.start()
+    try:
+        report = eigencheck_purified(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (report.rayleigh, report.residual) == (0.7**2 / 16.0, 0.0)
+    assert peak <= 5.5 * 8 * d
 
 
 def test_purified_state_at_the_overflow_edge():
@@ -850,8 +868,9 @@ def test_every_builder_emits_its_kets_in_increasing_flat_order(builder, view):
 @pytest.mark.parametrize("builder", list(_BUILDER_STATES))
 def test_every_builder_holds_the_term_structure_by_construction(builder):
     # no constructor proves a state's terms, so each builder must emit them well formed: an (n,) integer
-    # support, n >= 1, strictly increasing (so distinct kets) and within the dims, and finite energies and
-    # family fields whose rows broadcast to (2, n)
+    # support, n >= 1, strictly increasing (so distinct kets) and within the dims, one complex value per
+    # term, and finite energies and family coefficients whose rows broadcast to (2, n), a purified state's
+    # one shared family as a single row
     state, _ = _BUILDER_STATES[builder]()
     at = state._at
     n = at.size
@@ -859,9 +878,12 @@ def test_every_builder_holds_the_term_structure_by_construction(builder):
     assert at.dtype.kind == "i"
     assert at[0] >= 0 and at[-1] < math.prod(state.dims)
     assert (at[1:] > at[:-1]).all()
-    assert np.broadcast_shapes(state._energy.shape, state._coeff.shape, state._value.shape, (2, n)) == (2, n)
-    assert np.isfinite(state._energy).all()
+    assert state._value.ndim == 1 and np.broadcast_shapes(state._value.shape, (n,)) == (n,)
     assert state._value.dtype == complex
+    assert np.broadcast_shapes(state._energy.shape, state._coeff.shape, (2, n)) == (2, n)
+    assert np.isfinite(state._energy).all()
+    if builder.startswith("purified"):
+        assert state._coeff.shape == (1, 1) and state._energy.shape == (n,)
 
 
 @pytest.mark.parametrize("builder", list(_BUILDER_STATES))
